@@ -21,12 +21,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapabilityError, ConvergenceError, DomainError
-from .special import (
-    _one_minus_eta,
-    _series_coeff_exact,
-    gamma,
-    laguerre,
-)
+from .quad import IntegrandSpec, integrate_finite, integrate_semi_infinite
+from .special import _series_coeff_exact, laguerre
+from .states import _psi_quadrature, _psi_tilde_coefficients
 
 __all__ = [
     "BASIS_TAG",
@@ -272,58 +269,6 @@ def build_H_tilde(K: int) -> TruncatedOperator:
 # Expansion coefficients in the Laguerre basis
 
 
-_kernel_checked = False
-
-
-def _validate_kernels():
-    """One-time check of the two closed-form t-kernels against direct
-    x-quadrature of e^{-x w} L_n(x) J0(2 sqrt(xt)); aborts on mismatch."""
-    global _kernel_checked
-    if _kernel_checked:
-        return
-    from .quad import IntegrandSpec, integrate_semi_infinite
-    from .special import bessel_j0
-
-    def direct(n, t, half_weight):
-        def f(x):
-            x = np.asarray(x, dtype=np.longdouble)
-            if half_weight:
-                # substitute x = 2y for a unit decay rate
-                y = 2.0 * x
-                return 2.0 * np.exp(-x) * laguerre(n, y) * bessel_j0(
-                    2.0 * np.sqrt(float(t) * np.asarray(y, dtype=np.float64))
-                )
-            return np.exp(-x) * laguerre(n, x) * bessel_j0(
-                2.0 * np.sqrt(float(t) * np.asarray(x, dtype=np.float64))
-            )
-
-        spec = IntegrandSpec(endpoint_exponent=1.0, decay="exponential",
-                             oscillatory=True)
-        return integrate_semi_infinite(f, spec, 1e-11).value
-
-    failures = []
-    for n, t in ((0, 0.7), (1, 1.3), (3, 2.0)):
-        got = direct(n, t, half_weight=False)
-        want = math.exp(-t) * t**n / math.factorial(n)
-        if abs(got - want) > 1e-9:
-            failures.append(("exp(-x)", n, t, got, want))
-        got = direct(n, t, half_weight=True)
-        want = 2.0 * (-1.0) ** n * math.exp(-2 * t) * float(
-            laguerre(n, np.float64(4 * t))
-        )
-        if abs(got - want) > 1e-9:
-            failures.append(("exp(-x/2)", n, t, got, want))
-    if failures:
-        raise ConvergenceError(
-            "kernel closed forms failed direct-quadrature validation: "
-            + "; ".join(
-                f"weight {w} n={n} t={t}: got {g}, want {v}"
-                for w, n, t, g, v in failures
-            )
-        )
-    _kernel_checked = True
-
-
 def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
                           tol: float = 1e-12, route: str = "kernel"):
     """Expansion coefficients of psi_tilde (or psi) in the orthonormal
@@ -339,8 +284,9 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
     2(-1)^n e^{-2t} L_n(4t); the t-integrals are done by quadrature
     with per-n absolute tolerances tied to the running magnitude.
 
-    route="direct" falls back to x-side quadrature of the transform
-    itself (slow; meant for cross-validation at small K).
+    route="direct" falls back to x-side quadrature of the transform,
+    itself evaluated by quadrature rather than by the series built on
+    these coefficients (slow; meant for cross-validation at small K).
     """
     s = complex(p.s)
     if s.real <= 0:
@@ -353,18 +299,10 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
         return _coefficients_direct(p, K, which, tol)
     if route != "kernel":
         raise DomainError(f"unknown route {route!r}")
-    _validate_kernels()
     fc = complex(p.f_const) if hasattr(p, "f_const") else 1.0
 
     if which == "psi_tilde":
-        out = []
-        q = gamma(s)  # Gamma(n+s)/n! by recurrence
-        for n in range(K):
-            out.append(fc * q * _one_minus_eta(n + s))
-            q = q * (n + s) / (n + 1)
-        return np.asarray(out, dtype=np.complex128)
-
-    from .quad import IntegrandSpec, integrate_semi_infinite
+        return _psi_tilde_coefficients(s, K, fc)[0]
 
     out = []
     scale = 1.0
@@ -381,8 +319,7 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
                 * laguerre(n, 4.0 * t)
             )
 
-        spec = IntegrandSpec(endpoint_exponent=s.real, decay="exponential",
-                             oscillatory=True)
+        spec = IntegrandSpec(endpoint_exponent=s.real, decay="exponential")
         r = integrate_semi_infinite(f, spec, tol * scale)
         out.append(fc * r.value)
         scale = max(min(scale, abs(r.value)), 1e-6)
@@ -390,13 +327,11 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
 
 
 def _coefficients_direct(p, K, which, tol):
-    from .quad import integrate_finite
-    from .states import psi, psi_tilde
-
-    transform = psi_tilde if which == "psi_tilde" else psi
     # Every x-sample is itself a quadrature, so this route is slow by
     # construction; tolerances are capped to keep it usable for
-    # small-K cross checks.
+    # small-K cross checks.  The samples come from the quadrature psi,
+    # never the series, which is built on the kernel coefficients this
+    # route is meant to check.
     inner_tol = min(tol, 1e-9)
     x_hi = 40.0
     out = []
@@ -405,8 +340,11 @@ def _coefficients_direct(p, K, which, tol):
             xs = np.asarray(xs, dtype=np.float64)
             vals = np.empty(len(xs), dtype=np.complex128)
             for i, x in enumerate(xs):
-                vals[i] = transform(p, float(x), tol=inner_tol).value
-            return vals * np.exp(-xs / 2.0) * laguerre(n, xs)
+                vals[i] = _psi_quadrature(p, float(x), inner_tol).value
+            weight = np.exp(-xs / 2.0)
+            if which == "psi_tilde":
+                vals = vals * weight
+            return vals * weight * laguerre(n, xs)
 
         r = integrate_finite(f, 0.0, x_hi, max(tol, 1e-7), initial=8)
         out.append(r.value)

@@ -63,7 +63,6 @@ class IntegrandSpec:
 
     endpoint_exponent: float
     decay: str = "exponential"
-    oscillatory: bool = False
 
     def __post_init__(self):
         if not self.endpoint_exponent > 0:

@@ -222,7 +222,7 @@ def suite_quad(ts: float = 1.0):
     r.append(check("semi-gamma-integrand", res.value, gamma(0.7),
                    1e-12 * ts, "derived-oracle", mode="rel",
                    inputs={"s": 0.7}))
-    ospec = q.IntegrandSpec(endpoint_exponent=1.0, oscillatory=True)
+    ospec = q.IntegrandSpec(endpoint_exponent=1.0)
     res = q.integrate_semi_infinite(lambda t: np.exp(-t) * np.cos(t),
                                     ospec, 1e-12)
     r.append(check("semi-oscillatory", res.value, 0.5, 1e-12 * ts,
@@ -257,7 +257,7 @@ def suite_quad(ts: float = 1.0):
     r.append(check("nested-triangle", res.value, 1.0 / 8, 1e-12 * ts,
                    "trivial", inputs={"integral": "t * int_0^t u du"}))
 
-    hspec = q.IntegrandSpec(endpoint_exponent=1.0, oscillatory=True)
+    hspec = q.IntegrandSpec(endpoint_exponent=1.0)
     res = q.integrate_semi_infinite(
         lambda t: np.exp(-t) * bessel_j0(
             2.0 * np.sqrt(4.0 * np.asarray(t, dtype=np.float64))),
@@ -557,7 +557,7 @@ def suite_states(ts: float = 1.0):
     from .quad import IntegrandSpec, integrate_semi_infinite
     from .special import bessel_j0
     t0 = 0.8
-    hspec = IntegrandSpec(endpoint_exponent=1.0, oscillatory=True)
+    hspec = IntegrandSpec(endpoint_exponent=1.0)
     back = integrate_semi_infinite(
         lambda x: np.exp(-x) * bessel_j0(
             2.0 * np.sqrt(t0 * np.asarray(x, dtype=np.float64))),
@@ -681,7 +681,7 @@ def suite_operators(ts: float = 1.0):
             return (np.exp(np.clongdouble(RHO1 - 1) * np.log(t) - t)
                     / (1.0 + np.exp(t)) * t**n / math.factorial(n))
         q = integrate_semi_infinite(
-            f, IntegrandSpec(endpoint_exponent=0.5 + n, oscillatory=True),
+            f, IntegrandSpec(endpoint_exponent=0.5 + n),
             1e-15)
         r.append(check(f"coefficient-kernel-quadrature-n{n}", a[n],
                        q.value, 1e-15 * ts, "derived-oracle",

@@ -15,6 +15,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -111,6 +112,20 @@ def _coefficient_table(m_max: int) -> np.ndarray:
 # Laguerre polynomials
 
 
+def _laguerre_rows(x):
+    """L_0(x), L_1(x), L_2(x), ... for a floating array x, by the
+    three-term recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1};
+    each degree is computed only when it is asked for."""
+    prev = np.ones_like(x)
+    yield prev
+    cur = 1 - x
+    k = 1
+    while True:
+        yield cur
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        k += 1
+
+
 def laguerre(n: int, x):
     """L_n(x) by the three-term recurrence
     (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}.
@@ -127,14 +142,7 @@ def laguerre(n: int, x):
     work = np.atleast_1d(arr).astype(
         arr.dtype if arr.dtype.kind in "fc" else np.float64
     )
-    prev = np.ones_like(work)
-    if n == 0:
-        out = prev
-    else:
-        cur = 1 - work
-        for k in range(1, n):
-            prev, cur = cur, ((2 * k + 1 - work) * cur - k * prev) / (k + 1)
-        out = cur
+    out = next(islice(_laguerre_rows(work), n, None))
     return out[0] if scalar else out
 
 
@@ -443,6 +451,5 @@ def eta_integral(s, tol: float = 1e-11):
     def f(t):
         return np.exp(sm1 * np.log(t)) / (1 + np.exp(t))
 
-    spec = IntegrandSpec(endpoint_exponent=s.real, decay="exponential",
-                         oscillatory=s.imag != 0)
+    spec = IntegrandSpec(endpoint_exponent=s.real, decay="exponential")
     return integrate_semi_infinite(f, spec, tol)

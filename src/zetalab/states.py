@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -29,7 +30,16 @@ from .quad import (
     integrate_finite,
     integrate_semi_infinite,
 )
-from .special import EULER_GAMMA, bessel_j0, eta, gamma, zeta, zeta_prime
+from .special import (
+    EULER_GAMMA,
+    _laguerre_rows,
+    _one_minus_eta,
+    bessel_j0,
+    eta,
+    gamma,
+    zeta,
+    zeta_prime,
+)
 
 __all__ = [
     "StateParams",
@@ -56,6 +66,15 @@ __all__ = [
 GRAM_SIGN = -1
 
 _LN2 = math.log(2.0)
+_EPS64 = float(np.finfo(np.float64).eps)
+_EPS_LD = float(np.finfo(LD).eps)
+
+# eta() is documented for |Im s| <= 60; past that psi runs quadrature.
+_SERIES_TAU_MAX = 60.0
+# Longest Laguerre series psi sums before it falls back to quadrature.
+_SERIES_TERMS_MAX = 512
+# Share of tol granted to the series truncation.
+_SERIES_TAIL_SHARE = 1.0 / 256.0
 
 
 @dataclass(frozen=True)
@@ -110,11 +129,95 @@ def amplitude_F(p: StateParams, t: float) -> complex:
     )
 
 
-def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
-    """The Hankel-type transform of F: integral over t of
-    F_s(t) J0(2 sqrt(x t)), as a QuadResult."""
-    if x < 0:
-        raise DomainError("psi requires x >= 0")
+def _gamma_ratios(s: complex):
+    """Gamma(n+s)/n! for n = 0, 1, 2, ... by the forward recurrence
+    q_{n+1} = q_n (n+s)/(n+1), started from Gamma(s)."""
+    q = gamma(s)
+    n = 0
+    while True:
+        yield q
+        q = q * (n + s) / (n + 1)
+        n += 1
+
+
+def _psi_tilde_coefficients(s: complex, K: int, f_const: complex):
+    """(a, a_err) for n < K: a_n = f Gamma(n+s)(1 - eta(n+s))/n!, the
+    coefficients of psi_tilde in the orthonormal basis e^{-x/2} L_n(x),
+    and a bound on the absolute error of each.
+
+    The bound carries Gamma's 1e-13 relative error, a few roundings per
+    recurrence step, and the error of 1 - eta(n+s): eta's 1e-12
+    relative error times |eta| below Re 4, the direct sum's 1e-13
+    relative error from Re 4 up.
+    """
+    a = []
+    a_err = []
+    for n, q in zip(range(K), _gamma_ratios(s)):
+        ome = _one_minus_eta(n + s)
+        a.append(f_const * q * ome)
+        fq = abs(f_const * q)
+        err = fq * abs(ome) * (1e-13 + 8 * (n + 2) * _EPS64)
+        if n + s.real < 4.0:
+            err += fq * 1e-12 * abs(1.0 - ome)
+        else:
+            err += fq * abs(ome) * 1e-13
+        a_err.append(err)
+    return np.asarray(a, dtype=np.complex128), np.asarray(a_err)
+
+
+def _series_tail(K: int, q_abs: float, sigma: float, tau: float) -> float:
+    """Bound on sum_{n>=K} |Gamma(n+s)(1 - eta(n+s))/n!| given
+    q_abs = |Gamma(K+s)/K!|; inf where the bound does not hold yet.
+
+    |1 - eta(z)| <= 2^{-x}(1 + 2/(x-1)) for x = Re z > 1, a bound that
+    at least halves per unit step in x, and each further index
+    multiplies |Gamma(n+s)/n!| by |n+s|/(n+1) <= max(n+sigma+tau,
+    n+1)/(n+1), which does not grow with n.  So the terms from K on
+    shrink at least geometrically by r = max(K+sigma+tau, K+1)/(2(K+1)).
+    """
+    x = K + sigma
+    r = max(K + sigma + tau, K + 1.0) / (2.0 * (K + 1))
+    if x <= 1.0 or r >= 1.0:
+        return math.inf
+    return q_abs * 2.0 ** -x * (1.0 + 2.0 / (x - 1.0)) / (1.0 - r)
+
+
+def _psi_series(p: StateParams, x: float, tol: float):
+    """psi(x) = sum_{n<K} a_n L_n(x) with an error bound, or None when
+    no K up to _SERIES_TERMS_MAX brings the a-priori tail below
+    tol * _SERIES_TAIL_SHARE.
+
+    Szegő's bound |e^{-x/2} L_n(x)| <= 1 for x >= 0 (Orthogonal
+    Polynomials (7.21.3)) turns the coefficient tail into a pointwise
+    bound on psi_tilde, so the truncation error of psi is at most
+    tail * e^{x/2}.  The L_n(x) and the sum are in extended precision;
+    the recurrence's error in L_n is relative to max_{k<=n} |L_k(x)|,
+    not to |L_n(x)|, which can sit near a root, so the rounding term
+    weighs each |a_n| by that running maximum.
+    """
+    s = complex(p.s)
+    fc = complex(p.f_const)
+    weight = math.exp(-0.5 * x)
+    need = tol * _SERIES_TAIL_SHARE * weight
+    for K, q in enumerate(_gamma_ratios(s)):
+        if K > _SERIES_TERMS_MAX:
+            return None
+        tail = _series_tail(K, abs(fc * q), s.real, abs(s.imag))
+        if K > 0 and tail <= need:
+            break
+    a, a_err = _psi_tilde_coefficients(s, K, fc)
+    rows = islice(_laguerre_rows(np.full(1, x, dtype=LD)), K)
+    lag = np.concatenate(list(rows))
+    value = complex(np.sum(a.astype(CLD) * lag))
+    mag = np.abs(lag).astype(np.float64)
+    size = float(np.abs(a) @ np.maximum.accumulate(mag))
+    err = (tail / weight + float(a_err @ mag)
+           + 8 * K * _EPS_LD * size + _EPS64 * abs(value))
+    return QuadResult(value, err, K)
+
+
+def _psi_quadrature(p: StateParams, x: float, tol: float) -> QuadResult:
+    """psi by adaptive quadrature of F_s(t) J0(2 sqrt(x t)) over t."""
     s = complex(p.s)
     sm1 = CLD(s - 1)
     fc = complex(p.f_const)
@@ -129,17 +232,37 @@ def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
             )
         return fc * base
 
-    spec = IntegrandSpec(
-        endpoint_exponent=s.real,
-        decay="exponential",
-        oscillatory=(x64 > 0 or s.imag != 0),
-    )
+    spec = IntegrandSpec(endpoint_exponent=s.real, decay="exponential")
     return integrate_semi_infinite(f, spec, tol)
+
+
+def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
+    """The Hankel-type transform of F: integral over t of
+    F_s(t) J0(2 sqrt(x t)), as a QuadResult.
+
+    The value is the Laguerre series psi(x) = sum_{n<K} a_n L_n(x) with
+    the closed-form coefficients a_n = f Gamma(n+s)(1 - eta(n+s))/n!,
+    K being the first index where the a-priori coefficient tail, times
+    e^{x/2}, falls below tol/256.  abs_err bounds the truncation (the
+    tail times e^{x/2}), the coefficient errors carried through
+    |L_n(x)|, and the rounding of the sum; evals counts the terms
+    summed.  Where that bound exceeds tol, or |Im s| > 60 (outside
+    eta's documented range), the value comes from adaptive quadrature
+    of the integral instead, and evals counts integrand evaluations.
+    """
+    if x < 0:
+        raise DomainError("psi requires x >= 0")
+    if abs(complex(p.s).imag) <= _SERIES_TAU_MAX:
+        r = _psi_series(p, x, tol)
+        if r is not None and r.abs_err <= tol:
+            return r
+    return _psi_quadrature(p, x, tol)
 
 
 def psi_tilde(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
     """e^{-x/2} psi(p, x); the weighted eigenfunction whose x = 0 value
-    is the boundary function."""
+    is the boundary function.  psi meets tol before the weight is
+    applied, so abs_err here is at most tol e^{-x/2}."""
     r = psi(p, x, tol=tol)
     w = math.exp(-0.5 * x)
     return QuadResult(r.value * w, r.abs_err * w, r.evals)
@@ -166,8 +289,7 @@ def amplitude_G_tail(p: StateParams, t: float, tol: float = 1e-10) -> QuadResult
     # Absolute inner tolerance scaled to the t^{-sigma} e^{-t} size of
     # the inner value, so the reported error tracks |G| itself.
     scale = math.exp(-t) * max(t, 1.0) ** (-s.real)
-    spec = IntegrandSpec(endpoint_exponent=1.0, decay="exponential",
-                         oscillatory=s.imag != 0)
+    spec = IntegrandSpec(endpoint_exponent=1.0, decay="exponential")
     inner = integrate_semi_infinite(f, spec, tol * scale)
     pref = (
         complex(p.g_const)
@@ -215,8 +337,7 @@ def amplitude_G_rewritten(rho, t: float, g_const: complex = 1.0,
         * cmath.exp((rho - 1) * math.log(t))
         * (1.0 + math.exp(t))
     )
-    spec = IntegrandSpec(endpoint_exponent=1.0 - rho.real,
-                         oscillatory=rho.imag != 0)
+    spec = IntegrandSpec(endpoint_exponent=1.0 - rho.real)
     inner = integrate_finite(f, 0.0, t, tol / max(abs(pref), 1.0), spec=spec)
     value = -complex(g_const) - pref * inner.value
     err = abs(pref) * inner.abs_err + 64 * float(np.finfo(LD).eps) * (
@@ -244,8 +365,7 @@ def norm_integral(c, tol: float = 1e-12) -> QuadResult:
         e = np.exp(-t)
         return np.exp(cm2 * np.log(t)) * (e / (1.0 + e)) ** 2
 
-    spec = IntegrandSpec(endpoint_exponent=c.real - 1.0, decay="exponential",
-                         oscillatory=c.imag != 0)
+    spec = IntegrandSpec(endpoint_exponent=c.real - 1.0, decay="exponential")
     return integrate_semi_infinite(f, spec, tol)
 
 
@@ -321,8 +441,7 @@ def gram_diagonal_log_moment(rho, tol: float = 5e-16) -> QuadResult:
         lt = np.log(t)
         return lt * np.exp(rm1 * lt) / (1.0 + np.exp(t))
 
-    spec = IntegrandSpec(endpoint_exponent=rho.real, decay="exponential",
-                         oscillatory=True)
+    spec = IntegrandSpec(endpoint_exponent=rho.real, decay="exponential")
     res = integrate_semi_infinite(f, spec, tol)
     return QuadResult(-res.value, res.abs_err, res.evals)
 

@@ -144,3 +144,37 @@ def laguerre_coefficient_oracle(s, n: int) -> complex:
     f = lambda t: t ** (s - 1) / (1 + mp.e ** t) * mp.e ** (-t) \
         * t ** n / mp.factorial(n)
     return complex(mp.quad(f, [0, 1, 5, 20, 60]))
+
+
+def psi_series_oracle(s, x, target: float = 1e-20):
+    """(psi(x), error bound) from the Laguerre series
+    sum_n Gamma(n+s)(1 - eta(n+s))/n! L_n(x) summed at 40 digits.
+
+    The tail past the last term is bounded through
+    |1 - eta(z)| <= 2^{-Re z}(1 + 2/(Re z - 1)), the ratio
+    |n+s|/(n+1) of consecutive Gamma(n+s)/n!, and Szegő's
+    |L_n(x)| <= e^{x/2}; summing stops once that bound is below target.
+    """
+    s = mp.mpc(complex(s))
+    x = mp.mpf(x)
+    sigma, tau = s.real, abs(s.imag)
+    grow = mp.exp(x / 2)
+    q = mp.gamma(s)
+    l_prev, l_cur = mp.mpf(0), mp.mpf(1)
+    total = mp.mpc(0)
+    size = mp.mpf(0)
+    n = 0
+    while True:
+        re_z = n + sigma
+        r = max(n + sigma + tau, n + 1) / (2 * (n + 1))
+        if re_z > 1 and r < 1:
+            tail = abs(q) * mp.power(2, -re_z) * (1 + 2 / (re_z - 1)) / (1 - r)
+            if tail * grow < target:
+                break
+        term = q * (1 - mp.altzeta(n + s)) * l_cur
+        total += term
+        size += abs(term)
+        l_prev, l_cur = l_cur, ((2 * n + 1 - x) * l_cur - n * l_prev) / (n + 1)
+        q = q * (n + s) / (n + 1)
+        n += 1
+    return complex(total), float(tail * grow + size * mp.mpf(10) ** -35)

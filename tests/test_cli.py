@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 import oracles
+import zetalab
 from zetalab.cli import main
 
 RHO1_ARG = "0.5+14.134725141734693i"
@@ -132,6 +136,25 @@ def test_eigenfunction_weight_relation(capsys):
     vt = float(til[1].split(",")[1])
     vr = float(raw[1].split(",")[1])
     assert abs(vt - vr * math.exp(-0.65)) < 1e-12
+
+
+def test_eigenfunction_imports_no_scipy():
+    # A fresh interpreter: other tests load scipy into this one.
+    script = (
+        "import sys\n"
+        "from zetalab.cli import main\n"
+        f"code = main(['eigenfunction', '--s', '{RHO1_ARG}',\n"
+        "             '--x-grid', '0:10:5', '--which', 'psi'])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(code, loaded, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip().splitlines()[-1] == "0 []"
 
 
 def test_gram_matrix_output(capsys):

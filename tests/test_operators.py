@@ -13,7 +13,7 @@ from zetalab.operators import (TruncatedOperator, build_H, build_H_tilde,
                                fermi_series_partial, laguerre_coefficients,
                                tridiag_eigh)
 from zetalab.quad import IntegrandSpec, integrate_semi_infinite
-from zetalab.special import bessel_j0
+from zetalab.special import bessel_j0, laguerre
 from zetalab.states import StateParams
 
 RHO1 = oracles.RHO1
@@ -205,9 +205,35 @@ def test_coefficient_kernel_vs_quadrature():
             return (np.exp(np.clongdouble(RHO1 - 1) * np.log(t) - t)
                     / (1.0 + np.exp(t)) * t**n / math.factorial(n))
         q = integrate_semi_infinite(
-            f, IntegrandSpec(endpoint_exponent=0.5 + n, oscillatory=True),
+            f, IntegrandSpec(endpoint_exponent=0.5 + n),
             1e-15)
         assert abs(a[n] - q.value) < 1e-15
+
+
+def test_kernel_closed_forms_match_direct_quadrature():
+    # The closed-form t-kernels of both weights against direct
+    # x-quadrature of e^{-x w} L_n(x) J0(2 sqrt(x t)).
+    spec = IntegrandSpec(endpoint_exponent=1.0, decay="exponential")
+
+    def direct(n, t, half_weight):
+        def f(x):
+            x = np.asarray(x, dtype=np.longdouble)
+            if half_weight:
+                # substitute x = 2y for a unit decay rate
+                y = 2.0 * x
+                return 2.0 * np.exp(-x) * laguerre(n, y) * bessel_j0(
+                    2.0 * np.sqrt(t * np.asarray(y, dtype=np.float64)))
+            return np.exp(-x) * laguerre(n, x) * bessel_j0(
+                2.0 * np.sqrt(t * np.asarray(x, dtype=np.float64)))
+
+        return integrate_semi_infinite(f, spec, 1e-11).value
+
+    for n, t in ((0, 0.7), (1, 1.3), (3, 2.0)):
+        want = math.exp(-t) * t**n / math.factorial(n)
+        assert abs(direct(n, t, half_weight=False) - want) <= 1e-9
+        want = 2.0 * (-1.0) ** n * math.exp(-2 * t) * float(
+            laguerre(n, np.float64(4 * t)))
+        assert abs(direct(n, t, half_weight=True) - want) <= 1e-9
 
 
 def test_coefficient_tail_decay():

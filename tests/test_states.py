@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from zetalab.states import (GRAM_SIGN, GramEntry, StateParams, amplitude_F,
                             gram_diagonal_log_moment, gram_matrix,
                             norm_integral, norm_series_oracle,
                             paper_norm_closed_form, psi, psi_tilde)
+from zetalab.states import _psi_quadrature, _psi_series
 
 RHO1 = oracles.RHO1
 RHO2 = oracles.RHO2
@@ -64,6 +66,42 @@ def test_weighted_transform_is_exponential_rescale():
     b = psi_tilde(StateParams(2.0), 1.3)
     assert abs(b.value - a.value * math.exp(-0.65)) <= 1e-16
     assert b.abs_err <= a.abs_err
+
+
+def test_transform_meets_series_oracle_at_random_points():
+    # sigma in (0, 4], |tau| <= 60, x in [0, 50]: whichever path psi
+    # takes, the reported bound must hold and meet tol.
+    rng = random.Random(20240828)
+    for _ in range(10):
+        s = complex(4.0 * (1.0 - rng.random()), rng.uniform(-60.0, 60.0))
+        x = rng.uniform(0.0, 50.0)
+        want, want_err = oracles.psi_series_oracle(s, x)
+        got = psi(StateParams(s), x)
+        assert got.abs_err <= 1e-10
+        assert abs(got.value - want) <= got.abs_err + want_err
+        til = psi_tilde(StateParams(s), x)
+        w = math.exp(-0.5 * x)
+        assert til.abs_err <= 1e-10
+        assert abs(til.value - want * w) <= til.abs_err + want_err * w
+
+
+def test_transform_falls_back_to_quadrature_below_series_bound():
+    p = StateParams(3.5)
+    assert _psi_series(p, 10.0, 1e-13).abs_err > 1e-13
+    got = psi(p, 10.0, tol=1e-13)
+    assert got == _psi_quadrature(p, 10.0, 1e-13)
+    want, want_err = oracles.psi_series_oracle(3.5, 10.0)
+    assert abs(got.value - want) <= got.abs_err + want_err
+
+
+def test_transform_series_agrees_with_quadrature():
+    for rho in (RHO1, RHO2):
+        p = StateParams(rho)
+        for x in np.linspace(0.0, 10.0, 6):
+            ser = _psi_series(p, float(x), 1e-10)
+            quad = _psi_quadrature(p, float(x), 1e-10)
+            assert ser.abs_err <= 1e-10
+            assert abs(ser.value - quad.value) <= ser.abs_err + quad.abs_err
 
 
 def test_boundary_vanishes_at_zeros():
@@ -286,7 +324,7 @@ def test_adjoint_satisfies_inhomogeneous_ode():
 
 def test_hankel_kernel_self_reciprocal():
     t0 = 0.8
-    spec = IntegrandSpec(endpoint_exponent=1.0, oscillatory=True)
+    spec = IntegrandSpec(endpoint_exponent=1.0)
     back = integrate_semi_infinite(
         lambda x: np.exp(-x) * bessel_j0(
             2.0 * np.sqrt(t0 * np.asarray(x, dtype=np.float64))),
