@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, ZetalabError
+from .errors import ConvergenceError, DomainError, PoleError, ZetalabError
 from .reporting import RunManifest, fmt_complex, fmt_float
 
 _ZERO_WINDOWS = {1: 15.0, 2: 22.0, 3: 26.0, 4: 31.0}
@@ -56,11 +56,22 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _emit_error(exc: Exception) -> int:
+    """One JSON error object; a budget failure carries its best
+    estimate and a pole its location."""
     import json
 
+    from .quad import QuadResult
+
+    extra = ""
+    if isinstance(exc, ConvergenceError) and isinstance(exc.best, QuadResult):
+        best = exc.best
+        extra = ',"best":{"value":%s,"abs_err":%s,"evals":%d}' % (
+            fmt_complex(best.value), fmt_float(best.abs_err), best.evals)
+    if isinstance(exc, PoleError):
+        extra = ',"location":%s' % fmt_complex(exc.location)
     sys.stdout.write(
-        '{"error":%s,"message":%s}\n'
-        % (json.dumps(type(exc).__name__), json.dumps(str(exc)))
+        '{"error":%s,"message":%s%s}\n'
+        % (json.dumps(type(exc).__name__), json.dumps(str(exc)), extra)
     )
     return 1
 

@@ -1,10 +1,13 @@
 """Adaptive quadrature engine.
 
 Covers finite, left-endpoint-singular, semi-infinite, and nested
-(cumulative inner) integrals.  All arithmetic runs in 80-bit extended
-precision internally: the bilinear pairings this package verifies sit
-around 1e-14 with relative targets of 1e-4, which double precision
-cannot reach through oscillatory cancellation.
+integrals.  A nested integral takes its inner factor as a query,
+inner(nodes) -> (W, pointwise_err), normally the query_lo_many or
+query_hi_many of one CumulativeIntegral the caller built, so a single
+inner decomposition serves every outer node.  All arithmetic runs in
+80-bit extended precision internally: the bilinear pairings this
+package verifies sit around 1e-14 with relative targets of 1e-4, which
+double precision cannot reach through oscillatory cancellation.
 
 Panels are refined worst-first from a deterministic heap; final values
 are compensated sums over panels ordered by left endpoint, so results
@@ -145,15 +148,6 @@ def _eval_panel(f, a, b):
     v31 = h * (y31 @ _W31)
     v15 = h * (y15 @ _W15)
     return v31, float(abs(v31 - v15))
-
-
-def _g31(f, a, b):
-    # Single fixed panel; used for partial-panel queries.
-    if not b > a:
-        return CLD(0)
-    h = (b - a) / 2
-    mid = (a + b) / 2
-    return h * (np.asarray(f(mid + h * _X31)) @ _W31)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +316,12 @@ def integrate_semi_infinite(f, spec, tol, max_evals=600_000, T=None):
 class CumulativeIntegral:
     """One adaptive decomposition of [lo, hi], queryable from both ends.
 
-    query_lo(x) returns the running integral from lo to x; query_hi(x)
-    the remainder from x to hi (plus tail_bound beyond hi folded into
-    the reported error).  Queries reuse the stored panel decomposition:
-    one 31-point evaluation on the partial panel, never a recomputation
-    from the endpoint.
+    query_lo_many(xs) returns the running integrals from lo to each x;
+    query_hi_many(xs) the remainders from each x to hi (plus tail_bound
+    beyond hi folded into the reported error).  Queries reuse the stored
+    panel decomposition: one 31-point rule on each partial panel, all of
+    them in a single integrand call, never a recomputation from the
+    endpoint.  f must therefore act elementwise on arrays of any shape.
     """
 
     def __init__(self, f, lo, hi, tol, max_evals=400_000, tail_bound=0.0,
@@ -378,90 +373,61 @@ class CumulativeIntegral:
         return QuadResult(self._total, float(self._prefix_err[-1]) + self.tail_bound,
                           self.evals)
 
-    def _locate(self, x):
-        j = int(np.searchsorted(self._rights, x, side="left"))
-        return min(j, len(self._rights) - 1)
+    def _locate(self, xs):
+        # Index of the stored panel holding each x (the last one past hi).
+        xs = np.asarray(xs, dtype=LD)
+        j = np.searchsorted(self._rights, xs, side="left")
+        return xs, np.minimum(j, len(self._rights) - 1)
 
-    def query_lo(self, x):
-        x = LD(x)
-        j = self._locate(x)
-        part = _g31(self._f, self._lefts[j], x)
-        val = complex(self._prefix[j] + part)
-        err = float(self._prefix_err[j] + self._errs[j])
-        return val, err
-
-    def query_hi(self, x):
-        x = LD(x)
-        j = self._locate(x)
-        part = _g31(self._f, x, self._rights[j])
-        val = complex(self._suffix[j + 1] + part)
-        err = float(self._suffix_err[j + 1] + self._errs[j] + self.tail_bound)
-        return val, err
+    def _partial(self, a, b):
+        # 31-point rule on each [a_i, b_i]; zero-width panels stay zero.
+        part = np.zeros(a.shape, dtype=CLD)
+        live = b > a
+        if np.any(live):
+            h = (b[live] - a[live]) / 2
+            mid = (a[live] + b[live]) / 2
+            y = np.asarray(self._f(mid[:, None] + h[:, None] * _X31))
+            part[live] = h * (y @ _W31)
+        return part
 
     def query_lo_many(self, xs):
-        out = np.empty(len(xs), dtype=CLD)
-        errs = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            j = self._locate(LD(x))
-            out[i] = self._prefix[j] + _g31(self._f, self._lefts[j], LD(x))
-            errs[i] = self._prefix_err[j] + self._errs[j]
-        return out, errs
+        """(integrals from lo to each x, their error bounds)."""
+        xs, j = self._locate(xs)
+        vals = self._prefix[j] + self._partial(self._lefts[j], xs)
+        return vals, self._prefix_err[j] + self._errs[j]
 
     def query_hi_many(self, xs):
-        out = np.empty(len(xs), dtype=CLD)
-        errs = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            j = self._locate(LD(x))
-            out[i] = self._suffix[j + 1] + _g31(self._f, LD(x), self._rights[j])
-            errs[i] = self._suffix_err[j + 1] + self._errs[j] + self.tail_bound
-        return out, errs
+        """(integrals from each x to hi, their error bounds incl. tail_bound)."""
+        xs, j = self._locate(xs)
+        vals = self._suffix[j + 1] + self._partial(xs, self._rights[j])
+        return vals, self._suffix_err[j + 1] + self._errs[j] + self.tail_bound
 
 
-def integrate_nested(outer_coef, inner, tol, a=0.0, b=None, outer_spec=None,
-                     inner_domain=None, inner_anchor="lo",
-                     inner_tail_bound=0.0, inner_tol=None,
-                     max_evals=1_500_000):
-    """Two-level integral: integral over t of outer_coef(t) * W(t), with
-    W(t) the running inner integral from a to t (anchor "lo") or from t
-    to the inner domain's top (anchor "hi").
+def integrate_nested(outer_coef, inner, tol, a, b, max_evals=1_500_000):
+    """Two-level integral over [a, b] of outer_coef(t) * W(t), where
+    W is an inner factor the caller has already decomposed.
 
-    The inner factor is computed once as a cumulative decomposition and
-    queried at outer nodes, never recomputed from the endpoint.  The
+    inner(nodes) returns (W, pointwise_err) at an array of outer nodes,
+    err bounding the error of W at each node; usually the query_lo_many
+    or query_hi_many of a CumulativeIntegral, or a composition of them.
+    The outer integral is refined adaptively from 64 equal panels.  The
     reported error adds the outer estimate and the inner error
-    propagated through |outer_coef|.
+    propagated through |outer_coef| by the 15-point rule on the final
+    panels.  evals counts outer evaluations only; the inner factor's
+    cost is its CumulativeIntegral's evals.
     """
-    if inner_anchor not in ("lo", "hi"):
-        raise DomainError(f"unknown inner_anchor {inner_anchor!r}")
-    extra_evals = 0
-    if b is None:
-        if outer_spec is None:
-            raise PreconditionError("need either b or outer_spec")
-        b, outer_tail, n_extra = truncation_point(outer_coef, outer_spec, tol)
-        extra_evals += n_extra
-    else:
-        outer_tail = 0.0
-    dom = inner_domain if inner_domain is not None else (a, b)
-    cum = CumulativeIntegral(inner, dom[0], dom[1], inner_tol or tol / 8,
-                             tail_bound=inner_tail_bound)
-    query = cum.query_lo_many if inner_anchor == "lo" else cum.query_hi_many
 
     def f(t):
-        w, _ = query(t)
+        w, _ = inner(t)
         return np.asarray(outer_coef(t)) * w
 
-    panels, value, err, evals = _adaptive_panels(f, a, b, tol, max_evals, 8)
-
-    # Propagate inner error bounds through the outer weights.
+    panels, value, err, evals = _adaptive_panels(f, a, b, tol, max_evals, 64)
     propagated = 0.0
     for pa, pb, _, _ in panels:
         h = (pb - pa) / 2
-        mid = (pa + pb) / 2
-        nodes = mid + h * _X15
-        w_in, e_in = query(nodes)
-        del w_in
+        nodes = (pa + pb) / 2 + h * _X15
+        _, e_in = inner(nodes)
         coef = np.abs(np.asarray(outer_coef(nodes)))
         propagated += float(h * ((coef * e_in) @ _W15))
-        extra_evals += 15
-    total_err = err + propagated + outer_tail
-    return QuadResult(complex(value), total_err,
-                      evals + cum.evals + extra_evals)
+    return QuadResult(complex(value), err + propagated,
+                      evals + 15 * len(panels))

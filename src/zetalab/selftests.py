@@ -239,21 +239,20 @@ def suite_quad(ts: float = 1.0):
                   inputs={"tol": 1e-11}))
 
     cum = q.CumulativeIntegral(lambda t: np.exp(-t), 0.0, 40.0, 1e-13)
-    v, e = cum.query_lo(0.5)
-    r.append(check("cumulative-lo", complex(v), 1 - math.exp(-0.5),
+    v, e = cum.query_lo_many([0.5])
+    r.append(check("cumulative-lo", complex(v[0]), 1 - math.exp(-0.5),
                    1e-12 * ts, "trivial", inputs={"x": 0.5}))
-    v, e = cum.query_hi(2.0)
-    r.append(check("cumulative-hi", complex(v), math.exp(-2.0),
+    v, e = cum.query_hi_many([2.0])
+    r.append(check("cumulative-hi", complex(v[0]), math.exp(-2.0),
                    1e-12 * ts, "trivial", inputs={"x": 2.0}))
-    v1, _ = cum.query_lo(1.0)
-    v2, _ = cum.query_lo(2.0)
+    v, _ = cum.query_lo_many([1.0, 2.0])
     seg = q.integrate_finite(lambda t: np.exp(-t), 1.0, 2.0, 1e-13)
-    r.append(check("cumulative-additivity", complex(v2 - v1), seg.value,
+    r.append(check("cumulative-additivity", complex(v[1] - v[0]), seg.value,
                    1e-13 * ts, "trivial"))
-    r.append(flag("cumulative-error-field", float(e) < 1e-11, "trivial"))
+    r.append(flag("cumulative-error-field", float(e[0]) < 1e-11, "trivial"))
 
-    res = q.integrate_nested(lambda t: np.asarray(t), lambda u: np.asarray(u),
-                             1e-12, a=0.0, b=1.0)
+    tri = q.CumulativeIntegral(lambda u: u, 0.0, 1.0, 1e-12 / 8)
+    res = q.integrate_nested(lambda t: t, tri.query_lo_many, 1e-12, 0.0, 1.0)
     r.append(check("nested-triangle", res.value, 1.0 / 8, 1e-12 * ts,
                    "trivial", inputs={"integral": "t * int_0^t u du"}))
 

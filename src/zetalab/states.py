@@ -24,10 +24,8 @@ from .quad import (
     CumulativeIntegral,
     IntegrandSpec,
     QuadResult,
-    _adaptive_panels,
-    _X15,
-    _W15,
     integrate_finite,
+    integrate_nested,
     integrate_semi_infinite,
 )
 from .special import (
@@ -446,20 +444,6 @@ def gram_diagonal_log_moment(rho, tol: float = 5e-16) -> QuadResult:
     return QuadResult(-res.value, res.abs_err, res.evals)
 
 
-def _propagated(panels, coef_abs, err_at):
-    """Sum over final panels of a 15-node quadrature of
-    |coef(u)| * (pointwise inner-query error at u)."""
-    total = 0.0
-    for pa, pb, _v, _e in panels:
-        h = (pb - pa) / 2
-        mid = (pa + pb) / 2
-        nodes = mid + h * _X15
-        total += float(h) * float(
-            np.dot(_W15, coef_abs(nodes) * err_at(nodes))
-        )
-    return total
-
-
 def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
          tol: float = 1e-18, route: str = "tail",
          max_evals: int = 2_000_000) -> GramEntry:
@@ -477,9 +461,13 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     serves as the loose-tolerance oracle.
 
     Both routes run on square-root axes (t = u^2, tau = v^2), where the
-    integrands become bounded log-oscillations; one cumulative inner
-    decomposition is queried from the low end below u = 1 (anchored at
-    the analytically known total) and from the high end above.
+    integrands become bounded log-oscillations.  One CumulativeIntegral
+    of the inner integrand serves as integrate_nested's inner query:
+    the tail route queries it from the low end below u = 1 (anchored at
+    the analytically known total, w0 - query_lo_many) and from the high
+    end above (query_hi_many); the naive route queries query_lo_many at
+    sqrt(t).  gram adds its own analytic truncation tails to the
+    nested result's error.
     """
     rho_row = complex(rho_row)
     rho_col = complex(rho_col)
@@ -511,78 +499,39 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
 
     if route == "tail":
         coef_exp = CLD(2 * a - 3)
-        coef_re = float((2 * a - 3).real)
-        switch = 1.0
 
-        def w_tilde(u, want_err=False):
-            u = np.asarray(u, dtype=LD)
+        def outer_coef(u):
+            return -(2.0 * np.exp(coef_exp * np.log(u)))
+
+        def w_tilde(u):
             w = np.empty(u.shape, dtype=CLD)
-            errs = np.empty(u.shape) if want_err else None
-            lo = u < switch
-            if np.any(lo):
-                pre, e1 = cum.query_lo_many(u[lo])
-                w[lo] = CLD(w0) - pre
-                if want_err:
-                    errs[lo] = e1
-            hi_m = ~lo
-            if np.any(hi_m):
-                suf, e2 = cum.query_hi_many(u[hi_m])
-                w[hi_m] = suf
-                if want_err:
-                    errs[hi_m] = e2
-            return (w, errs) if want_err else w
+            errs = np.empty(u.shape)
+            lo = u < 1.0
+            pre, errs[lo] = cum.query_lo_many(u[lo])
+            w[lo] = CLD(w0) - pre
+            w[~lo], errs[~lo] = cum.query_hi_many(u[~lo])
+            return w, errs
 
-        def outer_f(u):
-            u = np.asarray(u, dtype=LD)
-            coef = 2.0 * np.exp(coef_exp * np.log(u))
-            return -coef * w_tilde(u)
-
-        panels, value, q_err, evals = _adaptive_panels(
-            outer_f, LD(0), LD(upper), tol, max_evals, 64
-        )
-
-        def coef_abs(u):
-            return 2.0 * np.exp(coef_re * np.log(np.asarray(u, dtype=np.float64)))
-
-        def err_at(u):
-            _, e = w_tilde(u, want_err=True)
-            return e
-
-        prop = _propagated(panels, coef_abs, err_at)
+        res = integrate_nested(outer_coef, w_tilde, tol, 0.0, upper,
+                               max_evals)
         tail_outer = math.exp(-(upper * upper))
-        total_err = q_err + prop + tail_outer
-        return GramEntry(rho_row, rho_col, gf * complex(value),
-                         abs(gf) * total_err)
+    else:
+        # The printed lower-anchored inner, outer on the t axis.
+        t_hi = upper * upper
+        coef_exp = CLD(a - 2)
 
-    # Naive route: the printed lower-anchored inner, outer on the t axis.
-    t_hi = upper * upper
-    coef_exp = CLD(a - 2)
-    coef_re = float((a - 2).real)
+        def outer_coef(t):
+            return np.exp(coef_exp * np.log(t))
 
-    def outer_naive(t):
-        t = np.asarray(t, dtype=LD)
-        pre, _ = cum.query_lo_many(np.sqrt(t))
-        coef = np.exp(coef_exp * np.log(t))
-        return coef * pre
+        def w_lo(t):
+            return cum.query_lo_many(np.sqrt(t))
 
-    panels, value, q_err, evals = _adaptive_panels(
-        outer_naive, LD(0), LD(t_hi), tol, max_evals, 64
-    )
-
-    def coef_abs(t):
-        return np.exp(coef_re * np.log(np.asarray(t, dtype=np.float64)))
-
-    def err_at(t):
-        _, e = cum.query_lo_many(np.sqrt(np.asarray(t, dtype=LD)))
-        return e
-
-    prop = _propagated(panels, coef_abs, err_at)
-    # Truncation: the true inner tends to w0, so the discarded tail is
-    # the exponential remnant plus the w0 log-moment out to t_hi.
-    tail_outer = math.exp(-t_hi) + abs(w0) * 80.0
-    total_err = q_err + prop + tail_outer
-    return GramEntry(rho_row, rho_col, gf * complex(value),
-                     abs(gf) * total_err)
+        res = integrate_nested(outer_coef, w_lo, tol, 0.0, t_hi, max_evals)
+        # Truncation: the true inner tends to w0, so the discarded tail
+        # is the exponential remnant plus the w0 log-moment out to t_hi.
+        tail_outer = math.exp(-t_hi) + abs(w0) * 80.0
+    return GramEntry(rho_row, rho_col, gf * res.value,
+                     abs(gf) * (res.abs_err + tail_outer))
 
 
 def gram_matrix(rhos, f_const: complex = 1.0, g_const: complex = 1.0,

@@ -180,6 +180,34 @@ def test_gram_num_zeros_guard(capsys):
     assert err["error"] == "DomainError"
 
 
+def test_budget_error_carries_best_estimate(capsys):
+    # psi's series bound misses tol 1e-40, and the quadrature fallback
+    # exhausts its evaluation budget.
+    code, lines = run(capsys, "eigenfunction", "--s", "2", "--x-grid",
+                      "0:1:2", "--tol", "1e-40")
+    assert code == 1 and len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConvergenceError"
+    best = err["best"]
+    assert set(best) == {"value", "abs_err", "evals"}
+    assert set(best["value"]) == {"re", "im"}
+    assert best["abs_err"] > 1e-40
+    assert 0 < best["evals"] <= 600_000
+    assert str(best["evals"]) in err["message"]
+
+
+def test_pole_error_carries_location(capsys):
+    # No command's input reaches a pole: the commands call Gamma and
+    # zeta only at Re(s) > 0 and s != 1.  The emitter is driven directly.
+    from zetalab.cli import _emit_error
+    from zetalab.errors import PoleError
+
+    assert _emit_error(PoleError("zeta pole at s = 1", location=1 + 0j)) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err == {"error": "PoleError", "message": "zeta pole at s = 1",
+                   "location": {"re": 1, "im": 0}}
+
+
 def test_norm_check_reports(capsys):
     code, lines = run(capsys, "norm-check")
     assert code == 0

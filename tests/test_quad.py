@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetalab.errors import CapabilityError, ConvergenceError, DomainError
 from zetalab.quad import (CumulativeIntegral, IntegrandSpec, gauss_legendre,
@@ -85,11 +88,12 @@ def test_truncation_point_tail_bound():
 
 def test_cumulative_queries_match_closed_form():
     cum = CumulativeIntegral(lambda t: np.exp(-t), 0.0, 50.0, 1e-13)
-    for x in (0.1, 0.5, 1.7, 12.0, 49.5):
-        v, e = cum.query_lo(x)
-        assert abs(complex(v) - (1 - math.exp(-x))) <= float(e) + 1e-13
-        v, e = cum.query_hi(x)
-        assert abs(complex(v) - math.exp(-x)) <= float(e) + 1e-13
+    xs = [0.1, 0.5, 1.7, 12.0, 49.5]
+    lo_vals, lo_errs = cum.query_lo_many(xs)
+    hi_vals, hi_errs = cum.query_hi_many(xs)
+    for x, vl, el, vh, eh in zip(xs, lo_vals, lo_errs, hi_vals, hi_errs):
+        assert abs(complex(vl) - (1 - math.exp(-x))) <= float(el) + 1e-13
+        assert abs(complex(vh) - math.exp(-x)) <= float(eh) + 1e-13
 
 
 def test_cumulative_vectorized_queries():
@@ -99,25 +103,54 @@ def test_cumulative_vectorized_queries():
     for x, v in zip(xs, vals):
         assert abs(complex(v) - (1 - math.exp(-x))) < 1e-11
     assert np.all(errs >= 0)
+    # One batched query equals the same queries made one point at a
+    # time, bit for bit, including zero-width partial panels: lo, hi and
+    # a stored panel edge.
+    edge = cum._lefts[len(cum._lefts) // 2]
+    xs = np.array([0.0, 0.3, edge, 7.0, 40.0], dtype=np.longdouble)
+    for query in (cum.query_lo_many, cum.query_hi_many):
+        vals, errs = query(xs)
+        for x, v, e in zip(xs, vals, errs):
+            v1, e1 = query(np.array([x]))
+            assert v1[0] == v and e1[0] == e
 
 
 def test_cumulative_tail_bound_propagates():
     cum = CumulativeIntegral(lambda t: np.exp(-t), 0.0, 30.0, 1e-12,
                              tail_bound=1e-8)
-    _, e = cum.query_hi(1.0)
-    assert float(e) >= 1e-8
+    _, e = cum.query_hi_many([1.0])
+    assert float(e[0]) >= 1e-8
 
 
 def test_nested_triangle_and_coupling():
-    r = integrate_nested(lambda t: np.asarray(t), lambda u: np.asarray(u),
-                         1e-12, a=0.0, b=1.0)
+    tri = CumulativeIntegral(lambda u: u, 0.0, 1.0, 1e-13)
+    r = integrate_nested(lambda t: t, tri.query_lo_many, 1e-12, 0.0, 1.0)
     assert abs(r.value - 0.125) <= max(r.abs_err, 1e-12)
     # outer e^{-t} against inner cumulative of e^{-u}:
-    # int_0^inf e^{-t}(1-e^{-t}) dt = 1/2.
-    spec = IntegrandSpec(endpoint_exponent=1.0)
-    r = integrate_nested(lambda t: np.exp(-t), lambda u: np.exp(-u),
-                         1e-10, a=0.0, b=40.0, outer_spec=spec)
+    # int_0^inf e^{-t}(1-e^{-t}) dt = 1/2, truncated at 40.
+    cum = CumulativeIntegral(lambda u: np.exp(-u), 0.0, 40.0, 1e-11)
+    r = integrate_nested(lambda t: np.exp(-t), cum.query_lo_many, 1e-10,
+                         0.0, 40.0)
     assert abs(r.value - 0.5) <= max(r.abs_err, 1e-10)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.floats(0.5, 3.0))
+def test_nested_polynomial_meets_reported_error(m, k, b):
+    # int_0^b t^m int_0^t u^k du dt = b^{m+k+2} / ((k+1)(m+k+2)).
+    exact = float(Fraction(b) ** (m + k + 2) / ((k + 1) * (m + k + 2)))
+    cum = CumulativeIntegral(lambda u: u**k, 0.0, b, 1e-13)
+    r = integrate_nested(lambda t: t**m, cum.query_lo_many, 1e-12, 0.0, b)
+    # value is returned in double precision; its last-place rounding is
+    # not part of abs_err.
+    assert abs(r.value - exact) <= r.abs_err + 2 * math.ulp(exact)
+    xs = np.linspace(0.0, b, 7)
+    lo, e_lo = cum.query_lo_many(xs)
+    hi, e_hi = cum.query_hi_many(xs)
+    total = cum.total()
+    for vl, el, vh, eh in zip(lo, e_lo, hi, e_hi):
+        miss = abs(complex(vl + vh) - total.value)
+        assert miss <= el + eh + total.abs_err + 2 * math.ulp(abs(total.value))
 
 
 def test_budget_exhaustion_attaches_best():
