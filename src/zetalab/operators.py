@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapabilityError, ConvergenceError, DomainError
 from .quad import IntegrandSpec, integrate_finite, integrate_semi_infinite
-from .special import _series_coeff_exact, laguerre
+from .special import _laguerre_rows, _series_coeff_exact
 from .states import _psi_quadrature, _psi_tilde_coefficients
 
 __all__ = [
@@ -45,6 +46,11 @@ BASIS_TAG = "coefficient-space, orthonormal <x|n> = e^{-x/2} L_n(x)"
 
 _K_CAP = 512
 _H_TILDE_CAP = 192  # largest exact entry ~e^640 at K=192; float64 dies ~K=216
+# psi rows at tol carry each coefficient to tol * 2^-14: the largest power
+# of two whose rounding floor (the rows' G31 - G15 noise, which grows with
+# K and |Im s| and as Re s falls) stays below tol up to K = 512 on the
+# critical line.
+_ROW_SCALE = 2.0**14
 
 _BANDS = ("diagonal", "lower-1", "upper-1", "tridiagonal",
           "upper-triangular", "dense")
@@ -280,9 +286,12 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
     forward recurrence (relative accuracy is essential for the
     residual study, where |a_n| spans many decades).
 
-    which="psi": the e^{-x/2}-weight kernel is
-    2(-1)^n e^{-2t} L_n(4t); the t-integrals are done by quadrature
-    with per-n absolute tolerances tied to the running magnitude.
+    which="psi": the e^{-x/2}-weight kernel is 2(-1)^n e^{-2t} L_n(4t).
+    All K t-integrals are one stacked quadrature whose row n is
+    2^14 times the kernel against F; one Laguerre recurrence at each
+    node emits every degree.  The rows share the absolute tol, so each
+    coefficient is computed to tol * 2^-14, and removing the power-of-two
+    scale is exact.
 
     route="direct" falls back to x-side quadrature of the transform,
     itself evaluated by quadrature rather than by the series built on
@@ -304,51 +313,44 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
     if which == "psi_tilde":
         return _psi_tilde_coefficients(s, K, fc)[0]
 
-    out = []
-    scale = 1.0
     sm1 = np.clongdouble(s - 1)
-    for n in range(K):
-        sign = 2.0 * (-1.0) ** n
+    signs = 2.0 * _ROW_SCALE * (-1.0) ** np.arange(K)
 
-        def f(t, n=n, sign=sign):
-            t = np.asarray(t, dtype=np.longdouble)
-            return (
-                sign
-                * np.exp(sm1 * np.log(t) - 2.0 * t)
-                / (1.0 + np.exp(t))
-                * laguerre(n, 4.0 * t)
-            )
+    def f(t):
+        t = np.asarray(t, dtype=np.longdouble)
+        base = np.exp(sm1 * np.log(t) - 2.0 * t) / (1.0 + np.exp(t))
+        return signs[:, None] * base * _laguerre_table(4.0 * t, K)
 
-        spec = IntegrandSpec(endpoint_exponent=s.real, decay="exponential")
-        r = integrate_semi_infinite(f, spec, tol * scale)
-        out.append(fc * r.value)
-        scale = max(min(scale, abs(r.value)), 1e-6)
-    return np.asarray(out, dtype=np.complex128)
+    spec = IntegrandSpec(endpoint_exponent=s.real, decay="exponential")
+    r = integrate_semi_infinite(f, spec, tol)
+    return fc * (r.value / _ROW_SCALE)
+
+
+def _laguerre_table(x, K):
+    # (K, len(x)) array of L_0(x) .. L_{K-1}(x), one recurrence pass.
+    return np.array(list(islice(_laguerre_rows(x), K)))
 
 
 def _coefficients_direct(p, K, which, tol):
     # Every x-sample is itself a quadrature, so this route is slow by
     # construction; tolerances are capped to keep it usable for
-    # small-K cross checks.  The samples come from the quadrature psi,
-    # never the series, which is built on the kernel coefficients this
-    # route is meant to check.
+    # small-K cross checks.  All K degrees are one stacked integral, so
+    # each sample serves every n.  The samples come from the quadrature
+    # psi, never the series, which is built on the kernel coefficients
+    # this route is meant to check.
     inner_tol = min(tol, 1e-9)
     x_hi = 40.0
-    out = []
-    for n in range(K):
-        def f(xs, n=n):
-            xs = np.asarray(xs, dtype=np.float64)
-            vals = np.empty(len(xs), dtype=np.complex128)
-            for i, x in enumerate(xs):
-                vals[i] = _psi_quadrature(p, float(x), inner_tol).value
-            weight = np.exp(-xs / 2.0)
-            if which == "psi_tilde":
-                vals = vals * weight
-            return vals * weight * laguerre(n, xs)
 
-        r = integrate_finite(f, 0.0, x_hi, max(tol, 1e-7), initial=8)
-        out.append(r.value)
-    return np.asarray(out, dtype=np.complex128)
+    def f(xs):
+        xs = np.asarray(xs, dtype=np.float64)
+        vals = np.array([_psi_quadrature(p, float(x), inner_tol).value
+                         for x in xs], dtype=np.complex128)
+        weight = np.exp(-xs / 2.0)
+        if which == "psi_tilde":
+            vals = vals * weight
+        return vals * weight * _laguerre_table(xs, K)
+
+    return integrate_finite(f, 0.0, x_hi, max(tol, 1e-7), initial=8).value
 
 
 def _tail_ratio(coeffs):

@@ -12,6 +12,15 @@ double precision cannot reach through oscillatory cancellation.
 Panels are refined worst-first from a deterministic heap; final values
 are compensated sums over panels ordered by left endpoint, so results
 are reproducible bit-for-bit.
+
+integrate_finite, integrate_semi_infinite and truncation_point also
+take a stacked integrand: f(t) returns shape (m, len(t)), components
+on the leading axis and nodes on the last.  All components share one
+subdivision: a panel's error is the maximum over components of
+|G31 - G15|, so the reported abs_err bounds every component (a
+sup-norm), the truncation envelope is the maximum over components, and
+QuadResult.value is a complex array of shape (m,).  A scalar integrand
+runs exactly the arithmetic it would alone.
 """
 
 from __future__ import annotations
@@ -48,9 +57,13 @@ _EPS_LD = float(np.finfo(LD).eps)
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value, reported error bound, and evaluation count of one integral."""
+    """Value, reported error bound, and evaluation count of one integral.
 
-    value: complex
+    value is a complex array of shape (m,) for a stacked integrand, and
+    abs_err then bounds every component.
+    """
+
+    value: complex | np.ndarray
     abs_err: float
     evals: int
 
@@ -121,7 +134,8 @@ _X31, _W31 = _gauss_rule_longdouble(31)
 
 
 def _neumaier(values):
-    # Compensated sum, real and imaginary parts separately.
+    # Compensated sum, real and imaginary parts separately; a stacked
+    # (panels, m) array is summed one component at a time.
     def _sum1(v):
         total = LD(0)
         comp = LD(0)
@@ -135,6 +149,8 @@ def _neumaier(values):
         return total + comp
 
     arr = np.asarray(values)
+    if arr.ndim == 2:
+        return np.array([_neumaier(col) for col in arr.T])
     if arr.dtype.kind == "c":
         return CLD(_sum1(arr.real.astype(LD))) + 1j * CLD(_sum1(arr.imag.astype(LD)))
     return _sum1(arr.astype(LD))
@@ -147,7 +163,15 @@ def _eval_panel(f, a, b):
     y15 = np.asarray(f(mid + h * _X15))
     v31 = h * (y31 @ _W31)
     v15 = h * (y15 @ _W15)
-    return v31, float(abs(v31 - v15))
+    diff = abs(v31 - v15)
+    return v31, float(diff.max() if diff.ndim else diff)
+
+
+def _result_value(value):
+    # complex for a scalar integrand, complex128 array (m,) for a stacked one
+    if np.ndim(value):
+        return np.asarray(value, dtype=np.complex128)
+    return complex(value)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +223,7 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
             raise ConvergenceError(
                 f"quadrature budget exhausted at {evals} evaluations "
                 f"(err {err:.3e} > tol {tol:.3e})",
-                best=QuadResult(complex(value), err, evals),
+                best=QuadResult(_result_value(value), err, evals),
             )
         neg_err, _, pa, pb, pv = heapq.heappop(heap)
         width = pb - pa
@@ -225,7 +249,7 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
     if err > tol and not heap:
         raise ConvergenceError(
             f"quadrature stalled at width floor (err {err:.3e} > tol {tol:.3e})",
-            best=QuadResult(complex(value), err, evals),
+            best=QuadResult(_result_value(value), err, evals),
         )
     return panels, value, err, evals
 
@@ -251,9 +275,10 @@ def integrate_finite(f, a, b, tol, spec=None, max_evals=400_000, initial=8):
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
     f must accept a longdouble array and return an array (real or
-    complex).  A spec with endpoint_exponent in (0, 1) marks an
-    integrable singularity at the LEFT endpoint, handled by exact
-    substitution.
+    complex), or a stacked (m, len(t)) array of m components that share
+    one subdivision (see the module docstring).  A spec with
+    endpoint_exponent in (0, 1) marks an integrable singularity at the
+    LEFT endpoint, handled by exact substitution.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"bad interval [{a}, {b}]")
@@ -264,17 +289,20 @@ def integrate_finite(f, a, b, tol, spec=None, max_evals=400_000, initial=8):
         )
     else:
         _, value, err, evals = _adaptive_panels(f, a, b, tol, max_evals, initial)
-    return QuadResult(complex(value), err, evals)
+    return QuadResult(_result_value(value), err, evals)
 
 
 def truncation_point(f, spec, tol, samples=(0.75, 1.5, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0)):
     """Pick T with the envelope tail bound C t^{sigma-1} e^{-t} integrated
-    beyond T below tol/10.  Returns (T, tail_bound, evals)."""
+    beyond T below tol/10; a stacked integrand's envelope is the maximum
+    over its components.  Returns (T, tail_bound, evals)."""
     if spec.decay != "exponential":
         raise PreconditionError("truncation requires exponentially decaying integrand")
     sigma = spec.endpoint_exponent
     ts = np.array(samples, dtype=LD)
     vals = np.abs(np.asarray(f(ts)))
+    if vals.ndim == 2:
+        vals = vals.max(axis=0)
     env = vals * ts ** LD(1 - sigma) * np.exp(ts)
     env = env[np.isfinite(env)]
     cval = float(np.max(env)) if env.size else 0.0

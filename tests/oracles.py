@@ -178,3 +178,23 @@ def psi_series_oracle(s, x, target: float = 1e-20):
         q = q * (n + s) / (n + 1)
         n += 1
     return complex(total), float(tail * grow + size * mp.mpf(10) ** -35)
+
+
+def psi_coefficient_oracle(s, n: int) -> complex:
+    """Coefficient b_n of psi in the orthonormal basis e^{-x/2} L_n(x),
+    in closed form at 60 digits:
+
+        b_n = 2(-1)^n sum_{k<=n} C(n,k) (-4)^k/k! Gamma(s+k)
+              (2^{-s-k} - (1 - eta(s+k))),
+
+    from expanding L_n(4t) in powers of t and 1/(1+e^t) in powers of
+    e^{-t} inside the t-integral of F against 2(-1)^n e^{-2t} L_n(4t).
+    """
+    with mp.workdps(60):
+        s = mp.mpc(complex(s))
+        total = mp.mpc(0)
+        for k in range(n + 1):
+            z = s + k
+            total += (mp.binomial(n, k) * mp.mpf(-4) ** k / mp.factorial(k)
+                      * mp.gamma(z) * (mp.power(2, -z) - (1 - mp.altzeta(z))))
+        return complex(2 * (-1) ** n * total)

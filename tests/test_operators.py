@@ -197,6 +197,18 @@ def test_coefficients_match_high_precision_oracle():
         assert abs(a[n] - want) < 1e-18
 
 
+def test_psi_coefficients_match_closed_form_oracle():
+    # Every degree comes out of one stacked quadrature at tol * 2^-14;
+    # K = 64 is past the point where a finer row tolerance stalls on
+    # rounding.
+    for s, K in ((RHO1, 16), (complex(0.5, oracles.ZERO_TAUS[5]), 16),
+                 (2.0, 8), (RHO1, 64)):
+        b = laguerre_coefficients(StateParams(s), K, which="psi")
+        degrees = range(K) if K <= 16 else (0, K // 2, K - 1)
+        for n in degrees:
+            assert abs(b[n] - oracles.psi_coefficient_oracle(s, n)) <= 1e-16
+
+
 def test_coefficient_kernel_vs_quadrature():
     a = laguerre_coefficients(StateParams(RHO1), 16, which="psi_tilde")
     for n in (0, 10):

@@ -79,6 +79,52 @@ def test_semi_infinite_families():
     assert abs(r.value - 0.5) < 1e-12
 
 
+def test_stacked_single_row_matches_scalar_bit_for_bit():
+    # A one-row stacked integrand runs the scalar arithmetic exactly.
+    ld = np.longdouble
+    cases = [
+        (lambda f: integrate_finite(f, 0.0, 2.0, 1e-14),
+         lambda t: np.exp(1j * t) * np.cos(3 * t)),
+        (lambda f: integrate_finite(f, 0.0, 1.0, 1e-12,
+                                    spec=IntegrandSpec(0.25, "none")),
+         lambda t: t**ld(-0.75) * np.cos(t)),
+        (lambda f: integrate_semi_infinite(f, IntegrandSpec(0.7), 1e-13),
+         lambda t: t**ld(-0.3) * np.exp(-t) * np.exp(2j * t)),
+    ]
+    for run, f in cases:
+        scalar = run(f)
+        stacked = run(lambda t, f=f: f(t)[None, :])
+        assert stacked.value.shape == (1,)
+        assert stacked.value[0] == scalar.value
+        assert stacked.abs_err == scalar.abs_err
+        assert stacked.evals == scalar.evals
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(st.integers(1, 8), st.floats(1e-12, 1e-8))
+def test_stacked_rows_meet_reported_error(m, tol):
+    # Rows t^k e^{-t}, k < m, share one subdivision; abs_err bounds each.
+    k = np.arange(m)[:, None]
+    r = integrate_semi_infinite(lambda t: t**k * np.exp(-t),
+                                IntegrandSpec(endpoint_exponent=1.0), tol)
+    assert r.value.shape == (m,)
+    for j, v in enumerate(r.value):
+        exact = math.factorial(j)
+        # value is returned in double precision; its last-place rounding
+        # is not part of abs_err.
+        assert abs(v - exact) <= r.abs_err + 2 * math.ulp(exact)
+
+
+def test_stacked_error_covers_the_hardest_row():
+    # A panel's error is the maximum over rows, so a smooth first row
+    # cannot stop the refinement an oscillatory second row needs.
+    r = integrate_semi_infinite(
+        lambda t: np.exp(-t) * np.stack([np.ones_like(t), np.cos(40 * t)]),
+        IntegrandSpec(endpoint_exponent=1.0), 1e-12)
+    for v, exact in zip(r.value, (1.0, 1 / 1601)):
+        assert abs(v - exact) <= r.abs_err + 2 * math.ulp(exact)
+
+
 def test_truncation_point_tail_bound():
     spec = IntegrandSpec(endpoint_exponent=1.0)
     T, tail, evals = truncation_point(lambda t: np.exp(-t), spec, 1e-9)
