@@ -57,7 +57,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _emit_error(exc: Exception) -> int:
     """One JSON error object; a budget failure carries its best
-    estimate and a pole its location."""
+    estimate (a list for a stacked quadrature) and a pole its location."""
     import json
 
     from .quad import QuadResult
@@ -65,8 +65,12 @@ def _emit_error(exc: Exception) -> int:
     extra = ""
     if isinstance(exc, ConvergenceError) and isinstance(exc.best, QuadResult):
         best = exc.best
+        if np.ndim(best.value):
+            value = "[%s]" % ",".join(fmt_complex(v) for v in best.value)
+        else:
+            value = fmt_complex(best.value)
         extra = ',"best":{"value":%s,"abs_err":%s,"evals":%d}' % (
-            fmt_complex(best.value), fmt_float(best.abs_err), best.evals)
+            value, fmt_float(best.abs_err), best.evals)
     if isinstance(exc, PoleError):
         extra = ',"location":%s' % fmt_complex(exc.location)
     sys.stdout.write(

@@ -16,14 +16,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapabilityError, ConvergenceError, DomainError
-from .quad import IntegrandSpec, integrate_finite, integrate_semi_infinite
-from .special import _laguerre_rows, _series_coeff_exact
+from .quad import (
+    IntegrandSpec,
+    QuadResult,
+    integrate_finite,
+    integrate_semi_infinite,
+)
+from .special import _laguerre_table, _series_coeff_exact
 from .states import _psi_quadrature, _psi_tilde_coefficients
 
 __all__ = [
@@ -46,11 +50,10 @@ BASIS_TAG = "coefficient-space, orthonormal <x|n> = e^{-x/2} L_n(x)"
 
 _K_CAP = 512
 _H_TILDE_CAP = 192  # largest exact entry ~e^640 at K=192; float64 dies ~K=216
-# psi rows at tol carry each coefficient to tol * 2^-14: the largest power
-# of two whose rounding floor (the rows' G31 - G15 noise, which grows with
-# K and |Im s| and as Re s falls) stays below tol up to K = 512 on the
-# critical line.
-_ROW_SCALE = 2.0**14
+# Every psi coefficient is asked for tol * 2^-20 (just under 1e-6 * tol),
+# so coefficients decades below 1 still carry digits under one shared
+# absolute tolerance.
+_COEFF_TOL_SHARE = 2.0**-20
 
 _BANDS = ("diagonal", "lower-1", "upper-1", "tridiagonal",
           "upper-triangular", "dense")
@@ -287,11 +290,12 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
     residual study, where |a_n| spans many decades).
 
     which="psi": the e^{-x/2}-weight kernel is 2(-1)^n e^{-2t} L_n(4t).
-    All K t-integrals are one stacked quadrature whose row n is
-    2^14 times the kernel against F; one Laguerre recurrence at each
-    node emits every degree.  The rows share the absolute tol, so each
-    coefficient is computed to tol * 2^-14, and removing the power-of-two
-    scale is exact.
+    All K t-integrals are one stacked quadrature whose row n is the
+    kernel against F; one Laguerre recurrence at each node emits every
+    degree, and every coefficient is asked for tol * 2^-20.  Where
+    rounding in the rows stalls the quadrature above that (small Re s,
+    large K or |Im s|), its estimate is returned if its error bound
+    still meets tol, and ConvergenceError is raised otherwise.
 
     route="direct" falls back to x-side quadrature of the transform,
     itself evaluated by quadrature rather than by the series built on
@@ -314,7 +318,7 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
         return _psi_tilde_coefficients(s, K, fc)[0]
 
     sm1 = np.clongdouble(s - 1)
-    signs = 2.0 * _ROW_SCALE * (-1.0) ** np.arange(K)
+    signs = 2.0 * (-1.0) ** np.arange(K)
 
     def f(t):
         t = np.asarray(t, dtype=np.longdouble)
@@ -322,13 +326,16 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
         return signs[:, None] * base * _laguerre_table(4.0 * t, K)
 
     spec = IntegrandSpec(endpoint_exponent=s.real, decay="exponential")
-    r = integrate_semi_infinite(f, spec, tol)
-    return fc * (r.value / _ROW_SCALE)
-
-
-def _laguerre_table(x, K):
-    # (K, len(x)) array of L_0(x) .. L_{K-1}(x), one recurrence pass.
-    return np.array(list(islice(_laguerre_rows(x), K)))
+    try:
+        r = integrate_semi_infinite(f, spec, tol * _COEFF_TOL_SHARE)
+    except ConvergenceError as exc:
+        r = exc.best
+        if r.abs_err > tol:
+            raise ConvergenceError(
+                str(exc),
+                best=QuadResult(fc * r.value, abs(fc) * r.abs_err, r.evals),
+            ) from exc
+    return fc * r.value
 
 
 def _coefficients_direct(p, K, which, tol):

@@ -19,8 +19,11 @@ on the leading axis and nodes on the last.  All components share one
 subdivision: a panel's error is the maximum over components of
 |G31 - G15|, so the reported abs_err bounds every component (a
 sup-norm), the truncation envelope is the maximum over components, and
-QuadResult.value is a complex array of shape (m,).  A scalar integrand
-runs exactly the arithmetic it would alone.
+QuadResult.value is a complex array of shape (m,).  A stacked run
+tracks its summed error exactly and raises ConvergenceError ("rounding
+floor", best estimate attached) once doubling its panel count no longer
+halves that error.  A scalar integrand runs exactly the arithmetic it
+would alone.
 """
 
 from __future__ import annotations
@@ -208,14 +211,29 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
         err = float(math.fsum(p[3] for p in panels))
         return panels, value, err
 
+    def _exact_err():
+        return math.fsum(-h[0] for h in heap) + math.fsum(p[3] for p in stuck)
+
+    # A stacked run sums its panel errors exactly after every split (cheap
+    # next to its integrand), and it stops at its rounding floor: once
+    # doubling the panel count no longer halves the error, the G31 - G15
+    # estimates are rounding noise.  Scalar runs keep the running
+    # accumulator, whose exits gram depends on.
+    stacked = np.ndim(v) > 0
+    check_at, check_err = 2 * initial, math.inf
+    at_floor = False
     splits = 0
     while total_err > tol and heap:
+        if stacked and len(heap) >= check_at:
+            if total_err > check_err / 2:
+                at_floor = True
+                break
+            check_at, check_err = 2 * len(heap), total_err
         splits += 1
         if splits % 1024 == 0:
             # The running accumulator drifts after many add/subtract cycles;
             # resync against the exact sum so tiny tolerances stay reachable.
-            total_err = math.fsum(-h[0] for h in heap) + math.fsum(
-                p[3] for p in stuck)
+            total_err = _exact_err()
         if evals + 92 > max_evals:
             panels, value, err = _finish()
             if err <= tol:
@@ -231,9 +249,7 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
         if float(width) < floor:
             # Cannot refine further in this precision; keep as-is.
             stuck.append((pa, pb, pv, -neg_err))
-            total_err_stuck = math.fsum(p[3] for p in stuck)
-            live_err = math.fsum(-h[0] for h in heap)
-            if live_err + total_err_stuck <= tol or not heap:
+            if _exact_err() <= tol or not heap:
                 break
             continue
         total_err += neg_err  # remove parent's err (neg_err is negative)
@@ -244,11 +260,14 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
             heapq.heappush(heap, (-e, seq, lo, hi, v))
             seq += 1
             total_err += e
+        if stacked:
+            total_err = _exact_err()
 
     panels, value, err = _finish()
-    if err > tol and not heap:
+    if err > tol and (at_floor or not heap):
+        where = "rounding" if at_floor else "width"
         raise ConvergenceError(
-            f"quadrature stalled at width floor (err {err:.3e} > tol {tol:.3e})",
+            f"quadrature stalled at {where} floor (err {err:.3e} > tol {tol:.3e})",
             best=QuadResult(_result_value(value), err, evals),
         )
     return panels, value, err, evals

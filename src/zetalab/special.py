@@ -126,6 +126,12 @@ def _laguerre_rows(x):
         k += 1
 
 
+def _laguerre_table(x, K):
+    """(K, len(x)) array of L_0(x) .. L_{K-1}(x) from one recurrence
+    pass."""
+    return np.array(list(islice(_laguerre_rows(x), K)))
+
+
 def laguerre(n: int, x):
     """L_n(x) by the three-term recurrence
     (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}.

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .quad import (
 )
 from .special import (
     EULER_GAMMA,
-    _laguerre_rows,
+    _laguerre_table,
     _one_minus_eta,
     bessel_j0,
     eta,
@@ -204,8 +203,7 @@ def _psi_series(p: StateParams, x: float, tol: float):
         if K > 0 and tail <= need:
             break
     a, a_err = _psi_tilde_coefficients(s, K, fc)
-    rows = islice(_laguerre_rows(np.full(1, x, dtype=LD)), K)
-    lag = np.concatenate(list(rows))
+    lag = _laguerre_table(np.full(1, x, dtype=LD), K)[:, 0]
     value = complex(np.sum(a.astype(CLD) * lag))
     mag = np.abs(lag).astype(np.float64)
     size = float(np.abs(a) @ np.maximum.accumulate(mag))

@@ -182,7 +182,8 @@ def psi_series_oracle(s, x, target: float = 1e-20):
 
 def psi_coefficient_oracle(s, n: int) -> complex:
     """Coefficient b_n of psi in the orthonormal basis e^{-x/2} L_n(x),
-    in closed form at 60 digits:
+    in closed form at 60 digits beyond the n digits the alternating sum
+    can cancel:
 
         b_n = 2(-1)^n sum_{k<=n} C(n,k) (-4)^k/k! Gamma(s+k)
               (2^{-s-k} - (1 - eta(s+k))),
@@ -190,7 +191,7 @@ def psi_coefficient_oracle(s, n: int) -> complex:
     from expanding L_n(4t) in powers of t and 1/(1+e^t) in powers of
     e^{-t} inside the t-integral of F against 2(-1)^n e^{-2t} L_n(4t).
     """
-    with mp.workdps(60):
+    with mp.workdps(60 + n):
         s = mp.mpc(complex(s))
         total = mp.mpc(0)
         for k in range(n + 1):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oracles
@@ -206,6 +207,19 @@ def test_pole_error_carries_location(capsys):
     err = json.loads(capsys.readouterr().out)
     assert err == {"error": "PoleError", "message": "zeta pole at s = 1",
                    "location": {"re": 1, "im": 0}}
+
+
+def test_stacked_budget_error_lists_its_best_estimate(capsys):
+    # A stacked quadrature's best estimate is one value per component.
+    from zetalab.cli import _emit_error
+    from zetalab.errors import ConvergenceError
+    from zetalab.quad import QuadResult
+
+    best = QuadResult(np.array([1 + 2j, -0.5 + 0j]), 3e-12, 920)
+    assert _emit_error(ConvergenceError("stalled", best=best)) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["best"] == {"value": [{"re": 1, "im": 2}, {"re": -0.5, "im": 0}],
+                           "abs_err": 3e-12, "evals": 920}
 
 
 def test_norm_check_reports(capsys):

@@ -198,15 +198,36 @@ def test_coefficients_match_high_precision_oracle():
 
 
 def test_psi_coefficients_match_closed_form_oracle():
-    # Every degree comes out of one stacked quadrature at tol * 2^-14;
-    # K = 64 is past the point where a finer row tolerance stalls on
-    # rounding.
+    # Every degree comes out of one stacked quadrature asked for
+    # tol * 2^-20; RHO1 at K = 64 stops at its rounding floor above that,
+    # and its estimate is kept.
     for s, K in ((RHO1, 16), (complex(0.5, oracles.ZERO_TAUS[5]), 16),
                  (2.0, 8), (RHO1, 64)):
         b = laguerre_coefficients(StateParams(s), K, which="psi")
         degrees = range(K) if K <= 16 else (0, K // 2, K - 1)
         for n in degrees:
             assert abs(b[n] - oracles.psi_coefficient_oracle(s, n)) <= 1e-16
+
+
+def test_psi_coefficients_at_small_re_s_keep_their_rounding_floor():
+    # At small Re s the rows' rounding noise sits far above tol * 2^-20
+    # and, at K = 128, above tol * 2^-14: the run stops at that floor
+    # instead of spending its budget, and the estimate is kept.
+    s = 0.1 + 3j
+    b = laguerre_coefficients(StateParams(s), 128, which="psi")
+    for n in (0, 64):
+        assert abs(b[n] - oracles.psi_coefficient_oracle(s, n)) <= 1e-16
+
+
+def test_psi_coefficients_below_rounding_floor_raise_with_scaled_best():
+    # A tol under the rows' rounding floor cannot be met; the error
+    # carries the estimate in coefficient units, f_const included.
+    p = StateParams(RHO1, f_const=2.0)
+    with pytest.raises(ConvergenceError, match="rounding floor") as info:
+        laguerre_coefficients(p, 8, which="psi", tol=1e-24)
+    best = info.value.best
+    want = laguerre_coefficients(p, 8, which="psi")
+    assert np.max(np.abs(best.value - want)) <= best.abs_err + 1e-15
 
 
 def test_coefficient_kernel_vs_quadrature():

@@ -115,6 +115,37 @@ def test_stacked_rows_meet_reported_error(m, tol):
         assert abs(v - exact) <= r.abs_err + 2 * math.ulp(exact)
 
 
+def test_stacked_run_returns_only_within_tol():
+    # Initial panel errors 1e16 times tol leave a running sum of panel
+    # errors meaningless near tol; a stacked run sums them exactly, so it
+    # returns only once the error it reports meets tol.
+    a = np.array([50.0, 120.0])[:, None]
+    r = integrate_finite(lambda t: np.exp(-t) * np.cos(a * t), 0.0, 20.0,
+                         1e-18)
+    assert r.abs_err <= 1e-18
+    for v, w in zip(r.value, (50.0, 120.0)):
+        exact = (1 + math.exp(-20) * (w * math.sin(20 * w)
+                                      - math.cos(20 * w))) / (1 + w * w)
+        assert abs(v - exact) <= r.abs_err + 2 * math.ulp(exact)
+
+
+def test_stacked_run_stops_at_its_rounding_floor():
+    # Rows evaluated in single precision carry noise near 1e-8 that no
+    # refinement removes: the run stops once doubling the panel count no
+    # longer halves the error, long before its budget, with an estimate
+    # its error bound still covers.
+    def f(t):
+        y = np.exp(-t.astype(np.float32)).astype(np.float64)
+        return np.stack([y, 2 * y])
+
+    with pytest.raises(ConvergenceError, match="rounding floor") as info:
+        integrate_finite(f, 0.0, 1.0, 1e-12)
+    best = info.value.best
+    assert best.evals < 10_000
+    for v, exact in zip(best.value, (1 - math.exp(-1), 2 - 2 * math.exp(-1))):
+        assert abs(v - exact) <= best.abs_err
+
+
 def test_stacked_error_covers_the_hardest_row():
     # A panel's error is the maximum over rows, so a smooth first row
     # cannot stop the refinement an oscillatory second row needs.
