@@ -80,10 +80,10 @@ def _emit_error(exc: Exception) -> int:
     return 1
 
 
-def _run_suites(names, tol_scale, command) -> int:
+def _run_suites(suite, tol_scale, command) -> int:
     from .selftests import SUITES
 
-    chosen = [(n, f) for n, f in SUITES if n in names]
+    chosen = [(n, f) for n, f in SUITES if suite in ("all", n)]
     manifest = RunManifest(__version__, command, tol_scale)
     lines = []
     any_fail = False
@@ -103,15 +103,7 @@ def _run_suites(names, tol_scale, command) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = ([n for n, _ in _suite_items()] if args.suite == "all"
-             else [args.suite])
-    return _run_suites(names, args.tol_scale, " ".join(args.argv))
-
-
-def _suite_items():
-    from .selftests import SUITES
-
-    return SUITES
+    return _run_suites(args.suite, args.tol_scale, " ".join(args.argv))
 
 
 def cmd_zeros(args) -> int:
@@ -329,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_parse_complex, required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--operator", choices=("h", "htilde"), default="htilde")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_residual)
 
     p = sub.add_parser(
@@ -339,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("N", "Nplus", "Nminus", "x", "D", "T", "H",
                             "Htilde"))
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_operator_dump)
     return parser
 

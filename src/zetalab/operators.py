@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapabilityError, ConvergenceError, DomainError
 from .quad import (
@@ -31,7 +30,6 @@ from .special import _laguerre_table, _series_coeff_exact
 from .states import _psi_quadrature, _psi_tilde_coefficients
 
 __all__ = [
-    "BASIS_TAG",
     "TruncatedOperator",
     "EigenDecomposition",
     "ResidualProfile",
@@ -45,8 +43,6 @@ __all__ = [
     "laguerre_coefficients",
     "eigen_residual",
 ]
-
-BASIS_TAG = "coefficient-space, orthonormal <x|n> = e^{-x/2} L_n(x)"
 
 _K_CAP = 512
 _H_TILDE_CAP = 192  # largest exact entry ~e^640 at K=192; float64 dies ~K=216
@@ -87,7 +83,6 @@ class TruncatedOperator:
     dim: int
     entries: np.ndarray
     band: str
-    basis_convention: str = BASIS_TAG
 
     def __post_init__(self):
         if self.dim < 1:
@@ -191,10 +186,8 @@ def tridiag_eigh(T: TruncatedOperator) -> EigenDecomposition:
     m = np.asarray(T.entries, dtype=np.float64)
     if not np.array_equal(m, m.T):
         raise DomainError("tridiag_eigh requires exact symmetry")
-    d = np.diag(m).copy()
-    e = np.diag(m, 1).copy() if T.dim > 1 else np.zeros(0)
     try:
-        vals, vecs = eigh_tridiagonal(d, e)
+        vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     norm = float(np.max(np.abs(m))) or 1.0

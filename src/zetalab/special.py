@@ -102,12 +102,6 @@ def series_coeff(m: int) -> float:
     return float(_series_coeff_exact(m))
 
 
-def _coefficient_table(m_max: int) -> np.ndarray:
-    """c_0..c_{m_max} as float64, one rounding each.  Internal helper for
-    the operator layer, which needs indices past the public cap."""
-    return np.array([float(_series_coeff_exact(m)) for m in range(m_max + 1)])
-
-
 # ---------------------------------------------------------------------------
 # Laguerre polynomials
 

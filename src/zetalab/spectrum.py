@@ -13,8 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import (
     CapabilityError,
     ConvergenceError,
@@ -106,9 +104,58 @@ def eigenvalue_of(rho) -> complex:
     return 1j * (0.5 - complex(rho))
 
 
+def brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """Root of f in [xa, xb], where f(xa) and f(xb) differ in sign, to
+    within xtol + rtol * |x|, by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).  A line-for-line
+    port of SciPy's brentq.c: the same steps in the same order, so the
+    same root bits and the same number of calls to f."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError(f"brentq: f has one sign on [{xa}, {xb}]")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceError(f"brentq: no convergence in {maxiter} "
+                           f"iterations on bracket [{xa}, {xb}]")
+
+
 def find_zeros(tau_max: float, tol: float = 1e-10, step: float = 0.01):
     """All on-line zeros with 0 < tau <= tau_max, bracketed by a fixed-step
-    sign scan of critical_line_real_form and refined by Brent's method.
+    sign scan of critical_line_real_form and refined by Brent's method
+    (`brentq`, a port of SciPy's brentq that returns the same bits).
 
     The 0.01 step is safe below tau = 60 where consecutive zero gaps
     stay above 0.05; larger heights are out of scope.
@@ -128,13 +175,8 @@ def find_zeros(tau_max: float, tol: float = 1e-10, step: float = 0.01):
         if v == 0.0:
             root = t
         elif prev_v * v < 0:
-            try:
-                root = brentq(critical_line_real_form, prev_t, t,
-                              xtol=tol, rtol=8.9e-16)
-            except (ValueError, RuntimeError) as exc:
-                raise ConvergenceError(
-                    f"refinement failed on bracket [{prev_t}, {t}]: {exc}"
-                ) from exc
+            root = brentq(critical_line_real_form, prev_t, t,
+                          xtol=tol, rtol=8.9e-16)
         else:
             prev_t, prev_v = t, v
             continue

@@ -139,23 +139,25 @@ def test_eigenfunction_weight_relation(capsys):
     assert abs(vt - vr * math.exp(-0.65)) < 1e-12
 
 
-def test_eigenfunction_imports_no_scipy():
-    # A fresh interpreter: other tests load scipy into this one.
-    script = (
-        "import sys\n"
-        "from zetalab.cli import main\n"
-        f"code = main(['eigenfunction', '--s', '{RHO1_ARG}',\n"
-        "             '--x-grid', '0:10:5', '--which', 'psi'])\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(code, loaded, file=sys.stderr)\n"
-    )
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--tau-max", "30"],
+    ["eigenfunction", "--s", RHO1_ARG, "--x-grid", "0:10:5",
+     "--which", "psi"],
+    ["residual", "--s", RHO1_ARG, "--K", "16", "--operator", "h"],
+    ["verify", "--suite", "operators"],
+], ids=["zeros", "eigenfunction", "residual", "verify-operators"])
+def test_runtime_never_imports_scipy(argv):
+    # A fresh interpreter in which any import of scipy fails.
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from zetalab.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
     src = os.path.dirname(os.path.dirname(zetalab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.strip().splitlines()[-1] == "0 []"
+    assert done.returncode == 0, done.stderr + done.stdout
 
 
 def test_gram_matrix_output(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import oracles
 from zetalab.errors import (CapabilityError, ConvergenceError, DomainError,
@@ -92,6 +93,18 @@ def test_spectrum_positive_at_k256():
     _, _, t256 = build_composites(256)
     lam_min = float(np.min(tridiag_eigh(t256).values))
     assert 0 < lam_min < 0.01
+
+
+@pytest.mark.parametrize("K", [2, 16, 64, 256, 512])
+def test_eigh_matches_scipy_tridiagonal_solver(K):
+    _, _, t_op = build_composites(K)
+    m = t_op.entries
+    dec = tridiag_eigh(t_op)
+    norm = float(np.max(np.abs(m)))
+    want = eigh_tridiagonal(np.diag(m), np.diag(m, 1), eigvals_only=True)
+    assert np.max(np.abs(dec.values - want)) <= 1e-13 * norm
+    resid = np.max(np.abs(m @ dec.vectors - dec.vectors * dec.values))
+    assert resid <= 1e-11 * norm
 
 
 def test_eigh_guards():

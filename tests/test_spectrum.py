@@ -1,9 +1,14 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 import oracles
-from zetalab.errors import (CapabilityError, DomainError, PreconditionError)
+from zetalab import spectrum
+from zetalab.errors import (CapabilityError, ConvergenceError, DomainError,
+                            PreconditionError)
 from zetalab.spectrum import (StripRectangle, count_zeros,
                               critical_line_real_form, eigenvalue_of,
                               find_zeros, xi_bc)
@@ -57,6 +62,69 @@ def test_find_zeros_to_50():
 def test_find_zeros_capability_cap():
     with pytest.raises(CapabilityError):
         find_zeros(60.5)
+
+
+def _root_and_calls(solver, f, a, b, xtol, rtol=8.9e-16):
+    """(root or "no convergence", number of calls to f)."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return f(x)
+
+    try:
+        root = solver(counted, a, b, xtol=xtol, rtol=rtol)
+    except RuntimeError:
+        root = "no convergence"
+    return root, calls[0]
+
+
+def test_brentq_port_matches_scipy_on_zero_brackets():
+    zeros = find_zeros(60.0)
+    assert len(zeros) == 13
+    for z in zeros:
+        a, b = z.bracket
+        for xtol in (1e-10, 1e-12):
+            got = _root_and_calls(spectrum.brentq, critical_line_real_form,
+                                  a, b, xtol)
+            want = _root_and_calls(scipy_brentq, critical_line_real_form,
+                                   a, b, xtol)
+            assert got == want
+
+
+_FAMILIES = (
+    lambda c: lambda x: math.sin(x) - c,
+    lambda c: lambda x: x**3 - c,
+    lambda c: lambda x: math.expm1(x) - c,
+    lambda c: lambda x: math.atan(x - c) ** 3,
+    lambda c: lambda x: (x - c) * abs(x - c) ** 0.2,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, len(_FAMILIES) - 1), st.floats(-0.9, 0.9),
+       st.floats(-1.5, 0.0), st.floats(0.0, 1.5),
+       st.sampled_from((1e-12, 1e-10, 1e-6, 0.1)))
+# A coarse xtol makes delta count in the short-step test
+# 2|stry| < min(|spre|, 3|sbis| - delta); these two brackets take a
+# different path if "- delta" is dropped.
+@example(2, 0.45, -1.37, 1.04, 0.1)
+@example(1, -0.72, -1.25, 1.02, 0.1)
+def test_brentq_port_matches_scipy_on_random_brackets(family, c, a, b, xtol):
+    f = _FAMILIES[family](c)
+    assume(f(a) * f(b) < 0)
+    assert (_root_and_calls(spectrum.brentq, f, a, b, xtol)
+            == _root_and_calls(scipy_brentq, f, a, b, xtol))
+
+
+def test_brentq_budget_error_names_the_bracket():
+    a, b = find_zeros(15.0)[0].bracket
+    with pytest.raises(ConvergenceError, match=rf"\[{a}, {b}\]"):
+        spectrum.brentq(critical_line_real_form, a, b, xtol=1e-10,
+                        rtol=8.9e-16, maxiter=2)
+    with pytest.raises(DomainError):
+        spectrum.brentq(critical_line_real_form, 1.0, 2.0, xtol=1e-10,
+                        rtol=8.9e-16)
 
 
 def test_eigenvalue_map():
