@@ -46,6 +46,10 @@ def test_report_line_shape(capsys):
     assert rep["abs_err"] >= 0
 
 
+GOLDEN_VERIFY_ALL = os.path.join(os.path.dirname(__file__), "golden",
+                                 "verify_all.jsonl")
+
+
 def test_verify_all_runs_every_suite(capsys):
     code, lines = run(capsys, "verify", "--suite", "all")
     assert code == 0
@@ -54,6 +58,13 @@ def test_verify_all_runs_every_suite(capsys):
         "special", "quad", "spectrum", "states", "operators"]
     assert manifest["failed"] == 0
     assert manifest["total"] == len(lines) - 1
+    # Every report line is byte-identical to the committed stream; only
+    # the manifest (wall-clock timings) is exempt.
+    with open(GOLDEN_VERIFY_ALL) as fh:
+        golden = fh.read().splitlines()
+    assert len(lines) - 1 == len(golden)
+    for got, want in zip(lines[:-1], golden):
+        assert got == want
 
 
 def test_selftest_positional_matches_verify(capsys):
