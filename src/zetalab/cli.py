@@ -20,6 +20,7 @@ a single JSON error object and exit code 1; bad flags exit 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -39,6 +40,18 @@ def _parse_complex(text: str) -> complex:
         return complex(cleaned)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
+
+
+def _positive_float(text: str) -> float:
+    """A positive, finite float; anything else is a bad flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -80,10 +93,9 @@ def _emit_error(exc: Exception) -> int:
     return 1
 
 
-def _run_suites(suite, tol_scale, command) -> int:
-    from .selftests import SUITES
-
-    chosen = [(n, f) for n, f in SUITES if suite in ("all", n)]
+def _run_suites(chosen, tol_scale, command) -> int:
+    """Run each (name, fn) suite as fn(tol_scale), print every report
+    line, then the manifest; exit 1 if any check failed."""
     manifest = RunManifest(__version__, command, tol_scale)
     lines = []
     any_fail = False
@@ -103,7 +115,10 @@ def _run_suites(suite, tol_scale, command) -> int:
 
 
 def cmd_verify(args) -> int:
-    return _run_suites(args.suite, args.tol_scale, " ".join(args.argv))
+    from .selftests import SUITES
+
+    chosen = [(n, f) for n, f in SUITES if args.suite in ("all", n)]
+    return _run_suites(chosen, args.tol_scale, " ".join(args.argv))
 
 
 def cmd_zeros(args) -> int:
@@ -183,35 +198,33 @@ def cmd_gram(args) -> int:
 
 def cmd_norm_check(args) -> int:
     from .reporting import INFORMATIONAL, check
+    from .selftests import PAPER_NORM_2
     from .states import norm_integral, norm_series_oracle, \
         paper_norm_closed_form
 
     cs = [float(c) for c in args.c.split(",")]
-    t0 = time.perf_counter()
-    reports = []
-    for c in cs:
-        got = norm_integral(c).value
+
+    def suite(_tol_scale):
+        reports = []
+        for c in cs:
+            got = norm_integral(c).value
+            reports.append(check(
+                f"norm-route-agreement-c{c}", got,
+                norm_series_oracle(c - 1.0), 1e-9, "derived-oracle",
+                mode="rel", inputs={"c": c}))
+        closed = paper_norm_closed_form(2.0)
+        reports.append(check("norm-printed-form", closed, PAPER_NORM_2,
+                             1e-12, "paper", inputs={"c": 2.0}))
+        reports.append(check("norm-exponent-shift", closed,
+                             norm_series_oracle(3.0), 1e-12, "paper",
+                             inputs={"c": 2.0, "series_s": 3.0}))
         reports.append(check(
-            f"norm-route-agreement-c{c}", got, norm_series_oracle(c - 1.0),
-            1e-9, "derived-oracle", mode="rel", inputs={"c": c}))
-    reports.append(check("norm-printed-form", paper_norm_closed_form(2.0),
-                         0.158151287891165, 1e-12, "paper",
-                         inputs={"c": 2.0}))
-    reports.append(check("norm-exponent-shift", paper_norm_closed_form(2.0),
-                         norm_series_oracle(3.0), 1e-12, "paper",
-                         inputs={"c": 2.0, "series_s": 3.0}))
-    reports.append(check("norm-exponent-discrepancy",
-                         paper_norm_closed_form(2.0),
-                         norm_integral(2.0).value, INFORMATIONAL, "paper",
-                         inputs={"c": 2.0, "note": "same-c integral route"}))
-    wall = time.perf_counter() - t0
-    npass = sum(1 for r in reports if r.ok)
-    manifest = RunManifest(__version__, " ".join(args.argv), 1.0)
-    manifest.add("norm-check", wall, npass, len(reports) - npass)
-    for r in reports:
-        sys.stdout.write(r.to_line() + "\n")
-    sys.stdout.write(manifest.to_line() + "\n")
-    return 0 if npass == len(reports) else 1
+            "norm-exponent-discrepancy", closed, norm_integral(2.0).value,
+            INFORMATIONAL, "paper",
+            inputs={"c": 2.0, "note": "same-c integral route"}))
+        return reports
+
+    return _run_suites([("norm-check", suite)], 1.0, " ".join(args.argv))
 
 
 def cmd_residual(args) -> int:
@@ -283,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
              "tau, rho_re, rho_im, residual, bracket_lo, bracket_hi")
     p.add_argument("--tau-max", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=_positive_float, default=0.01)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_zeros)
 
@@ -297,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo:hi:count, e.g. 0:10:101")
     p.add_argument("--which", choices=("psi_tilde", "psi"),
                    default="psi_tilde")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_eigenfunction)
 
@@ -306,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pairing matrix over the first --num-zeros zeros as one "
              "JSON object with per-entry abs_err")
     p.add_argument("--num-zeros", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-18)
+    p.add_argument("--tol", type=_positive_float, default=1e-18)
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser(

@@ -305,7 +305,7 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
         return _coefficients_direct(p, K, which, tol)
     if route != "kernel":
         raise DomainError(f"unknown route {route!r}")
-    fc = complex(p.f_const) if hasattr(p, "f_const") else 1.0
+    fc = complex(p.f_const)
 
     if which == "psi_tilde":
         return _psi_tilde_coefficients(s, K, fc)[0]
@@ -318,7 +318,7 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
         base = np.exp(sm1 * np.log(t) - 2.0 * t) / (1.0 + np.exp(t))
         return signs[:, None] * base * _laguerre_table(4.0 * t, K)
 
-    spec = IntegrandSpec(endpoint_exponent=s.real, decay="exponential")
+    spec = IntegrandSpec(endpoint_exponent=s.real)
     try:
         r = integrate_semi_infinite(f, spec, tol * _COEFF_TOL_SHARE)
     except ConvergenceError as exc:
@@ -350,7 +350,7 @@ def _coefficients_direct(p, K, which, tol):
             vals = vals * weight
         return vals * weight * _laguerre_table(xs, K)
 
-    return integrate_finite(f, 0.0, x_hi, max(tol, 1e-7), initial=8).value
+    return integrate_finite(f, 0.0, x_hi, max(tol, 1e-7)).value
 
 
 def _tail_ratio(coeffs):
@@ -367,14 +367,14 @@ def _tail_ratio(coeffs):
     return float(min(max(np.median(ratios), 0.1), 0.95))
 
 
-def eigen_residual(p, K: int, which: str = "H_tilde",
-                   trust_tol: float = 1e-8) -> ResidualProfile:
+def eigen_residual(p, K: int, which: str = "H_tilde") -> ResidualProfile:
     """Per-component |(M a)_n - i(1/2 - s) a_n| for the truncated
     operator acting on the state's coefficient vector.
 
     trusted_prefix counts leading components whose first omitted
     truncation term (operator entry at the cut column times the
-    extrapolated coefficient magnitude there) stays below trust_tol.
+    extrapolated coefficient magnitude there) stays below the fixed
+    trust threshold 1e-8.
     Once the asymptotic operator series has blown past its optimal
     order, no leading component passes and the prefix is honestly 0.
     """
@@ -394,7 +394,7 @@ def eigen_residual(p, K: int, which: str = "H_tilde",
     ratio = _tail_ratio(coeffs)
     a_next = abs(coeffs[-1]) * ratio
     log_a_next = math.log(a_next) if a_next > 0 else -math.inf
-    log_trust = math.log(trust_tol)
+    log_trust = math.log(1e-8)
     trusted = 0
     for n in range(K):
         if which == "H_tilde":

@@ -35,12 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    ConvergenceError,
-    DomainError,
-    PreconditionError,
-)
+from .errors import CapabilityError, ConvergenceError, DomainError
 
 __all__ = [
     "QuadResult",
@@ -73,7 +68,7 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """Endpoint/decay metadata the engine needs to pick a strategy.
+    """Endpoint metadata the engine needs to pick a strategy.
 
     endpoint_exponent sigma means the integrand behaves like t^{sigma-1}
     as t -> 0+; sigma in (0, 1) triggers the substitution t = u^{1/sigma}
@@ -81,13 +76,10 @@ class IntegrandSpec:
     """
 
     endpoint_exponent: float
-    decay: str = "exponential"
 
     def __post_init__(self):
         if not self.endpoint_exponent > 0:
             raise DomainError("endpoint_exponent must be positive for integrability")
-        if self.decay not in ("exponential", "none"):
-            raise DomainError(f"unknown decay tag {self.decay!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +92,6 @@ def _legendre_pn(n: int, x):
     p_cur = x.copy()
     for k in range(2, n + 1):
         p_prev, p_cur = p_cur, ((2 * k - 1) * x * p_cur - (k - 1) * p_prev) / k
-    if n == 1:
-        p_cur, p_prev = x.copy(), np.ones_like(x)
     dp = n * (x * p_cur - p_prev) / (x * x - 1)
     return p_cur, dp
 
@@ -113,8 +103,6 @@ def _gauss_rule_longdouble(n: int):
     float64 nodes seed two Newton corrections on P_n, which restores
     the digits lost to the double-precision tables.
     """
-    if n == 1:
-        return np.zeros(1, dtype=LD), np.full(1, 2, dtype=LD)
     x = np.polynomial.legendre.leggauss(n)[0].astype(LD)
     for _ in range(2):
         p, dp = _legendre_pn(n, x)
@@ -311,14 +299,17 @@ def integrate_finite(f, a, b, tol, spec=None, max_evals=400_000, initial=8):
     return QuadResult(_result_value(value), err, evals)
 
 
-def truncation_point(f, spec, tol, samples=(0.75, 1.5, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0)):
+# Where truncation_point samples the integrand's envelope.
+_ENVELOPE_SAMPLES = (0.75, 1.5, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0)
+
+
+def truncation_point(f, spec, tol):
     """Pick T with the envelope tail bound C t^{sigma-1} e^{-t} integrated
-    beyond T below tol/10; a stacked integrand's envelope is the maximum
-    over its components.  Returns (T, tail_bound, evals)."""
-    if spec.decay != "exponential":
-        raise PreconditionError("truncation requires exponentially decaying integrand")
+    beyond T below tol/10, for f decaying like e^{-t}; a stacked
+    integrand's envelope is the maximum over its components.  Returns
+    (T, tail_bound, evals)."""
     sigma = spec.endpoint_exponent
-    ts = np.array(samples, dtype=LD)
+    ts = np.array(_ENVELOPE_SAMPLES, dtype=LD)
     vals = np.abs(np.asarray(f(ts)))
     if vals.ndim == 2:
         vals = vals.max(axis=0)
@@ -335,22 +326,17 @@ def truncation_point(f, spec, tol, samples=(0.75, 1.5, 3.0, 6.0, 12.0, 24.0, 48.
     t_trunc = max(t_trunc, 1.5 * peak + 10.0) + 4.0
     t_trunc = min(t_trunc, 50_000.0)
     tail = 2 * cval * t_trunc ** (sigma - 1) * math.exp(-t_trunc)
-    return t_trunc, tail, len(samples)
+    return t_trunc, tail, len(_ENVELOPE_SAMPLES)
 
 
-def integrate_semi_infinite(f, spec, tol, max_evals=600_000, T=None):
+def integrate_semi_infinite(f, spec, tol, max_evals=600_000):
     """Integral of f over (0, inf) for exponentially decaying f.
 
     Truncates at an envelope-derived point T (tail bound folded into the
     reported error), then integrates [0, T] adaptively with the
     endpoint-exponent handling of integrate_finite.
     """
-    if spec.decay != "exponential":
-        raise PreconditionError("integrate_semi_infinite requires exponential decay")
-    extra = 0
-    tail = 0.0
-    if T is None:
-        T, tail, extra = truncation_point(f, spec, tol)
+    T, tail, extra = truncation_point(f, spec, tol)
     res = integrate_finite(f, 0.0, T, tol, spec=spec, max_evals=max_evals,
                            initial=16)
     return QuadResult(res.value, res.abs_err + tail, res.evals + extra)
@@ -358,6 +344,20 @@ def integrate_semi_infinite(f, spec, tol, max_evals=600_000, T=None):
 
 # ---------------------------------------------------------------------------
 # Cumulative integrals and the nested driver
+
+
+def _kahan_prefix(vals):
+    # out[i] = vals[0] + ... + vals[i-1] by a Kahan-style running sum,
+    # which keeps the error of every partial sum flat in len(vals).
+    out = np.zeros(len(vals) + 1, dtype=CLD)
+    run = comp = CLD(0)
+    for i, v in enumerate(vals):
+        y = v - comp
+        t = run + y
+        comp = (t - run) - y
+        run = t
+        out[i + 1] = run
+    return out
 
 
 class CumulativeIntegral:
@@ -387,28 +387,9 @@ class CumulativeIntegral:
         errs = [p[3] for p in panels]
         self._errs = np.array(errs, dtype=np.float64)
         n = len(panels)
-        prefix = np.zeros(n + 1, dtype=CLD)
-        run = CLD(0)
-        comp = CLD(0)
-        for i, v in enumerate(vals):
-            # Kahan-style running sum keeps prefix error flat in n.
-            y = v - comp
-            t = run + y
-            comp = (t - run) - y
-            run = t
-            prefix[i + 1] = run
-        self._prefix = prefix
-        self._total = complex(prefix[-1])
-        suffix = np.zeros(n + 1, dtype=CLD)
-        run = CLD(0)
-        comp = CLD(0)
-        for i in range(n - 1, -1, -1):
-            y = vals[i] - comp
-            t = run + y
-            comp = (t - run) - y
-            run = t
-            suffix[i] = run
-        self._suffix = suffix
+        self._prefix = _kahan_prefix(vals)
+        self._total = complex(self._prefix[-1])
+        self._suffix = _kahan_prefix(vals[::-1])[::-1]
         pe = np.zeros(n + 1)
         pe[1:] = np.cumsum(self._errs)
         self._prefix_err = pe

@@ -71,22 +71,17 @@ def check(name, computed, reference, tol, provenance, mode="abs",
           inputs=None) -> CheckReport:
     """Build a report from a computed/reference pair.
 
-    mode declares which error gates the check: "abs", "rel", or
-    "either".  The mode is recorded in the inputs map so the emitted
-    line is self-describing.
+    mode declares which error gates the check: "abs" or "rel".  The
+    mode is recorded in the inputs map so the emitted line is
+    self-describing.
     """
     computed = complex(computed)
     reference = complex(reference)
     abs_err = abs(computed - reference)
     rel_err = abs_err / max(abs(reference), _REL_FLOOR)
-    if mode == "abs":
-        ok = abs_err <= tol
-    elif mode == "rel":
-        ok = rel_err <= tol
-    elif mode == "either":
-        ok = abs_err <= tol or rel_err <= tol
-    else:
+    if mode not in ("abs", "rel"):
         raise ValueError(f"bad mode {mode!r}")
+    ok = (abs_err if mode == "abs" else rel_err) <= tol
     inp = {str(k): str(v) for k, v in (inputs or {}).items()}
     inp["mode"] = mode
     if not (math.isfinite(abs_err) and math.isfinite(rel_err)):

@@ -203,7 +203,7 @@ def suite_quad(ts: float = 1.0):
     r.append(flag("finite-error-bound-honest",
                   abs(res.value - 2.0) <= res.abs_err + 1e-15, "trivial"))
 
-    spec = q.IntegrandSpec(endpoint_exponent=0.5, decay="none")
+    spec = q.IntegrandSpec(endpoint_exponent=0.5)
     res = q.integrate_finite(lambda t: 1 / np.sqrt(t), 0.0, 1.0, 1e-12,
                              spec=spec)
     r.append(check("finite-sqrt-singularity", res.value, 2.0, 1e-12 * ts,
@@ -272,7 +272,7 @@ def suite_quad(ts: float = 1.0):
         raised = exc.best is not None
     r.append(flag("budget-exhaustion-raises", raised, "trivial"))
 
-    sspec = q.IntegrandSpec(endpoint_exponent=0.3, decay="none")
+    sspec = q.IntegrandSpec(endpoint_exponent=0.3)
     res = q.integrate_finite(lambda t: t**np.longdouble(-0.7) * (1.0 + t),
                              0.0, 1.0, 1e-11, spec=sspec)
     r.append(check("singular-substitution", res.value, 1 / 0.3 + 1 / 1.3,

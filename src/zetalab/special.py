@@ -302,7 +302,7 @@ def _borwein_terms(s: complex) -> int:
     return ((n // 16) + 1) * 16
 
 
-def eta(s, terms: int | None = None) -> complex:
+def eta(s) -> complex:
     """Dirichlet eta by accelerated alternating summation.
 
     Relative error <= 1e-12 for Re(s) > -1, |Im(s)| <= 60.
@@ -310,22 +310,20 @@ def eta(s, terms: int | None = None) -> complex:
     s = complex(s)
     if s.real <= -1:
         raise DomainError("eta() requires Re(s) > -1")
-    n = terms if terms is not None else _borwein_terms(s)
-    logs, weights = _borwein_weights(n)
+    logs, weights = _borwein_weights(_borwein_terms(s))
     total = 0j
     for lg, w in zip(logs, weights):
         total += w * cmath.exp(-s * lg)
     return total
 
 
-def eta_prime(s, terms: int | None = None) -> complex:
+def eta_prime(s) -> complex:
     """Derivative of eta, by term-by-term differentiation of the same
     accelerated sum used by eta()."""
     s = complex(s)
     if s.real <= -1:
         raise DomainError("eta_prime() requires Re(s) > -1")
-    n = terms if terms is not None else _borwein_terms(s) + 16
-    logs, weights = _borwein_weights(n)
+    logs, weights = _borwein_weights(_borwein_terms(s) + 16)
     total = 0j
     for lg, w in zip(logs, weights):
         total += w * (-lg) * cmath.exp(-s * lg)
@@ -338,23 +336,32 @@ def eta_prime(s, terms: int | None = None) -> complex:
 _FALLBACK_BAND = 0.05
 
 
-def _em_zeta(s: complex, n_terms: int = 28, m_terms: int = 14) -> complex:
-    # Euler-Maclaurin tail; truncation below 1e-14 for |Im s| <= 60.
-    total = 0j
-    for n in range(1, n_terms):
-        total += cmath.exp(-s * math.log(n))
-    big_n = float(n_terms)
-    ln_n = math.log(big_n)
-    total += cmath.exp((1 - s) * ln_n) / (s - 1)
-    total += 0.5 * cmath.exp(-s * ln_n)
-    poch = s  # (s)_1
+def _em_zeta(s: complex) -> tuple[complex, complex]:
+    # (zeta(s), zeta'(s)) by Euler-Maclaurin, differentiated term by
+    # term: 27 terms summed directly, the tail from N = 28 with 14
+    # Bernoulli corrections; truncation below 1e-14 for |Im s| <= 60.
+    total = deriv = 0j
+    for n in range(1, 28):
+        term = cmath.exp(-s * math.log(n))
+        total += term
+        deriv -= math.log(n) * term
+    ln_n = math.log(28.0)
+    term = cmath.exp((1 - s) * ln_n) / (s - 1)
+    total += term
+    deriv -= term * (ln_n + 1 / (s - 1))
+    term = 0.5 * cmath.exp(-s * ln_n)
+    total += term
+    deriv -= ln_n * term
+    poch, dpoch = s, 1.0  # (s)_1 and its derivative
     npow = cmath.exp((-s - 1) * ln_n)
-    for j in range(1, m_terms + 1):
-        b = float(_bernoulli_any(2 * j))
-        total += b / math.factorial(2 * j) * poch * npow
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        npow /= big_n * big_n
-    return total
+    for j in range(1, 15):
+        c = float(_bernoulli_any(2 * j)) / math.factorial(2 * j)
+        total += c * poch * npow
+        deriv += c * (dpoch - ln_n * poch) * npow
+        step = (s + 2 * j - 1) * (s + 2 * j)
+        poch, dpoch = poch * step, dpoch * step + poch * (2 * s + 4 * j - 1)
+        npow /= 28.0 * 28.0
+    return total, deriv
 
 
 def _denom(s: complex) -> complex:
@@ -374,27 +381,16 @@ def zeta(s) -> complex:
         raise PoleError("zeta pole at s = 1", location=1 + 0j)
     den = _denom(s)
     if abs(den) < _FALLBACK_BAND:
-        return _em_zeta(s)
+        return _em_zeta(s)[0]
     return eta(s) / den
 
 
 def zeta_prime(s) -> complex:
-    """zeta'(s) by the differentiated alternating series (primary) with
-    an Euler-Maclaurin central-difference fallback near the spurious
-    denominator zeros.  Relative error <= 1e-8 on the strip."""
-    s = complex(s)
-    if s.real <= 0:
-        raise DomainError("zeta_prime() requires Re(s) > 0")
-    if s == 1:
-        raise PoleError("zeta pole at s = 1", location=1 + 0j)
-    den = _denom(s)
-    if abs(den) < _FALLBACK_BAND:
-        h = 1e-5
-        return (_em_zeta(s + h) - _em_zeta(s - h)) / (2 * h)
-    dden = math.log(2) * cmath.exp((1 - s) * math.log(2))
-    e = eta(s)
-    ep = eta_prime(s)
-    return ep / den - e * dden / (den * den)
+    """zeta'(s) on Re(s) > 0, s != 1: the zeta' half of _zeta_pair's
+    one differentiated accelerated-series pass, or of its
+    differentiated Euler-Maclaurin sum near the spurious denominator
+    zeros.  Relative error <= 1e-8 on the strip."""
+    return _zeta_pair(s)[1]
 
 
 def _one_minus_eta(s) -> complex:
@@ -416,13 +412,12 @@ def _zeta_pair(s: complex) -> tuple[complex, complex]:
     contour integrator calls this at thousands of points."""
     s = complex(s)
     if s.real <= 0:
-        raise DomainError("requires Re(s) > 0")
+        raise DomainError("zeta_prime() requires Re(s) > 0")
     if s == 1:
         raise PoleError("zeta pole at s = 1", location=1 + 0j)
     den = _denom(s)
     if abs(den) < _FALLBACK_BAND:
-        h = 1e-5
-        return _em_zeta(s), (_em_zeta(s + h) - _em_zeta(s - h)) / (2 * h)
+        return _em_zeta(s)
     n = _borwein_terms(s) + 16
     logs, weights = _borwein_weights(n)
     e = 0j
@@ -451,5 +446,5 @@ def eta_integral(s, tol: float = 1e-11):
     def f(t):
         return np.exp(sm1 * np.log(t)) / (1 + np.exp(t))
 
-    spec = IntegrandSpec(endpoint_exponent=s.real, decay="exponential")
+    spec = IntegrandSpec(endpoint_exponent=s.real)
     return integrate_semi_infinite(f, spec, tol)

@@ -20,7 +20,7 @@ from .errors import (
     PreconditionError,
     ResolutionError,
 )
-from .special import eta, gamma, zeta, zeta_prime, _zeta_pair
+from .special import eta, gamma, zeta, _zeta_pair
 
 __all__ = [
     "ZeroRecord",
@@ -162,6 +162,9 @@ def find_zeros(tau_max: float, tol: float = 1e-10, step: float = 0.01):
     """
     if tau_max > _TAU_CAP:
         raise CapabilityError(f"find_zeros supports tau_max <= {_TAU_CAP}")
+    if not 0 < step < math.inf:
+        raise DomainError(f"find_zeros requires a positive finite step, "
+                          f"got {step}")
     out = []
     if tau_max <= 0:
         return out
@@ -243,7 +246,7 @@ def _edge_integral(z0, z1, n_init, state):
     return total
 
 
-def count_zeros(rect: StripRectangle, min_segments: int = 400) -> int:
+def count_zeros(rect: StripRectangle) -> int:
     """Number of zeta zeros inside the rectangle, by winding of the
     logarithmic derivative around the boundary (counterclockwise).
 
@@ -262,7 +265,8 @@ def count_zeros(rect: StripRectangle, min_segments: int = 400) -> int:
     state = {"cache": {}, "min_abs": math.inf, "argmin": None}
     total = 0j
     for i in range(4):
-        n_init = max(24, int(math.ceil(min_segments * lengths[i] / perimeter)))
+        # 400 initial segments around the contour, split by edge length
+        n_init = max(24, int(math.ceil(400 * lengths[i] / perimeter)))
         total += _edge_integral(corners[i], corners[(i + 1) % 4], n_init, state)
     if state["min_abs"] < 1e-6:
         raise PreconditionError(

@@ -228,7 +228,7 @@ def _psi_quadrature(p: StateParams, x: float, tol: float) -> QuadResult:
             )
         return fc * base
 
-    spec = IntegrandSpec(endpoint_exponent=s.real, decay="exponential")
+    spec = IntegrandSpec(endpoint_exponent=s.real)
     return integrate_semi_infinite(f, spec, tol)
 
 
@@ -285,7 +285,7 @@ def amplitude_G_tail(p: StateParams, t: float, tol: float = 1e-10) -> QuadResult
     # Absolute inner tolerance scaled to the t^{-sigma} e^{-t} size of
     # the inner value, so the reported error tracks |G| itself.
     scale = math.exp(-t) * max(t, 1.0) ** (-s.real)
-    spec = IntegrandSpec(endpoint_exponent=1.0, decay="exponential")
+    spec = IntegrandSpec(endpoint_exponent=1.0)
     inner = integrate_semi_infinite(f, spec, tol * scale)
     pref = (
         complex(p.g_const)
@@ -304,10 +304,9 @@ def _require_zero(rho: complex, label: str):
         )
 
 
-def amplitude_G_rewritten(rho, t: float, g_const: complex = 1.0,
-                          tol: float = 1e-12) -> QuadResult:
-    """The rewritten adjoint amplitude
-    -g - g t^{rho-1}(1+e^t) * integral_0^t tau^{-rho}/(1+e^tau)
+def amplitude_G_rewritten(rho, t: float, tol: float = 1e-12) -> QuadResult:
+    """The rewritten adjoint amplitude at g = 1,
+    -1 - t^{rho-1}(1+e^t) * integral_0^t tau^{-rho}/(1+e^tau)
     (rho + tau e^tau/(1+e^tau)) dtau,
     valid only at zeros (the rewrite uses the vanishing of zeta)."""
     rho = complex(rho)
@@ -328,14 +327,10 @@ def amplitude_G_rewritten(rho, t: float, g_const: complex = 1.0,
             * (rho_c + tau * et / (1.0 + et))
         )
 
-    pref = (
-        complex(g_const)
-        * cmath.exp((rho - 1) * math.log(t))
-        * (1.0 + math.exp(t))
-    )
+    pref = cmath.exp((rho - 1) * math.log(t)) * (1.0 + math.exp(t))
     spec = IntegrandSpec(endpoint_exponent=1.0 - rho.real)
     inner = integrate_finite(f, 0.0, t, tol / max(abs(pref), 1.0), spec=spec)
-    value = -complex(g_const) - pref * inner.value
+    value = -1.0 - pref * inner.value
     err = abs(pref) * inner.abs_err + 64 * float(np.finfo(LD).eps) * (
         1.0 + abs(value)
     )
@@ -361,7 +356,7 @@ def norm_integral(c, tol: float = 1e-12) -> QuadResult:
         e = np.exp(-t)
         return np.exp(cm2 * np.log(t)) * (e / (1.0 + e)) ** 2
 
-    spec = IntegrandSpec(endpoint_exponent=c.real - 1.0, decay="exponential")
+    spec = IntegrandSpec(endpoint_exponent=c.real - 1.0)
     return integrate_semi_infinite(f, spec, tol)
 
 
@@ -391,27 +386,19 @@ def paper_norm_closed_form(c) -> complex:
     return gamma(1 + c) * (t1 - t2) / p
 
 
-def gram_diagonal_closed_form(rho, f_const: complex = 1.0,
-                              g_const: complex = 1.0) -> complex:
-    """GRAM_SIGN * (1 - 2^{1-rho}) Gamma(rho) zeta'(rho) * conj(g) f."""
+def gram_diagonal_closed_form(rho) -> complex:
+    """GRAM_SIGN * (1 - 2^{1-rho}) Gamma(rho) zeta'(rho), the diagonal
+    at f = g = 1."""
     rho = complex(rho)
     den = 1 - cmath.exp((1 - rho) * _LN2)
-    return (
-        GRAM_SIGN
-        * den
-        * gamma(rho)
-        * zeta_prime(rho)
-        * complex(g_const).conjugate()
-        * complex(f_const)
-    )
+    return GRAM_SIGN * den * gamma(rho) * zeta_prime(rho)
 
 
-def gram_diagonal_by_parts(rho, f_const: complex = 1.0,
-                           g_const: complex = 1.0) -> complex:
+def gram_diagonal_by_parts(rho) -> complex:
     """-d/drho [Gamma(rho) eta(rho)], the integration-by-parts value of
-    the diagonal, assembled from Gamma' (central difference) and eta'
-    (product rule through zeta and zeta').  Keeps the Gamma' eta term,
-    which matters only off an exact zero."""
+    the diagonal at f = g = 1, assembled from Gamma' (central
+    difference) and eta' (product rule through zeta and zeta').  Keeps
+    the Gamma' eta term, which matters only off an exact zero."""
     rho = complex(rho)
     h = 1e-6
     gp = (gamma(rho + h) - gamma(rho - h)) / (2 * h)
@@ -419,11 +406,7 @@ def gram_diagonal_by_parts(rho, f_const: complex = 1.0,
     z = zeta(rho)
     e = den * z
     ep = _LN2 * cmath.exp((1 - rho) * _LN2) * z + den * zeta_prime(rho)
-    return (
-        -(gp * e + gamma(rho) * ep)
-        * complex(g_const).conjugate()
-        * complex(f_const)
-    )
+    return -(gp * e + gamma(rho) * ep)
 
 
 def gram_diagonal_log_moment(rho, tol: float = 5e-16) -> QuadResult:
@@ -437,14 +420,13 @@ def gram_diagonal_log_moment(rho, tol: float = 5e-16) -> QuadResult:
         lt = np.log(t)
         return lt * np.exp(rm1 * lt) / (1.0 + np.exp(t))
 
-    spec = IntegrandSpec(endpoint_exponent=rho.real, decay="exponential")
+    spec = IntegrandSpec(endpoint_exponent=rho.real)
     res = integrate_semi_infinite(f, spec, tol)
     return QuadResult(-res.value, res.abs_err, res.evals)
 
 
 def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
-         tol: float = 1e-18, route: str = "tail",
-         max_evals: int = 2_000_000) -> GramEntry:
+         tol: float = 1e-18, route: str = "tail") -> GramEntry:
     """The bilinear pairing
     conj(g) f * integral_0^inf t^{rho_row* + rho_col - 2}
                  (integral_0^t tau^{-rho_row*}/(1+e^tau) dtau) dt
@@ -488,7 +470,7 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
         return 2.0 * np.exp(one_m2rs * np.log(v)) / (1.0 + np.exp(v * v))
 
     cum = CumulativeIntegral(inner_f, 0.0, vmax, tol / 200.0,
-                             max_evals=max_evals // 2, tail_bound=tail_v,
+                             max_evals=1_000_000, tail_bound=tail_v,
                              initial=32)
     # Full inner integral = Gamma(1-rho*) eta(1-rho*); tiny at a zero
     # but kept as the exact low anchor.
@@ -511,7 +493,7 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
             return w, errs
 
         res = integrate_nested(outer_coef, w_tilde, tol, 0.0, upper,
-                               max_evals)
+                               2_000_000)
         tail_outer = math.exp(-(upper * upper))
     else:
         # The printed lower-anchored inner, outer on the t axis.
@@ -524,7 +506,7 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
         def w_lo(t):
             return cum.query_lo_many(np.sqrt(t))
 
-        res = integrate_nested(outer_coef, w_lo, tol, 0.0, t_hi, max_evals)
+        res = integrate_nested(outer_coef, w_lo, tol, 0.0, t_hi, 2_000_000)
         # Truncation: the true inner tends to w0, so the discarded tail
         # is the exponential remnant plus the w0 log-moment out to t_hi.
         tail_outer = math.exp(-t_hi) + abs(w0) * 80.0
@@ -532,10 +514,7 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
                      abs(gf) * (res.abs_err + tail_outer))
 
 
-def gram_matrix(rhos, f_const: complex = 1.0, g_const: complex = 1.0,
-                tol: float = 1e-18):
-    """All pairings of the given zeros, row-major deterministic order."""
-    return [
-        [gram(r, c, f_const=f_const, g_const=g_const, tol=tol) for c in rhos]
-        for r in rhos
-    ]
+def gram_matrix(rhos, tol: float = 1e-18):
+    """All pairings of the given zeros at f = g = 1, row-major
+    deterministic order."""
+    return [[gram(r, c, tol=tol) for c in rhos] for r in rhos]

@@ -277,7 +277,7 @@ def test_criterion_08c_control_no_decrease():
 
 def test_criterion_09_hankel_identity():
     t0 = time.perf_counter()
-    spec = IntegrandSpec(endpoint_exponent=1.0, decay="exponential")
+    spec = IntegrandSpec(endpoint_exponent=1.0)
     worst = 0.0
     for x in np.linspace(0.0, 10.0, 51):
         x64 = float(x)

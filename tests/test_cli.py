@@ -325,6 +325,25 @@ def test_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # A step or tol that is not positive and finite is refused up front,
+    # naming its flag, instead of a traceback, a "math domain error" or
+    # an empty zero list.
+    for argv in (["zeros", "--tau-max", "30", "--step", "0"],
+                 ["zeros", "--tau-max", "30", "--step", "-0.01"],
+                 ["zeros", "--tau-max", "30", "--step", "nan"],
+                 ["eigenfunction", "--s", "2", "--x-grid", "0:1:3",
+                  "--tol", "0"],
+                 ["eigenfunction", "--s", "2", "--x-grid", "0:1:3",
+                  "--tol", "-1"],
+                 ["gram", "--num-zeros", "1", "--tol", "0"],
+                 ["gram", "--num-zeros", "1", "--tol", "inf"],
+                 ["gram", "--num-zeros", "1", "--tol", "tiny"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be a positive finite" in err
 
 
 def test_version_flag(capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import oracles
@@ -32,8 +34,11 @@ def test_ladder_entries_exact():
         assert Np.entries[n + 1, n] == n + 1
 
 
-def test_ladder_commutators_exact():
-    N, Np, Nm = build_ladder(6, exact=True)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.integers(2, 40))
+@example(6)
+def test_ladder_commutators_exact(K):
+    N, Np, Nm = build_ladder(K, exact=True)
     cm = N.entries @ Nm.entries - Nm.entries @ N.entries
     assert np.array_equal(cm, -Nm.entries)
     cp = N.entries @ Np.entries - Np.entries @ N.entries
@@ -42,8 +47,9 @@ def test_ladder_commutators_exact():
     # last row and column feel the truncation.
     pm = Np.entries @ Nm.entries - Nm.entries @ Np.entries
     want = -2 * N.entries
-    assert all(pm[i, j] == want[i, j] for i in range(5) for j in range(5))
-    assert pm[5, 5] != want[5, 5]
+    assert all(pm[i, j] == want[i, j]
+               for i in range(K - 1) for j in range(K - 1))
+    assert pm[K - 1, K - 1] != want[K - 1, K - 1]
 
 
 def test_composites_assembled_from_ladder():
@@ -259,7 +265,7 @@ def test_coefficient_kernel_vs_quadrature():
 def test_kernel_closed_forms_match_direct_quadrature():
     # The closed-form t-kernels of both weights against direct
     # x-quadrature of e^{-x w} L_n(x) J0(2 sqrt(x t)).
-    spec = IntegrandSpec(endpoint_exponent=1.0, decay="exponential")
+    spec = IntegrandSpec(endpoint_exponent=1.0)
 
     def direct(n, t, half_weight):
         def f(x):

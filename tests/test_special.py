@@ -1,8 +1,11 @@
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from zetalab.errors import CapabilityError, DomainError, PoleError
@@ -168,3 +171,50 @@ def test_eta_integral_closed_form():
     assert abs(r.value - math.pi**2 / 12) <= max(r.abs_err, 1e-10)
     r = eta_integral(1.0)
     assert abs(r.value - math.log(2)) <= max(r.abs_err, 1e-10)
+
+
+# Property tests over the working strip sigma in (0, 4], |tau| <= 60,
+# each against the 40-digit oracles within the documented relative
+# bound, taken relative to max(|ref|, 1).
+_SIGMA = st.floats(1e-6, 4.0)
+_TAU = st.floats(-60.0, 60.0)
+
+
+def _rel(got, want):
+    return abs(got - want) / max(abs(want), 1.0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_SIGMA, _TAU)
+@example(1.0 + 1e-4, 0.0)      # the Euler-Maclaurin band at the pole
+@example(1.0, 2 * math.pi / math.log(2) + 0.01)  # a spurious zero of 1 - 2^{1-s}
+def test_zeta_and_zeta_prime_property(sigma, tau):
+    s = complex(sigma, tau)
+    assume(s != 1)
+    assert _rel(zeta(s), oracles.mp_zeta(s)) <= 1e-12
+    assert _rel(zeta_prime(s), oracles.mp_zeta_prime(s)) <= 1e-8
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_SIGMA, _TAU)
+def test_eta_property(sigma, tau):
+    s = complex(sigma, tau)
+    got = eta(s)
+    assert _rel(got, oracles.mp_eta(s)) <= 1e-12
+    if s != 1:
+        # eta = (1 - 2^{1-s}) zeta, with zeta on its own route near the
+        # spurious zeros of the factor.
+        assert _rel(got, (1 - 2 ** (1 - s)) * zeta(s)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_SIGMA, _TAU)
+def test_gamma_property(sigma, tau):
+    s = complex(sigma, tau)
+    g = gamma(s)
+    assert _rel(g, oracles.mp_gamma(s)) <= 1e-13
+    # Reflection Gamma(s) Gamma(1-s) sin(pi s) = pi, away from the
+    # poles of Gamma(1-s) where sin(pi s) itself loses digits.
+    sine = cmath.sin(math.pi * s)
+    assume(abs(sine) > 0.1)
+    assert abs(g * gamma(1 - s) * sine / math.pi - 1) <= 1e-12

@@ -64,6 +64,14 @@ def test_find_zeros_capability_cap():
         find_zeros(60.5)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.01, math.inf, math.nan])
+def test_find_zeros_refuses_bad_step(step):
+    # A zero step used to divide by zero, a negative one to list no
+    # zeros at all.
+    with pytest.raises(DomainError, match="step"):
+        find_zeros(30.0, step=step)
+
+
 def _root_and_calls(solver, f, a, b, xtol, rtol=8.9e-16):
     """(root or "no convergence", number of calls to f)."""
     calls = [0]
