@@ -63,7 +63,7 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
-    if n < 2 or hi <= lo:
+    if n < 2 or not -math.inf < lo < hi < math.inf:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
     return np.linspace(lo, hi, n)
 

@@ -11,7 +11,11 @@ double precision cannot reach through oscillatory cancellation.
 
 Panels are refined worst-first from a deterministic heap; final values
 are compensated sums over panels ordered by left endpoint, so results
-are reproducible bit-for-bit.
+are reproducible bit-for-bit.  Every run has one exit rule: it returns
+once the exactly summed panel error meets tol, and raises
+ConvergenceError (best estimate attached) at its evaluation budget or
+at its rounding floor, where doubling the panel count no longer halves
+that error.
 
 integrate_finite, integrate_semi_infinite and truncation_point also
 take a stacked integrand: f(t) returns shape (m, len(t)), components
@@ -19,11 +23,7 @@ on the leading axis and nodes on the last.  All components share one
 subdivision: a panel's error is the maximum over components of
 |G31 - G15|, so the reported abs_err bounds every component (a
 sup-norm), the truncation envelope is the maximum over components, and
-QuadResult.value is a complex array of shape (m,).  A stacked run
-tracks its summed error exactly and raises ConvergenceError ("rounding
-floor", best estimate attached) once doubling its panel count no longer
-halves that error.  A scalar integrand runs exactly the arithmetic it
-would alone.
+QuadResult.value is a complex array of shape (m,).
 """
 
 from __future__ import annotations
@@ -122,6 +122,7 @@ def gauss_legendre(n: int):
 
 _X15, _W15 = _gauss_rule_longdouble(15)
 _X31, _W31 = _gauss_rule_longdouble(31)
+_X46 = np.concatenate([_X31, _X15])
 
 
 def _neumaier(values):
@@ -150,10 +151,11 @@ def _neumaier(values):
 def _eval_panel(f, a, b):
     h = (b - a) / 2
     mid = (a + b) / 2
-    y31 = np.asarray(f(mid + h * _X31))
-    y15 = np.asarray(f(mid + h * _X15))
-    v31 = h * (y31 @ _W31)
-    v15 = h * (y15 @ _W15)
+    # One integrand call on both rules' nodes, so a stacked integrand
+    # builds its per-call tables once per panel.
+    y = np.asarray(f(mid + h * _X46))
+    v31 = h * (y[..., :31] @ _W31)
+    v15 = h * (y[..., 31:] @ _W15)
     diff = abs(v31 - v15)
     return v31, float(diff.max() if diff.ndim else diff)
 
@@ -172,9 +174,10 @@ def _result_value(value):
 def _adaptive_panels(f, a, b, tol, max_evals, initial):
     """Worst-first refinement until the summed error estimate meets tol.
 
-    Returns (panels sorted by left edge, evals); each panel is
-    (left, right, value, err).  Raises ConvergenceError with the best
-    estimate attached when the budget runs out.
+    Returns (panels sorted by left edge, value, err, evals); each panel
+    is (left, right, value, err).  Raises ConvergenceError with the best
+    estimate attached when the budget runs out or the run stalls at its
+    rounding or width floor.
     """
     a = LD(a)
     b = LD(b)
@@ -191,53 +194,38 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
         seq += 1
         total_err += e
 
-    def _finish():
-        panels = [(pa, pb, pv, -ne) for ne, _, pa, pb, pv in heap]
-        panels += stuck
-        panels.sort(key=lambda p: p[0])
-        value = _neumaier([p[2] for p in panels])
-        err = float(math.fsum(p[3] for p in panels))
-        return panels, value, err
-
     def _exact_err():
-        return math.fsum(-h[0] for h in heap) + math.fsum(p[3] for p in stuck)
+        # one fsum, so it equals the returned err bit for bit
+        return math.fsum([-h[0] for h in heap] + [p[3] for p in stuck])
 
-    # A stacked run sums its panel errors exactly after every split (cheap
-    # next to its integrand), and it stops at its rounding floor: once
-    # doubling the panel count no longer halves the error, the G31 - G15
-    # estimates are rounding noise.  Scalar runs keep the running
-    # accumulator, whose exits gram depends on.
-    stacked = np.ndim(v) > 0
+    # The running total_err drifts over many add/subtract cycles, so it
+    # only proposes an exit; an exact re-sum confirms it.  At every
+    # doubling of the panel count the error is re-summed too, and once it
+    # no longer halves, the G31 - G15 estimates are rounding noise: the
+    # run stops at its rounding floor.
     check_at, check_err = 2 * initial, math.inf
-    at_floor = False
-    splits = 0
-    while total_err > tol and heap:
-        if stacked and len(heap) >= check_at:
+    stop = "stalled at width floor"
+    while heap:
+        doubled = len(heap) >= check_at
+        if total_err <= tol or doubled:
+            total_err = _exact_err()
+            if total_err <= tol:
+                break
+        if doubled:
             if total_err > check_err / 2:
-                at_floor = True
+                stop = "stalled at rounding floor"
                 break
             check_at, check_err = 2 * len(heap), total_err
-        splits += 1
-        if splits % 1024 == 0:
-            # The running accumulator drifts after many add/subtract cycles;
-            # resync against the exact sum so tiny tolerances stay reachable.
-            total_err = _exact_err()
         if evals + 92 > max_evals:
-            panels, value, err = _finish()
-            if err <= tol:
-                return panels, value, err, evals
-            raise ConvergenceError(
-                f"quadrature budget exhausted at {evals} evaluations "
-                f"(err {err:.3e} > tol {tol:.3e})",
-                best=QuadResult(_result_value(value), err, evals),
-            )
+            stop = "budget exhausted"
+            break
         neg_err, _, pa, pb, pv = heapq.heappop(heap)
         width = pb - pa
         floor = max(1e-300, 4 * _EPS_LD * float(max(abs(pa), abs(pb))))
         if float(width) < floor:
             # Cannot refine further in this precision; keep as-is.
             stuck.append((pa, pb, pv, -neg_err))
-            if _exact_err() <= tol or not heap:
+            if _exact_err() <= tol:
                 break
             continue
         total_err += neg_err  # remove parent's err (neg_err is negative)
@@ -248,14 +236,15 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
             heapq.heappush(heap, (-e, seq, lo, hi, v))
             seq += 1
             total_err += e
-        if stacked:
-            total_err = _exact_err()
 
-    panels, value, err = _finish()
-    if err > tol and (at_floor or not heap):
-        where = "rounding" if at_floor else "width"
+    panels = [(pa, pb, pv, -ne) for ne, _, pa, pb, pv in heap] + stuck
+    panels.sort(key=lambda p: p[0])
+    value = _neumaier([p[2] for p in panels])
+    err = float(math.fsum(p[3] for p in panels))
+    if err > tol:
         raise ConvergenceError(
-            f"quadrature stalled at {where} floor (err {err:.3e} > tol {tol:.3e})",
+            f"quadrature {stop} after {evals} evaluations "
+            f"(err {err:.3e} > tol {tol:.3e})",
             best=QuadResult(_result_value(value), err, evals),
         )
     return panels, value, err, evals
@@ -329,7 +318,7 @@ def truncation_point(f, spec, tol):
     return t_trunc, tail, len(_ENVELOPE_SAMPLES)
 
 
-def integrate_semi_infinite(f, spec, tol, max_evals=600_000):
+def integrate_semi_infinite(f, spec, tol):
     """Integral of f over (0, inf) for exponentially decaying f.
 
     Truncates at an envelope-derived point T (tail bound folded into the
@@ -337,7 +326,7 @@ def integrate_semi_infinite(f, spec, tol, max_evals=600_000):
     endpoint-exponent handling of integrate_finite.
     """
     T, tail, extra = truncation_point(f, spec, tol)
-    res = integrate_finite(f, 0.0, T, tol, spec=spec, max_evals=max_evals,
+    res = integrate_finite(f, 0.0, T, tol, spec=spec, max_evals=600_000,
                            initial=16)
     return QuadResult(res.value, res.abs_err + tail, res.evals + extra)
 
@@ -371,14 +360,13 @@ class CumulativeIntegral:
     endpoint.  f must therefore act elementwise on arrays of any shape.
     """
 
-    def __init__(self, f, lo, hi, tol, max_evals=400_000, tail_bound=0.0,
-                 initial=8):
+    def __init__(self, f, lo, hi, tol, tail_bound=0.0, initial=8):
         self._f = f
         self.lo = LD(lo)
         self.hi = LD(hi)
         self.tail_bound = float(tail_bound)
         panels, value, err, evals = _adaptive_panels(
-            f, self.lo, self.hi, tol, max_evals, initial
+            f, self.lo, self.hi, tol, 400_000, initial
         )
         self.evals = evals
         self._lefts = np.array([p[0] for p in panels], dtype=LD)
@@ -431,7 +419,7 @@ class CumulativeIntegral:
         return vals, self._suffix_err[j + 1] + self._errs[j] + self.tail_bound
 
 
-def integrate_nested(outer_coef, inner, tol, a, b, max_evals=1_500_000):
+def integrate_nested(outer_coef, inner, tol, a, b):
     """Two-level integral over [a, b] of outer_coef(t) * W(t), where
     W is an inner factor the caller has already decomposed.
 
@@ -449,7 +437,7 @@ def integrate_nested(outer_coef, inner, tol, a, b, max_evals=1_500_000):
         w, _ = inner(t)
         return np.asarray(outer_coef(t)) * w
 
-    panels, value, err, evals = _adaptive_panels(f, a, b, tol, max_evals, 64)
+    panels, value, err, evals = _adaptive_panels(f, a, b, tol, 1_500_000, 64)
     propagated = 0.0
     for pa, pb, _, _ in panels:
         h = (pb - pa) / 2

@@ -149,7 +149,7 @@ def laguerre(n: int, x):
 # ---------------------------------------------------------------------------
 # Bessel J0
 
-_J0_SWITCH = 12.0  # ascending series below, Hankel asymptotics above
+_J0_SWITCH = 12.0  # ascending series below, cosine integral at and above
 
 
 def _j0_series(z):

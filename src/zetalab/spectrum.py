@@ -160,11 +160,15 @@ def find_zeros(tau_max: float, tol: float = 1e-10, step: float = 0.01):
     The 0.01 step is safe below tau = 60 where consecutive zero gaps
     stay above 0.05; larger heights are out of scope.
     """
+    if math.isnan(tau_max):
+        raise DomainError("find_zeros requires a tau_max that is a number")
     if tau_max > _TAU_CAP:
         raise CapabilityError(f"find_zeros supports tau_max <= {_TAU_CAP}")
     if not 0 < step < math.inf:
         raise DomainError(f"find_zeros requires a positive finite step, "
                           f"got {step}")
+    if not 0 <= tol < math.inf:
+        raise DomainError(f"find_zeros requires a finite tol >= 0, got {tol}")
     out = []
     if tau_max <= 0:
         return out

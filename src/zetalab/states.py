@@ -469,9 +469,11 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
         v = np.asarray(v, dtype=LD)
         return 2.0 * np.exp(one_m2rs * np.log(v)) / (1.0 + np.exp(v * v))
 
-    cum = CumulativeIntegral(inner_f, 0.0, vmax, tol / 200.0,
-                             max_evals=1_000_000, tail_bound=tail_v,
-                             initial=32)
+    # The inner integral's 80-bit rounding floor is about 2e-19 to
+    # 3.4e-19 for rows rho1..rho3, so it gets half of tol; its error
+    # reaches the entry's abs_err through integrate_nested's propagation.
+    cum = CumulativeIntegral(inner_f, 0.0, vmax, tol / 2.0,
+                             tail_bound=tail_v, initial=32)
     # Full inner integral = Gamma(1-rho*) eta(1-rho*); tiny at a zero
     # but kept as the exact low anchor.
     w0 = complex(gamma(refl) * eta(refl))
@@ -492,8 +494,7 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
             w[~lo], errs[~lo] = cum.query_hi_many(u[~lo])
             return w, errs
 
-        res = integrate_nested(outer_coef, w_tilde, tol, 0.0, upper,
-                               2_000_000)
+        res = integrate_nested(outer_coef, w_tilde, tol, 0.0, upper)
         tail_outer = math.exp(-(upper * upper))
     else:
         # The printed lower-anchored inner, outer on the t axis.
@@ -506,7 +507,7 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
         def w_lo(t):
             return cum.query_lo_many(np.sqrt(t))
 
-        res = integrate_nested(outer_coef, w_lo, tol, 0.0, t_hi, 2_000_000)
+        res = integrate_nested(outer_coef, w_lo, tol, 0.0, t_hi)
         # Truncation: the true inner tends to w0, so the discarded tail
         # is the exponential remnant plus the w0 log-moment out to t_hi.
         tail_outer = math.exp(-t_hi) + abs(w0) * 80.0

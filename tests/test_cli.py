@@ -187,6 +187,25 @@ def test_gram_matrix_output(capsys):
         assert m[i][j]["abs_err"] < 1e-15
 
 
+def test_gram_three_zeros_within_bounds(capsys):
+    # Each diagonal meets its closed form, and each off-diagonal vanishes,
+    # within the entry's abs_err.
+    from zetalab.states import gram_diagonal_closed_form
+
+    code, lines = run(capsys, "gram", "--num-zeros", "3")
+    assert code == 0 and len(lines) == 1
+    rec = json.loads(lines[0])
+    m = rec["matrix"]
+    assert len(m) == 3 and all(len(row) == 3 for row in m)
+    for i, row in enumerate(m):
+        for j, e in enumerate(row):
+            v = complex(e["re"], e["im"])
+            if i == j:
+                rho = complex(rec["rhos"][i]["re"], rec["rhos"][i]["im"])
+                v -= gram_diagonal_closed_form(rho)
+            assert abs(v) <= e["abs_err"]
+
+
 def test_gram_num_zeros_guard(capsys):
     code, lines = run(capsys, "gram", "--num-zeros", "9")
     assert code == 1
@@ -194,9 +213,22 @@ def test_gram_num_zeros_guard(capsys):
     assert err["error"] == "DomainError"
 
 
+def test_zeros_library_guards_exit_1(capsys):
+    # find_zeros refuses a NaN tau_max and a negative tol with a
+    # DomainError naming the argument; --tol 0 still runs.
+    for argv, name in ((["zeros", "--tau-max", "nan"], "tau_max"),
+                       (["zeros", "--tau-max", "16", "--tol", "-1"], "tol")):
+        code, lines = run(capsys, *argv)
+        assert code == 1 and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DomainError" and name in err["message"]
+    code, lines = run(capsys, "zeros", "--tau-max", "16", "--tol", "0")
+    assert code == 0 and len(lines) == 2
+
+
 def test_budget_error_carries_best_estimate(capsys):
     # psi's series bound misses tol 1e-40, and the quadrature fallback
-    # exhausts its evaluation budget.
+    # stops at its rounding floor after about 5k evaluations.
     code, lines = run(capsys, "eigenfunction", "--s", "2", "--x-grid",
                       "0:1:2", "--tol", "1e-40")
     assert code == 1 and len(lines) == 1
@@ -319,9 +351,10 @@ def test_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eigenfunction", "--s", "abc", "--x-grid", "0:1:3"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["eigenfunction", "--s", "2", "--x-grid", "5:1:3"])
-    assert exc.value.code == 2
+    for grid in ("5:1:3", "0:nan:3", "nan:1:3", "0:inf:3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigenfunction", "--s", "2", "--x-grid", grid])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2

@@ -72,6 +72,21 @@ def test_find_zeros_refuses_bad_step(step):
         find_zeros(30.0, step=step)
 
 
+@pytest.mark.parametrize("kwargs", [{"tau_max": math.nan},
+                                    {"tau_max": 30.0, "tol": -1.0},
+                                    {"tau_max": 30.0, "tol": math.inf},
+                                    {"tau_max": 30.0, "tol": math.nan}],
+                         ids=["nan-tau_max", "negative-tol", "inf-tol",
+                              "nan-tol"])
+def test_find_zeros_refuses_nan_tau_max_and_bad_tol(kwargs):
+    # A NaN tau_max used to reach int(nan), a negative tol to run every
+    # bracket to brentq's iteration cap.  tol = 0 leaves rtol in charge.
+    with pytest.raises(DomainError, match="tau_max" if len(kwargs) == 1
+                       else "tol"):
+        find_zeros(**kwargs)
+    assert len(find_zeros(15.0, tol=0.0)) == 1
+
+
 def _root_and_calls(solver, f, a, b, xtol, rtol=8.9e-16):
     """(root or "no convergence", number of calls to f)."""
     calls = [0]

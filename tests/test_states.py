@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from zetalab.errors import DivergenceError, DomainError, PreconditionError
+from zetalab.errors import (ConvergenceError, DivergenceError, DomainError,
+                            PreconditionError)
 from zetalab.quad import IntegrandSpec, integrate_semi_infinite
 from zetalab.special import bessel_j0, eta, gamma, zeta
 from zetalab.states import (GRAM_SIGN, GramEntry, StateParams, amplitude_F,
@@ -292,6 +293,15 @@ def test_gram_guards():
         gram(RHO1, RHO1, route="bogus")
     with pytest.raises(DomainError):
         GramEntry(RHO1, RHO1, complex("nan"), 0.0)
+
+
+def test_gram_unreachable_tol_stops_at_rounding_floor():
+    # The inner integral's 80-bit floor is about 2e-19 at rho1, so tol
+    # 1e-25 fails fast, with the best estimate attached.
+    with pytest.raises(ConvergenceError, match="rounding floor") as info:
+        gram(RHO1, RHO1, tol=1e-25)
+    best = info.value.best
+    assert best is not None and best.abs_err > 1e-25
 
 
 def test_state_satisfies_first_order_ode():
