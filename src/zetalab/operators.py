@@ -20,14 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, DomainError
-from .quad import (
-    IntegrandSpec,
-    QuadResult,
-    integrate_finite,
-    integrate_semi_infinite,
-)
+from .quad import IntegrandSpec, QuadResult, integrate_semi_infinite
 from .special import _laguerre_table, _series_coeff_exact
-from .states import _psi_quadrature, _psi_tilde_coefficients
+from .states import _psi_tilde_coefficients
 
 __all__ = [
     "TruncatedOperator",
@@ -71,8 +66,7 @@ def _band_violation(entries, band):
         bad = off < 0
     else:
         return None
-    nz = np.array([[bool(v) for v in row] for row in entries]) \
-        if entries.dtype == object else entries != 0
+    nz = entries != 0
     if np.any(nz & bad):
         return np.argwhere(nz & bad)[0]
     return None
@@ -114,18 +108,12 @@ class ResidualProfile:
     trusted_prefix: int = 0
 
 
-def _ladder_arrays(k, exact):
-    if exact:
-        zero = Fraction(0)
-        n_mat = np.full((k, k), zero, dtype=object)
-        up = np.full((k, k), zero, dtype=object)
-        dn = np.full((k, k), zero, dtype=object)
-        for n in range(k):
-            n_mat[n, n] = Fraction(2 * n + 1, 2)
-        for n in range(k - 1):
-            up[n, n + 1] = Fraction(n + 1)
-            dn[n + 1, n] = Fraction(n + 1)
-        return n_mat, up, dn
+# Entrywise Fraction copy of a float array.  The ladder and composite
+# entries are multiples of 1/4, exact in binary, so nothing is rounded.
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
+
+
+def _ladder_arrays(k):
     n_mat = np.zeros((k, k))
     up = np.zeros((k, k))
     dn = np.zeros((k, k))
@@ -148,7 +136,10 @@ def build_ladder(K: int, exact: bool = False):
         raise DomainError("build_ladder requires K >= 2")
     if K > _K_CAP:
         raise CapabilityError(f"K > {_K_CAP} out of scope")
-    n_mat, up, dn = _ladder_arrays(K, exact)
+    arrays = _ladder_arrays(K)
+    if exact:
+        arrays = [_to_fraction(m) for m in arrays]
+    n_mat, up, dn = arrays
     return (
         TruncatedOperator(K, n_mat, "diagonal"),
         TruncatedOperator(K, dn, "lower-1"),
@@ -159,12 +150,12 @@ def build_ladder(K: int, exact: bool = False):
 def build_composites(K: int, exact: bool = False):
     """(x_op, D, T) assembled from the ladder:
     x = 2N - N_plus - N_minus, D = i(N_minus - N_plus)/2, T = N - x/4."""
-    n_op, n_plus, n_minus = build_ladder(K, exact=exact)
-    n_mat = n_op.entries
-    up = n_minus.entries
-    dn = n_plus.entries
+    n_op, n_plus, n_minus = build_ladder(K)
+    n_mat, up, dn = n_op.entries, n_minus.entries, n_plus.entries
     x_mat = 2 * n_mat - dn - up
     t_mat = n_mat - x_mat / 4
+    if exact:
+        x_mat, t_mat = _to_fraction(x_mat), _to_fraction(t_mat)
     # D's entries are imaginary half-integers, exact in binary floating
     # point, so the exact flag does not need Fraction storage here.
     d_mat = np.zeros((K, K), dtype=np.complex128)
@@ -272,7 +263,7 @@ def build_H_tilde(K: int) -> TruncatedOperator:
 
 
 def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
-                          tol: float = 1e-12, route: str = "kernel"):
+                          tol: float = 1e-12):
     """Expansion coefficients of psi_tilde (or psi) in the orthonormal
     Laguerre basis, for n < K.
 
@@ -289,10 +280,6 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
     rounding in the rows stalls the quadrature above that (small Re s,
     large K or |Im s|), its estimate is returned if its error bound
     still meets tol, and ConvergenceError is raised otherwise.
-
-    route="direct" falls back to x-side quadrature of the transform,
-    itself evaluated by quadrature rather than by the series built on
-    these coefficients (slow; meant for cross-validation at small K).
     """
     s = complex(p.s)
     if s.real <= 0:
@@ -301,10 +288,6 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
         raise DomainError(f"require 1 <= K <= {_K_CAP}")
     if which not in ("psi_tilde", "psi"):
         raise DomainError(f"unknown target {which!r}")
-    if route == "direct":
-        return _coefficients_direct(p, K, which, tol)
-    if route != "kernel":
-        raise DomainError(f"unknown route {route!r}")
     fc = complex(p.f_const)
 
     if which == "psi_tilde":
@@ -329,28 +312,6 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
                 best=QuadResult(fc * r.value, abs(fc) * r.abs_err, r.evals),
             ) from exc
     return fc * r.value
-
-
-def _coefficients_direct(p, K, which, tol):
-    # Every x-sample is itself a quadrature, so this route is slow by
-    # construction; tolerances are capped to keep it usable for
-    # small-K cross checks.  All K degrees are one stacked integral, so
-    # each sample serves every n.  The samples come from the quadrature
-    # psi, never the series, which is built on the kernel coefficients
-    # this route is meant to check.
-    inner_tol = min(tol, 1e-9)
-    x_hi = 40.0
-
-    def f(xs):
-        xs = np.asarray(xs, dtype=np.float64)
-        vals = np.array([_psi_quadrature(p, float(x), inner_tol).value
-                         for x in xs], dtype=np.complex128)
-        weight = np.exp(-xs / 2.0)
-        if which == "psi_tilde":
-            vals = vals * weight
-        return vals * weight * _laguerre_table(xs, K)
-
-    return integrate_finite(f, 0.0, x_hi, max(tol, 1e-7)).value
 
 
 def _tail_ratio(coeffs):

@@ -51,6 +51,13 @@ __all__ = [
 LD = np.longdouble
 CLD = np.clongdouble
 _EPS_LD = float(np.finfo(LD).eps)
+# The pairings need true 80-bit extended precision (eps 1.08e-19);
+# where long double is only float64 the engine refuses to load.
+if _EPS_LD >= 1.2e-18:
+    raise CapabilityError(
+        f"numpy.longdouble eps is {_EPS_LD:.3g}; the quadrature engine "
+        "needs 80-bit extended precision (eps < 1.2e-18)"
+    )
 
 
 @dataclass(frozen=True)

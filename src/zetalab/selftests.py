@@ -59,6 +59,16 @@ PAPER_NORM_2 = 0.158151287891165        # printed closed-form value
 PAPER_NORM_1 = 0.1293198528641679       # c -> 1 limit
 
 
+def _raises(exc_type, fn, *args):
+    """The exc_type instance fn(*args) raises (always truthy), or None
+    if it returns."""
+    try:
+        fn(*args)
+    except exc_type as exc:
+        return exc
+    return None
+
+
 def _partial_sum(x: float, m_max: int) -> float:
     from .special import _series_coeff_exact
 
@@ -150,13 +160,8 @@ def suite_special(ts: float = 1.0):
                    1e-12 * ts, "derived-oracle", mode="rel"))
     r.append(check("gamma-complex-argument", sp.gamma(1 + 4j),
                    GAMMA_1_4J, 1e-12 * ts, "derived-oracle", mode="rel"))
-    raised = False
-    try:
-        sp.gamma(-2.0)
-    except PoleError:
-        raised = True
-    r.append(flag("gamma-pole-raises", raised, "trivial",
-                  inputs={"s": -2.0}))
+    r.append(flag("gamma-pole-raises", _raises(PoleError, sp.gamma, -2.0),
+                  "trivial", inputs={"s": -2.0}))
 
     r.append(check("j0-at-0", sp.bessel_j0(0.0), 1.0, 0.0, "trivial"))
     r.append(check("j0-at-10", sp.bessel_j0(10.0), J0_10, 1e-12 * ts,
@@ -264,13 +269,10 @@ def suite_quad(ts: float = 1.0):
     r.append(check("hankel-exponential-selfpair", res.value,
                    math.exp(-4.0), 1e-9 * ts, "paper", inputs={"x": 4.0}))
 
-    raised = False
-    try:
-        q.integrate_finite(lambda t: np.cos(1e4 * t), 0.0, 1.0, 1e-30,
-                           max_evals=2000)
-    except q.ConvergenceError as exc:
-        raised = exc.best is not None
-    r.append(flag("budget-exhaustion-raises", raised, "trivial"))
+    exc = _raises(q.ConvergenceError, lambda: q.integrate_finite(
+        lambda t: np.cos(1e4 * t), 0.0, 1.0, 1e-30, max_evals=2000))
+    r.append(flag("budget-exhaustion-raises",
+                  exc is not None and exc.best is not None, "trivial"))
 
     sspec = q.IntegrandSpec(endpoint_exponent=0.3)
     res = q.integrate_finite(lambda t: t**np.longdouble(-0.7) * (1.0 + t),
@@ -290,12 +292,8 @@ def suite_spectrum(ts: float = 1.0):
                    inputs={"s": 2.0}, mode="rel"))
     r.append(check("xi-vanishes-at-zero", spec.xi_bc(RHO1), 0.0,
                    1e-13 * ts, "derived-oracle", inputs={"s": RHO1}))
-    raised = False
-    try:
-        spec.xi_bc(-0.5 + 3j)
-    except DomainError:
-        raised = True
-    r.append(flag("xi-domain-guard", raised, "trivial"))
+    r.append(flag("xi-domain-guard",
+                  _raises(DomainError, spec.xi_bc, -0.5 + 3j), "trivial"))
 
     r.append(check("completed-xi-at-origin",
                    spec.critical_line_real_form(0.0), XI_HALF,
@@ -343,24 +341,15 @@ def suite_spectrum(ts: float = 1.0):
                    1.0, 0.0, "derived-oracle",
                    inputs={"rect": "[0.05,0.95]x[31,35]"}))
 
-    raised = False
-    try:
-        spec.StripRectangle(0.0, 0.95, 0.0, 30.0)
-    except DomainError:
-        raised = True
-    r.append(flag("rectangle-validation", raised, "trivial"))
-    raised = False
-    try:
-        spec.find_zeros(61.0)
-    except CapabilityError:
-        raised = True
-    r.append(flag("scan-capability-guard", raised, "trivial"))
-    raised = False
-    try:
-        spec.critical_line_real_form(-1.0)
-    except DomainError:
-        raised = True
-    r.append(flag("negative-ordinate-guard", raised, "trivial"))
+    r.append(flag("rectangle-validation",
+                  _raises(DomainError, spec.StripRectangle,
+                          0.0, 0.95, 0.0, 30.0), "trivial"))
+    r.append(flag("scan-capability-guard",
+                  _raises(CapabilityError, spec.find_zeros, 61.0),
+                  "trivial"))
+    r.append(flag("negative-ordinate-guard",
+                  _raises(DomainError, spec.critical_line_real_form, -1.0),
+                  "trivial"))
     return r
 
 
@@ -380,12 +369,8 @@ def suite_states(ts: float = 1.0):
     r.append(check("amplitude-origin-decaying",
                    st.amplitude_F(st.StateParams(2.5), 0.0), 0.0, 0.0,
                    "paper", inputs={"s": 2.5, "t": 0.0}))
-    raised = False
-    try:
-        st.amplitude_F(p1, 0.0)
-    except DomainError:
-        raised = True
-    r.append(flag("amplitude-origin-guard", raised, "trivial",
+    r.append(flag("amplitude-origin-guard",
+                  _raises(DomainError, st.amplitude_F, p1, 0.0), "trivial",
                   inputs={"s": RHO1}))
     r.append(check("amplitude-underflow-cut",
                    st.amplitude_F(p1, 800.0), 0.0, 0.0, "trivial",
@@ -451,12 +436,9 @@ def suite_states(ts: float = 1.0):
     r.append(check("adjoint-rewritten-origin-limit",
                    st.amplitude_G_rewritten(RHO1, 1e-4).value, lim,
                    1e-4 * ts, "derived-oracle", inputs={"t": 1e-4}))
-    raised = False
-    try:
-        st.amplitude_G_rewritten(0.5 + 10j, 1.0)
-    except PreconditionError:
-        raised = True
-    r.append(flag("adjoint-rewritten-precondition", raised, "trivial",
+    r.append(flag("adjoint-rewritten-precondition",
+                  _raises(PreconditionError, st.amplitude_G_rewritten,
+                          0.5 + 10j, 1.0), "trivial",
                   inputs={"s": "0.5+10j"}))
     r.append(check("reflection-input-is-zero",
                    abs(zeta(1 - RHO1.conjugate())), 0.0, 1e-7 * ts,
@@ -488,13 +470,9 @@ def suite_states(ts: float = 1.0):
                    st.paper_norm_closed_form(2.0),
                    st.norm_integral(2.0).value, INFORMATIONAL, "paper",
                    inputs={"c": 2.0, "note": "same-c integral route"}))
-    raised = False
-    try:
-        st.norm_integral(1.0 + 1e-3)
-    except DivergenceError:
-        raised = True
-    r.append(flag("norm-divergence-guard", raised, "trivial",
-                  inputs={"c": "1+1e-3"}))
+    r.append(flag("norm-divergence-guard",
+                  _raises(DivergenceError, st.norm_integral, 1.0 + 1e-3),
+                  "trivial", inputs={"c": "1+1e-3"}))
 
     g11 = st.gram(RHO1, RHO1)
     g22 = st.gram(RHO2, RHO2)
@@ -739,26 +717,15 @@ def suite_operators(ts: float = 1.0):
     r.append(check("bessel-ode-residual", worst, 0.0, 1e-6 * ts,
                    "derived-oracle", inputs={"t": "0.5, 2.0"}))
 
-    raised = False
-    try:
-        op.build_ladder(1)
-    except DomainError:
-        raised = True
-    r.append(flag("ladder-size-guard", raised, "trivial"))
-    raised = False
-    try:
-        op.build_H_tilde(193)
-    except CapabilityError:
-        raised = True
-    r.append(flag("uppertri-overflow-guard", raised, "trivial"))
-    raised = False
-    try:
-        bad = op.TruncatedOperator(
-            2, np.array([[1.0, 2.0], [0.0, 1.0]]), "dense")
-        op.tridiag_eigh(bad)
-    except ZetalabError:
-        raised = True
-    r.append(flag("eigh-symmetry-guard", raised, "trivial"))
+    r.append(flag("ladder-size-guard",
+                  _raises(DomainError, op.build_ladder, 1), "trivial"))
+    r.append(flag("uppertri-overflow-guard",
+                  _raises(CapabilityError, op.build_H_tilde, 193),
+                  "trivial"))
+    bad = op.TruncatedOperator(2, np.array([[1.0, 2.0], [0.0, 1.0]]),
+                               "dense")
+    r.append(flag("eigh-symmetry-guard",
+                  _raises(ZetalabError, op.tridiag_eigh, bad), "trivial"))
     return r
 
 

@@ -266,11 +266,13 @@ def gamma(s) -> complex:
 
 
 @lru_cache(maxsize=32)
-def _borwein_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Chebyshev-accelerated alternating-series weights.
+def _borwein_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev-accelerated alternating-series weights (P. Borwein,
+    CMS Conf. Proc. 27, 2000).
 
-    Returns (log(k+1) for k < n, w_k for k < n) with
-    eta(s) ~ sum_k w_k (k+1)^{-s}.
+    Returns (log(k+1) for k <= n, w_k for k < n) with
+    eta(s) ~ sum_k w_k (k+1)^{-s}; the extra log serves the series
+    shifted by one term.
     """
     d = [0] * (n + 1)
     acc = Fraction(0)
@@ -284,12 +286,12 @@ def _borwein_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         acc += term
         d[i] = acc
     dn = d[n]
-    logs = tuple(math.log(k + 1) for k in range(n))
-    weights = tuple(
+    logs = np.array([math.log(k + 1) for k in range(n + 1)])
+    # w_k = (-1)^k (d_n - d_k)/d_n, folded into one sign
+    weights = np.array([
         (-1.0 if k % 2 else 1.0) * float(Fraction(d[k], dn) - 1) * -1.0
         for k in range(n)
-    )
-    # w_k = (-1)^k (d_n - d_k)/d_n, folded into one sign above
+    ])
     return logs, weights
 
 
@@ -302,6 +304,21 @@ def _borwein_terms(s: complex) -> int:
     return ((n // 16) + 1) * 16
 
 
+def _borwein_series(s: complex, n: int, shift: int = 0):
+    """(log(k+1+shift), w_k (k+1+shift)^{-s}) for k < n: the terms of
+    the n-weight accelerated sum of (-1)^k (k+1+shift)^{-s}."""
+    logs, weights = _borwein_weights(n)
+    lg = logs[shift:shift + n]
+    return lg, weights * np.exp(-s * lg)
+
+
+def _sum(terms) -> complex:
+    # Adds left to right onto 0j, as a scalar loop does, down to the
+    # sign of a zero imaginary part; np.sum adds pairwise and would
+    # move the last bits of eta and zeta.
+    return 0j + complex(np.cumsum(terms)[-1])
+
+
 def eta(s) -> complex:
     """Dirichlet eta by accelerated alternating summation.
 
@@ -310,11 +327,7 @@ def eta(s) -> complex:
     s = complex(s)
     if s.real <= -1:
         raise DomainError("eta() requires Re(s) > -1")
-    logs, weights = _borwein_weights(_borwein_terms(s))
-    total = 0j
-    for lg, w in zip(logs, weights):
-        total += w * cmath.exp(-s * lg)
-    return total
+    return _sum(_borwein_series(s, _borwein_terms(s))[1])
 
 
 def eta_prime(s) -> complex:
@@ -323,11 +336,17 @@ def eta_prime(s) -> complex:
     s = complex(s)
     if s.real <= -1:
         raise DomainError("eta_prime() requires Re(s) > -1")
-    logs, weights = _borwein_weights(_borwein_terms(s) + 16)
-    total = 0j
-    for lg, w in zip(logs, weights):
-        total += w * (-lg) * cmath.exp(-s * lg)
-    return total
+    lg, terms = _borwein_series(s, _borwein_terms(s) + 16)
+    return _sum(-lg * terms)
+
+
+def _one_minus_eta(s) -> complex:
+    """1 - eta(s) = sum_{k>=0} (-1)^k (k+2)^{-s}, the eta series shifted
+    by one term under the same weights.  Summed directly it keeps its
+    relative accuracy at large Re(s), where 1 - eta(s) ~ 2^{-s} lies
+    far below the rounding floor of eta itself."""
+    s = complex(s)
+    return _sum(_borwein_series(s, _borwein_terms(s), shift=1)[1])
 
 
 # The eta -> zeta division has spurious denominator zeros on the line
@@ -364,8 +383,15 @@ def _em_zeta(s: complex) -> tuple[complex, complex]:
     return total, deriv
 
 
-def _denom(s: complex) -> complex:
-    return 1 - cmath.exp((1 - s) * math.log(2))
+def _zeta_denom(s: complex):
+    """The argument guard of zeta and zeta': returns 1 - 2^{1-s}, or
+    None inside the band where the Euler-Maclaurin route takes over."""
+    if s.real <= 0:
+        raise DomainError("zeta requires Re(s) > 0")
+    if s == 1:
+        raise PoleError("zeta pole at s = 1", location=1 + 0j)
+    den = 1 - cmath.exp((1 - s) * math.log(2))
+    return None if abs(den) < _FALLBACK_BAND else den
 
 
 def zeta(s) -> complex:
@@ -375,12 +401,8 @@ def zeta(s) -> complex:
     zeros s = 1 + 2 pi i k/ln 2 the Euler-Maclaurin fallback is used.
     """
     s = complex(s)
-    if s.real <= 0:
-        raise DomainError("zeta() requires Re(s) > 0")
-    if s == 1:
-        raise PoleError("zeta pole at s = 1", location=1 + 0j)
-    den = _denom(s)
-    if abs(den) < _FALLBACK_BAND:
+    den = _zeta_denom(s)
+    if den is None:
         return _em_zeta(s)[0]
     return eta(s) / den
 
@@ -393,39 +415,16 @@ def zeta_prime(s) -> complex:
     return _zeta_pair(s)[1]
 
 
-def _one_minus_eta(s) -> complex:
-    """1 - eta(s) without cancellation: for large Re(s) the difference
-    is ~2^{-s}, far below the rounding floor of eta itself, so it is
-    summed directly as sum_{k>=2} (-1)^k k^{-s}."""
-    s = complex(s)
-    if s.real < 4.0:
-        return 1.0 - eta(s)
-    kmax = int(2.0 * 10.0 ** (13.0 / s.real)) + 8
-    k = np.arange(2, kmax + 2, dtype=np.float64)
-    signs = np.where(k % 2 == 0, 1.0, -1.0)
-    terms = signs * np.exp(-s * np.log(k))
-    return complex(terms.sum())
-
-
 def _zeta_pair(s: complex) -> tuple[complex, complex]:
     """(zeta(s), zeta'(s)) sharing one accelerated-series pass; the
     contour integrator calls this at thousands of points."""
     s = complex(s)
-    if s.real <= 0:
-        raise DomainError("zeta_prime() requires Re(s) > 0")
-    if s == 1:
-        raise PoleError("zeta pole at s = 1", location=1 + 0j)
-    den = _denom(s)
-    if abs(den) < _FALLBACK_BAND:
+    den = _zeta_denom(s)
+    if den is None:
         return _em_zeta(s)
-    n = _borwein_terms(s) + 16
-    logs, weights = _borwein_weights(n)
-    e = 0j
-    ep = 0j
-    for lg, w in zip(logs, weights):
-        term = w * cmath.exp(-s * lg)
-        e += term
-        ep -= lg * term
+    lg, terms = _borwein_series(s, _borwein_terms(s) + 16)
+    e = _sum(terms)
+    ep = _sum(-lg * terms)
     dden = math.log(2) * cmath.exp((1 - s) * math.log(2))
     return e / den, ep / den - e * dden / (den * den)
 

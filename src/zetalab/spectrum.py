@@ -205,19 +205,16 @@ def find_zeros(tau_max: float, tol: float = 1e-10, step: float = 0.01):
 def _edge_integral(z0, z1, n_init, state):
     """Adaptive log-derivative integral of zeta along a segment.
 
-    state carries the min-|zeta| tracker and the evaluation cache.
+    state carries the min-|zeta| tracker.
     """
 
     def vals(z):
-        cached = state["cache"].get(z)
-        if cached is None:
-            cached = _zeta_pair(z)
-            state["cache"][z] = cached
-            m = abs(cached[0])
-            if m < state["min_abs"]:
-                state["min_abs"] = m
-                state["argmin"] = z
-        return cached
+        pair = _zeta_pair(z)
+        m = abs(pair[0])
+        if m < state["min_abs"]:
+            state["min_abs"] = m
+            state["argmin"] = z
+        return pair
 
     def recurse(za, zb, fa, fb, depth):
         zm = (za + zb) / 2
@@ -266,7 +263,7 @@ def count_zeros(rect: StripRectangle) -> int:
     ]
     lengths = [abs(corners[(i + 1) % 4] - corners[i]) for i in range(4)]
     perimeter = sum(lengths)
-    state = {"cache": {}, "min_abs": math.inf, "argmin": None}
+    state = {"min_abs": math.inf, "argmin": None}
     total = 0j
     for i in range(4):
         # 400 initial segments around the contour, split by edge length

@@ -143,9 +143,9 @@ def _psi_tilde_coefficients(s: complex, K: int, f_const: complex):
     and a bound on the absolute error of each.
 
     The bound carries Gamma's 1e-13 relative error, a few roundings per
-    recurrence step, and the error of 1 - eta(n+s): eta's 1e-12
-    relative error times |eta| below Re 4, the direct sum's 1e-13
-    relative error from Re 4 up.
+    recurrence step, and the error of the shifted accelerated sum for
+    1 - eta(n+s): 1e-12 relative to max(|1 - eta(n+s)|, 2^{-Re(n+s)}),
+    the floor covering points where 1 - eta itself is small.
     """
     a = []
     a_err = []
@@ -154,10 +154,7 @@ def _psi_tilde_coefficients(s: complex, K: int, f_const: complex):
         a.append(f_const * q * ome)
         fq = abs(f_const * q)
         err = fq * abs(ome) * (1e-13 + 8 * (n + 2) * _EPS64)
-        if n + s.real < 4.0:
-            err += fq * 1e-12 * abs(1.0 - ome)
-        else:
-            err += fq * abs(ome) * 1e-13
+        err += fq * 1e-12 * max(abs(ome), 2.0 ** -(n + s.real))
         a_err.append(err)
     return np.asarray(a, dtype=np.complex128), np.asarray(a_err)
 

@@ -1,15 +1,21 @@
 """Independent references for the test suite.
 
-Two kinds live here: frozen literals computed once with 40-digit
-arithmetic (mpmath), and small reimplementations that share no code
-with the package (the Taylor-division coefficient oracle, the
-alternating-series norm oracle).  Tests compare package output against
-these, never against the package itself.
+Three kinds live here: frozen literals computed once with 40-digit
+arithmetic (mpmath); small reimplementations that share no code with
+the package (the Taylor-division coefficient oracle, the
+alternating-series norm oracle, the scalar Borwein loops); and one
+cross route assembled from package primitives that bypasses the code
+it checks (the x-side Laguerre coefficients).  Tests compare package
+output against these, never against the package itself.
 """
 
+import cmath
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -107,7 +113,10 @@ def mp_eta(s) -> complex:
 
 def mp_one_minus_eta(s) -> complex:
     # Subtract at working precision; in double the difference cancels.
-    return complex(1 - mp.altzeta(complex(s)))
+    # 1 - eta(s) ~ 2^{-s}, so the working precision grows with Re(s).
+    s = complex(s)
+    with mp.workdps(40 + int(0.31 * max(s.real, 0.0))):
+        return complex(1 - mp.altzeta(s))
 
 
 def mp_eta_prime(s, h: float = 1e-8) -> complex:
@@ -199,3 +208,95 @@ def psi_coefficient_oracle(s, n: int) -> complex:
             total += (mp.binomial(n, k) * mp.mpf(-4) ** k / mp.factorial(k)
                       * mp.gamma(z) * (mp.power(2, -z) - (1 - mp.altzeta(z))))
         return complex(2 * (-1) ** n * total)
+
+
+def coefficients_direct(p, K: int, which: str, tol: float):
+    """Laguerre coefficients of psi_tilde (or psi) for n < K by x-side
+    quadrature of psi against the orthonormal basis e^{-x/2} L_n(x) on
+    [0, 40].
+
+    Every x-sample is itself a quadrature, so this route is slow by
+    construction; tolerances are capped to keep it usable for small-K
+    cross checks.  All K degrees are one stacked integral, so each
+    sample serves every n.  The samples come from the quadrature psi,
+    never the series, which is built on the kernel coefficients this
+    route checks.
+    """
+    from zetalab.quad import integrate_finite
+    from zetalab.special import _laguerre_table
+    from zetalab.states import _psi_quadrature
+
+    inner_tol = min(tol, 1e-9)
+
+    def f(xs):
+        xs = np.asarray(xs, dtype=np.float64)
+        vals = np.array([_psi_quadrature(p, float(x), inner_tol).value
+                         for x in xs], dtype=np.complex128)
+        weight = np.exp(-xs / 2.0)
+        if which == "psi_tilde":
+            vals = vals * weight
+        return vals * weight * _laguerre_table(xs, K)
+
+    return integrate_finite(f, 0.0, 40.0, max(tol, 1e-7)).value
+
+
+# The scalar accelerated-series loops of zetalab.special as they stood
+# before its terms became one array, kept verbatim as the bit-identity
+# reference for eta, zeta and zeta'.
+
+@lru_cache(maxsize=32)
+def _borwein_weights(n: int):
+    d = [0] * (n + 1)
+    acc = Fraction(0)
+    for i in range(n + 1):
+        if i == 0:
+            term = Fraction(n, n)  # (n-1)! * n / n! = 1
+        else:
+            num = math.factorial(n + i - 1) * (4**i) * n
+            den = math.factorial(n - i) * math.factorial(2 * i)
+            term = Fraction(num, den)
+        acc += term
+        d[i] = acc
+    dn = d[n]
+    logs = tuple(math.log(k + 1) for k in range(n))
+    weights = tuple(
+        (-1.0 if k % 2 else 1.0) * float(Fraction(d[k], dn) - 1) * -1.0
+        for k in range(n)
+    )
+    return logs, weights
+
+
+def _borwein_terms(s: complex) -> int:
+    sigma, t = s.real, abs(s.imag)
+    penalty = max(0.0, 0.5 - sigma) * math.log(2 + t) * 1.5
+    n = max(48, int((math.pi * t / 2 + penalty + 42) / 1.7627) + 12)
+    return ((n // 16) + 1) * 16
+
+
+def loop_eta(s) -> complex:
+    s = complex(s)
+    logs, weights = _borwein_weights(_borwein_terms(s))
+    total = 0j
+    for lg, w in zip(logs, weights):
+        total += w * cmath.exp(-s * lg)
+    return total
+
+
+def loop_zeta_and_prime(s):
+    """(zeta(s), zeta'(s)) as zeta() and zeta_prime() evaluate them by
+    the accelerated loops, or None inside the Euler-Maclaurin band
+    |1 - 2^{1-s}| < 0.05 where neither uses them."""
+    s = complex(s)
+    den = 1 - cmath.exp((1 - s) * math.log(2))
+    if abs(den) < 0.05:
+        return None
+    n = _borwein_terms(s) + 16
+    logs, weights = _borwein_weights(n)
+    e = 0j
+    ep = 0j
+    for lg, w in zip(logs, weights):
+        term = w * cmath.exp(-s * lg)
+        e += term
+        ep -= lg * term
+    dden = math.log(2) * cmath.exp((1 - s) * math.log(2))
+    return loop_eta(s) / den, ep / den - e * dden / (den * den)

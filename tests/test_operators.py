@@ -301,20 +301,16 @@ def test_coefficient_guards():
         laguerre_coefficients(p, 0)
     with pytest.raises(DomainError):
         laguerre_coefficients(p, 4, which="phi")
-    with pytest.raises(DomainError):
-        laguerre_coefficients(p, 4, route="middle")
 
 
 def test_direct_route_cross_validates_kernels():
     # Each x-sample of the direct route is its own quadrature, so keep
     # the truncations tiny; agreement at real s is near machine level.
     p = StateParams(1.0)
-    d_psi = laguerre_coefficients(p, 2, which="psi", route="direct",
-                                  tol=1e-7)
+    d_psi = oracles.coefficients_direct(p, 2, "psi", 1e-7)
     k_psi = laguerre_coefficients(p, 2, which="psi")
     assert np.max(np.abs(d_psi - k_psi)) < 1e-10
-    d_til = laguerre_coefficients(p, 1, which="psi_tilde", route="direct",
-                                  tol=1e-7)
+    d_til = oracles.coefficients_direct(p, 1, "psi_tilde", 1e-7)
     k_til = laguerre_coefficients(p, 1, which="psi_tilde")
     assert abs(d_til[0] - k_til[0]) < 1e-10
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +257,31 @@ def test_extended_precision_available():
     # The engine accumulates in longdouble; on x86 that is the 80-bit
     # format with eps ~ 1.08e-19.
     assert float(np.finfo(np.longdouble).eps) < 1.2e-18
+
+
+def test_import_refuses_float64_long_double():
+    # A fresh interpreter whose np.finfo reports a float64-sized eps
+    # for longdouble must fail to import the engine.
+    code = (
+        "import numpy as np\n"
+        "real = np.finfo\n"
+        "class Narrow:\n"
+        "    eps = np.float64(2.220446049250313e-16)\n"
+        "np.finfo = lambda t: Narrow if t is np.longdouble else real(t)\n"
+        "try:\n"
+        "    import zetalab.quad\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "else:\n"
+        "    print('imported')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("CapabilityError"), out
+    assert "80-bit" in out
 
 
 def test_spec_validation():

@@ -11,7 +11,8 @@ import oracles
 from zetalab.errors import CapabilityError, DomainError, PoleError
 from zetalab.special import (bernoulli, bessel_j0, eta, eta_integral,
                              eta_prime, gamma, laguerre, series_coeff, zeta,
-                             zeta_prime, _one_minus_eta, _series_coeff_exact)
+                             zeta_prime, _em_zeta, _one_minus_eta,
+                             _series_coeff_exact)
 
 
 def test_bernoulli_against_literals():
@@ -91,13 +92,55 @@ def test_eta_prime_against_difference_quotient():
         assert abs(eta_prime(s) - want) <= 1e-6 * max(1.0, abs(want))
 
 
-def test_one_minus_eta_cancellation():
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(1e-6, 520.0), st.floats(-60.0, 60.0))
+@example(6.0, 0.0)
+@example(12.0, 0.0)
+@example(30.0, 0.0)
+@example(60.5, 0.0)
+@example(30.0, 14.0)
+@example(3.999, 0.0)         # either side of the old Re 4 route switch
+@example(4.001, 0.3)
+@example(511.5, 60.0)        # K = 512 terms of a psi series at Re s ~ 0
+@example(1e-6, 60.0)
+def test_one_minus_eta_cancellation(sigma, tau):
     # At large Re(s), 1 - eta(s) ~ 2^{-s}; naive subtraction loses all
-    # digits, the direct tail keeps full relative accuracy.
-    for s in (6.0, 12.0, 30.0, 60.5, 30 + 14j):
-        want = oracles.mp_one_minus_eta(s)
-        got = _one_minus_eta(s)
-        assert abs(got - want) <= 1e-12 * abs(want)
+    # digits, the shifted sum keeps full relative accuracy.  The error
+    # stays inside the charge psi's coefficient bound carries for it.
+    s = complex(sigma, tau)
+    want = oracles.mp_one_minus_eta(s)
+    got = _one_minus_eta(s)
+    assert abs(got - want) <= 1e-12 * max(abs(want), 2.0 ** -sigma)
+
+
+def _seeded_points(n, seed):
+    rng = np.random.default_rng(seed)
+    pts = list(rng.uniform(1e-6, 4.0, n) + 1j * rng.uniform(-60.0, 60.0, n))
+    # The real axis, where the sign of a zero imaginary part shows.
+    pts += list(rng.uniform(1e-6, 4.0, 50) + 0j) + [0.5, 2.0, 3.0]
+    # Points inside the Euler-Maclaurin band around s = 1 + 2 pi i k/ln 2.
+    for k in range(-6, 7):
+        centre = complex(1.0, 2 * math.pi * k / math.log(2))
+        pts += [centre + complex(dx, dy)
+                for dx, dy in rng.uniform(-0.05, 0.05, (8, 2))]
+    return [complex(s) for s in pts if s != 1]
+
+
+def test_eta_zeta_bit_identical_to_scalar_loops():
+    # The array kernel sums its terms in the order of the scalar loops,
+    # so eta, zeta and zeta' keep every bit, signed zeros included (repr
+    # tells them apart); the zero finder's last brentq iterate depends
+    # on them.
+    band = 0
+    for s in _seeded_points(1000, 20261018):
+        assert repr(eta(s)) == repr(oracles.loop_eta(s))
+        ref = oracles.loop_zeta_and_prime(s)
+        if ref is None:
+            band += 1
+            ref = _em_zeta(s)
+        assert repr(zeta(s)) == repr(ref[0])
+        assert repr(zeta_prime(s)) == repr(ref[1])
+    assert band >= 50
 
 
 def test_gamma_basics():
