@@ -54,6 +54,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_floats(text: str) -> list[float]:
+    """Comma-separated finite floats; anything else is a bad flag."""
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError:
+        values = [math.nan]
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated finite numbers, got {text!r}")
+    return values
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -202,11 +214,9 @@ def cmd_norm_check(args) -> int:
     from .states import norm_integral, norm_series_oracle, \
         paper_norm_closed_form
 
-    cs = [float(c) for c in args.c.split(",")]
-
     def suite(_tol_scale):
         reports = []
-        for c in cs:
+        for c in args.c:
             got = norm_integral(c).value
             reports.append(check(
                 f"norm-route-agreement-c{c}", got,
@@ -281,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a check suite as JSON lines; "
                        "final line is the run manifest")
     p.add_argument("--suite", required=True, choices=suites)
-    p.add_argument("--tol-scale", type=float, default=1.0,
+    p.add_argument("--tol-scale", type=_positive_float, default=1.0,
                    help="multiply every gating tolerance (default 1)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("selftest", help="same as verify --suite")
     p.add_argument("suite", choices=suites)
-    p.add_argument("--tol-scale", type=float, default=1.0)
+    p.add_argument("--tol-scale", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
@@ -325,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "norm-check",
         help="norm identity across routes at comma-separated exponents")
-    p.add_argument("--c", default="2,2.5,4")
+    p.add_argument("--c", type=_finite_floats, default="2,2.5,4")
     p.set_defaults(func=cmd_norm_check)
 
     p = sub.add_parser(

@@ -9,13 +9,16 @@ inner decomposition serves every outer node.  All arithmetic runs in
 package verifies sit around 1e-14 with relative targets of 1e-4, which
 double precision cannot reach through oscillatory cancellation.
 
-Panels are refined worst-first from a deterministic heap; final values
-are compensated sums over panels ordered by left endpoint, so results
-are reproducible bit-for-bit.  Every run has one exit rule: it returns
-once the exactly summed panel error meets tol, and raises
-ConvergenceError (best estimate attached) at its evaluation budget or
-at its rounding floor, where doubling the panel count no longer halves
-that error.
+Panels are refined worst-first from a deterministic heap.  Each
+integrand call covers at most two panels, both children of a split or
+two initial panels, on one flat node array.  The final panels are kept
+as arrays ordered by left endpoint, and one compensated running sum
+over them gives every run's value and CumulativeIntegral's prefix and
+suffix, so results are reproducible bit-for-bit.  Every run has one
+exit rule: it returns once the exactly summed panel error meets tol,
+and raises ConvergenceError (best estimate attached) at its evaluation
+budget or at its rounding floor, where doubling the panel count no
+longer halves that error.
 
 integrate_finite, integrate_semi_infinite and truncation_point also
 take a stacked integrand: f(t) returns shape (m, len(t)), components
@@ -132,39 +135,50 @@ _X31, _W31 = _gauss_rule_longdouble(31)
 _X46 = np.concatenate([_X31, _X15])
 
 
-def _neumaier(values):
-    # Compensated sum, real and imaginary parts separately; a stacked
-    # (panels, m) array is summed one component at a time.
-    def _sum1(v):
-        total = LD(0)
-        comp = LD(0)
-        for x in v:
-            t = total + x
-            if abs(total) >= abs(x):
-                comp += (total - t) + x
-            else:
-                comp += (x - t) + total
-            total = t
-        return total + comp
+def _running_sum(vals):
+    """out[i] = vals[0] + ... + vals[i-1] along the panel axis (axis 0).
 
-    arr = np.asarray(values)
-    if arr.ndim == 2:
-        return np.array([_neumaier(col) for col in arr.T])
-    if arr.dtype.kind == "c":
-        return CLD(_sum1(arr.real.astype(LD))) + 1j * CLD(_sum1(arr.imag.astype(LD)))
-    return _sum1(arr.astype(LD))
+    Neumaier's compensated running sum (ZAMM 54, 1974), real and
+    imaginary parts separately, vectorized over a stacked component
+    axis.  The plain partial sums are one left-to-right cumsum, the exact
+    rounding error of each addition comes from Neumaier's branch, and
+    those errors are cumulated the same way, so every entry equals the
+    scalar loop's total + comp bit for bit.
+    """
+    vals = np.asarray(vals)
+    if vals.dtype.kind == "c":
+        return _running_sum(vals.real) + 1j * _running_sum(vals.imag)
+    zero = np.zeros((1,) + vals.shape[1:], dtype=LD)
+    x = np.concatenate([zero, vals.astype(LD)])
+    run = np.cumsum(x, axis=0)
+    prev, t, x = run[:-1], run[1:], x[1:]
+    err = np.where(abs(prev) >= abs(x), (prev - t) + x, (x - t) + prev)
+    return run + np.cumsum(np.concatenate([zero, err]), axis=0)
 
 
-def _eval_panel(f, a, b):
-    h = (b - a) / 2
-    mid = (a + b) / 2
-    # One integrand call on both rules' nodes, so a stacked integrand
-    # builds its per-call tables once per panel.
-    y = np.asarray(f(mid + h * _X46))
+def _panel_nodes(lefts, rights, x):
+    # Rule nodes x on [-1, 1] mapped onto each panel, shape
+    # (panels, len(x)), and the panels' half-widths.
+    h = (rights - lefts) / 2
+    return ((lefts + rights) / 2)[:, None] + h[:, None] * x, h
+
+
+def _eval_panels(f, lefts, rights):
+    """G31 values and |G31 - G15| errors of the given panels.
+
+    One integrand call on the 46 nodes of every panel, passed as one
+    flat 1-D array.  Values have shape (panels,) or, for a stacked
+    integrand, (panels, m); a stacked panel's error is the maximum over
+    its components.
+    """
+    nodes, h = _panel_nodes(lefts, rights, _X46)
+    y = np.asarray(f(nodes.ravel()))
+    y = y.reshape(y.shape[:-1] + nodes.shape)
     v31 = h * (y[..., :31] @ _W31)
-    v15 = h * (y[..., 31:] @ _W15)
-    diff = abs(v31 - v15)
-    return v31, float(diff.max() if diff.ndim else diff)
+    diff = abs(v31 - h * (y[..., 31:] @ _W15))
+    if diff.ndim == 2:
+        v31, diff = v31.T, diff.max(axis=0)
+    return v31, diff.astype(np.float64).tolist()
 
 
 def _result_value(value):
@@ -181,25 +195,31 @@ def _result_value(value):
 def _adaptive_panels(f, a, b, tol, max_evals, initial):
     """Worst-first refinement until the summed error estimate meets tol.
 
-    Returns (panels sorted by left edge, value, err, evals); each panel
-    is (left, right, value, err).  Raises ConvergenceError with the best
-    estimate attached when the budget runs out or the run stalls at its
-    rounding or width floor.
+    Returns (lefts, rights, vals, errs, err, evals): the final panels as
+    arrays sorted by left edge, their G31 values and error estimates,
+    the exactly summed error and the evaluation count.  Raises
+    ConvergenceError with the best estimate attached when the budget
+    runs out or the run stalls at its rounding or width floor.
     """
-    a = LD(a)
-    b = LD(b)
-    edges = np.linspace(a, b, initial + 1)
+    edges = np.linspace(LD(a), LD(b), initial + 1)
     heap = []
     stuck = []
     evals = 0
     seq = 0
     total_err = 0.0
-    for i in range(initial):
-        v, e = _eval_panel(f, edges[i], edges[i + 1])
-        evals += 46
-        heapq.heappush(heap, (-e, seq, edges[i], edges[i + 1], v))
-        seq += 1
-        total_err += e
+
+    def _push(lefts, rights):
+        # One integrand call on at most two panels, queued worst-first.
+        nonlocal evals, seq, total_err
+        vals, errs = _eval_panels(f, lefts, rights)
+        evals += 46 * len(errs)
+        for pa, pb, v, e in zip(lefts, rights, vals, errs):
+            heapq.heappush(heap, (-e, seq, pa, pb, v))
+            seq += 1
+            total_err += e
+
+    for i in range(0, initial, 2):
+        _push(edges[i:i + 2], edges[i + 1:i + 3])
 
     def _exact_err():
         # one fsum, so it equals the returned err bit for bit
@@ -237,24 +257,20 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
             continue
         total_err += neg_err  # remove parent's err (neg_err is negative)
         mid = pa + width / 2
-        for lo, hi in ((pa, mid), (mid, pb)):
-            v, e = _eval_panel(f, lo, hi)
-            evals += 46
-            heapq.heappush(heap, (-e, seq, lo, hi, v))
-            seq += 1
-            total_err += e
+        _push(np.array([pa, mid]), np.array([mid, pb]))
 
     panels = [(pa, pb, pv, -ne) for ne, _, pa, pb, pv in heap] + stuck
     panels.sort(key=lambda p: p[0])
-    value = _neumaier([p[2] for p in panels])
-    err = float(math.fsum(p[3] for p in panels))
+    lefts, rights, vals, errs = (np.array(c) for c in zip(*panels))
+    err = math.fsum(errs)
     if err > tol:
         raise ConvergenceError(
             f"quadrature {stop} after {evals} evaluations "
             f"(err {err:.3e} > tol {tol:.3e})",
-            best=QuadResult(_result_value(value), err, evals),
+            best=QuadResult(_result_value(_running_sum(vals)[-1]), err,
+                            evals),
         )
-    return panels, value, err, evals
+    return lefts, rights, vals, errs, err, evals
 
 
 def _maybe_substitute(f, a, spec):
@@ -286,13 +302,11 @@ def integrate_finite(f, a, b, tol, spec=None, max_evals=400_000, initial=8):
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"bad interval [{a}, {b}]")
     if spec is not None and 0 < spec.endpoint_exponent < 1:
-        g, to_u = _maybe_substitute(f, a, spec)
-        _, value, err, evals = _adaptive_panels(
-            g, LD(0), to_u(b), tol, max_evals, initial
-        )
-    else:
-        _, value, err, evals = _adaptive_panels(f, a, b, tol, max_evals, initial)
-    return QuadResult(_result_value(value), err, evals)
+        f, to_u = _maybe_substitute(f, a, spec)
+        a, b = LD(0), to_u(b)
+    _, _, vals, _, err, evals = _adaptive_panels(f, a, b, tol, max_evals,
+                                                 initial)
+    return QuadResult(_result_value(_running_sum(vals)[-1]), err, evals)
 
 
 # Where truncation_point samples the integrand's envelope.
@@ -342,20 +356,6 @@ def integrate_semi_infinite(f, spec, tol):
 # Cumulative integrals and the nested driver
 
 
-def _kahan_prefix(vals):
-    # out[i] = vals[0] + ... + vals[i-1] by a Kahan-style running sum,
-    # which keeps the error of every partial sum flat in len(vals).
-    out = np.zeros(len(vals) + 1, dtype=CLD)
-    run = comp = CLD(0)
-    for i, v in enumerate(vals):
-        y = v - comp
-        t = run + y
-        comp = (t - run) - y
-        run = t
-        out[i + 1] = run
-    return out
-
-
 class CumulativeIntegral:
     """One adaptive decomposition of [lo, hi], queryable from both ends.
 
@@ -369,28 +369,15 @@ class CumulativeIntegral:
 
     def __init__(self, f, lo, hi, tol, tail_bound=0.0, initial=8):
         self._f = f
-        self.lo = LD(lo)
-        self.hi = LD(hi)
         self.tail_bound = float(tail_bound)
-        panels, value, err, evals = _adaptive_panels(
-            f, self.lo, self.hi, tol, 400_000, initial
-        )
-        self.evals = evals
-        self._lefts = np.array([p[0] for p in panels], dtype=LD)
-        self._rights = np.array([p[1] for p in panels], dtype=LD)
-        vals = [CLD(p[2]) for p in panels]
-        errs = [p[3] for p in panels]
-        self._errs = np.array(errs, dtype=np.float64)
-        n = len(panels)
-        self._prefix = _kahan_prefix(vals)
+        self._lefts, self._rights, vals, self._errs, _, self.evals = (
+            _adaptive_panels(f, lo, hi, tol, 400_000, initial))
+        self._prefix = _running_sum(vals)
         self._total = complex(self._prefix[-1])
-        self._suffix = _kahan_prefix(vals[::-1])[::-1]
-        pe = np.zeros(n + 1)
-        pe[1:] = np.cumsum(self._errs)
-        self._prefix_err = pe
-        se = np.zeros(n + 1)
-        se[:-1] = np.cumsum(self._errs[::-1])[::-1]
-        self._suffix_err = se
+        self._suffix = _running_sum(vals[::-1])[::-1]
+        self._prefix_err = np.concatenate([[0.0], np.cumsum(self._errs)])
+        self._suffix_err = np.concatenate(
+            [np.cumsum(self._errs[::-1])[::-1], [0.0]])
 
     def total(self) -> QuadResult:
         return QuadResult(self._total, float(self._prefix_err[-1]) + self.tail_bound,
@@ -407,10 +394,8 @@ class CumulativeIntegral:
         part = np.zeros(a.shape, dtype=CLD)
         live = b > a
         if np.any(live):
-            h = (b[live] - a[live]) / 2
-            mid = (a[live] + b[live]) / 2
-            y = np.asarray(self._f(mid[:, None] + h[:, None] * _X31))
-            part[live] = h * (y @ _W31)
+            nodes, h = _panel_nodes(a[live], b[live], _X31)
+            part[live] = h * (np.asarray(self._f(nodes)) @ _W31)
         return part
 
     def query_lo_many(self, xs):
@@ -444,13 +429,15 @@ def integrate_nested(outer_coef, inner, tol, a, b):
         w, _ = inner(t)
         return np.asarray(outer_coef(t)) * w
 
-    panels, value, err, evals = _adaptive_panels(f, a, b, tol, 1_500_000, 64)
+    lefts, rights, vals, _, err, evals = _adaptive_panels(
+        f, a, b, tol, 1_500_000, 64)
     propagated = 0.0
-    for pa, pb, _, _ in panels:
-        h = (pb - pa) / 2
-        nodes = (pa + pb) / 2 + h * _X15
-        _, e_in = inner(nodes)
-        coef = np.abs(np.asarray(outer_coef(nodes)))
-        propagated += float(h * ((coef * e_in) @ _W15))
-    return QuadResult(complex(value), err + propagated,
-                      evals + 15 * len(panels))
+    for i in range(0, len(lefts), 2):
+        nodes, h = _panel_nodes(lefts[i:i + 2], rights[i:i + 2], _X15)
+        t = nodes.ravel()
+        _, e_in = inner(t)
+        coef = np.abs(np.asarray(outer_coef(t)))
+        for p in h * ((coef * e_in).reshape(nodes.shape) @ _W15):
+            propagated += float(p)
+    return QuadResult(complex(_running_sum(vals)[-1]), err + propagated,
+                      evals + 15 * len(lefts))

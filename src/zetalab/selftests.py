@@ -12,6 +12,7 @@ way because the measured behavior is the finding.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -284,10 +285,13 @@ def suite_quad(ts: float = 1.0):
 
 def suite_spectrum(ts: float = 1.0):
     from . import spectrum as spec
+    from .special import gamma, zeta
 
     r = []
-    a = spec.xi_bc(2.0, route="eta")
-    b = spec.xi_bc(2.0, route="zeta")
+    # Gamma(s) eta(s) against the product (1 - 2^{1-s}) Gamma(s) zeta(s)
+    s = 2 + 0j
+    a = spec.xi_bc(s)
+    b = (1 - cmath.exp((1 - s) * math.log(2))) * gamma(s) * zeta(s)
     r.append(check("xi-routes-agree", a, b, 1e-14 * ts, "trivial",
                    inputs={"s": 2.0}, mode="rel"))
     r.append(check("xi-vanishes-at-zero", spec.xi_bc(RHO1), 0.0,

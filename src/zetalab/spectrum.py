@@ -63,21 +63,12 @@ class StripRectangle:
             raise DomainError("require tau_lo < tau_hi")
 
 
-def xi_bc(s, route: str = "eta") -> complex:
-    """(1 - 2^{1-s}) Gamma(s) zeta(s), by default through Gamma(s) eta(s).
-
-    route="zeta" evaluates the literal product instead; the two agree
-    wherever both are defined (the product form keeps the removable
-    point s = 1 and the spurious denominator zeros out of reach).
-    """
+def xi_bc(s) -> complex:
+    """(1 - 2^{1-s}) Gamma(s) zeta(s), computed as Gamma(s) eta(s)."""
     s = complex(s)
     if s.real <= 0:
         raise DomainError("xi_bc requires Re(s) > 0")
-    if route == "eta":
-        return gamma(s) * eta(s)
-    if route == "zeta":
-        return (1 - cmath.exp((1 - s) * math.log(2))) * gamma(s) * zeta(s)
-    raise DomainError(f"unknown route {route!r}")
+    return gamma(s) * eta(s)
 
 
 def critical_line_real_form(tau: float) -> float:

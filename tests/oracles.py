@@ -3,10 +3,11 @@
 Three kinds live here: frozen literals computed once with 40-digit
 arithmetic (mpmath); small reimplementations that share no code with
 the package (the Taylor-division coefficient oracle, the
-alternating-series norm oracle, the scalar Borwein loops); and one
-cross route assembled from package primitives that bypasses the code
-it checks (the x-side Laguerre coefficients).  Tests compare package
-output against these, never against the package itself.
+alternating-series norm oracle, the scalar Borwein loops, the scalar
+Neumaier sum); and one cross route assembled from package primitives
+that bypasses the code it checks (the x-side Laguerre coefficients).
+Tests compare package output against these, never against the package
+itself.
 """
 
 import cmath
@@ -300,3 +301,31 @@ def loop_zeta_and_prime(s):
         ep -= lg * term
     dden = math.log(2) * cmath.exp((1 - s) * math.log(2))
     return loop_eta(s) / den, ep / den - e * dden / (den * den)
+
+
+def neumaier(values):
+    """The quadrature engine's former per-run compensated sum, kept
+    verbatim: a scalar Neumaier loop in long double over real and
+    imaginary parts separately; a stacked (panels, m) array is summed
+    one component at a time."""
+    LD = np.longdouble
+    CLD = np.clongdouble
+
+    def _sum1(v):
+        total = LD(0)
+        comp = LD(0)
+        for x in v:
+            t = total + x
+            if abs(total) >= abs(x):
+                comp += (total - t) + x
+            else:
+                comp += (x - t) + total
+            total = t
+        return total + comp
+
+    arr = np.asarray(values)
+    if arr.ndim == 2:
+        return np.array([neumaier(col) for col in arr.T])
+    if arr.dtype.kind == "c":
+        return CLD(_sum1(arr.real.astype(LD))) + 1j * CLD(_sum1(arr.imag.astype(LD)))
+    return _sum1(arr.astype(LD))

@@ -59,12 +59,47 @@ def test_verify_all_runs_every_suite(capsys):
     assert manifest["failed"] == 0
     assert manifest["total"] == len(lines) - 1
     # Every report line is byte-identical to the committed stream; only
-    # the manifest (wall-clock timings) is exempt.
+    # the manifest (wall-clock timings) is exempt.  A failure names every
+    # moved check, not only the first.
     with open(GOLDEN_VERIFY_ALL) as fh:
         golden = fh.read().splitlines()
-    assert len(lines) - 1 == len(golden)
-    for got, want in zip(lines[:-1], golden):
-        assert got == want
+    moved = _golden_moves(lines[:-1], golden)
+    assert not moved, ("report lines differ from the golden stream:\n"
+                       + "\n".join(moved))
+
+
+def _golden_moves(lines, golden):
+    # One message per report line that differs from its golden line:
+    # name, computed before -> after, the reference if it moved, and tol.
+    moved = [f"{len(golden)} golden lines -> {len(lines)} report lines"
+             ] if len(lines) != len(golden) else []
+    for got, want in zip(lines, golden):
+        if got != want:
+            g, w = json.loads(got), json.loads(want)
+            msg = f"{w['name']}: computed {w['computed']} -> {g['computed']}"
+            for key in ("reference", "name", "tol"):
+                if g.get(key) != w.get(key):
+                    msg += f", {key} {w.get(key)} -> {g.get(key)}"
+            if g.get("tol") == w.get("tol"):
+                msg += f", tol {w['tol']}"
+            moved.append(msg + ("" if g["pass"] else ", FAILS"))
+    return moved
+
+
+def test_golden_moves_names_every_moved_check():
+    line = ('{"name":"a","computed":{"re":1,"im":0},"reference":{"re":1,'
+            '"im":0},"tol":0.5,"pass":true}')
+    moved_a = line.replace('"re":1,"im":0},"ref', '"re":2,"im":0},"ref')
+    moved_b = line.replace('"a"', '"b"').replace('"pass":true',
+                                                 '"pass":false')
+    assert _golden_moves([line, line], [line, line]) == []
+    assert _golden_moves([moved_a, line, moved_b], [line, line, line]) == [
+        "a: computed {'re': 1, 'im': 0} -> {'re': 2, 'im': 0}, tol 0.5",
+        "a: computed {'re': 1, 'im': 0} -> {'re': 1, 'im': 0}, name a -> b, "
+        "tol 0.5, FAILS",
+    ]
+    assert _golden_moves([line], [line, line]) == [
+        "2 golden lines -> 1 report lines"]
 
 
 def test_selftest_positional_matches_verify(capsys):
@@ -377,6 +412,34 @@ def test_bad_flags_exit_2(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {argv[-2]}: must be a positive finite" in err
+
+
+def test_norm_check_and_tol_scale_guards_exit_2(capsys):
+    # A --c that is not a list of finite numbers, and a --tol-scale that
+    # is not positive and finite, are refused up front naming the flag,
+    # instead of a bare ValueError, a wrong error or a run of failed checks.
+    for c in ("abc", "2,nan", "inf", "2,,3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["norm-check", "--c", c])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --c: must be comma-separated finite numbers" in err
+    for scale in ("nan", "-1", "0", "inf"):
+        for argv in (["verify", "--suite", "quad"], ["selftest", "quad"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--tol-scale", scale])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --tol-scale: must be a positive finite" in err
+
+
+def test_norm_check_divergent_exponent_exits_1(capsys):
+    # Finite exponents at or below 1.01 still reach norm_integral's
+    # named guard.
+    for c in ("1.01", "0.5", "-3"):
+        code, lines = run(capsys, "norm-check", "--c", c)
+        assert code == 1
+        assert json.loads(lines[0])["error"] == "DivergenceError"
 
 
 def test_version_flag(capsys):

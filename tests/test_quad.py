@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from zetalab.errors import CapabilityError, ConvergenceError, DomainError
 from zetalab.quad import (CumulativeIntegral, IntegrandSpec, gauss_legendre,
                           integrate_finite, integrate_nested,
-                          integrate_semi_infinite, truncation_point)
+                          integrate_semi_infinite, truncation_point,
+                          _adaptive_panels, _result_value, _running_sum)
 
 
 def test_gauss_rule_against_library_rule():
@@ -169,6 +171,107 @@ def test_stacked_error_covers_the_hardest_row():
         IntegrandSpec(endpoint_exponent=1.0), 1e-12)
     for v, exact in zip(r.value, (1.0, 1 / 1601)):
         assert abs(v - exact) <= r.abs_err + 2 * math.ulp(exact)
+
+
+def _recording(f, shapes):
+    # f, recording the shape of the nodes of every call.
+    def g(t):
+        shapes.append(np.shape(t))
+        return f(t)
+    return g
+
+
+def test_integrand_calls_cover_at_most_two_panels():
+    # Initial panels go two per call and a split's two children share
+    # one call, so every call gets 92 nodes and evals is 46 x panels.
+    k = np.arange(3)[:, None]
+    for run, initial in (
+            (lambda f: integrate_finite(f, 0.0, 20.0, 1e-14), 8),
+            (lambda f: integrate_finite(f, 0.0, 1.0, 1e-12,
+                                        spec=IntegrandSpec(0.25)), 8),
+            (lambda f: integrate_semi_infinite(f, IntegrandSpec(1.0), 1e-12),
+             16)):
+        for f in (lambda t: np.exp(-t) * np.cos(40 * t),
+                  lambda t: np.exp(-t) * np.cos((40 + k) * t)):
+            shapes = []
+            r = run(_recording(f, shapes))
+            # every panel call gets one flat array of 92 nodes; the
+            # semi-infinite run adds one call at its 8 envelope samples
+            calls = [n for n in shapes if n != (8,)]
+            assert set(calls) == {(92,)}
+            panels = initial + 2 * (len(calls) - initial // 2)
+            assert r.evals == 46 * panels + 8 * (len(shapes) - len(calls))
+
+
+def test_nested_queries_cover_at_most_two_panels():
+    # The outer integrand, its inner queries and the inner-error
+    # propagation each see at most two panels' nodes per call.
+    build, outer, queries = [], [], []
+    cum = CumulativeIntegral(_recording(lambda u: np.exp(-u), build),
+                             0.0, 40.0, 1e-11)
+    assert set(build) == {(92,)}
+
+    def inner(t):
+        queries.append(np.size(t))
+        return cum.query_lo_many(t)
+
+    r = integrate_nested(_recording(lambda t: np.exp(-t), outer), inner,
+                         1e-10, 0.0, 40.0)
+    assert abs(r.value - 0.5) <= max(r.abs_err, 1e-10)
+    # 92 nodes per outer call; the inner-error propagation takes two
+    # final panels' 15 nodes per call
+    assert set(outer) == {(92,), (30,)}
+    assert set(queries) == {92, 30}
+    assert outer.count((92,)) == queries.count(92)
+
+
+def _same_bits(a, b):
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    parts = (lambda z: (z.real, z.imag)) if a.dtype.kind == "c" else (
+        lambda z: (z,))
+    return all(np.array_equal(x, y) and np.array_equal(np.signbit(x),
+                                                       np.signbit(y))
+               for x, y in zip(parts(a), parts(b)))
+
+
+def test_running_sum_is_exact_on_adversarial_terms():
+    # 1e20 + 1 is not representable in long double (ulp 8), so a plain
+    # running sum loses the small term; the compensated one keeps it,
+    # also when the large term comes after the small one.
+    cols = ([1e20, 1 + 1j, -1e20], [1 + 1j, 1e20, -1e20],
+            [-1e20, 1e20, 1 + 1j])
+    vals = np.array(cols, dtype=np.clongdouble).T
+    assert np.cumsum(vals, axis=0)[-1, 1].real == 0
+    out = _running_sum(vals)
+    assert out.shape == (4, 3)
+    assert np.all(out[0] == 0)
+    assert np.all(out[-1] == 1 + 1j)
+    for i in range(1, 4):
+        assert _same_bits(out[i], oracles.neumaier(vals[:i]))
+    real = _running_sum(np.array([1.0, 1e20, -1e20], dtype=np.longdouble))
+    assert list(real) == [0, 1, 1e20, 1]
+
+
+def test_run_values_equal_scalar_neumaier_bit_for_bit():
+    # Every run's value is the last entry of the vectorized running
+    # sum, which must equal the engine's former scalar loop bit for bit,
+    # scalar or stacked, real or complex, for every prefix.
+    k = np.arange(1, 4)[:, None]
+    for f in (lambda t: np.exp(-t) * np.cos(9 * t),
+              lambda t: np.exp(1j * t) * np.cos(5 * t),
+              lambda t: np.exp(-k * t) * np.cos(k * t),
+              lambda t: np.exp((1j - k) * t) / (1 + t)):
+        _, _, vals, _, _, _ = _adaptive_panels(f, 0.0, 6.0, 1e-15,
+                                               400_000, 8)
+        prefix = _running_sum(vals)
+        assert _same_bits(prefix[-1], oracles.neumaier(vals))
+        for i in range(1, len(vals), 7):
+            assert _same_bits(prefix[i], oracles.neumaier(vals[:i]))
+        r = integrate_finite(f, 0.0, 6.0, 1e-15)
+        want = _result_value(oracles.neumaier(vals))
+        assert np.array_equal(r.value, want)
 
 
 def test_truncation_point_tail_bound():

@@ -261,3 +261,22 @@ def test_gamma_property(sigma, tau):
     sine = cmath.sin(math.pi * s)
     assume(abs(sine) > 0.1)
     assert abs(g * gamma(1 - s) * sine / math.pi - 1) <= 1e-12
+
+
+# sigma = k / 2^30, so that 1 - s is exact in double precision: next to
+# the pole of zeta(1 - s) a one-ulp shift of 1 - s alone moves
+# chi(s) zeta(1 - s) by up to 1e-10.
+_SIGMA_DYADIC = st.integers(1, 2**30 - 1).map(lambda k: k / 2**30)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_SIGMA_DYADIC, _TAU)
+@example(2.0**-30, 0.0)        # zeta(1 - s) next to its pole
+@example(0.5, 14.134725141734693)  # near the first zero
+def test_functional_equation_property(sigma, tau):
+    # zeta(s) = chi(s) zeta(1 - s), chi(s) = 2^s pi^{s-1} sin(pi s/2)
+    # Gamma(1 - s), across the strip; |chi| grows like |tau|^{1/2 - sigma}.
+    s = complex(sigma, tau)
+    chi = (2 ** s * math.pi ** (s - 1) * cmath.sin(math.pi * s / 2)
+           * gamma(1 - s))
+    assert abs(zeta(s) - chi * zeta(1 - s)) <= 1e-11 * max(1.0, abs(chi))
