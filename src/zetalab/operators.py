@@ -14,8 +14,7 @@ class; every builder in this module uses the coefficient-space one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .states import _psi_tilde_coefficients
 
 __all__ = [
     "TruncatedOperator",
-    "EigenDecomposition",
     "ResidualProfile",
     "build_ladder",
     "build_composites",
@@ -46,71 +44,24 @@ _H_TILDE_CAP = 192  # largest exact entry ~e^640 at K=192; float64 dies ~K=216
 # absolute tolerance.
 _COEFF_TOL_SHARE = 2.0**-20
 
-_BANDS = ("diagonal", "lower-1", "upper-1", "tridiagonal",
-          "upper-triangular", "dense")
-
-
-def _band_violation(entries, band):
-    k = entries.shape[0]
-    idx = np.indices((k, k))
-    off = idx[1] - idx[0]
-    if band == "diagonal":
-        bad = off != 0
-    elif band == "lower-1":
-        bad = off != -1
-    elif band == "upper-1":
-        bad = off != 1
-    elif band == "tridiagonal":
-        bad = np.abs(off) > 1
-    elif band == "upper-triangular":
-        bad = off < 0
-    else:
-        return None
-    nz = entries != 0
-    if np.any(nz & bad):
-        return np.argwhere(nz & bad)[0]
-    return None
-
 
 @dataclass(frozen=True)
 class TruncatedOperator:
     dim: int
     entries: np.ndarray
-    band: str
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("TruncatedOperator requires K >= 1")
-        if self.band not in _BANDS:
-            raise DomainError(f"unknown band tag {self.band!r}")
         if self.entries.shape != (self.dim, self.dim):
             raise DomainError("entries shape must be (K, K)")
-        where = _band_violation(self.entries, self.band)
-        if where is not None:
-            raise DomainError(
-                f"band tag {self.band!r} violated at entry {tuple(where)}"
-            )
-        if self.entries.dtype != object:
-            self.entries.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    values: np.ndarray
-    vectors: np.ndarray
+        self.entries.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class ResidualProfile:
-    s: complex
-    K: int
-    per_component: list = field(default_factory=list)
-    trusted_prefix: int = 0
-
-
-# Entrywise Fraction copy of a float array.  The ladder and composite
-# entries are multiples of 1/4, exact in binary, so nothing is rounded.
-_to_fraction = np.frompyfunc(Fraction, 1, 1)
+    per_component: list
+    trusted_prefix: int
 
 
 def _ladder_arrays(k):
@@ -124,56 +75,55 @@ def _ladder_arrays(k):
     return n_mat, up, dn
 
 
-def build_ladder(K: int, exact: bool = False):
-    """(N, N_plus, N_minus) on a K-dimensional truncation.
+def build_ladder(K: int):
+    """(N, N_plus, N_minus) on a K-dimensional truncation, each a
+    float64 TruncatedOperator.
 
     N is diag(n + 1/2); the lowering ket action m|m-1> appears as the
     upper shift with value n+1 at (n, n+1), the raising action as the
-    mirrored lower shift.  exact=True returns Fraction entries for
-    entrywise-exact algebra checks.
+    mirrored lower shift.  Every entry is a multiple of 1/2 below 2^9,
+    exact in binary.  A product of two ladder or composite matrices
+    (build_composites) sums at most three terms per entry, each a
+    multiple of 1/16 below 2^21, so products and commutators are exact
+    too and the algebra checks compare them with ==.
     """
     if K < 2:
         raise DomainError("build_ladder requires K >= 2")
     if K > _K_CAP:
         raise CapabilityError(f"K > {_K_CAP} out of scope")
-    arrays = _ladder_arrays(K)
-    if exact:
-        arrays = [_to_fraction(m) for m in arrays]
-    n_mat, up, dn = arrays
+    n_mat, up, dn = _ladder_arrays(K)
     return (
-        TruncatedOperator(K, n_mat, "diagonal"),
-        TruncatedOperator(K, dn, "lower-1"),
-        TruncatedOperator(K, up, "upper-1"),
+        TruncatedOperator(K, n_mat),
+        TruncatedOperator(K, dn),
+        TruncatedOperator(K, up),
     )
 
 
-def build_composites(K: int, exact: bool = False):
+def build_composites(K: int):
     """(x_op, D, T) assembled from the ladder:
-    x = 2N - N_plus - N_minus, D = i(N_minus - N_plus)/2, T = N - x/4."""
+    x = 2N - N_plus - N_minus, D = i(N_minus - N_plus)/2, T = N - x/4.
+    The entries of x and T are multiples of 1/4 below 2^10 and those of
+    D imaginary halves, all exact in binary floating point."""
     n_op, n_plus, n_minus = build_ladder(K)
     n_mat, up, dn = n_op.entries, n_minus.entries, n_plus.entries
     x_mat = 2 * n_mat - dn - up
     t_mat = n_mat - x_mat / 4
-    if exact:
-        x_mat, t_mat = _to_fraction(x_mat), _to_fraction(t_mat)
-    # D's entries are imaginary half-integers, exact in binary floating
-    # point, so the exact flag does not need Fraction storage here.
     d_mat = np.zeros((K, K), dtype=np.complex128)
     for n in range(K - 1):
         d_mat[n, n + 1] = 0.5j * (n + 1)
         d_mat[n + 1, n] = -0.5j * (n + 1)
     return (
-        TruncatedOperator(K, x_mat, "tridiagonal"),
-        TruncatedOperator(K, d_mat, "tridiagonal"),
-        TruncatedOperator(K, t_mat, "tridiagonal"),
+        TruncatedOperator(K, x_mat),
+        TruncatedOperator(K, d_mat),
+        TruncatedOperator(K, t_mat),
     )
 
 
-def tridiag_eigh(T: TruncatedOperator) -> EigenDecomposition:
-    """Full decomposition of a real symmetric tridiagonal operator,
-    eigenvalues ascending; per-pair residual enforced at 1e-11 ||T||."""
-    if T.band not in ("diagonal", "tridiagonal"):
-        raise DomainError("tridiag_eigh requires a (tri)diagonal operator")
+def tridiag_eigh(T: TruncatedOperator):
+    """(values, vectors) of a real symmetric operator: eigenvalues
+    ascending, orthonormal eigenvectors as the columns of vectors.
+    The operator must be exactly symmetric, and every eigenpair's
+    residual is enforced at 1e-11 ||T||."""
     m = np.asarray(T.entries, dtype=np.float64)
     if not np.array_equal(m, m.T):
         raise DomainError("tridiag_eigh requires exact symmetry")
@@ -187,7 +137,7 @@ def tridiag_eigh(T: TruncatedOperator) -> EigenDecomposition:
         raise ConvergenceError(
             f"eigenpair residual {resid:.3e} exceeds 1e-11 * ||T||"
         )
-    return EigenDecomposition(values=vals, vectors=vecs)
+    return vals, vecs
 
 
 def fermi_of_T(T: TruncatedOperator) -> TruncatedOperator:
@@ -195,11 +145,9 @@ def fermi_of_T(T: TruncatedOperator) -> TruncatedOperator:
     decomposition: V diag(lam/(1+e^{-lam})) V^T.  This is the
     Borel-summed value of the coefficient series, which itself
     converges only inside spectral radius pi."""
-    dec = tridiag_eigh(T)
-    lam = dec.values
+    lam, vecs = tridiag_eigh(T)
     f = lam / (1.0 + np.exp(-lam))
-    m = (dec.vectors * f) @ dec.vectors.T
-    return TruncatedOperator(T.dim, m, "dense")
+    return TruncatedOperator(T.dim, (vecs * f) @ vecs.T)
 
 
 def fermi_series_partial(T: TruncatedOperator, M: int) -> np.ndarray:
@@ -225,7 +173,7 @@ def build_H(K: int) -> TruncatedOperator:
     _x, d_op, t_op = build_composites(K)
     m = -np.asarray(d_op.entries, dtype=np.complex128) \
         - 1j * fermi_of_T(t_op).entries
-    return TruncatedOperator(K, m, "dense")
+    return TruncatedOperator(K, m)
 
 
 def build_H_tilde(K: int) -> TruncatedOperator:
@@ -255,7 +203,7 @@ def build_H_tilde(K: int) -> TruncatedOperator:
         cm = c * math.factorial(step)  # back to B_m (2^m - 1)
         for n in range(K - step):
             m[n, n + step] += -1j * float(cm * math.comb(n + step, step))
-    return TruncatedOperator(K, m, "upper-triangular")
+    return TruncatedOperator(K, m)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +324,4 @@ def eigen_residual(p, K: int, which: str = "H_tilde") -> ResidualProfile:
             trusted = n + 1
         else:
             break
-    return ResidualProfile(
-        s=s, K=K, per_component=[float(r) for r in resid],
-        trusted_prefix=trusted,
-    )
+    return ResidualProfile([float(r) for r in resid], trusted)

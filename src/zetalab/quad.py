@@ -373,15 +373,10 @@ class CumulativeIntegral:
         self._lefts, self._rights, vals, self._errs, _, self.evals = (
             _adaptive_panels(f, lo, hi, tol, 400_000, initial))
         self._prefix = _running_sum(vals)
-        self._total = complex(self._prefix[-1])
         self._suffix = _running_sum(vals[::-1])[::-1]
         self._prefix_err = np.concatenate([[0.0], np.cumsum(self._errs)])
         self._suffix_err = np.concatenate(
             [np.cumsum(self._errs[::-1])[::-1], [0.0]])
-
-    def total(self) -> QuadResult:
-        return QuadResult(self._total, float(self._prefix_err[-1]) + self.tail_bound,
-                          self.evals)
 
     def _locate(self, xs):
         # Index of the stored panel holding each x (the last one past hi).

@@ -40,7 +40,6 @@ from .special import (
 
 __all__ = [
     "StateParams",
-    "GramEntry",
     "GRAM_SIGN",
     "amplitude_F",
     "psi",
@@ -85,18 +84,6 @@ class StateParams:
     def __post_init__(self):
         if complex(self.s).real <= 0:
             raise DomainError("StateParams requires Re(s) > 0")
-
-
-@dataclass(frozen=True)
-class GramEntry:
-    rho_row: complex
-    rho_col: complex
-    value: complex
-    abs_err: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.abs_err) and cmath.isfinite(self.value)):
-            raise DomainError("GramEntry requires finite value and error")
 
 
 def amplitude_F(p: StateParams, t: float) -> complex:
@@ -423,7 +410,7 @@ def gram_diagonal_log_moment(rho, tol: float = 5e-16) -> QuadResult:
 
 
 def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
-         tol: float = 1e-18, route: str = "tail") -> GramEntry:
+         tol: float = 1e-18, route: str = "tail") -> QuadResult:
     """The bilinear pairing
     conj(g) f * integral_0^inf t^{rho_row* + rho_col - 2}
                  (integral_0^t tau^{-rho_row*}/(1+e^tau) dtau) dt
@@ -444,7 +431,8 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     the analytically known total, w0 - query_lo_many) and from the high
     end above (query_hi_many); the naive route queries query_lo_many at
     sqrt(t).  gram adds its own analytic truncation tails to the
-    nested result's error.
+    nested result's error.  Returns a QuadResult whose evals adds the
+    outer evaluations and the inner decomposition's.
     """
     rho_row = complex(rho_row)
     rho_col = complex(rho_col)
@@ -508,8 +496,11 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
         # Truncation: the true inner tends to w0, so the discarded tail
         # is the exponential remnant plus the w0 log-moment out to t_hi.
         tail_outer = math.exp(-t_hi) + abs(w0) * 80.0
-    return GramEntry(rho_row, rho_col, gf * res.value,
-                     abs(gf) * (res.abs_err + tail_outer))
+    value = gf * res.value
+    abs_err = abs(gf) * (res.abs_err + tail_outer)
+    if not (math.isfinite(abs_err) and cmath.isfinite(value)):
+        raise DomainError("gram requires finite value and error")
+    return QuadResult(value, abs_err, res.evals + cum.evals)
 
 
 def gram_matrix(rhos, tol: float = 1e-18):

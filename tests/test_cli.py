@@ -370,6 +370,29 @@ def test_operator_dump_upper_triangular(capsys):
     ]
 
 
+GOLDEN_OPERATOR_DUMP = os.path.join(os.path.dirname(__file__), "golden",
+                                    "operator_dump.csv")
+
+
+def test_operator_dump_matches_golden(capsys):
+    # operator-dump at K = 12 for every name but H, one "name,row,col,re,im"
+    # row per nonzero entry.  H is left out: it goes through LAPACK's
+    # eigh, whose last bits depend on the BLAS kernel OpenBLAS picks for
+    # the CPU, so its bytes are not portable.
+    rows = ["name,row,col,re,im"]
+    for name in ("N", "Nplus", "Nminus", "x", "D", "T", "Htilde"):
+        code, lines = run(capsys, "operator-dump", "--name", name,
+                          "--K", "12")
+        assert code == 0 and lines[0] == "row,col,re,im"
+        rows += [f"{name},{ln}" for ln in lines[1:]]
+    with open(GOLDEN_OPERATOR_DUMP) as fh:
+        golden = fh.read().splitlines()
+    for i, (got, want) in enumerate(zip(rows, golden)):
+        assert got == want, f"row {i}: golden {want!r}, got {got!r}"
+    assert len(rows) == len(golden), (
+        f"{len(golden)} golden rows, {len(rows)} dumped")
+
+
 def test_output_is_deterministic(capsys):
     _, a = run(capsys, "verify", "--suite", "quad")
     _, b = run(capsys, "verify", "--suite", "quad")

@@ -23,10 +23,7 @@ RHO1 = oracles.RHO1
 
 
 def test_ladder_entries_exact():
-    N, Np, Nm = build_ladder(6, exact=True)
-    assert N.band == "diagonal"
-    assert Np.band == "lower-1"
-    assert Nm.band == "upper-1"
+    N, Np, Nm = build_ladder(6)
     for n in range(6):
         assert N.entries[n, n] == Fraction(2 * n + 1, 2)
     for n in range(5):
@@ -38,7 +35,7 @@ def test_ladder_entries_exact():
 @given(st.integers(2, 40))
 @example(6)
 def test_ladder_commutators_exact(K):
-    N, Np, Nm = build_ladder(K, exact=True)
+    N, Np, Nm = build_ladder(K)
     cm = N.entries @ Nm.entries - Nm.entries @ N.entries
     assert np.array_equal(cm, -Nm.entries)
     cp = N.entries @ Np.entries - Np.entries @ N.entries
@@ -53,8 +50,8 @@ def test_ladder_commutators_exact(K):
 
 
 def test_composites_assembled_from_ladder():
-    N, Np, Nm = build_ladder(6, exact=True)
-    x_op, d_op, t_op = build_composites(6, exact=True)
+    N, Np, Nm = build_ladder(6)
+    x_op, d_op, t_op = build_composites(6)
     assert np.array_equal(x_op.entries,
                           2 * N.entries - Np.entries - Nm.entries)
     assert np.array_equal(t_op.entries, N.entries - x_op.entries / 4)
@@ -65,39 +62,67 @@ def test_composites_assembled_from_ladder():
 
 
 def test_composite_tridiagonal_values():
-    _, _, t_op = build_composites(5, exact=True)
+    _, _, t_op = build_composites(5)
+    assert t_op.entries.dtype == np.float64
     for n in range(5):
         assert t_op.entries[n, n] == Fraction(2 * n + 1, 4)
     for n in range(4):
         assert t_op.entries[n, n + 1] == Fraction(n + 1, 4)
         assert t_op.entries[n + 1, n] == Fraction(n + 1, 4)
-    # Float build agrees entrywise.
-    _, _, t_f = build_composites(5)
-    assert np.array_equal(t_f.entries,
-                          np.array(t_op.entries, dtype=np.float64))
+
+
+# Expected nonzero pattern of each builder's output, as a predicate on
+# (row, col).
+_PATTERNS = {
+    "N": lambda i, j: j == i,
+    "Nplus": lambda i, j: j == i - 1,
+    "Nminus": lambda i, j: j == i + 1,
+    "x": lambda i, j: abs(i - j) <= 1,
+    "D": lambda i, j: abs(i - j) == 1,
+    "T": lambda i, j: abs(i - j) <= 1,
+    "Htilde": lambda i, j: j >= i,
+}
+
+
+@pytest.mark.parametrize("K", [2, 7, 64])
+def test_builder_nonzero_patterns(K):
+    ops = dict(zip(("N", "Nplus", "Nminus"), build_ladder(K)))
+    ops.update(zip(("x", "D", "T"), build_composites(K)))
+    ops["Htilde"] = build_H_tilde(K)
+    for name, in_band in _PATTERNS.items():
+        op = ops[name]
+        assert op.dim == K and op.entries.shape == (K, K)
+        i, j = np.indices((K, K))
+        want = np.vectorize(in_band)(i, j)
+        # Outside the band every entry is zero; inside it, none is, except
+        # H~'s odd orders m >= 3, which vanish with B_m.
+        assert not np.any(op.entries[~want]), name
+        if name != "Htilde":
+            assert np.all(op.entries[want] != 0), name
+    assert np.all(np.diag(ops["Htilde"].entries) != 0)
 
 
 def test_spectrum_small_truncations():
-    one = TruncatedOperator(1, np.array([[0.25]]), "diagonal")
-    assert tridiag_eigh(one).values[0] == 0.25
+    one = TruncatedOperator(1, np.array([[0.25]]))
+    assert tridiag_eigh(one)[0][0] == 0.25
     _, _, t2 = build_composites(2)
-    vals = tridiag_eigh(t2).values
+    vals, _ = tridiag_eigh(t2)
     assert abs(vals[0] - (0.5 - math.sqrt(2) / 4)) < 1e-12
     assert abs(vals[1] - (0.5 + math.sqrt(2) / 4)) < 1e-12
 
 
 def test_spectrum_k64_decomposition_quality():
     _, _, t64 = build_composites(64)
-    dec = tridiag_eigh(t64)
-    assert np.max(np.abs(dec.vectors.T @ dec.vectors - np.eye(64))) < 1e-13
-    rec = (dec.vectors * dec.values) @ dec.vectors.T
+    vals, vecs = tridiag_eigh(t64)
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(64))) < 1e-13
+    rec = (vecs * vals) @ vecs.T
     assert np.max(np.abs(rec - t64.entries)) < 1e-12
-    assert np.all(np.diff(dec.values) > 0)
+    assert np.all(np.diff(vals) > 0)
 
 
 def test_spectrum_positive_at_k256():
     _, _, t256 = build_composites(256)
-    lam_min = float(np.min(tridiag_eigh(t256).values))
+    lam_min = float(np.min(tridiag_eigh(t256)[0]))
     assert 0 < lam_min < 0.01
 
 
@@ -105,21 +130,19 @@ def test_spectrum_positive_at_k256():
 def test_eigh_matches_scipy_tridiagonal_solver(K):
     _, _, t_op = build_composites(K)
     m = t_op.entries
-    dec = tridiag_eigh(t_op)
+    vals, vecs = tridiag_eigh(t_op)
     norm = float(np.max(np.abs(m)))
     want = eigh_tridiagonal(np.diag(m), np.diag(m, 1), eigvals_only=True)
-    assert np.max(np.abs(dec.values - want)) <= 1e-13 * norm
-    resid = np.max(np.abs(m @ dec.vectors - dec.vectors * dec.values))
+    assert np.max(np.abs(vals - want)) <= 1e-13 * norm
+    resid = np.max(np.abs(m @ vecs - vecs * vals))
     assert resid <= 1e-11 * norm
 
 
 def test_eigh_guards():
-    bad = TruncatedOperator(2, np.array([[1.0, 2.0], [0.0, 1.0]]),
-                            "upper-triangular")
+    bad = TruncatedOperator(2, np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(DomainError):
         tridiag_eigh(bad)
-    asym = TruncatedOperator(
-        2, np.array([[1.0, 2.0], [3.0, 1.0]]), "tridiagonal")
+    asym = TruncatedOperator(2, np.array([[1.0, 2.0], [3.0, 1.0]]))
     with pytest.raises(ZetalabError):
         tridiag_eigh(asym)
 
@@ -154,7 +177,6 @@ def test_fermi_series_bounds():
 
 def test_uppertri_operator_bands():
     ht = build_H_tilde(12)
-    assert ht.band == "upper-triangular"
     assert np.all(np.tril(ht.entries, -1) == 0)
     assert np.array_equal(np.diag(ht.entries),
                           1j * (np.arange(12) + 0.5))
@@ -196,7 +218,6 @@ def test_uppertri_capability_guard():
 def test_dense_operator_assembly():
     _, d_op, t_op = build_composites(12)
     h = build_H(12)
-    assert h.band == "dense"
     want = -np.asarray(d_op.entries) - 1j * fermi_of_T(t_op).entries
     assert np.array_equal(h.entries, want)
     assert np.all(np.isfinite(h.entries))
@@ -385,10 +406,11 @@ def test_truncation_size_guards():
         build_H_tilde(1)
 
 
-def test_band_tag_enforced():
+def test_truncated_operator_guards():
     with pytest.raises(DomainError):
-        TruncatedOperator(2, np.array([[1.0, 1.0], [0.0, 1.0]]), "diagonal")
+        TruncatedOperator(0, np.zeros((0, 0)))
     with pytest.raises(DomainError):
-        TruncatedOperator(2, np.eye(2), "sideways")
-    with pytest.raises(DomainError):
-        TruncatedOperator(0, np.zeros((0, 0)), "dense")
+        TruncatedOperator(2, np.eye(3))
+    op = TruncatedOperator(2, np.eye(2))
+    with pytest.raises(ValueError):
+        op.entries[0, 0] = 2.0

@@ -7,9 +7,9 @@ import pytest
 import oracles
 from zetalab.errors import (ConvergenceError, DivergenceError, DomainError,
                             PreconditionError)
-from zetalab.quad import IntegrandSpec, integrate_semi_infinite
+from zetalab.quad import IntegrandSpec, QuadResult, integrate_semi_infinite
 from zetalab.special import bessel_j0, eta, gamma, zeta
-from zetalab.states import (GRAM_SIGN, GramEntry, StateParams, amplitude_F,
+from zetalab.states import (GRAM_SIGN, StateParams, amplitude_F,
                             amplitude_G_rewritten, amplitude_G_tail, gram,
                             gram_diagonal_by_parts,
                             gram_diagonal_closed_form,
@@ -231,13 +231,15 @@ def gram2():
 
 def test_gram_matrix_order_and_entry_metadata(gram2):
     assert len(gram2) == 2 and all(len(row) == 2 for row in gram2)
-    assert gram2[0][1].rho_row == RHO1
-    assert gram2[0][1].rho_col == RHO2
-    assert gram2[1][0].rho_row == RHO2
+    # Row-major: the rho1 diagonal (~1e-9) leads, the rho2 one (~3e-14)
+    # closes.
+    assert abs(gram2[0][0].value) > 1e3 * abs(gram2[1][1].value)
     for row in gram2:
         for e in row:
+            assert isinstance(e, QuadResult)
             assert e.abs_err < 1e-15
             assert e.abs_err > 0
+            assert e.evals > 0
 
 
 def test_gram_diagonals_match_frozen_oracle(gram2):
@@ -291,8 +293,16 @@ def test_gram_guards():
         gram(0.6 + 3j, RHO1)
     with pytest.raises(DomainError):
         gram(RHO1, RHO1, route="bogus")
-    with pytest.raises(DomainError):
-        GramEntry(RHO1, RHO1, complex("nan"), 0.0)
+
+
+def test_gram_refuses_non_finite_result(monkeypatch):
+    import zetalab.states as states
+
+    monkeypatch.setattr(
+        states, "integrate_nested",
+        lambda *args: QuadResult(complex("nan"), 0.0, 0))
+    with pytest.raises(DomainError, match="finite"):
+        gram(RHO1, RHO1)
 
 
 def test_gram_unreachable_tol_stops_at_rounding_floor():

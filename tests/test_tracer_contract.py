@@ -1,0 +1,41 @@
+"""The benchmark's tracer (perfbench/tracer.py) patches zetalab from the
+outside: it wraps every public function of the five layers, rebinds
+spectrum.brentq, sizes operators.tridiag_eigh spans by the operator's
+dim, and wraps CumulativeIntegral's constructor and query methods by
+name.  A traced run of the library must keep working when any of
+these change, so this test runs one under the tracer."""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+import oracles
+import zetalab.operators as operators
+import zetalab.quad as quad
+import zetalab.spectrum  # noqa: F401  (the tracer patches every layer)
+from zetalab.states import StateParams
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_traced_residual_and_cumulative_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    uninstall = tracer.install()
+    try:
+        # Called through the modules, as the benchmark does, so the
+        # patched bindings are the ones reached.
+        prof = operators.eigen_residual(StateParams(oracles.RHO1), 8, "H")
+        cum = quad.CumulativeIntegral(lambda u: u * u, 0.0, 1.0, 1e-12)
+        vals, _ = cum.query_lo_many(np.array([0.5, 1.0]))
+    finally:
+        uninstall()
+    assert len(prof.per_component) == 8
+    assert abs(complex(vals[1]) - 1.0 / 3.0) < 1e-12
+    assert not tracer.errors
+    m = tracer.metrics(1)
+    assert m["operators.tridiag_eigh.dim_sum"] == 8
+    assert m["quad.cumulative.builds"] == 1
+    assert m["quad.cumulative.query_calls"] == 1
+    assert m["operators.coefficients.calls"] == 1
