@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 # to put a measured number on the record.
 INFORMATIONAL = 1e300
 
-_REL_FLOOR = 1e-300
-
 
 def fmt_float(x) -> str:
     return "%.17g" % float(x)
@@ -36,7 +34,7 @@ class CheckReport:
     computed: complex
     reference: complex
     abs_err: float
-    rel_err: float
+    rel_err: float | None
     tol: float
     ok: bool
     provenance: str
@@ -59,7 +57,7 @@ class CheckReport:
                 fmt_complex(self.computed),
                 fmt_complex(self.reference),
                 fmt_float(self.abs_err),
-                fmt_float(self.rel_err),
+                "null" if self.rel_err is None else fmt_float(self.rel_err),
                 fmt_float(self.tol),
                 "true" if self.ok else "false",
                 json.dumps(self.provenance),
@@ -73,19 +71,21 @@ def check(name, computed, reference, tol, provenance, mode="abs",
 
     mode declares which error gates the check: "abs" or "rel".  The
     mode is recorded in the inputs map so the emitted line is
-    self-describing.
+    self-describing.  Against a zero reference rel_err is None (printed
+    null), and a rel-mode check fails.
     """
     computed = complex(computed)
     reference = complex(reference)
     abs_err = abs(computed - reference)
-    rel_err = abs_err / max(abs(reference), _REL_FLOOR)
+    rel_err = abs_err / abs(reference) if reference else None
     if mode not in ("abs", "rel"):
         raise ValueError(f"bad mode {mode!r}")
-    ok = (abs_err if mode == "abs" else rel_err) <= tol
+    gate = abs_err if mode == "abs" else rel_err
+    finite = math.isfinite(abs_err) and (rel_err is None
+                                         or math.isfinite(rel_err))
+    ok = finite and gate is not None and gate <= tol
     inp = {str(k): str(v) for k, v in (inputs or {}).items()}
     inp["mode"] = mode
-    if not (math.isfinite(abs_err) and math.isfinite(rel_err)):
-        ok = False
     return CheckReport(name, inp, computed, reference, abs_err, rel_err,
                        float(tol), bool(ok), provenance)
 

@@ -10,6 +10,7 @@ import pytest
 import oracles
 import zetalab
 from zetalab.cli import main
+from zetalab.reporting import check
 
 RHO1_ARG = "0.5+14.134725141734693i"
 
@@ -100,6 +101,18 @@ def test_golden_moves_names_every_moved_check():
     ]
     assert _golden_moves([line], [line, line]) == [
         "2 golden lines -> 1 report lines"]
+
+
+def test_zero_reference_prints_null_rel_err():
+    r = check("z", 1e-17, 0.0, 1e-16, "trivial")
+    assert r.ok and r.rel_err is None
+    assert json.loads(r.to_line())["rel_err"] is None
+    assert '"rel_err":null,' in r.to_line()
+    # A relative error against zero is undefined, so a rel-mode check
+    # there fails, even at an exact match.
+    assert not check("z", 0.0, 0.0, 1.0, "trivial", mode="rel").ok
+    r = check("r", 2.0, 4.0, 0.5, "trivial", mode="rel")
+    assert r.ok and r.rel_err == 0.5
 
 
 def test_selftest_positional_matches_verify(capsys):
