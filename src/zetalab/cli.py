@@ -42,16 +42,26 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
 
 
-def _positive_float(text: str) -> float:
-    """A positive, finite float; anything else is a bad flag."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {text!r}")
-    return value
+def _float_flag(ok, what: str):
+    """A parser for a float flag; a value that fails ok is a bad flag."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_float = _float_flag(lambda v: 0 < v < math.inf,
+                              "a positive finite number")
+_nonnegative_float = _float_flag(lambda v: 0 <= v < math.inf,
+                                 "a finite number >= 0")
+_number = _float_flag(lambda v: not math.isnan(v), "a number")
 
 
 def _finite_floats(text: str) -> list[float]:
@@ -304,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         "zeros",
         help="critical-line zeros up to --tau-max; csv columns: index, "
              "tau, rho_re, rho_im, residual, bracket_lo, bracket_hi")
-    p.add_argument("--tau-max", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tau-max", type=_number, required=True)
+    p.add_argument("--tol", type=_nonnegative_float, default=1e-10)
     p.add_argument("--step", type=_positive_float, default=0.01)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_zeros)

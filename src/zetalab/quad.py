@@ -365,6 +365,8 @@ class CumulativeIntegral:
     panel decomposition: one 31-point rule on each partial panel, all of
     them in a single integrand call, never a recomputation from the
     endpoint.  f must therefore act elementwise on arrays of any shape.
+    evals counts the build's evaluations and grows by the points each
+    query evaluates.
     """
 
     def __init__(self, f, lo, hi, tol, tail_bound=0.0, initial=8):
@@ -391,6 +393,7 @@ class CumulativeIntegral:
         if np.any(live):
             nodes, h = _panel_nodes(a[live], b[live], _X31)
             part[live] = h * (np.asarray(self._f(nodes)) @ _W31)
+            self.evals += nodes.size
         return part
 
     def query_lo_many(self, xs):
@@ -417,7 +420,8 @@ def integrate_nested(outer_coef, inner, tol, a, b):
     reported error adds the outer estimate and the inner error
     propagated through |outer_coef| by the 15-point rule on the final
     panels.  evals counts outer evaluations only; the inner factor's
-    cost is its CumulativeIntegral's evals.
+    cost, its build and the queries made here, is its
+    CumulativeIntegral's evals.
     """
 
     def f(t):

@@ -416,8 +416,8 @@ def zeta_prime(s) -> complex:
 
 
 def _zeta_pair(s: complex) -> tuple[complex, complex]:
-    """(zeta(s), zeta'(s)) sharing one accelerated-series pass; the
-    contour integrator calls this at thousands of points."""
+    """(zeta(s), zeta'(s)) sharing one accelerated-series pass;
+    count_zeros calls this at every quadrature node of its contour."""
     s = complex(s)
     den = _zeta_denom(s)
     if den is None:

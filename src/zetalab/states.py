@@ -432,7 +432,7 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     end above (query_hi_many); the naive route queries query_lo_many at
     sqrt(t).  gram adds its own analytic truncation tails to the
     nested result's error.  Returns a QuadResult whose evals adds the
-    outer evaluations and the inner decomposition's.
+    outer evaluations and the inner integrand's, at build and query.
     """
     rho_row = complex(rho_row)
     rho_col = complex(rho_col)

@@ -261,15 +261,20 @@ def test_gram_num_zeros_guard(capsys):
     assert err["error"] == "DomainError"
 
 
-def test_zeros_library_guards_exit_1(capsys):
-    # find_zeros refuses a NaN tau_max and a negative tol with a
-    # DomainError naming the argument; --tol 0 still runs.
-    for argv, name in ((["zeros", "--tau-max", "nan"], "tau_max"),
-                       (["zeros", "--tau-max", "16", "--tol", "-1"], "tol")):
-        code, lines = run(capsys, *argv)
-        assert code == 1 and len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "DomainError" and name in err["message"]
+def test_zeros_tau_max_and_tol_flags_exit_2(capsys):
+    # A NaN --tau-max and a NaN, infinite or negative --tol are refused
+    # up front, naming the flag, before find_zeros' own DomainError;
+    # --tol 0 still runs, and a finite --tau-max past the cap keeps its
+    # exit-1 CapabilityError (test_zeros_tau_cap_error).
+    for argv, what in ((["--tau-max", "nan"], "a number"),
+                       (["--tau-max", "16", "--tol", "nan"], "a finite"),
+                       (["--tau-max", "16", "--tol", "inf"], "a finite"),
+                       (["--tau-max", "16", "--tol", "-1"], "a finite")):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeros", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be {what}" in err
     code, lines = run(capsys, "zeros", "--tau-max", "16", "--tol", "0")
     assert code == 0 and len(lines) == 2
 

@@ -310,6 +310,23 @@ def test_cumulative_vectorized_queries():
             assert v1[0] == v and e1[0] == e
 
 
+def test_cumulative_evals_count_query_points():
+    # evals covers every integrand point, at build and at query time;
+    # zero-width partial panels (lo, hi, a stored edge) cost nothing.
+    points = [0]
+
+    def f(t):
+        points[0] += np.size(t)
+        return np.exp(-t)
+
+    cum = CumulativeIntegral(f, 0.0, 40.0, 1e-12)
+    assert cum.evals == points[0] > 0
+    built = cum.evals
+    cum.query_lo_many(np.array([0.0, 0.3, 7.0]))
+    cum.query_hi_many(np.array([2.5, cum._lefts[3], 40.0]))
+    assert cum.evals == points[0] == built + 3 * 31
+
+
 def test_cumulative_tail_bound_propagates():
     cum = CumulativeIntegral(lambda t: np.exp(-t), 0.0, 30.0, 1e-12,
                              tail_bound=1e-8)

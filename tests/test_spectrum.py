@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -176,11 +177,46 @@ def test_count_matches_scan():
 
 
 def test_contour_through_zero_rejected():
-    # Top edge passes through the first zero; the integrand blows up
-    # and the resolution loop must identify the cause.
+    # Top edge passes through the first zero; its quadrature stalls at
+    # the rounding floor (the nearest node has |zeta| about 8e-6, so the
+    # 1e-6 rule alone would not fire) and the count names the cause.
     rect = StripRectangle(0.05, 0.95, 5.0, oracles.ZERO_TAUS[0])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"point .* has \|zeta\| ="):
         count_zeros(rect)
+
+
+def test_count_zeros_range_guard():
+    # Past zeta's calibrated |tau| <= 60 the count is refused up front,
+    # naming the limit, instead of recursing to a ResolutionError or
+    # answering from zeta outside its range.
+    for taus in ((200.2, 210.0), (60.5, 80.0), (-70.0, -65.0)):
+        with pytest.raises(CapabilityError, match="60"):
+            count_zeros(StripRectangle(0.05, 0.95, *taus))
+
+
+def test_count_zeros_matches_scan_on_random_rectangles():
+    # Twelve seeded rectangles with tau in [10, 60], edges at least 0.3
+    # from every scanned ordinate: one straddling the line holds exactly
+    # the scanned zeros between its edges, one right of the line none.
+    taus = [z.tau for z in find_zeros(60.0)]
+    rng = random.Random(20261018)
+    for k in range(12):
+        tau_lo = 10.0 + 4.0 * (k + rng.random())
+        tau_hi = min(tau_lo + rng.uniform(2.0, 10.0), 60.0)
+        while any(abs(tau_lo - t) < 0.3 for t in taus):
+            tau_lo -= 0.3
+        while any(abs(tau_hi - t) < 0.3 for t in taus):
+            tau_hi -= 0.3
+        if k % 3:
+            rect = StripRectangle(rng.uniform(0.05, 0.45),
+                                  rng.uniform(0.55, 0.95), tau_lo, tau_hi)
+            expected = sum(tau_lo < t < tau_hi for t in taus)
+        else:
+            sigma_lo = rng.uniform(0.55, 0.8)
+            rect = StripRectangle(sigma_lo, sigma_lo + rng.uniform(0.05, 0.15),
+                                  tau_lo, tau_hi)
+            expected = 0
+        assert count_zeros(rect) == expected, rect
 
 
 def test_rectangle_validation():

@@ -3,7 +3,7 @@ outside: it wraps every public function of the five layers, rebinds
 spectrum.brentq, sizes operators.tridiag_eigh spans by the operator's
 dim, and wraps CumulativeIntegral's constructor and query methods by
 name.  A traced run of the library must keep working when any of
-these change, so this test runs one under the tracer."""
+these change, so these tests run one under the tracer."""
 
 import importlib
 from pathlib import Path
@@ -13,7 +13,7 @@ import numpy as np
 import oracles
 import zetalab.operators as operators
 import zetalab.quad as quad
-import zetalab.spectrum  # noqa: F401  (the tracer patches every layer)
+import zetalab.spectrum as spectrum
 from zetalab.states import StateParams
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -39,3 +39,19 @@ def test_traced_residual_and_cumulative_run(monkeypatch):
     assert m["quad.cumulative.builds"] == 1
     assert m["quad.cumulative.query_calls"] == 1
     assert m["operators.coefficients.calls"] == 1
+
+
+def test_traced_count_zeros_runs_one_quad_per_edge(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    uninstall = tracer.install()
+    try:
+        n = spectrum.count_zeros(spectrum.StripRectangle(0.05, 0.95, 31.0,
+                                                         35.0))
+    finally:
+        uninstall()
+    assert n == 1
+    assert not tracer.errors
+    m = tracer.metrics(1)
+    assert m["spectrum.count_zeros.calls"] == 1
+    assert m["quad.calls"] == 4
