@@ -221,16 +221,17 @@ def count_zeros(rect: StripRectangle) -> int:
         complex(rect.sigma_hi, rect.tau_hi),
         complex(rect.sigma_lo, rect.tau_hi),
     ]
-    low = [math.inf, None]  # smallest |zeta| at a node, and where
+    min_abs, argmin = math.inf, None
 
     def edge(z0, z1):
         def log_derivative(t):
+            nonlocal min_abs, argmin
             z = z0 + (z1 - z0) * t.astype(float)
             out = np.empty(len(z), dtype=complex)
             for k, zk in enumerate(z):
                 val, der = _zeta_pair(zk)
-                if abs(val) < low[0]:
-                    low[:] = abs(val), complex(zk)
+                if abs(val) < min_abs:
+                    min_abs, argmin = abs(val), complex(zk)
                 out[k] = der / val
             return (z1 - z0) * out
 
@@ -242,9 +243,9 @@ def count_zeros(rect: StripRectangle) -> int:
                     for z0, z1 in zip(corners, corners[1:] + corners[:1]))
     except ConvergenceError:
         total = None
-    if total is None or low[0] < 1e-6:
-        raise PreconditionError(f"contour point {low[1]} has |zeta| = "
-                                f"{low[0]:.2e}; move the rectangle")
+    if total is None or min_abs < 1e-6:
+        raise PreconditionError(f"contour point {argmin} has |zeta| = "
+                                f"{min_abs:.2e}; move the rectangle")
     winding = total.imag / (2 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) >= 0.1 or abs(total.real) > 0.5:
