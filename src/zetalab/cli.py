@@ -20,6 +20,7 @@ a single JSON error object and exit code 1; bad flags exit 2.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 import time
@@ -34,12 +35,20 @@ _ZERO_WINDOWS = {1: 15.0, 2: 22.0, 3: 26.0, 4: 31.0}
 
 
 def _parse_complex(text: str) -> complex:
-    """Accept 1.5, 0.5+14.1i, 0.5+14.1j, with optional whitespace."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    """Accept 1.5, 0.5+14.1i, 0.5+14.1j, with optional whitespace;
+    a NaN or infinite part is a bad flag.  Only a trailing i is the
+    imaginary unit; the i of inf is not."""
+    cleaned = text.strip().replace(" ", "")
+    if cleaned.endswith("i"):
+        cleaned = cleaned[:-1] + "j"
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite complex number, got {text!r}")
+    return value
 
 
 def _float_flag(ok, what: str):

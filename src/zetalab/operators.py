@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, DomainError
-from .quad import IntegrandSpec, QuadResult, integrate_semi_infinite
+from .quad import QuadResult, integrate_semi_infinite
 from .special import _laguerre_table, _series_coeff_exact
 from .states import _psi_tilde_coefficients
 
@@ -249,9 +249,8 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
         base = np.exp(sm1 * np.log(t) - 2.0 * t) / (1.0 + np.exp(t))
         return signs[:, None] * base * _laguerre_table(4.0 * t, K)
 
-    spec = IntegrandSpec(endpoint_exponent=s.real)
     try:
-        r = integrate_semi_infinite(f, spec, tol * _COEFF_TOL_SHARE)
+        r = integrate_semi_infinite(f, s.real, tol * _COEFF_TOL_SHARE)
     except ConvergenceError as exc:
         r = exc.best
         if r.abs_err > tol:

@@ -20,13 +20,13 @@ and raises ConvergenceError (best estimate attached) at its evaluation
 budget or at its rounding floor, where doubling the panel count no
 longer halves that error.
 
-integrate_finite, integrate_semi_infinite and truncation_point also
-take a stacked integrand: f(t) returns shape (m, len(t)), components
-on the leading axis and nodes on the last.  All components share one
-subdivision: a panel's error is the maximum over components of
-|G31 - G15|, so the reported abs_err bounds every component (a
-sup-norm), the truncation envelope is the maximum over components, and
-QuadResult.value is a complex array of shape (m,).
+integrate_finite and integrate_semi_infinite also take a stacked
+integrand: f(t) returns shape (m, len(t)), components on the leading
+axis and nodes on the last.  All components share one subdivision: a
+panel's error is the maximum over components of |G31 - G15|, so the
+reported abs_err bounds every component (a sup-norm), the truncation
+envelope is the maximum over components, and QuadResult.value is a
+complex array of shape (m,).
 """
 
 from __future__ import annotations
@@ -42,12 +42,10 @@ from .errors import CapabilityError, ConvergenceError, DomainError
 
 __all__ = [
     "QuadResult",
-    "IntegrandSpec",
     "gauss_legendre",
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_nested",
-    "truncation_point",
     "CumulativeIntegral",
 ]
 
@@ -74,22 +72,6 @@ class QuadResult:
     value: complex | np.ndarray
     abs_err: float
     evals: int
-
-
-@dataclass(frozen=True)
-class IntegrandSpec:
-    """Endpoint metadata the engine needs to pick a strategy.
-
-    endpoint_exponent sigma means the integrand behaves like t^{sigma-1}
-    as t -> 0+; sigma in (0, 1) triggers the substitution t = u^{1/sigma}
-    which removes the integrable singularity exactly.
-    """
-
-    endpoint_exponent: float
-
-    def __post_init__(self):
-        if not self.endpoint_exponent > 0:
-            raise DomainError("endpoint_exponent must be positive for integrability")
 
 
 # ---------------------------------------------------------------------------
@@ -273,52 +255,43 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
     return lefts, rights, vals, errs, err, evals
 
 
-def _maybe_substitute(f, a, spec):
-    """Map an integrand singular like (t-a)^{sigma-1} onto its regular
-    u-variable form via t = a + u^{1/sigma}; returns (g, map_to_u)."""
-    sigma = spec.endpoint_exponent
-    inv = 1.0 / sigma
-    a_ld = LD(a)
-
-    def g(u):
-        t = a_ld + u**inv
-        return np.asarray(f(t)) * inv * u ** (inv - 1)
-
-    def to_u(t):
-        return (LD(t) - a_ld) ** sigma
-
-    return g, to_u
-
-
-def integrate_finite(f, a, b, tol, spec=None, max_evals=400_000, initial=8):
+def integrate_finite(f, a, b, tol, endpoint_exponent=1.0, max_evals=400_000,
+                     initial=8):
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
     f must accept a longdouble array and return an array (real or
     complex), or a stacked (m, len(t)) array of m components that share
-    one subdivision (see the module docstring).  A spec with
-    endpoint_exponent in (0, 1) marks an integrable singularity at the
-    LEFT endpoint, handled by exact substitution.
+    one subdivision (see the module docstring).  endpoint_exponent
+    sigma > 0 says f behaves like (t-a)^{sigma-1} as t -> a+; sigma in
+    (0, 1) marks an integrable singularity at the LEFT endpoint, which
+    the substitution t = a + u^{1/sigma} removes exactly.
     """
+    sigma = endpoint_exponent
+    if not sigma > 0:
+        raise DomainError("endpoint_exponent must be positive for integrability")
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"bad interval [{a}, {b}]")
-    if spec is not None and 0 < spec.endpoint_exponent < 1:
-        f, to_u = _maybe_substitute(f, a, spec)
-        a, b = LD(0), to_u(b)
+    if sigma < 1:
+        inv, a_ld, g = 1.0 / sigma, LD(a), f
+
+        def f(u):
+            return np.asarray(g(a_ld + u**inv)) * inv * u ** (inv - 1)
+
+        a, b = LD(0), (LD(b) - a_ld) ** sigma
     _, _, vals, _, err, evals = _adaptive_panels(f, a, b, tol, max_evals,
                                                  initial)
     return QuadResult(_result_value(_running_sum(vals)[-1]), err, evals)
 
 
-# Where truncation_point samples the integrand's envelope.
+# Where _truncation_point samples the integrand's envelope.
 _ENVELOPE_SAMPLES = (0.75, 1.5, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0)
 
 
-def truncation_point(f, spec, tol):
+def _truncation_point(f, sigma, tol):
     """Pick T with the envelope tail bound C t^{sigma-1} e^{-t} integrated
     beyond T below tol/10, for f decaying like e^{-t}; a stacked
     integrand's envelope is the maximum over its components.  Returns
-    (T, tail_bound, evals)."""
-    sigma = spec.endpoint_exponent
+    (T, tail), tail bounding the integral beyond T."""
     ts = np.array(_ENVELOPE_SAMPLES, dtype=LD)
     vals = np.abs(np.asarray(f(ts)))
     if vals.ndim == 2:
@@ -336,20 +309,22 @@ def truncation_point(f, spec, tol):
     t_trunc = max(t_trunc, 1.5 * peak + 10.0) + 4.0
     t_trunc = min(t_trunc, 50_000.0)
     tail = 2 * cval * t_trunc ** (sigma - 1) * math.exp(-t_trunc)
-    return t_trunc, tail, len(_ENVELOPE_SAMPLES)
+    return t_trunc, tail
 
 
-def integrate_semi_infinite(f, spec, tol):
+def integrate_semi_infinite(f, endpoint_exponent, tol):
     """Integral of f over (0, inf) for exponentially decaying f.
 
     Truncates at an envelope-derived point T (tail bound folded into the
     reported error), then integrates [0, T] adaptively with the
-    endpoint-exponent handling of integrate_finite.
+    endpoint-exponent handling of integrate_finite.  evals includes the
+    envelope samples.
     """
-    T, tail, extra = truncation_point(f, spec, tol)
-    res = integrate_finite(f, 0.0, T, tol, spec=spec, max_evals=600_000,
-                           initial=16)
-    return QuadResult(res.value, res.abs_err + tail, res.evals + extra)
+    T, tail = _truncation_point(f, endpoint_exponent, tol)
+    res = integrate_finite(f, 0.0, T, tol, endpoint_exponent,
+                           max_evals=600_000, initial=16)
+    return QuadResult(res.value, res.abs_err + tail,
+                      res.evals + len(_ENVELOPE_SAMPLES))
 
 
 # ---------------------------------------------------------------------------
@@ -360,18 +335,17 @@ class CumulativeIntegral:
     """One adaptive decomposition of [lo, hi], queryable from both ends.
 
     query_lo_many(xs) returns the running integrals from lo to each x;
-    query_hi_many(xs) the remainders from each x to hi (plus tail_bound
-    beyond hi folded into the reported error).  Queries reuse the stored
-    panel decomposition: one 31-point rule on each partial panel, all of
-    them in a single integrand call, never a recomputation from the
-    endpoint.  f must therefore act elementwise on arrays of any shape.
-    evals counts the build's evaluations and grows by the points each
-    query evaluates.
+    query_hi_many(xs) the remainders from each x to hi, whose error
+    bounds cover [x, hi] only: a caller that drops a tail beyond hi adds
+    its bound itself.  Queries reuse the stored panel decomposition: one
+    31-point rule on each partial panel, all of them in a single
+    integrand call, never a recomputation from the endpoint.  f must
+    therefore act elementwise on arrays of any shape.  evals counts the
+    build's evaluations and grows by the points each query evaluates.
     """
 
-    def __init__(self, f, lo, hi, tol, tail_bound=0.0, initial=8):
+    def __init__(self, f, lo, hi, tol, initial=8):
         self._f = f
-        self.tail_bound = float(tail_bound)
         self._lefts, self._rights, vals, self._errs, _, self.evals = (
             _adaptive_panels(f, lo, hi, tol, 400_000, initial))
         self._prefix = _running_sum(vals)
@@ -403,10 +377,10 @@ class CumulativeIntegral:
         return vals, self._prefix_err[j] + self._errs[j]
 
     def query_hi_many(self, xs):
-        """(integrals from each x to hi, their error bounds incl. tail_bound)."""
+        """(integrals from each x to hi, their error bounds)."""
         xs, j = self._locate(xs)
         vals = self._suffix[j + 1] + self._partial(xs, self._rights[j])
-        return vals, self._suffix_err[j + 1] + self._errs[j] + self.tail_bound
+        return vals, self._suffix_err[j + 1] + self._errs[j]
 
 
 def integrate_nested(outer_coef, inner, tol, a, b):

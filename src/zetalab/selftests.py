@@ -209,37 +209,31 @@ def suite_quad(ts: float = 1.0):
     r.append(flag("finite-error-bound-honest",
                   abs(res.value - 2.0) <= res.abs_err + 1e-15, "trivial"))
 
-    spec = q.IntegrandSpec(endpoint_exponent=0.5)
-    res = q.integrate_finite(lambda t: 1 / np.sqrt(t), 0.0, 1.0, 1e-12,
-                             spec=spec)
+    res = q.integrate_finite(lambda t: 1 / np.sqrt(t), 0.0, 1.0, 1e-12, 0.5)
     r.append(check("finite-sqrt-singularity", res.value, 2.0, 1e-12 * ts,
                    "derived-oracle"))
     res = q.integrate_finite(np.log, 0.0, 1.0, 1e-10)
     r.append(check("finite-log-singularity", res.value, -1.0, 1e-10 * ts,
                    "derived-oracle"))
 
-    espec = q.IntegrandSpec(endpoint_exponent=1.0)
-    res = q.integrate_semi_infinite(lambda t: np.exp(-t), espec, 1e-13)
+    res = q.integrate_semi_infinite(lambda t: np.exp(-t), 1.0, 1e-13)
     r.append(check("semi-exponential", res.value, 1.0, 1e-13 * ts,
                    "trivial"))
-    gspec = q.IntegrandSpec(endpoint_exponent=0.7)
     res = q.integrate_semi_infinite(
-        lambda t: t**np.longdouble(-0.3) * np.exp(-t), gspec, 1e-12)
+        lambda t: t**np.longdouble(-0.3) * np.exp(-t), 0.7, 1e-12)
     r.append(check("semi-gamma-integrand", res.value, gamma(0.7),
                    1e-12 * ts, "derived-oracle", mode="rel",
                    inputs={"s": 0.7}))
-    ospec = q.IntegrandSpec(endpoint_exponent=1.0)
     res = q.integrate_semi_infinite(lambda t: np.exp(-t) * np.cos(t),
-                                    ospec, 1e-12)
+                                    1.0, 1e-12)
     r.append(check("semi-oscillatory", res.value, 0.5, 1e-12 * ts,
                    "derived-oracle"))
-    res = q.integrate_semi_infinite(lambda t: t * np.exp(-t * t),
-                                    q.IntegrandSpec(endpoint_exponent=2.0),
+    res = q.integrate_semi_infinite(lambda t: t * np.exp(-t * t), 2.0,
                                     1e-12)
     r.append(check("semi-gaussian-decay", res.value, 0.5, 1e-12 * ts,
                    "derived-oracle"))
 
-    T, tail, _ = q.truncation_point(lambda t: np.exp(-t), espec, 1e-11)
+    T, tail = q._truncation_point(lambda t: np.exp(-t), 1.0, 1e-11)
     r.append(flag("truncation-point-tail",
                   math.exp(-float(T)) <= 1e-11 + tail + 1e-30, "trivial",
                   inputs={"tol": 1e-11}))
@@ -262,11 +256,10 @@ def suite_quad(ts: float = 1.0):
     r.append(check("nested-triangle", res.value, 1.0 / 8, 1e-12 * ts,
                    "trivial", inputs={"integral": "t * int_0^t u du"}))
 
-    hspec = q.IntegrandSpec(endpoint_exponent=1.0)
     res = q.integrate_semi_infinite(
         lambda t: np.exp(-t) * bessel_j0(
             2.0 * np.sqrt(4.0 * np.asarray(t, dtype=np.float64))),
-        hspec, 1e-10)
+        1.0, 1e-10)
     r.append(check("hankel-exponential-selfpair", res.value,
                    math.exp(-4.0), 1e-9 * ts, "paper", inputs={"x": 4.0}))
 
@@ -275,9 +268,8 @@ def suite_quad(ts: float = 1.0):
     r.append(flag("budget-exhaustion-raises",
                   exc is not None and exc.best is not None, "trivial"))
 
-    sspec = q.IntegrandSpec(endpoint_exponent=0.3)
     res = q.integrate_finite(lambda t: t**np.longdouble(-0.7) * (1.0 + t),
-                             0.0, 1.0, 1e-11, spec=sspec)
+                             0.0, 1.0, 1e-11, 0.3)
     r.append(check("singular-substitution", res.value, 1 / 0.3 + 1 / 1.3,
                    1e-11 * ts, "derived-oracle", mode="rel"))
     return r
@@ -535,14 +527,13 @@ def suite_states(ts: float = 1.0):
     r.append(check("adjoint-ode-residual", worst, 0.0, 1e-6 * ts,
                    "derived-oracle", inputs={"t": "1.0, 2.0"}))
 
-    from .quad import IntegrandSpec, integrate_semi_infinite
+    from .quad import integrate_semi_infinite
     from .special import bessel_j0
     t0 = 0.8
-    hspec = IntegrandSpec(endpoint_exponent=1.0)
     back = integrate_semi_infinite(
         lambda x: np.exp(-x) * bessel_j0(
             2.0 * np.sqrt(t0 * np.asarray(x, dtype=np.float64))),
-        hspec, 1e-10)
+        1.0, 1e-10)
     r.append(check("transform-self-reciprocal", back.value,
                    math.exp(-t0), 1e-9 * ts, "paper", inputs={"t": t0}))
     return r
@@ -652,15 +643,13 @@ def suite_operators(ts: float = 1.0):
     r.append(check("coefficient-b0-s1", b1[0], 2 * math.log(2.0) - 1.0,
                    1e-10 * ts, "derived-oracle", inputs={"s": 1.0}))
     a = op.laguerre_coefficients(p1, 64, which="psi_tilde")
-    from .quad import IntegrandSpec, integrate_semi_infinite
+    from .quad import integrate_semi_infinite
     for n in (0, 10):
         def f(t, n=n):
             t = np.asarray(t, dtype=np.longdouble)
             return (np.exp(np.clongdouble(RHO1 - 1) * np.log(t) - t)
                     / (1.0 + np.exp(t)) * t**n / math.factorial(n))
-        q = integrate_semi_infinite(
-            f, IntegrandSpec(endpoint_exponent=0.5 + n),
-            1e-15)
+        q = integrate_semi_infinite(f, 0.5 + n, 1e-15)
         r.append(check(f"coefficient-kernel-quadrature-n{n}", a[n],
                        q.value, 1e-15 * ts, "derived-oracle",
                        inputs={"s": RHO1, "n": n}))

@@ -429,8 +429,9 @@ def _zeta_pair(s: complex) -> tuple[complex, complex]:
     return e / den, ep / den - e * dden / (den * den)
 
 
-def eta_integral(s, tol: float = 1e-11):
-    """The integral of t^{s-1}/(1+e^t) over (0, inf) by quadrature.
+def eta_integral(s):
+    """The integral of t^{s-1}/(1+e^t) over (0, inf) by quadrature, to
+    absolute tolerance 1e-11.
 
     Equals gamma(s)*eta(s); the quadrature route exists as an
     independent check of that identity.  Returns a QuadResult.
@@ -438,12 +439,11 @@ def eta_integral(s, tol: float = 1e-11):
     s = complex(s)
     if s.real <= 0:
         raise DomainError("eta_integral() requires Re(s) > 0")
-    from .quad import IntegrandSpec, integrate_semi_infinite
+    from .quad import integrate_semi_infinite
 
     sm1 = np.clongdouble(s - 1)
 
     def f(t):
         return np.exp(sm1 * np.log(t)) / (1 + np.exp(t))
 
-    spec = IntegrandSpec(endpoint_exponent=s.real)
-    return integrate_semi_infinite(f, spec, tol)
+    return integrate_semi_infinite(f, s.real, 1e-11)

@@ -21,7 +21,6 @@ from .quad import (
     CLD,
     LD,
     CumulativeIntegral,
-    IntegrandSpec,
     QuadResult,
     integrate_finite,
     integrate_nested,
@@ -75,14 +74,16 @@ _SERIES_TAIL_SHARE = 1.0 / 256.0
 
 @dataclass(frozen=True)
 class StateParams:
-    """Spectral parameter and the two normalization constants."""
+    """Spectral parameter and the normalization constant f."""
 
     s: complex
     f_const: complex = 1.0
-    g_const: complex = 1.0
 
     def __post_init__(self):
-        if complex(self.s).real <= 0:
+        s = complex(self.s)
+        if not cmath.isfinite(s):
+            raise DomainError(f"StateParams requires a finite s, got {s}")
+        if s.real <= 0:
             raise DomainError("StateParams requires Re(s) > 0")
 
 
@@ -212,8 +213,7 @@ def _psi_quadrature(p: StateParams, x: float, tol: float) -> QuadResult:
             )
         return fc * base
 
-    spec = IntegrandSpec(endpoint_exponent=s.real)
-    return integrate_semi_infinite(f, spec, tol)
+    return integrate_semi_infinite(f, s.real, tol)
 
 
 def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
@@ -249,7 +249,8 @@ def psi_tilde(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
 
 
 def amplitude_G_tail(p: StateParams, t: float, tol: float = 1e-10) -> QuadResult:
-    """g * t^{s-1} (1 + e^t) * integral_t^inf tau^{-s}/(1+e^tau) dtau.
+    """The adjoint amplitude at g = 1,
+    t^{s-1} (1 + e^t) * integral_t^inf tau^{-s}/(1+e^tau) dtau.
 
     The inner integral is evaluated on the shifted axis so the
     quadrature starts at the regular point u = 0.
@@ -269,13 +270,8 @@ def amplitude_G_tail(p: StateParams, t: float, tol: float = 1e-10) -> QuadResult
     # Absolute inner tolerance scaled to the t^{-sigma} e^{-t} size of
     # the inner value, so the reported error tracks |G| itself.
     scale = math.exp(-t) * max(t, 1.0) ** (-s.real)
-    spec = IntegrandSpec(endpoint_exponent=1.0)
-    inner = integrate_semi_infinite(f, spec, tol * scale)
-    pref = (
-        complex(p.g_const)
-        * cmath.exp((s - 1) * math.log(t))
-        * (1.0 + math.exp(t))
-    )
+    inner = integrate_semi_infinite(f, 1.0, tol * scale)
+    pref = cmath.exp((s - 1) * math.log(t)) * (1.0 + math.exp(t))
     return QuadResult(pref * inner.value, abs(pref) * inner.abs_err,
                       inner.evals)
 
@@ -288,11 +284,12 @@ def _require_zero(rho: complex, label: str):
         )
 
 
-def amplitude_G_rewritten(rho, t: float, tol: float = 1e-12) -> QuadResult:
+def amplitude_G_rewritten(rho, t: float) -> QuadResult:
     """The rewritten adjoint amplitude at g = 1,
     -1 - t^{rho-1}(1+e^t) * integral_0^t tau^{-rho}/(1+e^tau)
     (rho + tau e^tau/(1+e^tau)) dtau,
-    valid only at zeros (the rewrite uses the vanishing of zeta)."""
+    valid only at zeros (the rewrite uses the vanishing of zeta).
+    The inner integral is asked for 1e-12 / max(|prefactor|, 1)."""
     rho = complex(rho)
     _require_zero(rho, "rho")
     if not t > 0:
@@ -312,8 +309,8 @@ def amplitude_G_rewritten(rho, t: float, tol: float = 1e-12) -> QuadResult:
         )
 
     pref = cmath.exp((rho - 1) * math.log(t)) * (1.0 + math.exp(t))
-    spec = IntegrandSpec(endpoint_exponent=1.0 - rho.real)
-    inner = integrate_finite(f, 0.0, t, tol / max(abs(pref), 1.0), spec=spec)
+    inner = integrate_finite(f, 0.0, t, 1e-12 / max(abs(pref), 1.0),
+                             1.0 - rho.real)
     value = -1.0 - pref * inner.value
     err = abs(pref) * inner.abs_err + 64 * float(np.finfo(LD).eps) * (
         1.0 + abs(value)
@@ -321,8 +318,8 @@ def amplitude_G_rewritten(rho, t: float, tol: float = 1e-12) -> QuadResult:
     return QuadResult(value, err, inner.evals)
 
 
-def norm_integral(c, tol: float = 1e-12) -> QuadResult:
-    """integral_0^inf t^{c-2}/(1+e^t)^2 dt.
+def norm_integral(c) -> QuadResult:
+    """integral_0^inf t^{c-2}/(1+e^t)^2 dt, to absolute tolerance 1e-12.
 
     Log-divergent at Re(c) = 1; the band Re(c) <= 1.01 is refused
     outright since the panel budget there grows without bound.
@@ -340,8 +337,7 @@ def norm_integral(c, tol: float = 1e-12) -> QuadResult:
         e = np.exp(-t)
         return np.exp(cm2 * np.log(t)) * (e / (1.0 + e)) ** 2
 
-    spec = IntegrandSpec(endpoint_exponent=c.real - 1.0)
-    return integrate_semi_infinite(f, spec, tol)
+    return integrate_semi_infinite(f, c.real - 1.0, 1e-12)
 
 
 def norm_series_oracle(s) -> complex:
@@ -393,9 +389,10 @@ def gram_diagonal_by_parts(rho) -> complex:
     return -(gp * e + gamma(rho) * ep)
 
 
-def gram_diagonal_log_moment(rho, tol: float = 5e-16) -> QuadResult:
+def gram_diagonal_log_moment(rho) -> QuadResult:
     """The same by-parts diagonal as a quadrature:
-    - integral_0^inf ln t * t^{rho-1}/(1+e^t) dt."""
+    - integral_0^inf ln t * t^{rho-1}/(1+e^t) dt, to absolute
+    tolerance 5e-16."""
     rho = complex(rho)
     rm1 = CLD(rho - 1)
 
@@ -404,8 +401,7 @@ def gram_diagonal_log_moment(rho, tol: float = 5e-16) -> QuadResult:
         lt = np.log(t)
         return lt * np.exp(rm1 * lt) / (1.0 + np.exp(t))
 
-    spec = IntegrandSpec(endpoint_exponent=rho.real)
-    res = integrate_semi_infinite(f, spec, tol)
+    res = integrate_semi_infinite(f, rho.real, 5e-16)
     return QuadResult(-res.value, res.abs_err, res.evals)
 
 
@@ -431,7 +427,8 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     the analytically known total, w0 - query_lo_many) and from the high
     end above (query_hi_many); the naive route queries query_lo_many at
     sqrt(t).  gram adds its own analytic truncation tails to the
-    nested result's error.  Returns a QuadResult whose evals adds the
+    nested result's error: the inner tail beyond vmax to each high-end
+    query's pointwise error, the outer tail to the total.  Returns a QuadResult whose evals adds the
     outer evaluations and the inner integrand's, at build and query.
     """
     rho_row = complex(rho_row)
@@ -457,8 +454,7 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     # The inner integral's 80-bit rounding floor is about 2e-19 to
     # 3.4e-19 for rows rho1..rho3, so it gets half of tol; its error
     # reaches the entry's abs_err through integrate_nested's propagation.
-    cum = CumulativeIntegral(inner_f, 0.0, vmax, tol / 2.0,
-                             tail_bound=tail_v, initial=32)
+    cum = CumulativeIntegral(inner_f, 0.0, vmax, tol / 2.0, initial=32)
     # Full inner integral = Gamma(1-rho*) eta(1-rho*); tiny at a zero
     # but kept as the exact low anchor.
     w0 = complex(gamma(refl) * eta(refl))
@@ -477,6 +473,7 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
             pre, errs[lo] = cum.query_lo_many(u[lo])
             w[lo] = CLD(w0) - pre
             w[~lo], errs[~lo] = cum.query_hi_many(u[~lo])
+            errs[~lo] += tail_v
             return w, errs
 
         res = integrate_nested(outer_coef, w_tilde, tol, 0.0, upper)

@@ -49,6 +49,8 @@ def test_report_line_shape(capsys):
 
 GOLDEN_VERIFY_ALL = os.path.join(os.path.dirname(__file__), "golden",
                                  "verify_all.jsonl")
+GOLDEN_GRAM_2 = os.path.join(os.path.dirname(__file__), "golden",
+                             "gram_num_zeros_2.json")
 
 
 def test_verify_all_runs_every_suite(capsys):
@@ -223,6 +225,10 @@ def test_gram_matrix_output(capsys):
     code, lines = run(capsys, "gram", "--num-zeros", "2")
     assert code == 0
     assert len(lines) == 1
+    # The per-entry abs_err digits, which carry the inner tail bound,
+    # are part of the byte-determinism contract.
+    with open(GOLDEN_GRAM_2) as fh:
+        assert lines[0] == fh.read().rstrip("\n")
     rec = json.loads(lines[0])
     assert abs(rec["rhos"][0]["im"] - oracles.ZERO_TAUS[0]) < 1e-9
     m = rec["matrix"]
@@ -277,6 +283,24 @@ def test_zeros_tau_max_and_tol_flags_exit_2(capsys):
         assert f"argument {argv[-2]}: must be {what}" in err
     code, lines = run(capsys, "zeros", "--tau-max", "16", "--tol", "0")
     assert code == 0 and len(lines) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigenfunction", "--s", "0.5+nani", "--x-grid", "0:1:2"],
+    ["eigenfunction", "--s", "nan", "--x-grid", "0:1:2"],
+    ["eigenfunction", "--s", "0.5+1e400i", "--x-grid", "0:1:2"],
+    ["eigenfunction", "--s", "0.5+infi", "--x-grid", "0:1:2"],
+    ["residual", "--s", "nan", "--K", "16"],
+])
+def test_non_finite_s_exits_2(capsys, argv):
+    # A NaN or infinite part of --s is a bad flag, not nan rows, an
+    # all-nan residual profile or quad's endpoint_exponent error.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --s: must be a finite complex number" in captured.err
 
 
 def test_budget_error_carries_best_estimate(capsys):

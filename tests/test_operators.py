@@ -15,7 +15,7 @@ from zetalab.operators import (TruncatedOperator, build_H, build_H_tilde,
                                eigen_residual, fermi_of_T,
                                fermi_series_partial, laguerre_coefficients,
                                tridiag_eigh)
-from zetalab.quad import IntegrandSpec, integrate_semi_infinite
+from zetalab.quad import integrate_semi_infinite
 from zetalab.special import bessel_j0, laguerre
 from zetalab.states import StateParams
 
@@ -277,16 +277,13 @@ def test_coefficient_kernel_vs_quadrature():
             t = np.asarray(t, dtype=np.longdouble)
             return (np.exp(np.clongdouble(RHO1 - 1) * np.log(t) - t)
                     / (1.0 + np.exp(t)) * t**n / math.factorial(n))
-        q = integrate_semi_infinite(
-            f, IntegrandSpec(endpoint_exponent=0.5 + n),
-            1e-15)
+        q = integrate_semi_infinite(f, 0.5 + n, 1e-15)
         assert abs(a[n] - q.value) < 1e-15
 
 
 def test_kernel_closed_forms_match_direct_quadrature():
     # The closed-form t-kernels of both weights against direct
     # x-quadrature of e^{-x w} L_n(x) J0(2 sqrt(x t)).
-    spec = IntegrandSpec(endpoint_exponent=1.0)
 
     def direct(n, t, half_weight):
         def f(x):
@@ -299,7 +296,7 @@ def test_kernel_closed_forms_match_direct_quadrature():
             return np.exp(-x) * laguerre(n, x) * bessel_j0(
                 2.0 * np.sqrt(t * np.asarray(x, dtype=np.float64)))
 
-        return integrate_semi_infinite(f, spec, 1e-11).value
+        return integrate_semi_infinite(f, 1.0, 1e-11).value
 
     for n, t in ((0, 0.7), (1, 1.3), (3, 2.0)):
         want = math.exp(-t) * t**n / math.factorial(n)

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from zetalab.errors import (ConvergenceError, DivergenceError, DomainError,
                             PreconditionError)
-from zetalab.quad import IntegrandSpec, QuadResult, integrate_semi_infinite
+from zetalab.quad import QuadResult, integrate_semi_infinite
 from zetalab.special import bessel_j0, eta, gamma, zeta
 from zetalab.states import (GRAM_SIGN, StateParams, amplitude_F,
                             amplitude_G_rewritten, amplitude_G_tail, gram,
@@ -28,6 +28,13 @@ def test_state_params_require_right_half_plane():
     with pytest.raises(DomainError):
         StateParams(0.0 + 3j)
     StateParams(1e-3)  # boundary of the open half plane is excluded only at 0
+
+
+def test_state_params_refuse_non_finite_s():
+    for s in (math.nan, complex(0.5, math.nan), complex(0.5, math.inf),
+              math.inf):
+        with pytest.raises(DomainError, match="finite s"):
+            StateParams(s)
 
 
 def test_amplitude_interior_value():
@@ -344,9 +351,8 @@ def test_adjoint_satisfies_inhomogeneous_ode():
 
 def test_hankel_kernel_self_reciprocal():
     t0 = 0.8
-    spec = IntegrandSpec(endpoint_exponent=1.0)
     back = integrate_semi_infinite(
         lambda x: np.exp(-x) * bessel_j0(
             2.0 * np.sqrt(t0 * np.asarray(x, dtype=np.float64))),
-        spec, 1e-10)
+        1.0, 1e-10)
     assert abs(back.value - math.exp(-t0)) < 1e-9

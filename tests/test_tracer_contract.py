@@ -14,6 +14,7 @@ import oracles
 import zetalab.operators as operators
 import zetalab.quad as quad
 import zetalab.spectrum as spectrum
+import zetalab.states as states
 from zetalab.states import StateParams
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,3 +56,21 @@ def test_traced_count_zeros_runs_one_quad_per_edge(monkeypatch):
     m = tracer.metrics(1)
     assert m["spectrum.count_zeros.calls"] == 1
     assert m["quad.calls"] == 4
+
+
+def test_traced_semi_infinite_counts_every_integrand_point(monkeypatch):
+    # norm_integral(2.0) runs at endpoint exponent 1, norm_integral(1.5)
+    # at 0.5 through the substitution; each is one top-level quad call
+    # whose evals, envelope samples included, are the integrand's points.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    uninstall = tracer.install()
+    try:
+        results = [states.norm_integral(2.0), states.norm_integral(1.5)]
+    finally:
+        uninstall()
+    assert not tracer.errors
+    m = tracer.metrics(1)
+    assert m["quad.calls"] == 2
+    assert m["quad.integrand_points"] == m["quad.evals"] == sum(
+        r.evals for r in results)
