@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, DomainError
 from .quad import QuadResult, integrate_semi_infinite
-from .special import _laguerre_table, _series_coeff_exact
+from .special import _bernoulli_any, _laguerre_table, _series_coeff_exact
 from .states import _psi_tilde_coefficients
 
 __all__ = [
@@ -64,25 +64,14 @@ class ResidualProfile:
     trusted_prefix: int
 
 
-def _ladder_arrays(k):
-    n_mat = np.zeros((k, k))
-    up = np.zeros((k, k))
-    dn = np.zeros((k, k))
-    idx = np.arange(k - 1)
-    n_mat[np.arange(k), np.arange(k)] = np.arange(k) + 0.5
-    up[idx, idx + 1] = idx + 1.0
-    dn[idx + 1, idx] = idx + 1.0
-    return n_mat, up, dn
-
-
 def build_ladder(K: int):
     """(N, N_plus, N_minus) on a K-dimensional truncation, each a
     float64 TruncatedOperator.
 
     N is diag(n + 1/2); the lowering ket action m|m-1> appears as the
-    upper shift with value n+1 at (n, n+1), the raising action as the
-    mirrored lower shift.  Every entry is a multiple of 1/2 below 2^9,
-    exact in binary.  A product of two ladder or composite matrices
+    upper shift with value n+1 at (n, n+1), the raising action as its
+    transpose.  Every entry is a multiple of 1/2 below 2^9, exact in
+    binary.  A product of two ladder or composite matrices
     (build_composites) sums at most three terms per entry, each a
     multiple of 1/16 below 2^21, so products and commutators are exact
     too and the algebra checks compare them with ==.
@@ -91,10 +80,10 @@ def build_ladder(K: int):
         raise DomainError("build_ladder requires K >= 2")
     if K > _K_CAP:
         raise CapabilityError(f"K > {_K_CAP} out of scope")
-    n_mat, up, dn = _ladder_arrays(K)
+    up = np.diag(np.arange(1.0, K), 1)
     return (
-        TruncatedOperator(K, n_mat),
-        TruncatedOperator(K, dn),
+        TruncatedOperator(K, np.diag(np.arange(K) + 0.5)),
+        TruncatedOperator(K, up.T),
         TruncatedOperator(K, up),
     )
 
@@ -103,15 +92,14 @@ def build_composites(K: int):
     """(x_op, D, T) assembled from the ladder:
     x = 2N - N_plus - N_minus, D = i(N_minus - N_plus)/2, T = N - x/4.
     The entries of x and T are multiples of 1/4 below 2^10 and those of
-    D imaginary halves, all exact in binary floating point."""
+    D imaginary halves with real part +0, all exact in binary floating
+    point."""
     n_op, n_plus, n_minus = build_ladder(K)
-    n_mat, up, dn = n_op.entries, n_minus.entries, n_plus.entries
+    n_mat, dn, up = n_op.entries, n_plus.entries, n_minus.entries
     x_mat = 2 * n_mat - dn - up
     t_mat = n_mat - x_mat / 4
     d_mat = np.zeros((K, K), dtype=np.complex128)
-    for n in range(K - 1):
-        d_mat[n, n + 1] = 0.5j * (n + 1)
-        d_mat[n + 1, n] = -0.5j * (n + 1)
+    d_mat.imag = (up - dn) / 2
     return (
         TruncatedOperator(K, x_mat),
         TruncatedOperator(K, d_mat),
@@ -181,9 +169,11 @@ def build_H_tilde(K: int) -> TruncatedOperator:
 
     On the truncation (N_minus)^m is the m-step upper shift with
     entries (n+m)!/n!, zero for m >= K, so the series terminates and
-    every entry is exact: the (n, n+m) entry is
-    -i B_m (2^m - 1) C(n+m, m) for m >= 1 (as a rounded rational),
-    and the diagonal is i(n + 1/2) since c_0 = 0.
+    every entry is exact up to one rounding: the diagonal is i(n + 1/2)
+    since c_0 = 0, the first band -1.5i(n+1) (the shift plus c_1 = 1/2),
+    and the (n, n+m) entry for even m >= 2 is -i p C(n+m, m) / q with
+    p/q = B_m (2^m - 1), one correctly rounded integer division.  The
+    odd bands m >= 3 vanish with B_m.  Every real part is +0.
     """
     if K < 2:
         raise DomainError("build_H_tilde requires K >= 2")
@@ -191,19 +181,20 @@ def build_H_tilde(K: int) -> TruncatedOperator:
         raise CapabilityError(
             f"exact entries overflow float64 beyond K = {_H_TILDE_CAP}"
         )
-    m = np.zeros((K, K), dtype=np.complex128)
-    for n in range(K):
-        m[n, n] = 1j * (n + 0.5)
-    for n in range(K - 1):
-        m[n, n + 1] = -1j * (n + 1)
-    for step in range(1, K):
-        c = _series_coeff_exact(step)
-        if c == 0:
-            continue
-        cm = c * math.factorial(step)  # back to B_m (2^m - 1)
-        for n in range(K - step):
-            m[n, n + step] += -1j * float(cm * math.comb(n + step, step))
-    return TruncatedOperator(K, m)
+    n = np.arange(K)
+    im = np.diag(n + 0.5) + np.diag(-1.5 * n[1:], 1)
+    # C(n+m, m) over n as Python ints: at m = 0 all ones, and each step
+    # in m is a running sum (Pascal's rule).
+    binom = np.ones(K, dtype=object)
+    for m in range(1, K):
+        binom = np.cumsum(binom[:K - m])
+        if m % 2 == 0:
+            b = _bernoulli_any(m)
+            p, q = b.numerator * (2**m - 1), b.denominator
+            im[n[:-m], n[m:]] = -(p * binom) / q
+    entries = np.zeros((K, K), dtype=np.complex128)
+    entries.imag = im
+    return TruncatedOperator(K, entries)
 
 
 # ---------------------------------------------------------------------------

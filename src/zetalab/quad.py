@@ -174,15 +174,22 @@ def _result_value(value):
 # Core adaptive driver
 
 
+def _check_interval(a, b):
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"bad interval [{a}, {b}]")
+
+
 def _adaptive_panels(f, a, b, tol, max_evals, initial):
     """Worst-first refinement until the summed error estimate meets tol.
 
     Returns (lefts, rights, vals, errs, err, evals): the final panels as
     arrays sorted by left edge, their G31 values and error estimates,
     the exactly summed error and the evaluation count.  Raises
-    ConvergenceError with the best estimate attached when the budget
-    runs out or the run stalls at its rounding or width floor.
+    DomainError unless a < b are finite, and ConvergenceError with the
+    best estimate attached when the budget runs out, the run stalls at
+    its rounding or width floor, or the error estimate is NaN.
     """
+    _check_interval(a, b)
     edges = np.linspace(LD(a), LD(b), initial + 1)
     heap = []
     stuck = []
@@ -245,7 +252,7 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
     panels.sort(key=lambda p: p[0])
     lefts, rights, vals, errs = (np.array(c) for c in zip(*panels))
     err = math.fsum(errs)
-    if err > tol:
+    if not err <= tol:
         raise ConvergenceError(
             f"quadrature {stop} after {evals} evaluations "
             f"(err {err:.3e} > tol {tol:.3e})",
@@ -269,9 +276,8 @@ def integrate_finite(f, a, b, tol, endpoint_exponent=1.0, max_evals=400_000,
     sigma = endpoint_exponent
     if not sigma > 0:
         raise DomainError("endpoint_exponent must be positive for integrability")
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"bad interval [{a}, {b}]")
     if sigma < 1:
+        _check_interval(a, b)  # name the caller's bounds, not the mapped ones
         inv, a_ld, g = 1.0 / sigma, LD(a), f
 
         def f(u):

@@ -90,12 +90,12 @@ class StateParams:
 def amplitude_F(p: StateParams, t: float) -> complex:
     """f * t^{s-1} / (1 + e^t).
 
-    t = 0 is allowed only where the power has a limit: zero for
-    Re(s) > 1, f/2 at s = 1 exactly.
+    t must be a finite number >= 0, and t = 0 is allowed only where
+    the power has a limit: zero for Re(s) > 1, f/2 at s = 1 exactly.
     """
     s = complex(p.s)
-    if t < 0:
-        raise DomainError("amplitude_F requires t >= 0")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"amplitude_F requires a finite t >= 0, got {t}")
     if t == 0:
         if s == 1:
             return complex(p.f_const) * 0.5
@@ -218,7 +218,7 @@ def _psi_quadrature(p: StateParams, x: float, tol: float) -> QuadResult:
 
 def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
     """The Hankel-type transform of F: integral over t of
-    F_s(t) J0(2 sqrt(x t)), as a QuadResult.
+    F_s(t) J0(2 sqrt(x t)), as a QuadResult, for a finite x >= 0.
 
     The value is the Laguerre series psi(x) = sum_{n<K} a_n L_n(x) with
     the closed-form coefficients a_n = f Gamma(n+s)(1 - eta(n+s))/n!,
@@ -230,8 +230,8 @@ def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
     eta's documented range), the value comes from adaptive quadrature
     of the integral instead, and evals counts integrand evaluations.
     """
-    if x < 0:
-        raise DomainError("psi requires x >= 0")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"psi requires a finite x >= 0, got {x}")
     if abs(complex(p.s).imag) <= _SERIES_TAU_MAX:
         r = _psi_series(p, x, tol)
         if r is not None and r.abs_err <= tol:

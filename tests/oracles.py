@@ -95,6 +95,26 @@ def taylor_coefficients(m_max: int):
     return [t - o for t, o in zip(two, one)]
 
 
+def h_tilde_oracle(K: int) -> np.ndarray:
+    """The K x K truncation of H~ = iN - iN_minus - i sum_m c_m (N_minus)^m
+    entry by entry from mpmath's exact Bernoulli numbers: the (n, n+m)
+    entry is -i B_m (2^m - 1) C(n+m, m) for m >= 2, rounded once from
+    the exact rational.  mpmath uses B_1 = -1/2, so the first band is
+    written out: the shift -i(n+1) plus c_1 = +1/2 times (n+1)."""
+    out = np.zeros((K, K), dtype=complex)
+    for n in range(K):
+        out[n, n] = complex(0.0, n + 0.5)
+        if n + 1 < K:
+            out[n, n + 1] = complex(0.0, -1.5 * (n + 1))
+    for m in range(2, K):
+        p, q = (int(v) for v in mp.bernfrac(m))
+        for n in range(K - m):
+            v = Fraction(p * (2**m - 1) * math.comb(n + m, m), q)
+            if v:
+                out[n, n + m] = complex(0.0, -float(v))
+    return out
+
+
 def series_closed_form(x: float) -> float:
     """The function the coefficient series represents, inside |x| < pi."""
     return float(2 * x / (1 - mp.e ** (-2 * x)) - x / (1 - mp.e ** (-x)))

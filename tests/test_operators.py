@@ -211,8 +211,11 @@ def test_uppertri_entries_from_bernoulli():
 def test_uppertri_capability_guard():
     with pytest.raises(CapabilityError):
         build_H_tilde(193)
+    # Every entry at the largest supported K, real parts included (so a
+    # -0 would show), bit for bit against an oracle built from mpmath's
+    # Bernoulli numbers and Fraction arithmetic.
     ht = build_H_tilde(192)
-    assert np.all(np.isfinite(ht.entries))
+    assert ht.entries.tobytes() == oracles.h_tilde_oracle(192).tobytes()
 
 
 def test_dense_operator_assembly():

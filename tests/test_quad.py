@@ -355,6 +355,28 @@ def test_budget_exhaustion_attaches_best():
     assert best is not None and best.evals <= 2000
 
 
+def test_nan_error_estimate_raises_instead_of_returning():
+    # err > tol is False for NaN, so the exit test is `not err <= tol`.
+    with pytest.raises(ConvergenceError) as info:
+        integrate_finite(lambda t: np.where(t > 0.5, np.nan, t), 0.0, 1.0,
+                         1e-10, max_evals=2000)
+    assert info.value.best.evals <= 2000
+
+
+def test_every_driver_refuses_a_bad_interval():
+    # Reversed, empty, infinite and NaN bounds are refused by the one
+    # guard in the panel driver, not integrated over a mirrored interval.
+    bad = ((1.0, 0.0), (0.5, 0.5), (0.0, math.inf), (math.nan, 1.0))
+    for a, b in bad:
+        for sigma in (1.0, 0.5):
+            with pytest.raises(DomainError, match="bad interval"):
+                integrate_finite(lambda t: t, a, b, 1e-10, sigma)
+        with pytest.raises(DomainError, match="bad interval"):
+            CumulativeIntegral(lambda t: t, a, b, 1e-10)
+        with pytest.raises(DomainError, match="bad interval"):
+            integrate_nested(lambda t: t, lambda t: (t, 0 * t), 1e-10, a, b)
+
+
 def test_extended_precision_available():
     # The engine accumulates in longdouble; on x86 that is the 80-bit
     # format with eps ~ 1.08e-19.

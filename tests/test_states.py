@@ -55,6 +55,17 @@ def test_amplitude_origin_rules():
     assert amplitude_F(StateParams(RHO1), 800.0) == 0
 
 
+def test_amplitude_and_transform_refuse_non_finite_arguments():
+    p = StateParams(2.0)
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(DomainError, match="finite"):
+            amplitude_F(p, bad)
+        with pytest.raises(DomainError, match="finite"):
+            psi(p, bad)
+        with pytest.raises(DomainError, match="finite"):
+            psi_tilde(p, bad)
+
+
 def test_transform_boundary_closed_form_s2():
     v = psi(StateParams(2.0), 0.0)
     assert abs(v.value - math.pi**2 / 12) < 1e-10
