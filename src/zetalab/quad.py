@@ -10,15 +10,16 @@ package verifies sit around 1e-14 with relative targets of 1e-4, which
 double precision cannot reach through oscillatory cancellation.
 
 Panels are refined worst-first from a deterministic heap.  Each
-integrand call covers at most two panels, both children of a split or
-two initial panels, on one flat node array.  The final panels are kept
-as arrays ordered by left endpoint, and one compensated running sum
-over them gives every run's value and CumulativeIntegral's prefix and
-suffix, so results are reproducible bit-for-bit.  Every run has one
-exit rule: it returns once the exactly summed panel error meets tol,
-and raises ConvergenceError (best estimate attached) at its evaluation
-budget or at its rounding floor, where doubling the panel count no
-longer halves that error.
+refining integrand call covers at most two panels, both children of a
+split or two initial panels, on one flat node array; CumulativeIntegral
+and integrate_nested then make one call on every final panel.  The
+final panels are kept as arrays ordered by left endpoint, and one
+compensated running sum over them gives every run's value and
+CumulativeIntegral's prefix and suffix, so results are reproducible
+bit-for-bit.  Every run has one exit rule: it returns once the exactly
+summed panel error meets tol, and raises ConvergenceError (best
+estimate attached) at its evaluation budget or at its rounding floor,
+where doubling the panel count no longer halves that error.
 
 integrate_finite and integrate_semi_infinite also take a stacked
 integrand: f(t) returns shape (m, len(t)), components on the leading
@@ -37,6 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint
+from numpy.polynomial.legendre import legvander
 
 from .errors import CapabilityError, ConvergenceError, DomainError
 
@@ -221,7 +224,7 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
     # run stops at its rounding floor.
     check_at, check_err = 2 * initial, math.inf
     stop = "stalled at width floor"
-    while heap:
+    while heap and not math.isnan(total_err):
         doubled = len(heap) >= check_at
         if total_err <= tol or doubled:
             total_err = _exact_err()
@@ -253,6 +256,7 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
     lefts, rights, vals, errs = (np.array(c) for c in zip(*panels))
     err = math.fsum(errs)
     if not err <= tol:
+        stop = "NaN error estimate" if math.isnan(err) else stop
         raise ConvergenceError(
             f"quadrature {stop} after {evals} evaluations "
             f"(err {err:.3e} > tol {tol:.3e})",
@@ -337,56 +341,80 @@ def integrate_semi_infinite(f, endpoint_exponent, tol):
 # Cumulative integrals and the nested driver
 
 
+def _antiderivative_maps():
+    """Frozen (32, 31) maps from a panel's 31 G31-node values f_k to the
+    T-basis coefficients of their interpolant's antiderivative from -1
+    (lo) and to 1 (hi = sum_k w_k f_k - lo), through the Legendre ones
+    G31 gives exactly (Greengard, SIAM J. Numer. Anal. 28, 1991)."""
+    shift = (np.eye(31, k=1, dtype=LD) + np.eye(31, k=-1, dtype=LD)) / 2
+    shift[1, 0] = 1  # x T_0 = T_1, x T_m = (T_{m+1} + T_{m-1}) / 2
+    p = [np.eye(31, dtype=LD)[0], shift[:, 0]]
+    for k in range(1, 30):
+        p.append(((2 * k + 1) * shift @ p[k] - k * p[k - 1]) / (k + 1))
+    legendre = (np.arange(31) + 0.5)[:, None] * legvander(_X31, 30).T * _W31
+    lo = chebint(np.array(p).T @ legendre, lbnd=-1)
+    return lo, np.vstack([_W31 - lo[0], -lo[1:]])
+
+
+_LO_MAP, _HI_MAP = _antiderivative_maps()
+
+
 class CumulativeIntegral:
     """One adaptive decomposition of [lo, hi], queryable from both ends.
 
     query_lo_many(xs) returns the running integrals from lo to each x;
     query_hi_many(xs) the remainders from each x to hi, whose error
     bounds cover [x, hi] only: a caller that drops a tail beyond hi adds
-    its bound itself.  Queries reuse the stored panel decomposition: one
-    31-point rule on each partial panel, all of them in a single
-    integrand call, never a recomputation from the endpoint.  f must
-    therefore act elementwise on arrays of any shape.  evals counts the
-    build's evaluations and grows by the points each query evaluates.
+    its bound itself.  The build evaluates every final panel's 31 G31
+    nodes once more, in one call, and keeps the Chebyshev coefficients
+    of their interpolant's antiderivative, so a query evaluates no
+    integrand; it charges the partial panel's |G31 - G15| plus its last
+    two coefficients' moduli.  evals counts the build's evaluations.
     """
 
     def __init__(self, f, lo, hi, tol, initial=8):
-        self._f = f
-        self._lefts, self._rights, vals, self._errs, _, self.evals = (
-            _adaptive_panels(f, lo, hi, tol, 400_000, initial))
+        self._lefts, self._rights, vals, errs, _, evals = _adaptive_panels(
+            f, lo, hi, tol, 400_000, initial)
+        nodes, h = _panel_nodes(self._lefts, self._rights, _X31)
+        y = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+        self.evals = evals + nodes.size
+        self._coefs = [h[:, None] * (y @ m.T) for m in (_LO_MAP, _HI_MAP)]
+        tail = abs(self._coefs[0][:, 30:]).sum(axis=1)  # |d_30| + |d_31|
+        self._part_err = errs + tail.astype(np.float64)
         self._prefix = _running_sum(vals)
         self._suffix = _running_sum(vals[::-1])[::-1]
-        self._prefix_err = np.concatenate([[0.0], np.cumsum(self._errs)])
-        self._suffix_err = np.concatenate(
-            [np.cumsum(self._errs[::-1])[::-1], [0.0]])
+        self._prefix_err = np.concatenate([[0.0], np.cumsum(errs)])
+        self._suffix_err = np.concatenate([np.cumsum(errs[::-1])[::-1], [0.0]])
 
-    def _locate(self, xs):
-        # Index of the stored panel holding each x (the last one past hi).
+    def _query(self, xs, form):
+        # Each x's panel (on a stored edge, the one its partial panel is
+        # empty in) and the antiderivative there from the panel's left
+        # edge (form 0) or to its right edge (form 1).  vecdot sums each
+        # point's terms in one fixed order, batched or not.
         xs = np.asarray(xs, dtype=LD)
-        j = np.searchsorted(self._rights, xs, side="left")
-        return xs, np.minimum(j, len(self._rights) - 1)
-
-    def _partial(self, a, b):
-        # 31-point rule on each [a_i, b_i]; zero-width panels stay zero.
-        part = np.zeros(a.shape, dtype=CLD)
-        live = b > a
-        if np.any(live):
-            nodes, h = _panel_nodes(a[live], b[live], _X31)
-            part[live] = h * (np.asarray(self._f(nodes)) @ _W31)
-            self.evals += nodes.size
-        return part
+        j = np.searchsorted(self._lefts, xs, "left" if form else "right")
+        j = np.clip(j - 1, 0, len(self._lefts) - 1)
+        a, b = self._lefts[j], self._rights[j]
+        y = (xs - (a + b) / 2) / ((b - a) / 2)
+        t = np.empty((32,) + y.shape, dtype=LD)
+        t[0], t[1] = 1, y
+        y2, rows = y + y, [t[k, ...] for k in range(32)]
+        for k in range(2, 32):  # T_k in place on row views: the main cost
+            np.multiply(y2, rows[k - 1], out=rows[k])
+            np.subtract(rows[k], rows[k - 2], out=rows[k])
+        part = np.vecdot(np.moveaxis(t, 0, -1), self._coefs[form][j])
+        return j, np.where(xs >= b if form else xs <= a, 0, part)
 
     def query_lo_many(self, xs):
         """(integrals from lo to each x, their error bounds)."""
-        xs, j = self._locate(xs)
-        vals = self._prefix[j] + self._partial(self._lefts[j], xs)
-        return vals, self._prefix_err[j] + self._errs[j]
+        j, part = self._query(xs, 0)
+        return self._prefix[j] + part, self._prefix_err[j] + self._part_err[j]
 
     def query_hi_many(self, xs):
         """(integrals from each x to hi, their error bounds)."""
-        xs, j = self._locate(xs)
-        vals = self._suffix[j + 1] + self._partial(xs, self._rights[j])
-        return vals, self._suffix_err[j + 1] + self._errs[j]
+        j, part = self._query(xs, 1)
+        return (self._suffix[j + 1] + part,
+                self._suffix_err[j + 1] + self._part_err[j])
 
 
 def integrate_nested(outer_coef, inner, tol, a, b):
@@ -399,9 +427,9 @@ def integrate_nested(outer_coef, inner, tol, a, b):
     The outer integral is refined adaptively from 64 equal panels.  The
     reported error adds the outer estimate and the inner error
     propagated through |outer_coef| by the 15-point rule on the final
-    panels.  evals counts outer evaluations only; the inner factor's
-    cost, its build and the queries made here, is its
-    CumulativeIntegral's evals.
+    panels, in one inner call.  evals counts outer evaluations only; the
+    inner factor's cost is its CumulativeIntegral's evals, all spent at
+    build.
     """
 
     def f(t):
@@ -410,13 +438,12 @@ def integrate_nested(outer_coef, inner, tol, a, b):
 
     lefts, rights, vals, _, err, evals = _adaptive_panels(
         f, a, b, tol, 1_500_000, 64)
+    nodes, h = _panel_nodes(lefts, rights, _X15)
+    t = nodes.ravel()
+    _, e_in = inner(t)
+    coef = np.abs(np.asarray(outer_coef(t)))
     propagated = 0.0
-    for i in range(0, len(lefts), 2):
-        nodes, h = _panel_nodes(lefts[i:i + 2], rights[i:i + 2], _X15)
-        t = nodes.ravel()
-        _, e_in = inner(t)
-        coef = np.abs(np.asarray(outer_coef(t)))
-        for p in h * ((coef * e_in).reshape(nodes.shape) @ _W15):
-            propagated += float(p)
+    for p in h * ((coef * e_in).reshape(nodes.shape) @ _W15):
+        propagated += float(p)
     return QuadResult(complex(_running_sum(vals)[-1]), err + propagated,
                       evals + 15 * len(lefts))

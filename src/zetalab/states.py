@@ -428,8 +428,8 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     end above (query_hi_many); the naive route queries query_lo_many at
     sqrt(t).  gram adds its own analytic truncation tails to the
     nested result's error: the inner tail beyond vmax to each high-end
-    query's pointwise error, the outer tail to the total.  Returns a QuadResult whose evals adds the
-    outer evaluations and the inner integrand's, at build and query.
+    query's pointwise error, the outer tail to the total.  evals adds
+    the outer evaluations and the inner integrand's, all at build.
     """
     rho_row = complex(rho_row)
     rho_col = complex(rho_col)

@@ -14,6 +14,7 @@ from zetalab.errors import CapabilityError, ConvergenceError, DomainError
 from zetalab.quad import (CumulativeIntegral, gauss_legendre,
                           integrate_finite, integrate_nested,
                           integrate_semi_infinite, _adaptive_panels,
+                          _HI_MAP, _LO_MAP, _X31, _legendre_pn,
                           _result_value, _running_sum, _truncation_point)
 
 
@@ -194,12 +195,15 @@ def test_integrand_calls_cover_at_most_two_panels():
 
 
 def test_nested_queries_cover_at_most_two_panels():
-    # The outer integrand, its inner queries and the inner-error
-    # propagation each see at most two panels' nodes per call.
+    # The outer integrand and its inner queries see at most two panels'
+    # nodes per call.  The build re-evaluates every final panel's 31
+    # nodes in one call, and the inner-error propagation takes every
+    # final outer panel's 15 nodes in one call.
     build, outer, queries = [], [], []
     cum = CumulativeIntegral(_recording(lambda u: np.exp(-u), build),
                              0.0, 40.0, 1e-11)
-    assert set(build) == {(92,)}
+    assert set(build) == {(92,), (31 * len(cum._lefts),)}
+    assert build[-1] == (31 * len(cum._lefts),)
 
     def inner(t):
         queries.append(np.size(t))
@@ -208,11 +212,12 @@ def test_nested_queries_cover_at_most_two_panels():
     r = integrate_nested(_recording(lambda t: np.exp(-t), outer), inner,
                          1e-10, 0.0, 40.0)
     assert abs(r.value - 0.5) <= max(r.abs_err, 1e-10)
-    # 92 nodes per outer call; the inner-error propagation takes two
-    # final panels' 15 nodes per call
-    assert set(outer) == {(92,), (30,)}
-    assert set(queries) == {92, 30}
-    assert outer.count((92,)) == queries.count(92)
+    # 92 nodes per outer call, then one propagation call on 15 nodes of
+    # each final outer panel
+    panels = (r.evals - outer.count((92,)) * 92) // 15
+    assert outer[-1] == (15 * panels,) and queries[-1] == 15 * panels
+    assert set(outer[:-1]) == {(92,)} and set(queries[:-1]) == {92}
+    assert len(outer) == len(queries)
 
 
 def _same_bits(a, b):
@@ -298,9 +303,43 @@ def test_cumulative_vectorized_queries():
             assert v1[0] == v and e1[0] == e
 
 
+def test_cumulative_stored_edges_answer_prefix_and_suffix_bit_for_bit():
+    # A query on a stored edge takes the side where its partial panel is
+    # empty, so it returns the compensated prefix or suffix sum itself.
+    cum = CumulativeIntegral(lambda t: np.exp(1j * t) / (1 + t), 0.0, 30.0,
+                             1e-13)
+    lo, _ = cum.query_lo_many(cum._lefts)
+    hi, _ = cum.query_hi_many(cum._rights)
+    assert _same_bits(lo, cum._prefix[:-1])
+    assert _same_bits(hi, cum._suffix[1:])
+
+
+def test_antiderivative_maps_reproduce_legendre_antiderivatives():
+    # Fed P_n at the 31 G31 nodes, the frozen maps give the Chebyshev
+    # coefficients of int_{-1}^y P_n and int_y^1 P_n.  Summed exactly at
+    # random y, they match (P_{n+1} - P_{n-1}) / (2n + 1) to 4 eps.
+    eps = Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio())
+    rng = np.random.default_rng(5)
+    for yv in rng.uniform(-1, 1, 4).astype(np.longdouble):
+        y = Fraction(*yv.as_integer_ratio())
+        cheb, leg = [Fraction(1), y], [Fraction(1), y]
+        for k in range(1, 31):
+            cheb.append(2 * y * cheb[k] - cheb[k - 1])
+            leg.append(((2 * k + 1) * y * leg[k] - k * leg[k - 1]) / (k + 1))
+        for n in range(31):
+            values = _legendre_pn(n, _X31)[0] if n else np.ones_like(_X31)
+            lo = (leg[n + 1] - leg[n - 1]) / (2 * n + 1) if n else 1 + y
+            hi = -lo if n else 1 - y
+            for fmap, want in ((_LO_MAP, lo), (_HI_MAP, hi)):
+                got = sum(Fraction(*d.as_integer_ratio()) * t
+                          for d, t in zip(fmap @ values, cheb))
+                assert abs(got - want) <= 4 * eps
+
+
 def test_cumulative_evals_count_query_points():
-    # evals covers every integrand point, at build and at query time;
-    # zero-width partial panels (lo, hi, a stored edge) cost nothing.
+    # evals covers every integrand point, all of them at build: the
+    # refinement and one 31-node re-evaluation of each final panel.
+    # Queries evaluate no integrand.
     points = [0]
 
     def f(t):
@@ -308,11 +347,12 @@ def test_cumulative_evals_count_query_points():
         return np.exp(-t)
 
     cum = CumulativeIntegral(f, 0.0, 40.0, 1e-12)
-    assert cum.evals == points[0] > 0
-    built = cum.evals
+    built = points[0]
+    refined = integrate_finite(lambda t: np.exp(-t), 0.0, 40.0, 1e-12).evals
+    assert cum.evals == built == refined + 31 * len(cum._lefts)
     cum.query_lo_many(np.array([0.0, 0.3, 7.0]))
     cum.query_hi_many(np.array([2.5, cum._lefts[3], 40.0]))
-    assert cum.evals == points[0] == built + 3 * 31
+    assert cum.evals == points[0] == built
 
 
 def test_nested_triangle_and_coupling():
@@ -361,6 +401,15 @@ def test_nan_error_estimate_raises_instead_of_returning():
         integrate_finite(lambda t: np.where(t > 0.5, np.nan, t), 0.0, 1.0,
                          1e-10, max_evals=2000)
     assert info.value.best.evals <= 2000
+
+
+def test_nan_error_estimate_stops_before_refining():
+    # The run stops once its running error is NaN, after the initial
+    # panels, instead of spending its whole budget first.
+    with pytest.raises(ConvergenceError, match="NaN error estimate") as info:
+        integrate_finite(lambda t: np.where(t > 0.5, np.nan, t), 0.0, 1.0,
+                         1e-10)
+    assert info.value.best.evals <= 46 * 8
 
 
 def test_every_driver_refuses_a_bad_interval():
