@@ -24,7 +24,7 @@ from .reporting import INFORMATIONAL, check, flag
 
 # First ten zero ordinates on the critical line, externally tabulated.
 ZERO_TAUS = (
-    14.134725141734693,
+    14.134725141734695,
     21.022039638771555,
     25.010857580145688,
     30.424876125859513,

@@ -9,7 +9,6 @@ critical line and so admits sign-change scanning.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from .errors import (
     ResolutionError,
 )
 from .quad import integrate_finite
-from .special import eta, gamma, zeta, _zeta_pair
+from .special import _ZETA, _hurwitz, _zeta_pair, eta, gamma, zeta
 
 __all__ = [
     "ZeroRecord",
@@ -36,6 +35,8 @@ __all__ = [
 ]
 
 _TAU_CAP = 60.0
+# Scan steps per critical_line_real_form call; temporaries stay ~115 kB.
+_SCAN_BLOCK = 256
 # count_zeros integrates each rectangle edge from two panels to this
 # absolute tol: four edges miss 2 pi n by at most 0.04, well inside the
 # 0.1 turn the count allows.  Four or eight initial panels cost more.
@@ -79,23 +80,21 @@ def xi_bc(s) -> complex:
     return gamma(s) * eta(s)
 
 
-def critical_line_real_form(tau: float) -> float:
+def critical_line_real_form(tau):
     """Real-valued zero detector on the line: the completed
     xi(1/2 + i tau) = (1/2) s(s-1) pi^{-s/2} Gamma(s/2) zeta(s),
     which is real-analytic in tau and changes sign exactly at the
-    on-line zeros in the working range."""
-    if tau < 0:
+    on-line zeros in the working range.  Accepts a float (returns a
+    float) or an array of tau; a row of an array equals the float call
+    bit for bit."""
+    arr = np.asarray(tau, dtype=float)
+    t = np.atleast_1d(arr)
+    if np.any(t < 0):
         raise DomainError("critical_line_real_form requires tau >= 0")
-    s = complex(0.5, tau)
-    val = (
-        0.5
-        * s
-        * (s - 1)
-        * cmath.exp(-s / 2 * math.log(math.pi))
-        * gamma(s / 2)
-        * zeta(s)
-    )
-    return val.real
+    s = 0.5 + 1j * t
+    val = (0.5 * s * (s - 1) * np.exp(-s / 2 * math.log(math.pi))
+           * gamma(s / 2) * _hurwitz(s, *_ZETA)[0]).real
+    return float(val[0]) if arr.ndim == 0 else val
 
 
 def eigenvalue_of(rho) -> complex:
@@ -155,6 +154,10 @@ def find_zeros(tau_max: float, tol: float = 1e-10, step: float = 0.01):
     """All on-line zeros with 0 < tau <= tau_max, bracketed by a fixed-step
     sign scan of critical_line_real_form and refined by Brent's method
     (`brentq`, a port of SciPy's brentq that returns the same bits).
+    The grid i * step, capped at tau_max, is evaluated in blocks of
+    _SCAN_BLOCK steps, one call each, consecutive blocks sharing an end
+    point; brentq calls the same function on one point, which gives the
+    scan's bits, so every bracket's end values agree.
 
     The 0.01 step is safe below tau = 60 where consecutive zero gaps
     stay above 0.05; larger heights are out of scope.
@@ -171,33 +174,19 @@ def find_zeros(tau_max: float, tol: float = 1e-10, step: float = 0.01):
     out = []
     if tau_max <= 0:
         return out
-    n_steps = int(math.ceil(tau_max / step))
-    prev_t = 0.0
-    prev_v = critical_line_real_form(0.0)
-    k = 0
-    for i in range(1, n_steps + 1):
-        t = min(i * step, tau_max)
+    last = int(math.ceil(tau_max / step))
+    for start in range(0, last, _SCAN_BLOCK):
+        t = np.minimum(np.arange(start, min(start + _SCAN_BLOCK, last) + 1)
+                       * step, tau_max)
         v = critical_line_real_form(t)
-        if v == 0.0:
-            root = t
-        elif prev_v * v < 0:
-            root = brentq(critical_line_real_form, prev_t, t,
-                          xtol=tol, rtol=8.9e-16)
-        else:
-            prev_t, prev_v = t, v
-            continue
-        k += 1
-        rho = complex(0.5, root)
-        out.append(
-            ZeroRecord(
-                index=k,
-                tau=float(root),
-                rho=rho,
-                residual=abs(zeta(rho)),
-                bracket=(prev_t, t),
-            )
-        )
-        prev_t, prev_v = t, v
+        for k in np.flatnonzero((v[1:] == 0) | (v[:-1] * v[1:] < 0)):
+            lo, hi = float(t[k]), float(t[k + 1])
+            root = hi if v[k + 1] == 0 else brentq(
+                critical_line_real_form, lo, hi, xtol=tol, rtol=8.9e-16)
+            rho = complex(0.5, root)
+            out.append(ZeroRecord(index=len(out) + 1, tau=float(root),
+                                  rho=rho, residual=abs(zeta(rho)),
+                                  bracket=(lo, hi)))
     return out
 
 
@@ -227,13 +216,11 @@ def count_zeros(rect: StripRectangle) -> int:
         def log_derivative(t):
             nonlocal min_abs, argmin
             z = z0 + (z1 - z0) * t.astype(float)
-            out = np.empty(len(z), dtype=complex)
-            for k, zk in enumerate(z):
-                val, der = _zeta_pair(zk)
-                if abs(val) < min_abs:
-                    min_abs, argmin = abs(val), complex(zk)
-                out[k] = der / val
-            return (z1 - z0) * out
+            val, der = _zeta_pair(z)
+            k = np.argmin(np.abs(val))
+            if abs(val[k]) < min_abs:
+                min_abs, argmin = float(abs(val[k])), complex(z[k])
+            return (z1 - z0) * (der / val)
 
         return integrate_finite(log_derivative, 0.0, 1.0, _EDGE_TOL,
                                 initial=_EDGE_PANELS).value

@@ -32,6 +32,7 @@ from .special import (
     _one_minus_eta,
     bessel_j0,
     eta,
+    eta_prime,
     gamma,
     zeta,
     zeta_prime,
@@ -64,7 +65,7 @@ _LN2 = math.log(2.0)
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_LD = float(np.finfo(LD).eps)
 
-# eta() is documented for |Im s| <= 60; past that psi runs quadrature.
+# psi takes the Laguerre series up to |Im s| = 60, quadrature past it.
 _SERIES_TAU_MAX = 60.0
 # Longest Laguerre series psi sums before it falls back to quadrature.
 _SERIES_TERMS_MAX = 512
@@ -130,21 +131,15 @@ def _psi_tilde_coefficients(s: complex, K: int, f_const: complex):
     coefficients of psi_tilde in the orthonormal basis e^{-x/2} L_n(x),
     and a bound on the absolute error of each.
 
-    The bound carries Gamma's 1e-13 relative error, a few roundings per
-    recurrence step, and the error of the shifted accelerated sum for
-    1 - eta(n+s): 1e-12 relative to max(|1 - eta(n+s)|, 2^{-Re(n+s)}),
-    the floor covering points where 1 - eta itself is small.
+    One engine call gives every 1 - eta(n+s) with its error bound; the
+    bound adds Gamma's 1e-13 relative error and a few roundings per
+    recurrence step.
     """
-    a = []
-    a_err = []
-    for n, q in zip(range(K), _gamma_ratios(s)):
-        ome = _one_minus_eta(n + s)
-        a.append(f_const * q * ome)
-        fq = abs(f_const * q)
-        err = fq * abs(ome) * (1e-13 + 8 * (n + 2) * _EPS64)
-        err += fq * 1e-12 * max(abs(ome), 2.0 ** -(n + s.real))
-        a_err.append(err)
-    return np.asarray(a, dtype=np.complex128), np.asarray(a_err)
+    n = np.arange(K)
+    fq = f_const * np.fromiter(_gamma_ratios(s), complex, K)
+    ome, ome_err = _one_minus_eta(s + n)
+    err = np.abs(ome) * (1e-13 + 8 * (n + 2) * _EPS64) + ome_err
+    return fq * ome, np.abs(fq) * err
 
 
 def _series_tail(K: int, q_abs: float, sigma: float, tau: float) -> float:
@@ -226,9 +221,9 @@ def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
     e^{x/2}, falls below tol/256.  abs_err bounds the truncation (the
     tail times e^{x/2}), the coefficient errors carried through
     |L_n(x)|, and the rounding of the sum; evals counts the terms
-    summed.  Where that bound exceeds tol, or |Im s| > 60 (outside
-    eta's documented range), the value comes from adaptive quadrature
-    of the integral instead, and evals counts integrand evaluations.
+    summed.  Where that bound exceeds tol, or |Im s| > 60, the value
+    comes from adaptive quadrature of the integral instead, and evals
+    counts integrand evaluations.
     """
     if not 0 <= x < math.inf:
         raise DomainError(f"psi requires a finite x >= 0, got {x}")
@@ -377,16 +372,12 @@ def gram_diagonal_closed_form(rho) -> complex:
 def gram_diagonal_by_parts(rho) -> complex:
     """-d/drho [Gamma(rho) eta(rho)], the integration-by-parts value of
     the diagonal at f = g = 1, assembled from Gamma' (central
-    difference) and eta' (product rule through zeta and zeta').  Keeps
-    the Gamma' eta term, which matters only off an exact zero."""
+    difference), eta and eta'.  Keeps the Gamma' eta term, which
+    matters only off an exact zero."""
     rho = complex(rho)
     h = 1e-6
     gp = (gamma(rho + h) - gamma(rho - h)) / (2 * h)
-    den = 1 - cmath.exp((1 - rho) * _LN2)
-    z = zeta(rho)
-    e = den * z
-    ep = _LN2 * cmath.exp((1 - rho) * _LN2) * z + den * zeta_prime(rho)
-    return -(gp * e + gamma(rho) * ep)
+    return -(gp * eta(rho) + gamma(rho) * eta_prime(rho))
 
 
 def gram_diagonal_log_moment(rho) -> QuadResult:

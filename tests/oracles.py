@@ -22,7 +22,7 @@ mp.mp.dps = 40
 
 # First ten nontrivial zero ordinates, rounded from 30-digit values.
 ZERO_TAUS = (
-    14.134725141734693,
+    14.134725141734695,
     21.022039638771555,
     25.010857580145688,
     30.424876125859513,
@@ -138,6 +138,11 @@ def mp_one_minus_eta(s) -> complex:
     s = complex(s)
     with mp.workdps(40 + int(0.31 * max(s.real, 0.0))):
         return complex(1 - mp.altzeta(s))
+
+
+def mp_eta_derivative(s) -> complex:
+    # mpmath's numerical derivative at the working precision.
+    return complex(mp.diff(mp.altzeta, mp.mpc(complex(s))))
 
 
 def mp_eta_prime(s, h: float = 1e-8) -> complex:
@@ -261,9 +266,9 @@ def coefficients_direct(p, K: int, which: str, tol: float):
     return integrate_finite(f, 0.0, 40.0, max(tol, 1e-7)).value
 
 
-# The scalar accelerated-series loops of zetalab.special as they stood
-# before its terms became one array, kept verbatim as the bit-identity
-# reference for eta, zeta and zeta'.
+# The scalar accelerated-series loops (P. Borwein, CMS Conf. Proc. 27,
+# 2000) that computed eta, zeta and zeta' before the Hurwitz engine,
+# kept verbatim as an independent route to them.
 
 @lru_cache(maxsize=32)
 def _borwein_weights(n: int):
@@ -304,9 +309,9 @@ def loop_eta(s) -> complex:
 
 
 def loop_zeta_and_prime(s):
-    """(zeta(s), zeta'(s)) as zeta() and zeta_prime() evaluate them by
-    the accelerated loops, or None inside the Euler-Maclaurin band
-    |1 - 2^{1-s}| < 0.05 where neither uses them."""
+    """(zeta(s), zeta'(s)) by the accelerated loops, or None inside the
+    band |1 - 2^{1-s}| < 0.05 where the division by that factor loses
+    digits."""
     s = complex(s)
     den = 1 - cmath.exp((1 - s) * math.log(2))
     if abs(den) < 0.05:

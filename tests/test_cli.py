@@ -374,6 +374,26 @@ def test_residual_profile_json(capsys):
     assert max(rec["per_component"]) < 0.01
 
 
+def test_residual_past_tau_60(capsys):
+    # Past |Im s| = 60 the engine takes more direct terms: each
+    # 1 - eta(n+s) of the K = 16 coefficients still meets half its bound
+    # against mpmath, and the command exits 0.  Past |Im s| = 1000 it
+    # exits 1 with an error naming the limit.
+    from zetalab.special import _one_minus_eta
+
+    s = complex(0.5, 100.0)
+    got, bound = _one_minus_eta(s + np.arange(16))
+    for n in range(16):
+        assert abs(got[n] - oracles.mp_one_minus_eta(s + n)) <= 0.5 * bound[n]
+    code, lines = run(capsys, "residual", "--s", "0.5+100i", "--K", "16")
+    assert code == 0
+    assert len(json.loads(lines[0])["per_component"]) == 16
+    code, lines = run(capsys, "residual", "--s", "0.5+2000i", "--K", "16")
+    assert code == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CapabilityError" and "1000" in err["message"]
+
+
 def test_residual_dense_operator(capsys):
     code, lines = run(capsys, "residual", "--s", "0.5+14.134725141734693j",
                       "--K", "8", "--operator", "h")

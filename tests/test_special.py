@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import oracles
 from zetalab.errors import CapabilityError, DomainError, PoleError
-from zetalab.special import (bernoulli, bessel_j0, eta, eta_integral,
-                             eta_prime, gamma, laguerre, series_coeff, zeta,
-                             zeta_prime, _em_zeta, _one_minus_eta,
-                             _series_coeff_exact)
+from zetalab import special, spectrum
+from zetalab.special import (_ETA, _ZETA, bernoulli, bessel_j0, eta,
+                             eta_integral, eta_prime, gamma, laguerre,
+                             series_coeff, zeta, zeta_prime, _hurwitz,
+                             _one_minus_eta, _series_coeff_exact)
 
 
 def test_bernoulli_against_literals():
@@ -57,7 +58,7 @@ def test_zeta_on_real_axis():
     assert abs(zeta(2.0) - math.pi**2 / 6) < 1e-13
     assert abs(zeta(4.0) - math.pi**4 / 90) < 1e-13
     assert abs(zeta(0.5) - oracles.ZETA_HALF) < 1e-13
-    # Through the fallback band around the pole.
+    # Next to the pole.
     for s in (0.96, 0.98, 1.02, 1.04):
         want = oracles.mp_zeta(s)
         assert abs(zeta(s) - want) <= 1e-9 * abs(want)
@@ -94,31 +95,34 @@ def test_eta_prime_against_difference_quotient():
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.floats(1e-6, 520.0), st.floats(-60.0, 60.0))
+@example(1.0, 0.0)           # the removable point of the pole terms
 @example(6.0, 0.0)
 @example(12.0, 0.0)
 @example(30.0, 0.0)
 @example(60.5, 0.0)
 @example(30.0, 14.0)
-@example(3.999, 0.0)         # either side of the old Re 4 route switch
+@example(3.999, 0.0)
 @example(4.001, 0.3)
 @example(511.5, 60.0)        # K = 512 terms of a psi series at Re s ~ 0
 @example(1e-6, 60.0)
 def test_one_minus_eta_cancellation(sigma, tau):
     # At large Re(s), 1 - eta(s) ~ 2^{-s}; naive subtraction loses all
-    # digits, the shifted sum keeps full relative accuracy.  The error
-    # stays inside the charge psi's coefficient bound carries for it.
+    # digits, the Hurwitz difference 2^{-s}[zeta(s, 1) - zeta(s, 3/2)]
+    # keeps full relative accuracy.  The error stays inside half the
+    # bound the engine returns, which psi's coefficient bound carries.
     s = complex(sigma, tau)
     want = oracles.mp_one_minus_eta(s)
-    got = _one_minus_eta(s)
-    assert abs(got - want) <= 1e-12 * max(abs(want), 2.0 ** -sigma)
+    got, bound = _one_minus_eta(s)
+    assert abs(got[0] - want) <= 0.5 * bound[0]
 
 
 def _seeded_points(n, seed):
     rng = np.random.default_rng(seed)
     pts = list(rng.uniform(1e-6, 4.0, n) + 1j * rng.uniform(-60.0, 60.0, n))
-    # The real axis, where the sign of a zero imaginary part shows.
+    # The real axis.
     pts += list(rng.uniform(1e-6, 4.0, 50) + 0j) + [0.5, 2.0, 3.0]
-    # Points inside the Euler-Maclaurin band around s = 1 + 2 pi i k/ln 2.
+    # Points inside the band |1 - 2^{1-s}| < 0.05 around the spurious
+    # zeros s = 1 + 2 pi i k/ln 2 of the eta -> zeta factor.
     for k in range(-6, 7):
         centre = complex(1.0, 2 * math.pi * k / math.log(2))
         pts += [centre + complex(dx, dy)
@@ -126,21 +130,116 @@ def _seeded_points(n, seed):
     return [complex(s) for s in pts if s != 1]
 
 
-def test_eta_zeta_bit_identical_to_scalar_loops():
-    # The array kernel sums its terms in the order of the scalar loops,
-    # so eta, zeta and zeta' keep every bit, signed zeros included (repr
-    # tells them apart); the zero finder's last brentq iterate depends
-    # on them.
-    band = 0
-    for s in _seeded_points(1000, 20261018):
-        assert repr(eta(s)) == repr(oracles.loop_eta(s))
+_STRIP = np.array(_seeded_points(100, 20261018)[::2]
+                  + [0.96, 0.98, 1.02, 1.04])
+
+
+def test_engine_meets_its_bound_on_the_strip():
+    # zeta, zeta', eta and eta' against 40-digit mpmath on the strip,
+    # near the spurious zeros of 1 - 2^{1-s}, and next to the pole:
+    # every error within half the bound the engine returns.
+    z, z_err, zp, zp_err = _hurwitz(_STRIP, *_ZETA, deriv=True)
+    e, e_err, ep, ep_err = _hurwitz(_STRIP, *_ETA, deriv=True)
+    for k, s in enumerate(_STRIP):
+        assert abs(z[k] - oracles.mp_zeta(s)) <= 0.5 * z_err[k]
+        assert abs(zp[k] - oracles.mp_zeta_prime(s)) <= 0.5 * zp_err[k]
+        assert abs(e[k] - oracles.mp_eta(s)) <= 0.5 * e_err[k]
+        assert abs(ep[k] - oracles.mp_eta_derivative(s)) <= 0.5 * ep_err[k]
+    # The public functions are the same rows.
+    assert zeta(_STRIP[3]) == z[3] and zeta_prime(_STRIP[3]) == zp[3]
+    assert eta(_STRIP[3]) == e[3] and eta_prime(_STRIP[3]) == ep[3]
+
+
+def test_eta_and_one_minus_eta_at_one():
+    # s = 1 is removable in eta, eta' and 1 - eta: the pole terms of the
+    # two Hurwitz values are summed as one Taylor series in 1 - s.
+    one = np.array([1.0 + 0j])
+    e, e_err, ep, ep_err = _hurwitz(one, *_ETA, deriv=True)
+    o, o_err = _one_minus_eta(1.0)
+    assert abs(e[0] - oracles.mp_eta(1.0)) <= 0.5 * e_err[0]
+    assert abs(ep[0] - oracles.mp_eta_derivative(1.0)) <= 0.5 * ep_err[0]
+    assert abs(o[0] - oracles.mp_one_minus_eta(1.0)) <= 0.5 * o_err[0]
+    with pytest.raises(PoleError):
+        zeta(1.0)
+
+
+def test_engine_refuses_past_its_cap():
+    with pytest.raises(CapabilityError, match="1000"):
+        zeta(0.5 + 1001j)
+    with pytest.raises(CapabilityError, match="1000"):
+        _one_minus_eta(np.array([2.0, 0.5 + 2000j]))
+
+
+def test_engine_agrees_with_the_scalar_borwein_loops():
+    # The accelerated-series loops that computed eta and zeta before the
+    # Hurwitz engine, kept in oracles as an independent route, outside
+    # the band where they were not used.
+    for s in _seeded_points(300, 20261018):
+        assert _rel(eta(s), oracles.loop_eta(s)) <= 1e-12
         ref = oracles.loop_zeta_and_prime(s)
-        if ref is None:
-            band += 1
-            ref = _em_zeta(s)
-        assert repr(zeta(s)) == repr(ref[0])
-        assert repr(zeta_prime(s)) == repr(ref[1])
-    assert band >= 50
+        if ref is not None:
+            assert _rel(zeta(s), ref[0]) <= 1e-12
+            assert _rel(zeta_prime(s), ref[1]) <= 1e-12
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def test_batched_rows_equal_single_calls_bit_for_bit(monkeypatch):
+    # A row of a batch equals a one-element call bit for bit: on the
+    # zero scan's grid blocks, on a K = 512 coefficient batch, and on
+    # one count_zeros panel.
+    grid = 0.5 + 1j * np.minimum(np.arange(6001) * 0.01, 60.0)
+    for lo in range(0, 6001, 256):
+        block = _hurwitz(grid[lo:lo + 256], *_ZETA)
+        for k in range(0, len(block[0]), 5):
+            single = _hurwitz(grid[lo + k:lo + k + 1], *_ZETA)
+            assert _bits(block[0][k]) == _bits(single[0][0])
+            assert _bits(block[1][k]) == _bits(single[1][0])
+    s = complex(0.5, oracles.ZERO_TAUS[0])
+    coeffs, bounds = _one_minus_eta(s + np.arange(512))
+    for n in range(512):
+        one, bound = _one_minus_eta(s + n)
+        assert _bits(coeffs[n]) == _bits(one[0])
+        assert _bits(bounds[n]) == _bits(bound[0])
+    panels = []
+
+    def recording(z):
+        panels.append(np.array(z))
+        return special._zeta_pair(z)
+
+    monkeypatch.setattr(spectrum, "_zeta_pair", recording)
+    spectrum.count_zeros(spectrum.StripRectangle(0.2, 0.8, 20.0, 28.0))
+    z = panels[0]
+    val, der = special._zeta_pair(z)
+    for k in range(len(z)):
+        one_val, one_der = special._zeta_pair(z[k])
+        assert _bits(val[k]) == _bits(one_val[0])
+        assert _bits(der[k]) == _bits(one_der[0])
+
+
+def test_scan_signs_equal_single_point_calls(monkeypatch):
+    # find_zeros evaluates its grid in blocks, brentq one point at a
+    # time; both see the same values, so every bracket's end signs hold.
+    line = spectrum.critical_line_real_form
+    blocks = []
+
+    def recording(tau):
+        v = line(tau)
+        if np.ndim(tau):
+            blocks.append((np.array(tau), v))
+        return v
+
+    monkeypatch.setattr(spectrum, "critical_line_real_form", recording)
+    zeros = spectrum.find_zeros(60.0)
+    assert len(zeros) == 13
+    assert np.array_equal(np.unique(np.concatenate([t for t, _ in blocks])),
+                          np.minimum(np.arange(6001) * 0.01, 60.0))
+    for taus, vals in blocks:
+        for t, v in zip(taus, vals):
+            one = line(float(t))
+            assert one == v and np.sign(one) == np.sign(v)
 
 
 def test_gamma_basics():
@@ -229,7 +328,7 @@ def _rel(got, want):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_SIGMA, _TAU)
-@example(1.0 + 1e-4, 0.0)      # the Euler-Maclaurin band at the pole
+@example(1.0 + 1e-4, 0.0)      # next to the pole
 @example(1.0, 2 * math.pi / math.log(2) + 0.01)  # a spurious zero of 1 - 2^{1-s}
 def test_zeta_and_zeta_prime_property(sigma, tau):
     s = complex(sigma, tau)
@@ -245,8 +344,8 @@ def test_eta_property(sigma, tau):
     got = eta(s)
     assert _rel(got, oracles.mp_eta(s)) <= 1e-12
     if s != 1:
-        # eta = (1 - 2^{1-s}) zeta, with zeta on its own route near the
-        # spurious zeros of the factor.
+        # eta = (1 - 2^{1-s}) zeta, though the engine sums the two as
+        # different Hurwitz combinations.
         assert _rel(got, (1 - 2 ** (1 - s)) * zeta(s)) <= 1e-12
 
 
