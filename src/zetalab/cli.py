@@ -28,10 +28,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, DomainError, PoleError, ZetalabError
+from .errors import ConvergenceError, PoleError, ZetalabError
 from .reporting import RunManifest, fmt_complex, fmt_float
-
-_ZERO_WINDOWS = {1: 15.0, 2: 22.0, 3: 26.0, 4: 31.0}
 
 
 def _parse_complex(text: str) -> complex:
@@ -125,14 +123,15 @@ def _emit_error(exc: Exception) -> int:
 
 
 def _run_suites(chosen, tol_scale, command) -> int:
-    """Run each (name, fn) suite as fn(tol_scale), print every report
-    line, then the manifest; exit 1 if any check failed."""
+    """Run each (name, fn) suite, re-gate its reports at tol * tol_scale,
+    print every report line, then the manifest; exit 1 if any check
+    failed."""
     manifest = RunManifest(__version__, command, tol_scale)
     lines = []
     any_fail = False
     for name, fn in chosen:
         t0 = time.perf_counter()
-        reports = fn(tol_scale)
+        reports = [r.scaled(tol_scale) for r in fn()]
         wall = time.perf_counter() - t0
         npass = sum(1 for r in reports if r.ok)
         nfail = len(reports) - npass
@@ -155,7 +154,7 @@ def cmd_verify(args) -> int:
 def cmd_zeros(args) -> int:
     from .spectrum import find_zeros
 
-    zeros = find_zeros(args.tau_max, tol=args.tol, step=args.step)
+    zeros = find_zeros(args.tau_max, tol=args.tol)
     out = sys.stdout
     if args.format == "csv":
         out.write("index,tau,rho_re,rho_im,residual,bracket_lo,bracket_hi\n")
@@ -202,11 +201,7 @@ def cmd_gram(args) -> int:
     from .states import gram_matrix
 
     n = args.num_zeros
-    if n not in _ZERO_WINDOWS:
-        raise DomainError(
-            f"num-zeros must be in 1..{max(_ZERO_WINDOWS)}, got {n}")
-    zeros = find_zeros(_ZERO_WINDOWS[n])[:n]
-    rhos = [z.rho for z in zeros]
+    rhos = [z.rho for z in find_zeros(60.0)[:n]]
     entries = gram_matrix(rhos, tol=args.tol)
     out = sys.stdout
     out.write('{"rhos":[%s],"matrix":[' % ",".join(
@@ -233,7 +228,7 @@ def cmd_norm_check(args) -> int:
     from .states import norm_integral, norm_series_oracle, \
         paper_norm_closed_form
 
-    def suite(_tol_scale):
+    def suite():
         reports = []
         for c in args.c:
             got = norm_integral(c).value
@@ -321,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "zeros",
-        help="critical-line zeros up to --tau-max; csv columns: index, "
-             "tau, rho_re, rho_im, residual, bracket_lo, bracket_hi")
+        help="critical-line zeros up to --tau-max (at most 60), bracketed "
+             "on a fixed 0.01 grid; csv columns: index, tau, rho_re, "
+             "rho_im, residual, bracket_lo, bracket_hi")
     p.add_argument("--tau-max", type=_number, required=True)
     p.add_argument("--tol", type=_nonnegative_float, default=1e-10)
-    p.add_argument("--step", type=_positive_float, default=0.01)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_zeros)
 
@@ -347,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         "gram",
         help="pairing matrix over the first --num-zeros zeros as one "
              "JSON object with per-entry abs_err")
-    p.add_argument("--num-zeros", type=int, required=True)
+    p.add_argument("--num-zeros", type=int, required=True,
+                   choices=range(1, 5))
     p.add_argument("--tol", type=_positive_float, default=1e-18)
     p.set_defaults(func=cmd_gram)
 
@@ -384,9 +380,7 @@ def main(argv=None) -> int:
     args.argv = list(argv)
     try:
         return args.func(args)
-    except ZetalabError as exc:
-        return _emit_error(exc)
-    except ValueError as exc:
+    except (ZetalabError, ValueError) as exc:
         return _emit_error(exc)
 
 

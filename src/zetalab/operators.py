@@ -39,9 +39,10 @@ __all__ = [
 
 _K_CAP = 512
 _H_TILDE_CAP = 192  # largest exact entry ~e^640 at K=192; float64 dies ~K=216
-# Every psi coefficient is asked for tol * 2^-20 (just under 1e-6 * tol),
-# so coefficients decades below 1 still carry digits under one shared
-# absolute tolerance.
+# The psi coefficients share one absolute tol; each is asked for
+# _COEFF_TOL * 2^-20 (just under 1e-6 of it), so coefficients decades
+# below 1 still carry digits.
+_COEFF_TOL = 1e-12
 _COEFF_TOL_SHARE = 2.0**-20
 
 
@@ -201,8 +202,7 @@ def build_H_tilde(K: int) -> TruncatedOperator:
 # Expansion coefficients in the Laguerre basis
 
 
-def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
-                          tol: float = 1e-12):
+def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
     """Expansion coefficients of psi_tilde (or psi) in the orthonormal
     Laguerre basis, for n < K.
 
@@ -215,10 +215,10 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
     which="psi": the e^{-x/2}-weight kernel is 2(-1)^n e^{-2t} L_n(4t).
     All K t-integrals are one stacked quadrature whose row n is the
     kernel against F; one Laguerre recurrence at each node emits every
-    degree, and every coefficient is asked for tol * 2^-20.  Where
-    rounding in the rows stalls the quadrature above that (small Re s,
-    large K or |Im s|), its estimate is returned if its error bound
-    still meets tol, and ConvergenceError is raised otherwise.
+    degree, and every coefficient is asked for _COEFF_TOL * 2^-20.
+    Where rounding in the rows stalls the quadrature above that (small
+    Re s, large K or |Im s|), its estimate is returned if its error
+    bound meets _COEFF_TOL, and ConvergenceError is raised otherwise.
     """
     s = complex(p.s)
     if s.real <= 0:
@@ -241,10 +241,11 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde",
         return signs[:, None] * base * _laguerre_table(4.0 * t, K)
 
     try:
-        r = integrate_semi_infinite(f, s.real, tol * _COEFF_TOL_SHARE)
+        r = integrate_semi_infinite(f, s.real,
+                                    _COEFF_TOL * _COEFF_TOL_SHARE)
     except ConvergenceError as exc:
         r = exc.best
-        if r.abs_err > tol:
+        if r.abs_err > _COEFF_TOL:
             raise ConvergenceError(
                 str(exc),
                 best=QuadResult(fc * r.value, abs(fc) * r.abs_err, r.evals),

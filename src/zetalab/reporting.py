@@ -64,6 +64,16 @@ class CheckReport:
             )
         )
 
+    def scaled(self, factor) -> CheckReport:
+        """This check re-gated at tol * factor by check's own pass rule;
+        an exact (tol 0) or INFORMATIONAL check keeps its tol."""
+        if not 0 < self.tol < INFORMATIONAL:
+            return self
+        inputs = dict(self.inputs)
+        mode = inputs.pop("mode")
+        return check(self.name, self.computed, self.reference,
+                     self.tol * factor, self.provenance, mode, inputs)
+
 
 def check(name, computed, reference, tol, provenance, mode="abs",
           inputs=None) -> CheckReport:

@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 _TAU_CAP = 60.0
+# Sign-scan grid step: consecutive zero gaps stay above 0.05 below
+# tau = _TAU_CAP, so no bracket holds two zeros.
+_SCAN_STEP = 0.01
 # Scan steps per critical_line_real_form call; temporaries stay ~115 kB.
 _SCAN_BLOCK = 256
 # count_zeros integrates each rectangle edge from two panels to this
@@ -150,34 +153,28 @@ def brentq(f, xa, xb, xtol, rtol, maxiter=100):
                            f"iterations on bracket [{xa}, {xb}]")
 
 
-def find_zeros(tau_max: float, tol: float = 1e-10, step: float = 0.01):
-    """All on-line zeros with 0 < tau <= tau_max, bracketed by a fixed-step
-    sign scan of critical_line_real_form and refined by Brent's method
+def find_zeros(tau_max: float, tol: float = 1e-10):
+    """All on-line zeros with 0 < tau <= tau_max, bracketed by a sign
+    scan of critical_line_real_form and refined by Brent's method
     (`brentq`, a port of SciPy's brentq that returns the same bits).
-    The grid i * step, capped at tau_max, is evaluated in blocks of
-    _SCAN_BLOCK steps, one call each, consecutive blocks sharing an end
-    point; brentq calls the same function on one point, which gives the
-    scan's bits, so every bracket's end values agree.
-
-    The 0.01 step is safe below tau = 60 where consecutive zero gaps
-    stay above 0.05; larger heights are out of scope.
+    The grid i * _SCAN_STEP, capped at tau_max, is evaluated in blocks
+    of _SCAN_BLOCK steps, one call each, consecutive blocks sharing an
+    end point; brentq calls the same function on one point, which gives
+    the scan's bits, so every bracket's end values agree.
     """
     if math.isnan(tau_max):
         raise DomainError("find_zeros requires a tau_max that is a number")
     if tau_max > _TAU_CAP:
         raise CapabilityError(f"find_zeros supports tau_max <= {_TAU_CAP}")
-    if not 0 < step < math.inf:
-        raise DomainError(f"find_zeros requires a positive finite step, "
-                          f"got {step}")
     if not 0 <= tol < math.inf:
         raise DomainError(f"find_zeros requires a finite tol >= 0, got {tol}")
     out = []
     if tau_max <= 0:
         return out
-    last = int(math.ceil(tau_max / step))
+    last = int(math.ceil(tau_max / _SCAN_STEP))
     for start in range(0, last, _SCAN_BLOCK):
         t = np.minimum(np.arange(start, min(start + _SCAN_BLOCK, last) + 1)
-                       * step, tau_max)
+                       * _SCAN_STEP, tau_max)
         v = critical_line_real_form(t)
         for k in np.flatnonzero((v[1:] == 0) | (v[:-1] * v[1:] < 0)):
             lo, hi = float(t[k]), float(t[k + 1])

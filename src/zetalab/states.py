@@ -461,10 +461,12 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
             w = np.empty(u.shape, dtype=CLD)
             errs = np.empty(u.shape)
             lo = u < 1.0
-            pre, errs[lo] = cum.query_lo_many(u[lo])
-            w[lo] = CLD(w0) - pre
-            w[~lo], errs[~lo] = cum.query_hi_many(u[~lo])
-            errs[~lo] += tail_v
+            if lo.any():  # an empty query still costs ~100 us
+                pre, errs[lo] = cum.query_lo_many(u[lo])
+                w[lo] = CLD(w0) - pre
+            if not lo.all():
+                w[~lo], errs[~lo] = cum.query_hi_many(u[~lo])
+                errs[~lo] += tail_v
             return w, errs
 
         res = integrate_nested(outer_coef, w_tilde, tol, 0.0, upper)

@@ -115,11 +115,6 @@ def h_tilde_oracle(K: int) -> np.ndarray:
     return out
 
 
-def series_closed_form(x: float) -> float:
-    """The function the coefficient series represents, inside |x| < pi."""
-    return float(2 * x / (1 - mp.e ** (-2 * x)) - x / (1 - mp.e ** (-x)))
-
-
 def mp_zeta(s) -> complex:
     return complex(mp.zeta(complex(s)))
 

@@ -51,6 +51,8 @@ GOLDEN_VERIFY_ALL = os.path.join(os.path.dirname(__file__), "golden",
                                  "verify_all.jsonl")
 GOLDEN_GRAM_2 = os.path.join(os.path.dirname(__file__), "golden",
                              "gram_num_zeros_2.json")
+GOLDEN_ZEROS_60 = os.path.join(os.path.dirname(__file__), "golden",
+                               "zeros_tau_max_60.csv")
 
 
 def test_verify_all_runs_every_suite(capsys):
@@ -144,6 +146,27 @@ def test_tol_scale_multiplies_tolerances(capsys):
     assert scaled > 10
 
 
+def test_run_suites_regates_at_tol_scale(capsys):
+    # The runner alone applies --tol-scale, re-gating each report through
+    # check; an exact flag and an informational register keep their tol.
+    from zetalab.cli import _run_suites
+    from zetalab.reporting import INFORMATIONAL, flag
+
+    def suite():
+        return [check("near", 1.0, 1.0 + 1e-9, 1e-11, "trivial"),
+                flag("exact", True, "trivial"),
+                check("register", 1.0, 2.0, INFORMATIONAL, "paper")]
+
+    for scale, code, near_ok in ((1.0, 1, False), (1000.0, 0, True)):
+        assert _run_suites([("synthetic", suite)], scale, "test") == code
+        lines = capsys.readouterr().out.splitlines()
+        reps = [json.loads(ln) for ln in lines[:-1]]
+        assert [r["pass"] for r in reps] == [near_ok, True, True]
+        assert [r["tol"] for r in reps] == [1e-11 * scale, 0.0, 1e300]
+        assert lines[0] == check("near", 1.0, 1.0 + 1e-9, 1e-11 * scale,
+                                 "trivial").to_line()
+
+
 def test_zeros_csv_matches_reference(capsys):
     code, lines = run(capsys, "zeros", "--tau-max", "30")
     assert code == 0
@@ -157,6 +180,18 @@ def test_zeros_csv_matches_reference(capsys):
         assert float(row[3]) == float(row[1])
         assert float(row[4]) < 1e-10
         assert float(row[5]) < float(row[1]) < float(row[6])
+
+
+def test_zeros_csv_matches_golden(capsys):
+    # The full-range scan keeps every root, residual and bracket bit, and
+    # the fixed 0.01 grid keeps every bracket that narrow.
+    code, lines = run(capsys, "zeros", "--tau-max", "60")
+    assert code == 0
+    with open(GOLDEN_ZEROS_60) as fh:
+        assert lines == fh.read().splitlines()
+    for row in lines[1:]:
+        lo, hi = (float(v) for v in row.split(",")[5:])
+        assert hi - lo <= 0.01 + 2 * math.ulp(hi)
 
 
 def test_zeros_json_format(capsys):
@@ -261,10 +296,13 @@ def test_gram_three_zeros_within_bounds(capsys):
 
 
 def test_gram_num_zeros_guard(capsys):
-    code, lines = run(capsys, "gram", "--num-zeros", "9")
-    assert code == 1
-    err = json.loads(lines[0])
-    assert err["error"] == "DomainError"
+    # Only 1..4 are offered; anything else is a bad flag that names itself.
+    for n in ("0", "5", "-1", "9"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", "--num-zeros", n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --num-zeros: invalid choice" in err
 
 
 def test_zeros_tau_max_and_tol_flags_exit_2(capsys):
@@ -283,6 +321,11 @@ def test_zeros_tau_max_and_tol_flags_exit_2(capsys):
         assert f"argument {argv[-2]}: must be {what}" in err
     code, lines = run(capsys, "zeros", "--tau-max", "16", "--tol", "0")
     assert code == 0 and len(lines) == 2
+    # The scan step is fixed; there is no flag for it.
+    with pytest.raises(SystemExit) as exc:
+        main(["zeros", "--tau-max", "30", "--step", "0.01"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --step" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -479,13 +522,9 @@ def test_bad_flags_exit_2(capsys):
         main(["nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
-    # A step or tol that is not positive and finite is refused up front,
-    # naming its flag, instead of a traceback, a "math domain error" or
-    # an empty zero list.
-    for argv in (["zeros", "--tau-max", "30", "--step", "0"],
-                 ["zeros", "--tau-max", "30", "--step", "-0.01"],
-                 ["zeros", "--tau-max", "30", "--step", "nan"],
-                 ["eigenfunction", "--s", "2", "--x-grid", "0:1:3",
+    # A tol that is not positive and finite is refused up front, naming
+    # its flag, instead of a traceback or a "math domain error".
+    for argv in (["eigenfunction", "--s", "2", "--x-grid", "0:1:3",
                   "--tol", "0"],
                  ["eigenfunction", "--s", "2", "--x-grid", "0:1:3",
                   "--tol", "-1"],

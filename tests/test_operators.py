@@ -262,12 +262,17 @@ def test_psi_coefficients_at_small_re_s_keep_their_rounding_floor():
         assert abs(b[n] - oracles.psi_coefficient_oracle(s, n)) <= 1e-16
 
 
-def test_psi_coefficients_below_rounding_floor_raise_with_scaled_best():
+def test_psi_coefficients_below_rounding_floor_raise_with_scaled_best(
+        monkeypatch):
     # A tol under the rows' rounding floor cannot be met; the error
     # carries the estimate in coefficient units, f_const included.
+    import zetalab.operators as operators
+
     p = StateParams(RHO1, f_const=2.0)
+    monkeypatch.setattr(operators, "_COEFF_TOL", 1e-24)
     with pytest.raises(ConvergenceError, match="rounding floor") as info:
-        laguerre_coefficients(p, 8, which="psi", tol=1e-24)
+        laguerre_coefficients(p, 8, which="psi")
+    monkeypatch.undo()
     best = info.value.best
     want = laguerre_coefficients(p, 8, which="psi")
     assert np.max(np.abs(best.value - want)) <= best.abs_err + 1e-15

@@ -67,14 +67,6 @@ def test_find_zeros_capability_cap():
         find_zeros(60.5)
 
 
-@pytest.mark.parametrize("step", [0.0, -0.01, math.inf, math.nan])
-def test_find_zeros_refuses_bad_step(step):
-    # A zero step used to divide by zero, a negative one to list no
-    # zeros at all.
-    with pytest.raises(DomainError, match="step"):
-        find_zeros(30.0, step=step)
-
-
 @pytest.mark.parametrize("kwargs", [{"tau_max": math.nan},
                                     {"tau_max": 30.0, "tol": -1.0},
                                     {"tau_max": 30.0, "tol": math.inf},
@@ -228,13 +220,6 @@ def test_rectangle_validation():
         StripRectangle(0.6, 0.4, 0.0, 30.0)
     with pytest.raises(DomainError):
         StripRectangle(0.05, 0.95, 20.0, 10.0)
-
-
-def test_scan_step_controls_resolution():
-    # A coarse step still finds well-separated zeros.
-    zeros = find_zeros(30.0, step=0.05)
-    assert len(zeros) == 3
-    assert abs(zeros[0].tau - oracles.ZERO_TAUS[0]) < 1e-9
 
 
 def test_residual_is_zeta_magnitude_at_root():

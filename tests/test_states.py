@@ -341,6 +341,26 @@ def test_gram_evaluates_its_inner_integrand_only_at_build():
     assert gram(RHO1, RHO3).evals < 60_000
 
 
+def test_gram_queries_no_empty_side(monkeypatch):
+    # The tail route splits each outer batch at u = 1 and queries only a
+    # side that has nodes; the entry keeps the bits it had when every
+    # batch queried both sides.
+    from zetalab.quad import CumulativeIntegral
+
+    sizes = []
+    query = CumulativeIntegral._query
+
+    def counting(self, xs, form):
+        sizes.append(np.size(xs))
+        return query(self, xs, form)
+
+    monkeypatch.setattr(CumulativeIntegral, "_query", counting)
+    r = gram(RHO1, RHO3)
+    assert sizes and min(sizes) > 0
+    assert r.value == complex(-1.8057939428305223e-19, -1.6180741211840955e-19)
+    assert r.abs_err == 8.962150520516733e-18
+
+
 def _inner_integral_reference(tau, xs, vmax):
     """int_0^x and int_x^vmax of gram's inner integrand
     2 v^{2i tau} / (1 + e^{v^2}) at sorted xs, at mpmath's working
