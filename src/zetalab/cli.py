@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
              "JSON object with per-entry abs_err")
     p.add_argument("--num-zeros", type=int, required=True,
                    choices=range(1, 5))
-    p.add_argument("--tol", type=_positive_float, default=1e-18)
+    p.add_argument("--tol", default=1e-18, type=_float_flag(
+        lambda v: 0 < v < 1, "a positive finite number below 1"))
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser(

@@ -22,7 +22,7 @@ from .errors import (
     ResolutionError,
 )
 from .quad import integrate_finite
-from .special import _ZETA, _hurwitz, _zeta_pair, eta, gamma, zeta
+from .special import _ZETA, _hurwitz, _zeta_pair, eta, gamma
 
 __all__ = [
     "ZeroRecord",
@@ -168,9 +168,9 @@ def find_zeros(tau_max: float, tol: float = 1e-10):
         raise CapabilityError(f"find_zeros supports tau_max <= {_TAU_CAP}")
     if not 0 <= tol < math.inf:
         raise DomainError(f"find_zeros requires a finite tol >= 0, got {tol}")
-    out = []
     if tau_max <= 0:
-        return out
+        return []
+    found = []
     last = int(math.ceil(tau_max / _SCAN_STEP))
     for start in range(0, last, _SCAN_BLOCK):
         t = np.minimum(np.arange(start, min(start + _SCAN_BLOCK, last) + 1)
@@ -180,11 +180,13 @@ def find_zeros(tau_max: float, tol: float = 1e-10):
             lo, hi = float(t[k]), float(t[k + 1])
             root = hi if v[k + 1] == 0 else brentq(
                 critical_line_real_form, lo, hi, xtol=tol, rtol=8.9e-16)
-            rho = complex(0.5, root)
-            out.append(ZeroRecord(index=len(out) + 1, tau=float(root),
-                                  rho=rho, residual=abs(zeta(rho)),
-                                  bracket=(lo, hi)))
-    return out
+            found.append((float(root), (lo, hi)))
+    # One engine call; each row equals a one-point zeta call bit for bit.
+    rhos = [complex(0.5, root) for root, _ in found]
+    residuals = _hurwitz(np.array(rhos), *_ZETA)[0] if found else []
+    return [ZeroRecord(k + 1, root, rho, abs(complex(r)), bracket)
+            for k, ((root, bracket), rho, r)
+            in enumerate(zip(found, rhos, residuals))]
 
 
 def count_zeros(rect: StripRectangle) -> int:

@@ -71,6 +71,9 @@ _SERIES_TAU_MAX = 60.0
 _SERIES_TERMS_MAX = 512
 # Share of tol granted to the series truncation.
 _SERIES_TAIL_SHARE = 1.0 / 256.0
+# gram's tail integral is asked for this multiple of tol: its diagonals
+# stall at an 80-bit rounding floor of 1.7e-18 (rho1) to 2.8e-18 (rho4).
+_TAIL_TOL_FACTOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -402,79 +405,71 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     conj(g) f * integral_0^inf t^{rho_row* + rho_col - 2}
                  (integral_0^t tau^{-rho_row*}/(1+e^tau) dtau) dt
     between an adjoint state at rho_row and a state at rho_col, both
-    verified zeros.
+    verified zeros, for 0 < tol < 1.  On the axes t = u^2, tau = v^2
+    the inner integrand is f(v) = 2 v^{1-2 rho_row*}/(1+e^{v^2}); the
+    outer integral is cut at U = sqrt(8 - ln tol) and charged e^{-U^2}.
 
-    route="tail" (default) replaces the inner factor by
-    -integral_t^inf, valid at zeros since the full integral
-    Gamma(1-rho*) eta(1-rho*) vanishes there; the outer integrand then
-    decays exponentially instead of passing through cancelling O(1)
-    terms.  route="naive" integrates the printed inner direction and
-    serves as the loose-tolerance oracle.
+    route="tail" (default) assumes exact zeros, where the anchor
+    Gamma(1-rho_row*) eta(1-rho_row*) = integral_0^inf f vanishes (it
+    is below 1e-24 at the double-rounded rho1..rho4, and not charged).
+    Swapping the order of integration then leaves one integral of
+    f(v) K(v), K(v) = (U^{2a-2} - v^{2a-2})/(a-1) with
+    a = rho_row* + rho_col, or 2 ln(U/v) at a = 1 (every diagonal on
+    the line).  It runs on y = ln(U/v), where v^{2i tau} turns at a
+    fixed rate (on the v axis, |G31 - G15| of the panel at 0 undercounts
+    its error), to _TAIL_TOL_FACTOR * tol; the part below v = U e^{-Y}
+    is charged its bound on the line, 2U e^{-Y}(1 + Y) < tol/46.
 
-    Both routes run on square-root axes (t = u^2, tau = v^2), where the
-    integrands become bounded log-oscillations.  One CumulativeIntegral
-    of the inner integrand serves as integrate_nested's inner query:
-    the tail route queries it from the low end below u = 1 (anchored at
-    the analytically known total, w0 - query_lo_many) and from the high
-    end above (query_hi_many); the naive route queries query_lo_many at
-    sqrt(t).  gram adds its own analytic truncation tails to the
-    nested result's error: the inner tail beyond vmax to each high-end
-    query's pointwise error, the outer tail to the total.  evals adds
-    the outer evaluations and the inner integrand's, all at build.
+    route="naive", the independent oracle, integrates the printed inner
+    direction with integrate_nested, querying one CumulativeIntegral
+    of f at sqrt(t), and adds the anchor's log-moment to the charge.
+    evals counts every integrand evaluation.
     """
-    rho_row = complex(rho_row)
-    rho_col = complex(rho_col)
-    _require_zero(rho_row, "rho_row")
-    _require_zero(rho_col, "rho_col")
+    rho_row, rho_col = complex(rho_row), complex(rho_col)
+    if not 0 < tol < 1:
+        raise DomainError(f"gram requires 0 < tol < 1, got {tol}")
     rs = rho_row.conjugate()
-    refl = 1 - rs
-    _require_zero(refl, "1 - conj(rho_row)")
+    # On the line 1 - rs is rho_row: each distinct point is checked once.
+    _require_zero(rho_row, "rho_row")
+    if rho_col != rho_row:
+        _require_zero(rho_col, "rho_col")
+    if 1 - rs not in (rho_row, rho_col):
+        _require_zero(1 - rs, "1 - conj(rho_row)")
     if route not in ("tail", "naive"):
         raise DomainError(f"unknown route {route!r}")
 
     a = rs + rho_col
     upper = math.sqrt(-math.log(tol) + 8.0)
-    vmax = math.sqrt(upper * upper + 12.0)
-    tail_v = math.exp(-vmax * vmax)
-    one_m2rs = CLD(1 - 2 * rs)
-
-    def inner_f(v):
-        v = np.asarray(v, dtype=LD)
-        return 2.0 * np.exp(one_m2rs * np.log(v)) / (1.0 + np.exp(v * v))
-
-    # The inner integral's 80-bit rounding floor is about 2e-19 to
-    # 3.4e-19 for rows rho1..rho3, so it gets half of tol; its error
-    # reaches the entry's abs_err through integrate_nested's propagation.
-    cum = CumulativeIntegral(inner_f, 0.0, vmax, tol / 2.0, initial=32)
-    # Full inner integral = Gamma(1-rho*) eta(1-rho*); tiny at a zero
-    # but kept as the exact low anchor.
-    w0 = complex(gamma(refl) * eta(refl))
-    gf = complex(g_const).conjugate() * complex(f_const)
-
     if route == "tail":
-        coef_exp = CLD(2 * a - 3)
+        ln_u, k_exp, p = np.log(LD(upper)), CLD(2 * a - 2), CLD(2 - 2 * rs)
+        y0 = math.log(128.0 * upper / tol)
+        y_max = y0 + math.log(1.0 + y0)
 
-        def outer_coef(u):
-            return -(2.0 * np.exp(coef_exp * np.log(u)))
+        def f_kernel_dv(y):
+            y = np.asarray(y, dtype=LD)
+            ln_v = ln_u - y
+            k = (2.0 * y if a == 1 else
+                 (np.exp(k_exp * ln_u) - np.exp(k_exp * ln_v)) / CLD(a - 1))
+            return (2.0 * np.exp(p * ln_v)
+                    / (1.0 + np.exp(np.exp(2.0 * ln_v))) * k)
 
-        def w_tilde(u):
-            w = np.empty(u.shape, dtype=CLD)
-            errs = np.empty(u.shape)
-            lo = u < 1.0
-            if lo.any():  # an empty query still costs ~100 us
-                pre, errs[lo] = cum.query_lo_many(u[lo])
-                w[lo] = CLD(w0) - pre
-            if not lo.all():
-                w[~lo], errs[~lo] = cum.query_hi_many(u[~lo])
-                errs[~lo] += tail_v
-            return w, errs
-
-        res = integrate_nested(outer_coef, w_tilde, tol, 0.0, upper)
-        tail_outer = math.exp(-(upper * upper))
+        res = integrate_finite(f_kernel_dv, 0.0, y_max,
+                               _TAIL_TOL_FACTOR * tol)
+        tail_outer = (math.exp(-(upper * upper))
+                      + 2.0 * upper * math.exp(-y_max) * (1.0 + y_max))
+        evals = res.evals
     else:
-        # The printed lower-anchored inner, outer on the t axis.
-        t_hi = upper * upper
-        coef_exp = CLD(a - 2)
+        one_m2rs = CLD(1 - 2 * rs)
+
+        def inner_f(v):
+            v = np.asarray(v, dtype=LD)
+            return 2.0 * np.exp(one_m2rs * np.log(v)) / (1.0 + np.exp(v * v))
+
+        # The inner integral's 80-bit floor is about 2e-19 to 3.4e-19 for
+        # rows rho1..rho3, so it gets half of tol, propagated to abs_err.
+        vmax = math.sqrt(upper * upper + 12.0)
+        cum = CumulativeIntegral(inner_f, 0.0, vmax, tol / 2.0, initial=32)
+        t_hi, coef_exp = upper * upper, CLD(a - 2)
 
         def outer_coef(t):
             return np.exp(coef_exp * np.log(t))
@@ -483,14 +478,15 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
             return cum.query_lo_many(np.sqrt(t))
 
         res = integrate_nested(outer_coef, w_lo, tol, 0.0, t_hi)
-        # Truncation: the true inner tends to w0, so the discarded tail
-        # is the exponential remnant plus the w0 log-moment out to t_hi.
+        w0 = complex(gamma(1 - rs) * eta(1 - rs))
         tail_outer = math.exp(-t_hi) + abs(w0) * 80.0
+        evals = res.evals + cum.evals
+    gf = complex(g_const).conjugate() * complex(f_const)
     value = gf * res.value
     abs_err = abs(gf) * (res.abs_err + tail_outer)
     if not (math.isfinite(abs_err) and cmath.isfinite(value)):
         raise DomainError("gram requires finite value and error")
-    return QuadResult(value, abs_err, res.evals + cum.evals)
+    return QuadResult(value, abs_err, evals)
 
 
 def gram_matrix(rhos, tol: float = 1e-18):

@@ -260,11 +260,14 @@ def test_gram_matrix_output(capsys):
     code, lines = run(capsys, "gram", "--num-zeros", "2")
     assert code == 0
     assert len(lines) == 1
-    # The per-entry abs_err digits, which carry the inner tail bound,
-    # are part of the byte-determinism contract.
+    # The per-entry abs_err digits are part of the byte-determinism
+    # contract.  A failure names every moved entry, not only the line.
     with open(GOLDEN_GRAM_2) as fh:
-        assert lines[0] == fh.read().rstrip("\n")
+        golden = fh.read().rstrip("\n")
     rec = json.loads(lines[0])
+    moved = _gram_moves(rec, json.loads(golden))
+    assert not moved and lines[0] == golden, (
+        "gram output differs from the golden line:\n" + "\n".join(moved))
     assert abs(rec["rhos"][0]["im"] - oracles.ZERO_TAUS[0]) < 1e-9
     m = rec["matrix"]
     assert len(m) == 2 and all(len(row) == 2 for row in m)
@@ -276,23 +279,52 @@ def test_gram_matrix_output(capsys):
         assert m[i][j]["abs_err"] < 1e-15
 
 
+def _gram_moves(rec, golden):
+    # One message per moved zero or entry: where, old -> new value and
+    # abs_err.
+    moved = [f"rhos {golden['rhos']} -> {rec['rhos']}"
+             ] if rec["rhos"] != golden["rhos"] else []
+    for i, (got_row, want_row) in enumerate(zip(rec["matrix"],
+                                                golden["matrix"])):
+        for j, (got, want) in enumerate(zip(got_row, want_row)):
+            if got != want:
+                moved.append(
+                    f"[{i}][{j}]: {want['re']!r}{want['im']:+}j "
+                    f"(abs_err {want['abs_err']!r}) -> "
+                    f"{got['re']!r}{got['im']:+}j "
+                    f"(abs_err {got['abs_err']!r})")
+    return moved
+
+
+def test_gram_moves_names_every_moved_entry():
+    entry = {"re": 1.0, "im": -2.0, "abs_err": 0.5}
+    golden = {"rhos": [{"re": 0.5, "im": 14.0}], "matrix": [[entry, entry]]}
+    rec = json.loads(json.dumps(golden))
+    assert _gram_moves(rec, golden) == []
+    rec["matrix"][0][1]["im"] = 3.0
+    rec["matrix"][0][1]["abs_err"] = 0.25
+    assert _gram_moves(rec, golden) == [
+        "[0][1]: 1.0-2.0j (abs_err 0.5) -> 1.0+3.0j (abs_err 0.25)"]
+
+
 def test_gram_three_zeros_within_bounds(capsys):
-    # Each diagonal meets its closed form, and each off-diagonal vanishes,
-    # within the entry's abs_err.
+    # For three and for four zeros, each diagonal meets its closed form,
+    # and each off-diagonal vanishes, within the entry's abs_err.
     from zetalab.states import gram_diagonal_closed_form
 
-    code, lines = run(capsys, "gram", "--num-zeros", "3")
-    assert code == 0 and len(lines) == 1
-    rec = json.loads(lines[0])
-    m = rec["matrix"]
-    assert len(m) == 3 and all(len(row) == 3 for row in m)
-    for i, row in enumerate(m):
-        for j, e in enumerate(row):
-            v = complex(e["re"], e["im"])
-            if i == j:
-                rho = complex(rec["rhos"][i]["re"], rec["rhos"][i]["im"])
-                v -= gram_diagonal_closed_form(rho)
-            assert abs(v) <= e["abs_err"]
+    for n in (3, 4):
+        code, lines = run(capsys, "gram", "--num-zeros", str(n))
+        assert code == 0 and len(lines) == 1
+        rec = json.loads(lines[0])
+        m = rec["matrix"]
+        assert len(m) == n and all(len(row) == n for row in m)
+        for i, row in enumerate(m):
+            for j, e in enumerate(row):
+                v = complex(e["re"], e["im"])
+                if i == j:
+                    rho = complex(rec["rhos"][i]["re"], rec["rhos"][i]["im"])
+                    v -= gram_diagonal_closed_form(rho)
+                assert abs(v) <= e["abs_err"], (n, i, j)
 
 
 def test_gram_num_zeros_guard(capsys):
@@ -522,15 +554,19 @@ def test_bad_flags_exit_2(capsys):
         main(["nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
-    # A tol that is not positive and finite is refused up front, naming
-    # its flag, instead of a traceback or a "math domain error".
+    # A tol that is not positive and finite, or for gram not below 1, is
+    # refused up front, naming its flag, instead of a traceback or a
+    # "math domain error".
     for argv in (["eigenfunction", "--s", "2", "--x-grid", "0:1:3",
                   "--tol", "0"],
                  ["eigenfunction", "--s", "2", "--x-grid", "0:1:3",
                   "--tol", "-1"],
                  ["gram", "--num-zeros", "1", "--tol", "0"],
                  ["gram", "--num-zeros", "1", "--tol", "inf"],
-                 ["gram", "--num-zeros", "1", "--tol", "tiny"]):
+                 ["gram", "--num-zeros", "1", "--tol", "tiny"],
+                 ["gram", "--num-zeros", "1", "--tol", "1"],
+                 ["gram", "--num-zeros", "1", "--tol", "5000"],
+                 ["gram", "--num-zeros", "1", "--tol", "1e300"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -223,8 +223,12 @@ def test_rectangle_validation():
 
 
 def test_residual_is_zeta_magnitude_at_root():
+    # find_zeros takes every residual from one engine call; each equals
+    # the one-point zeta call at its zero bit for bit.
     from zetalab.special import zeta
 
-    z = find_zeros(15.0)[0]
-    assert z.residual == abs(zeta(z.rho))
-    assert z.residual < 1e-10
+    zeros = find_zeros(60.0)
+    assert len(zeros) == 13
+    for z in zeros:
+        assert z.residual == abs(zeta(z.rho))
+        assert z.residual < 1e-10

@@ -315,18 +315,86 @@ def test_gram_guards():
         gram(RHO1, RHO1, route="bogus")
 
 
+def test_gram_refuses_tol_outside_the_unit_interval():
+    # sqrt(8 - ln tol) has no real value past tol = e^8, and a tol of 1
+    # or more bounds nothing; both are refused naming the range.
+    for tol in (1.0, 100.0, 5000.0, 1e300, 0.0, -1e-18, math.nan):
+        with pytest.raises(DomainError, match="0 < tol < 1"):
+            gram(RHO1, RHO1, tol=tol)
+
+
+def test_gram_checks_each_distinct_point_once(monkeypatch):
+    # On the line 1 - conj(rho_row) is rho_row bit for bit, and on the
+    # diagonal so is rho_col: a diagonal checks one point, an
+    # off-diagonal two.  Off the line each label is kept.
+    import zetalab.states as states
+
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return zeta(s)
+
+    monkeypatch.setattr(states, "zeta", counting)
+    for rho_col, want in ((RHO1, 1), (RHO2, 2)):
+        calls.clear()
+        gram(RHO1, rho_col, tol=1e-6)
+        assert len(calls) == want
+    with pytest.raises(PreconditionError, match="rho_row"):
+        gram(0.6 + 3j, RHO1)
+
+
 def test_gram_refuses_non_finite_result(monkeypatch):
     import zetalab.states as states
 
     monkeypatch.setattr(
-        states, "integrate_nested",
-        lambda *args: QuadResult(complex("nan"), 0.0, 0))
+        states, "integrate_finite",
+        lambda *args, **kwargs: QuadResult(complex("nan"), 0.0, 0))
     with pytest.raises(DomainError, match="finite"):
         gram(RHO1, RHO1)
 
 
+def test_gram_tail_route_is_one_integral(monkeypatch):
+    # The tail route runs integrate_finite once; it builds no
+    # CumulativeIntegral and never calls integrate_nested.
+    import zetalab.states as states
+
+    runs = []
+    finite = states.integrate_finite
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return finite(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tail route reached the nested oracle")
+
+    monkeypatch.setattr(states, "integrate_finite", counting)
+    monkeypatch.setattr(states, "CumulativeIntegral", refuse)
+    monkeypatch.setattr(states, "integrate_nested", refuse)
+    for rho_col in (RHO1, RHO2):
+        runs.clear()
+        gram(RHO1, rho_col)
+        assert len(runs) == 1
+
+
+def test_gram_tail_route_meets_closed_form_for_four_zeros():
+    # rho1..rho4, 16 entries at the default tol: each diagonal meets its
+    # closed form and each off-diagonal vanishes within abs_err, and
+    # every abs_err is inside the documented charge: the integral's
+    # 8 tol, the cut near v = 0 (under tol/46) and e^{-U^2}.
+    tol = 1e-18
+    rhos = [complex(0.5, t) for t in oracles.ZERO_TAUS[:4]]
+    bound = 8 * tol + tol / 46 + math.exp(-(8.0 - math.log(tol)))
+    for i, row in enumerate(gram_matrix(rhos, tol=tol)):
+        for j, e in enumerate(row):
+            want = gram_diagonal_closed_form(rhos[i]) if i == j else 0
+            assert abs(e.value - want) <= e.abs_err, (i, j)
+            assert 0 < e.abs_err <= bound, (i, j)
+
+
 def test_gram_unreachable_tol_stops_at_rounding_floor():
-    # The inner integral's 80-bit floor is about 2e-19 at rho1, so tol
+    # The tail integral's 80-bit floor is about 1.7e-18 at rho1, so tol
     # 1e-25 fails fast, with the best estimate attached.
     with pytest.raises(ConvergenceError, match="rounding floor") as info:
         gram(RHO1, RHO1, tol=1e-25)
@@ -335,30 +403,10 @@ def test_gram_unreachable_tol_stops_at_rounding_floor():
 
 
 def test_gram_evaluates_its_inner_integrand_only_at_build():
-    # Queries evaluate no integrand, so an entry costs its outer run plus
-    # one inner build (542,872 evaluations when each outer node re-ran a
-    # 31-point rule through the inner integrand).
-    assert gram(RHO1, RHO3).evals < 60_000
-
-
-def test_gram_queries_no_empty_side(monkeypatch):
-    # The tail route splits each outer batch at u = 1 and queries only a
-    # side that has nodes; the entry keeps the bits it had when every
-    # batch queried both sides.
-    from zetalab.quad import CumulativeIntegral
-
-    sizes = []
-    query = CumulativeIntegral._query
-
-    def counting(self, xs, form):
-        sizes.append(np.size(xs))
-        return query(self, xs, form)
-
-    monkeypatch.setattr(CumulativeIntegral, "_query", counting)
-    r = gram(RHO1, RHO3)
-    assert sizes and min(sizes) > 0
-    assert r.value == complex(-1.8057939428305223e-19, -1.6180741211840955e-19)
-    assert r.abs_err == 8.962150520516733e-18
+    # The naive route's queries evaluate no integrand, so an entry costs
+    # its outer run plus one inner build (542,872 evaluations when each
+    # outer node re-ran a 31-point rule through the inner integrand).
+    assert gram(RHO1, RHO3, route="naive").evals < 60_000
 
 
 def _inner_integral_reference(tau, xs, vmax):
@@ -401,7 +449,7 @@ def _mp_exact(x):
 
 
 def test_gram_inner_queries_meet_their_bounds(monkeypatch):
-    # Both query forms of gram's own inner CumulativeIntegral, rows
+    # Both query forms of the naive route's inner CumulativeIntegral, rows
     # rho1..rho3, against 34-digit references at 13 seeded points each,
     # uniform over the outer range gram queries.  Beyond the reported
     # bound the test allows only the integrand's 80-bit conditioning on
@@ -422,7 +470,7 @@ def test_gram_inner_queries_meet_their_bounds(monkeypatch):
     for row, rho in enumerate((RHO1, RHO2, RHO3)):
         monkeypatch.setattr(states, "CumulativeIntegral", capture)
         with pytest.raises(Built) as info:
-            gram(rho, rho)
+            gram(rho, rho, route="naive")
         monkeypatch.undo()
         cum = info.value.args[0]
         xs = np.sort(np.random.default_rng(row).uniform(0, upper, 13))
