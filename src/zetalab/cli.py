@@ -33,9 +33,10 @@ from .reporting import RunManifest, fmt_complex, fmt_float
 
 
 def _parse_complex(text: str) -> complex:
-    """Accept 1.5, 0.5+14.1i, 0.5+14.1j, with optional whitespace;
-    a NaN or infinite part is a bad flag.  Only a trailing i is the
-    imaginary unit; the i of inf is not."""
+    """Accept 1.5, 0.5+14.1i, 0.5+14.1j, with optional whitespace.  A
+    NaN or infinite part, or Re(s) outside [0.01, 100] (below, psi and
+    H's residual meet NaN; above, Gamma overflows), is a bad flag.  Only
+    a trailing i is the imaginary unit; the i of inf is not."""
     cleaned = text.strip().replace(" ", "")
     if cleaned.endswith("i"):
         cleaned = cleaned[:-1] + "j"
@@ -43,9 +44,10 @@ def _parse_complex(text: str) -> complex:
         value = complex(cleaned)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
-    if not cmath.isfinite(value):
+    if not (cmath.isfinite(value) and 0.01 <= value.real <= 100):
         raise argparse.ArgumentTypeError(
-            f"must be a finite complex number, got {text!r}")
+            f"must be a finite complex number with 0.01 <= Re(s) <= 100, "
+            f"got {text!r}")
     return value
 
 
@@ -72,14 +74,16 @@ _number = _float_flag(lambda v: not math.isnan(v), "a number")
 
 
 def _finite_floats(text: str) -> list[float]:
-    """Comma-separated finite floats; anything else is a bad flag."""
+    """Comma-separated finite floats at most 15; anything else is a bad
+    flag.  Past 15 norm_integral's rounding floor nears its 1e-12 tol
+    (c = 17 stalls), and past about 100 its tail bound overflows."""
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError:
         values = [math.nan]
-    if not all(math.isfinite(v) for v in values):
+    if not all(-math.inf < v <= 15 for v in values):
         raise argparse.ArgumentTypeError(
-            f"must be comma-separated finite numbers, got {text!r}")
+            f"must be comma-separated finite numbers at most 15, got {text!r}")
     return values
 
 
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tabulate the transform on a grid; csv columns: x, re, im, "
              "abs_err")
     p.add_argument("--s", type=_parse_complex, required=True,
-                   help="state parameter, e.g. 0.5+14.134725i")
+                   help="0.01 <= Re(s) <= 100, e.g. 0.5+14.134725i")
     p.add_argument("--x-grid", type=_parse_grid, required=True,
                    help="lo:hi:count, e.g. 0:10:101")
     p.add_argument("--which", choices=("psi_tilde", "psi"),
@@ -350,14 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "norm-check",
-        help="norm identity across routes at comma-separated exponents")
+        help="norm identity across routes at comma-separated exponents "
+             "c <= 15 (c <= 1.01 diverges)")
     p.add_argument("--c", type=_finite_floats, default="2,2.5,4")
     p.set_defaults(func=cmd_norm_check)
 
     p = sub.add_parser(
         "residual",
         help="eigen-residual profile as one JSON object")
-    p.add_argument("--s", type=_parse_complex, required=True)
+    p.add_argument("--s", type=_parse_complex, required=True,
+                   help="state parameter with 0.01 <= Re(s) <= 100")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--operator", choices=("h", "htilde"), default="htilde")
     p.set_defaults(func=cmd_residual)

@@ -396,11 +396,14 @@ _ONE_MINUS_ETA = ((1.0, 1.5), (1.0, -1.0), 2)
 
 
 def _batch(s, name: str, lowest: float = -1):
-    """s as a 1-D complex array after the guard Re(s) > lowest, and for
-    zeta (lowest 0) s != 1."""
+    """s as a 1-D complex array after the guards Re(s) > lowest and
+    |s| <= 1e10 (past about 1e11, |(s)_2M| in _hurwitz's bound
+    overflows), and for zeta (lowest 0) s != 1."""
     z = np.atleast_1d(np.asarray(s, dtype=complex))
     if not np.all(z.real > lowest):
         raise DomainError(f"{name} requires Re(s) > {lowest:g}")
+    if not np.all(np.abs(z) <= 1e10):
+        raise CapabilityError(f"{name} supports |s| <= 1e10")
     if lowest == 0 and np.any(z == 1):
         raise PoleError("zeta pole at s = 1", location=1 + 0j)
     return z

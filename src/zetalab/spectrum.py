@@ -105,15 +105,14 @@ def eigenvalue_of(rho) -> complex:
     return 1j * (0.5 - complex(rho))
 
 
-def brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    """Root of f in [xa, xb], where f(xa) and f(xb) differ in sign, to
-    within xtol + rtol * |x|, by Brent's method (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4).  A line-for-line
-    port of SciPy's brentq.c: the same steps in the same order, so the
-    same root bits and the same number of calls to f."""
-    xpre, xcur = xa, xb
+def _brent(xa, xb, fa, fb, xtol, rtol, maxiter):
+    """Brent's method (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) on [xa, xb], given fa = f(xa) and fb = f(xb)
+    of opposite signs, as a generator: a line-for-line port of SciPy's
+    brentq.c that yields each point where it needs f, is sent f there,
+    and returns the root to within xtol + rtol * |x|."""
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -148,45 +147,66 @@ def brentq(f, xa, xb, xtol, rtol, maxiter=100):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+        fcur = yield xcur
     raise ConvergenceError(f"brentq: no convergence in {maxiter} "
                            f"iterations on bracket [{xa}, {xb}]")
 
 
+def _lockstep(f, steps):
+    """Drive _brent generators together, one call of f per round on the
+    list of every pending point; returns the roots in order."""
+    roots, x, fx = [None] * len(steps), dict.fromkeys(range(len(steps))), {}
+    while x:
+        for i in list(x):
+            try:
+                x[i] = steps[i].send(fx.get(i))
+            except StopIteration as stop:
+                roots[i] = stop.value
+                del x[i]
+        fx = dict(zip(x, f(list(x.values())))) if x else {}
+    return roots
+
+
+def brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """Root of f in [xa, xb], where f(xa) and f(xb) differ in sign, by
+    _brent one point at a time: the same root bits and the same number
+    of calls to f as SciPy's brentq."""
+    steps = _brent(xa, xb, f(xa), f(xb), xtol, rtol, maxiter)
+    return _lockstep(lambda x: [f(x[0])], [steps])[0]
+
+
 def find_zeros(tau_max: float, tol: float = 1e-10):
     """All on-line zeros with 0 < tau <= tau_max, bracketed by a sign
-    scan of critical_line_real_form and refined by Brent's method
-    (`brentq`, a port of SciPy's brentq that returns the same bits).
-    The grid i * _SCAN_STEP, capped at tau_max, is evaluated in blocks
-    of _SCAN_BLOCK steps, one call each, consecutive blocks sharing an
-    end point; brentq calls the same function on one point, which gives
-    the scan's bits, so every bracket's end values agree.
-    """
+    scan of critical_line_real_form and refined by Brent's method.  The
+    grid i * _SCAN_STEP, capped at tau_max, is evaluated in blocks of
+    _SCAN_BLOCK steps, one call each, consecutive blocks sharing an end
+    point.  Each bracket's _brent starts from the scan's end values, and
+    all step in lockstep, one call per round; a row of a call equals the
+    one-point call bit for bit, so each root has `brentq`'s bits."""
     if math.isnan(tau_max):
         raise DomainError("find_zeros requires a tau_max that is a number")
     if tau_max > _TAU_CAP:
         raise CapabilityError(f"find_zeros supports tau_max <= {_TAU_CAP}")
     if not 0 <= tol < math.inf:
         raise DomainError(f"find_zeros requires a finite tol >= 0, got {tol}")
-    if tau_max <= 0:
-        return []
-    found = []
-    last = int(math.ceil(tau_max / _SCAN_STEP))
+    brackets, steps = [], []
+    last = int(math.ceil(max(tau_max, 0) / _SCAN_STEP))
     for start in range(0, last, _SCAN_BLOCK):
         t = np.minimum(np.arange(start, min(start + _SCAN_BLOCK, last) + 1)
                        * _SCAN_STEP, tau_max)
         v = critical_line_real_form(t)
         for k in np.flatnonzero((v[1:] == 0) | (v[:-1] * v[1:] < 0)):
-            lo, hi = float(t[k]), float(t[k + 1])
-            root = hi if v[k + 1] == 0 else brentq(
-                critical_line_real_form, lo, hi, xtol=tol, rtol=8.9e-16)
-            found.append((float(root), (lo, hi)))
+            brackets.append((float(t[k]), float(t[k + 1])))
+            steps.append(_brent(*brackets[-1], float(v[k]), float(v[k + 1]),
+                                tol, 8.9e-16, 100))
+    roots = _lockstep(
+        lambda x: critical_line_real_form(np.array(x)).tolist(), steps)
     # One engine call; each row equals a one-point zeta call bit for bit.
-    rhos = [complex(0.5, root) for root, _ in found]
-    residuals = _hurwitz(np.array(rhos), *_ZETA)[0] if found else []
+    rhos = [complex(0.5, root) for root in roots]
+    residuals = _hurwitz(np.array(rhos), *_ZETA)[0] if roots else []
     return [ZeroRecord(k + 1, root, rho, abs(complex(r)), bracket)
-            for k, ((root, bracket), rho, r)
-            in enumerate(zip(found, rhos, residuals))]
+            for k, (root, bracket, rho, r)
+            in enumerate(zip(roots, brackets, rhos, residuals))]
 
 
 def count_zeros(rect: StripRectangle) -> int:

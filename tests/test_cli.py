@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -591,6 +592,40 @@ def test_norm_check_and_tol_scale_guards_exit_2(capsys):
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert "argument --tol-scale: must be a positive finite" in err
+
+
+@pytest.mark.parametrize("argv, flag, limit", [
+    (["norm-check", "--c", "1e300"], "--c", "at most 15"),
+    (["norm-check", "--c", "2,15.5"], "--c", "at most 15"),
+    (["residual", "--s", "1e300", "--K", "4"], "--s", "0.01 <= Re(s) <= 100"),
+    (["residual", "--s", "0.009+14i", "--K", "4"], "--s", "0.01 <= Re(s)"),
+    (["eigenfunction", "--s", "1e-300", "--x-grid", "0:1:2"], "--s",
+     "0.01 <= Re(s) <= 100"),
+    (["eigenfunction", "--s", "100.5", "--x-grid", "0:1:2"], "--s",
+     "Re(s) <= 100"),
+], ids=["norm-c-1e300", "norm-c-15.5", "residual-s-1e300",
+        "residual-s-0.009", "eigen-s-1e-300", "eigen-s-100.5"])
+def test_out_of_range_flags_exit_2_naming_the_limit(capsys, argv, flag,
+                                                    limit):
+    # Each used to end in an OverflowError traceback (norm-check's tail
+    # bound, residual's Gamma) or a NaN ConvergenceError (eigenfunction).
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be" in captured.err
+    assert limit in captured.err
+
+
+def test_flag_limits_themselves_run(capsys):
+    for argv in (["norm-check", "--c", "15"],
+                 ["residual", "--s", "100", "--K", "4"],
+                 ["residual", "--s", "0.01", "--K", "4", "--operator", "h"],
+                 ["eigenfunction", "--s", "0.01", "--x-grid", "0:1:2"]):
+        code, lines = run(capsys, *argv)
+        assert code == 0, argv
+        assert not re.search(r"\bnan\b", "\n".join(lines))
 
 
 def test_norm_check_divergent_exponent_exits_1(capsys):

@@ -170,6 +170,19 @@ def test_engine_refuses_past_its_cap():
         _one_minus_eta(np.array([2.0, 0.5 + 2000j]))
 
 
+def test_engine_refuses_huge_s_instead_of_a_nan_bound():
+    # Past |s| of about 1e11 |(s)_2M| overflows while the remainder
+    # factor underflows, and the bound (at 3e11 the value too) is NaN.
+    # Up to 1e10 every bound stays finite; beyond, each entry refuses.
+    for cfg in (_ZETA, _ETA):
+        out = _hurwitz(np.array([1e10 + 0j, 1e10 + 50j]), *cfg, deriv=True)
+        assert all(np.isfinite(part).all() for part in out)
+    for fn in (zeta, zeta_prime, eta, eta_prime, _one_minus_eta):
+        for s in (1e12, 1e12 + 3j, complex(math.inf, 0)):
+            with pytest.raises(CapabilityError, match="1e10"):
+                fn(s)
+
+
 def test_engine_agrees_with_the_scalar_borwein_loops():
     # The accelerated-series loops that computed eta and zeta before the
     # Hurwitz engine, kept in oracles as an independent route, outside
@@ -220,23 +233,28 @@ def test_batched_rows_equal_single_calls_bit_for_bit(monkeypatch):
 
 
 def test_scan_signs_equal_single_point_calls(monkeypatch):
-    # find_zeros evaluates its grid in blocks, brentq one point at a
-    # time; both see the same values, so every bracket's end signs hold.
+    # find_zeros evaluates its grid in blocks, then refines every bracket
+    # in lockstep rounds, one array call each; every row of every call
+    # equals the one-point call, so brackets and roots keep their bits.
     line = spectrum.critical_line_real_form
-    blocks = []
+    calls = []
 
     def recording(tau):
         v = line(tau)
         if np.ndim(tau):
-            blocks.append((np.array(tau), v))
+            calls.append((np.array(tau), v))
         return v
 
     monkeypatch.setattr(spectrum, "critical_line_real_form", recording)
     zeros = spectrum.find_zeros(60.0)
     assert len(zeros) == 13
+    # The scan's blocks come first, then the refinement rounds.
+    nblocks = len(range(0, 6000, spectrum._SCAN_BLOCK))
+    blocks = calls[:nblocks]
+    assert len(calls) > nblocks
     assert np.array_equal(np.unique(np.concatenate([t for t, _ in blocks])),
                           np.minimum(np.arange(6001) * 0.01, 60.0))
-    for taus, vals in blocks:
+    for taus, vals in calls:
         for t, v in zip(taus, vals):
             one = line(float(t))
             assert one == v and np.sign(one) == np.sign(v)

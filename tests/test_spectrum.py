@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,51 @@ def test_brentq_budget_error_names_the_bracket():
     with pytest.raises(DomainError):
         spectrum.brentq(critical_line_real_form, 1.0, 2.0, xtol=1e-10,
                         rtol=8.9e-16)
+
+
+def _line_rows(taus):
+    return critical_line_real_form(np.array(taus)).tolist()
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 0.0])
+def test_lockstep_roots_equal_scalar_brentq(tol):
+    # find_zeros refines all brackets together; each root keeps the bits
+    # of the scalar brentq, and so of scipy's, on its bracket.
+    zeros = find_zeros(60.0, tol=tol)
+    assert len(zeros) == 13
+    for z in zeros:
+        want = spectrum.brentq(critical_line_real_form, *z.bracket,
+                               xtol=tol, rtol=8.9e-16)
+        assert z.tau.hex() == want.hex()
+
+
+def test_find_zeros_calls_once_per_block_and_round(monkeypatch):
+    # The scan takes one call per block; refinement takes one per round,
+    # and it seeds each bracket with the scan's end values, so there are
+    # at most (largest single-bracket brentq call count - 2) rounds.
+    line = critical_line_real_form
+    sizes = []
+
+    def recording(tau):
+        sizes.append(np.size(tau) if np.ndim(tau) else None)
+        return line(tau)
+
+    monkeypatch.setattr(spectrum, "critical_line_real_form", recording)
+    zeros = find_zeros(60.0)
+    assert None not in sizes
+    rounds = len(sizes) - len(range(0, 6000, spectrum._SCAN_BLOCK))
+    most = max(_root_and_calls(spectrum.brentq, line, *z.bracket, 1e-10)[1]
+               for z in zeros)
+    assert 0 < rounds <= most - 2
+    assert max(sizes[-rounds:]) == len(zeros)
+
+
+def test_lockstep_budget_error_names_its_bracket():
+    (a, b), (c, d) = [z.bracket for z in find_zeros(30.0)[:2]]
+    steps = [spectrum._brent(a, b, *_line_rows([a, b]), 1e-10, 8.9e-16, 100),
+             spectrum._brent(c, d, *_line_rows([c, d]), 1e-10, 8.9e-16, 2)]
+    with pytest.raises(ConvergenceError, match=rf"\[{c}, {d}\]"):
+        spectrum._lockstep(_line_rows, steps)
 
 
 def test_eigenvalue_map():
