@@ -245,7 +245,7 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
                                     _COEFF_TOL * _COEFF_TOL_SHARE)
     except ConvergenceError as exc:
         r = exc.best
-        if r.abs_err > _COEFF_TOL:
+        if not r.abs_err <= _COEFF_TOL:  # a NaN estimate is not kept
             raise ConvergenceError(
                 str(exc),
                 best=QuadResult(fc * r.value, abs(fc) * r.abs_err, r.evals),

@@ -1,25 +1,25 @@
 """Adaptive quadrature engine.
 
-Covers finite, left-endpoint-singular, semi-infinite, and nested
-integrals.  A nested integral takes its inner factor as a query,
-inner(nodes) -> (W, pointwise_err), normally the query_lo_many or
-query_hi_many of one CumulativeIntegral the caller built, so a single
-inner decomposition serves every outer node.  All arithmetic runs in
-80-bit extended precision internally: the bilinear pairings this
-package verifies sit around 1e-14 with relative targets of 1e-4, which
-double precision cannot reach through oscillatory cancellation.
+Covers finite, left-endpoint-singular, semi-infinite and cumulative
+integrals.  A nested integral is one integrate_finite run whose
+integrand queries a CumulativeIntegral at its own nodes and returns the
+stacked rows [c W, |c| e_in]: the outer coefficient times the inner
+value and times its bound.  All arithmetic runs in 80-bit extended
+precision internally: the bilinear pairings this package verifies sit
+around 1e-14 with relative targets of 1e-4, which double precision
+cannot reach through oscillatory cancellation.
 
 Panels are refined worst-first from a deterministic heap.  Each
 refining integrand call covers at most two panels, both children of a
 split or two initial panels, on one flat node array; CumulativeIntegral
-and integrate_nested then make one call on every final panel.  The
-final panels are kept as arrays ordered by left endpoint, and one
-compensated running sum over them gives every run's value and
-CumulativeIntegral's prefix and suffix, so results are reproducible
-bit-for-bit.  Every run has one exit rule: it returns once the exactly
-summed panel error meets tol, and raises ConvergenceError (best
-estimate attached) at its evaluation budget or at its rounding floor,
-where doubling the panel count no longer halves that error.
+then makes one call on every final panel.  The final panels are kept
+as arrays ordered by left endpoint, and one compensated running sum
+over them gives every run's value and CumulativeIntegral's prefix and
+suffix, so results are reproducible bit-for-bit.  Every run has one
+exit rule: it returns once the exactly summed panel error meets tol,
+and raises ConvergenceError (best estimate attached) at its evaluation
+budget or at its rounding floor, where doubling the panel count no
+longer halves that error.
 
 integrate_finite and integrate_semi_infinite also take a stacked
 integrand: f(t) returns shape (m, len(t)), components on the leading
@@ -48,7 +48,6 @@ __all__ = [
     "gauss_legendre",
     "integrate_finite",
     "integrate_semi_infinite",
-    "integrate_nested",
     "CumulativeIntegral",
 ]
 
@@ -301,16 +300,13 @@ def _truncation_point(f, sigma, tol):
     """Pick T with the envelope tail bound C t^{sigma-1} e^{-t} integrated
     beyond T below tol/10, for f decaying like e^{-t}; a stacked
     integrand's envelope is the maximum over its components.  Returns
-    (T, tail), tail bounding the integral beyond T."""
+    (T, tail), tail bounding the integral beyond T, or raises
+    CapabilityError where either is not finite."""
     ts = np.array(_ENVELOPE_SAMPLES, dtype=LD)
     vals = np.abs(np.asarray(f(ts)))
     if vals.ndim == 2:
         vals = vals.max(axis=0)
-    env = vals * ts ** LD(1 - sigma) * np.exp(ts)
-    env = env[np.isfinite(env)]
-    cval = float(np.max(env)) if env.size else 0.0
-    if cval <= 0:
-        cval = 1.0
+    cval = float(np.max(vals * ts ** LD(1 - sigma) * np.exp(ts))) or 1.0
     target = math.log(20 * cval / tol)
     t_trunc = max(12.0, target)
     for _ in range(8):
@@ -318,7 +314,13 @@ def _truncation_point(f, sigma, tol):
     peak = float(ts[int(np.argmax(vals))]) if np.any(vals > 0) else 1.0
     t_trunc = max(t_trunc, 1.5 * peak + 10.0) + 4.0
     t_trunc = min(t_trunc, 50_000.0)
-    tail = 2 * cval * t_trunc ** (sigma - 1) * math.exp(-t_trunc)
+    try:
+        tail = 2 * cval * t_trunc ** (sigma - 1) * math.exp(-t_trunc)
+    except OverflowError:
+        tail = math.inf
+    if not tail < math.inf:  # NaN too: envelope overflow
+        raise CapabilityError("the envelope or tail bound overflows double "
+                              f"precision at endpoint exponent {sigma:.6g}")
     return t_trunc, tail
 
 
@@ -330,6 +332,8 @@ def integrate_semi_infinite(f, endpoint_exponent, tol):
     endpoint-exponent handling of integrate_finite.  evals includes the
     envelope samples.
     """
+    if not endpoint_exponent > 0:
+        raise DomainError("endpoint_exponent must be positive for integrability")
     T, tail = _truncation_point(f, endpoint_exponent, tol)
     res = integrate_finite(f, 0.0, T, tol, endpoint_exponent,
                            max_evals=600_000, initial=16)
@@ -338,7 +342,7 @@ def integrate_semi_infinite(f, endpoint_exponent, tol):
 
 
 # ---------------------------------------------------------------------------
-# Cumulative integrals and the nested driver
+# Cumulative integrals
 
 
 def _antiderivative_maps():
@@ -369,15 +373,19 @@ class CumulativeIntegral:
     nodes once more, in one call, and keeps the Chebyshev coefficients
     of their interpolant's antiderivative, so a query evaluates no
     integrand; it charges the partial panel's |G31 - G15| plus its last
-    two coefficients' moduli.  evals counts the build's evaluations.
+    two coefficients' moduli.  Every panel's error also carries 4 eps
+    (long double) times its G31 integral of |f|, for the rounding of
+    the values and sums a query adds up.  evals counts the build's
+    evaluations.
     """
 
-    def __init__(self, f, lo, hi, tol, initial=8):
+    def __init__(self, f, lo, hi, tol):
         self._lefts, self._rights, vals, errs, _, evals = _adaptive_panels(
-            f, lo, hi, tol, 400_000, initial)
+            f, lo, hi, tol, 400_000, 8)
         nodes, h = _panel_nodes(self._lefts, self._rights, _X31)
         y = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
         self.evals = evals + nodes.size
+        errs = errs + 4 * _EPS_LD * (h * (np.abs(y) @ _W31)).astype(float)
         self._coefs = [h[:, None] * (y @ m.T) for m in (_LO_MAP, _HI_MAP)]
         tail = abs(self._coefs[0][:, 30:]).sum(axis=1)  # |d_30| + |d_31|
         self._part_err = errs + tail.astype(np.float64)
@@ -415,35 +423,3 @@ class CumulativeIntegral:
         j, part = self._query(xs, 1)
         return (self._suffix[j + 1] + part,
                 self._suffix_err[j + 1] + self._part_err[j])
-
-
-def integrate_nested(outer_coef, inner, tol, a, b):
-    """Two-level integral over [a, b] of outer_coef(t) * W(t), where
-    W is an inner factor the caller has already decomposed.
-
-    inner(nodes) returns (W, pointwise_err) at an array of outer nodes,
-    err bounding the error of W at each node; usually the query_lo_many
-    or query_hi_many of a CumulativeIntegral, or a composition of them.
-    The outer integral is refined adaptively from 64 equal panels.  The
-    reported error adds the outer estimate and the inner error
-    propagated through |outer_coef| by the 15-point rule on the final
-    panels, in one inner call.  evals counts outer evaluations only; the
-    inner factor's cost is its CumulativeIntegral's evals, all spent at
-    build.
-    """
-
-    def f(t):
-        w, _ = inner(t)
-        return np.asarray(outer_coef(t)) * w
-
-    lefts, rights, vals, _, err, evals = _adaptive_panels(
-        f, a, b, tol, 1_500_000, 64)
-    nodes, h = _panel_nodes(lefts, rights, _X15)
-    t = nodes.ravel()
-    _, e_in = inner(t)
-    coef = np.abs(np.asarray(outer_coef(t)))
-    propagated = 0.0
-    for p in h * ((coef * e_in).reshape(nodes.shape) @ _W15):
-        propagated += float(p)
-    return QuadResult(complex(_running_sum(vals)[-1]), err + propagated,
-                      evals + 15 * len(lefts))

@@ -246,7 +246,7 @@ def gamma(s):
     Accepts a scalar (returns complex) or an array; a row of an array
     equals the scalar call bit for bit.  Nonpositive integer input
     raises PoleError carrying the integer, and a result that is not
-    finite in double precision raises OverflowError.
+    finite in double precision raises CapabilityError.
     """
     arr = np.asarray(s, dtype=complex)
     z = np.atleast_1d(arr).ravel()
@@ -259,7 +259,7 @@ def gamma(s):
     # Gamma(s) Gamma(1-s) = pi / sin(pi s)
     out[left] = math.pi / (np.sin(math.pi * z[left]) * out[left])
     if not np.isfinite(out).all():
-        raise OverflowError("gamma is not finite in double precision")
+        raise CapabilityError("gamma is not finite in double precision")
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

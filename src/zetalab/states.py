@@ -13,6 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,13 +25,13 @@ from .quad import (
     CumulativeIntegral,
     QuadResult,
     integrate_finite,
-    integrate_nested,
     integrate_semi_infinite,
 )
 from .special import (
     EULER_GAMMA,
     _laguerre_table,
     _one_minus_eta,
+    _series_coeff_exact,
     bessel_j0,
     eta,
     eta_prime,
@@ -74,6 +76,16 @@ _SERIES_TAIL_SHARE = 1.0 / 256.0
 # gram's tail integral is asked for this multiple of tol: its diagonals
 # stall at an 80-bit rounding floor of 1.7e-18 (rho1) to 2.8e-18 (rho4).
 _TAIL_TOL_FACTOR = 8.0
+
+
+@lru_cache(maxsize=1)
+def _exp_ratio_series():
+    """b_j, j < 63, of 2/(1+e^z) = sum_j b_j z^j, |z| < pi, rounded once:
+    from x/(1+e^{-x}) = sum_m c_m x^m at x = -z, b_j = 2 (-1)^j c_{j+1},
+    and |b_j| < 4 zeta(j+1) pi^{-j-1}."""
+    return np.array([LD(str(Decimal(q.numerator) / q.denominator))
+                     for q in (2 * (-1) ** j * _series_coeff_exact(j + 1)
+                               for j in range(63))])
 
 
 @dataclass(frozen=True)
@@ -405,24 +417,38 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     conj(g) f * integral_0^inf t^{rho_row* + rho_col - 2}
                  (integral_0^t tau^{-rho_row*}/(1+e^tau) dtau) dt
     between an adjoint state at rho_row and a state at rho_col, both
-    verified zeros, for 0 < tol < 1.  On the axes t = u^2, tau = v^2
-    the inner integrand is f(v) = 2 v^{1-2 rho_row*}/(1+e^{v^2}); the
-    outer integral is cut at U = sqrt(8 - ln tol) and charged e^{-U^2}.
+    verified zeros, for 0 < tol < 1.  With t = x^2, tau = v^2,
+    a = rho_row* + rho_col and p = 2 - 2 rho_row* it is
+    integral_0^inf 2 x^{2a-3} W(x) dx, W(x) = integral_0^x f,
+    f(v) = 2 v^{p-1}/(1+e^{v^2}).  W tends to the anchor
+    w0 = Gamma(1-rho_row*) eta(1-rho_row*): zero at exact zeros, below
+    1e-24 at the double-rounded rho1..rho4.  Both routes cut x at
+    U = sqrt(8 - ln tol): on the line |f| <= 1, and past t = U^2
+    |W - w0| <= t^{-1/2} e^{-t} against |t^{a-2}| = 1/t, so the cut
+    drops at most e^{-U^2}.
 
-    route="tail" (default) assumes exact zeros, where the anchor
-    Gamma(1-rho_row*) eta(1-rho_row*) = integral_0^inf f vanishes (it
-    is below 1e-24 at the double-rounded rho1..rho4, and not charged).
-    Swapping the order of integration then leaves one integral of
-    f(v) K(v), K(v) = (U^{2a-2} - v^{2a-2})/(a-1) with
-    a = rho_row* + rho_col, or 2 ln(U/v) at a = 1 (every diagonal on
-    the line).  It runs on y = ln(U/v), where v^{2i tau} turns at a
-    fixed rate (on the v axis, |G31 - G15| of the panel at 0 undercounts
-    its error), to _TAIL_TOL_FACTOR * tol; the part below v = U e^{-Y}
-    is charged its bound on the line, 2U e^{-Y}(1 + Y) < tol/46.
+    route="tail" (default) takes w0 as 0 and swaps the order of
+    integration: one integral of f K, K(v) = (U^{2a-2} - v^{2a-2})/(a-1)
+    or 2 ln(U/v) at a = 1, on y = ln(U/v) in [0, Y], where v^{2i tau}
+    turns at a fixed rate, to _TAIL_TOL_FACTOR * tol.  As
+    |K| <= 2 ln(U/v), the part below eps = U e^{-Y} is at most
+    2 eps (1 + Y) = tol (1 + Y)/(64 (1 + y0)) < tol/46, with
+    y0 = ln(128 U/tol) and Y = y0 + ln(1 + y0).
 
-    route="naive", the independent oracle, integrates the printed inner
-    direction with integrate_nested, querying one CumulativeIntegral
-    of f at sqrt(t), and adds the anchor's log-moment to the charge.
+    route="naive", the independent oracle, keeps the printed inner
+    direction.  For x <= 1, with 2/(1+e^z) = sum_j b_j z^j
+    (_exp_ratio_series), W(x) = sum_j b_j x^{p+2j}/(p+2j) and the outer
+    integral is S = sum_j 2 b_j/((p+2j)(2 rho_col+2j)).  On [1, U], one
+    CumulativeIntegral on u = ln x to tol/2 gives W - W(1) and its bound
+    e_in at the nodes of one integrate_finite of [c W, |c| (e_in + d1)],
+    c = 2 x^{2a-2}, to tol; d1 bounds W(1)'s error.  abs_err adds twice
+    that run's error (row 0's, and row 1's against the true integral),
+    row 1, S's error, e^{-U^2} and 80 |w0| (where W is its tail, the
+    outer integral carries w0 integral_1^{U^2} t^{a-2} dt, at most
+    |w0| ln U^2 < 7 |w0|).  The sums stop at j = 62, past which their
+    terms are below 1e-33.  Each kept term carries at most 10 roundings
+    and numpy's pairwise sum 6 more, so a sum's error is charged 16 eps
+    (long double) times the sum of its terms' moduli.
     evals counts every integrand evaluation.
     """
     rho_row, rho_col = complex(rho_row), complex(rho_col)
@@ -440,50 +466,49 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
 
     a = rs + rho_col
     upper = math.sqrt(-math.log(tol) + 8.0)
+    cut = math.exp(-(upper * upper))
+    ln_u, k_exp, p = np.log(LD(upper)), CLD(2 * a - 2), CLD(2 - 2 * rs)
+
+    def f_dlnv(ln_v):
+        return 2.0 * np.exp(p * ln_v) / (1.0 + np.exp(np.exp(2.0 * ln_v)))
+
     if route == "tail":
-        ln_u, k_exp, p = np.log(LD(upper)), CLD(2 * a - 2), CLD(2 - 2 * rs)
         y0 = math.log(128.0 * upper / tol)
         y_max = y0 + math.log(1.0 + y0)
 
         def f_kernel_dv(y):
-            y = np.asarray(y, dtype=LD)
             ln_v = ln_u - y
             k = (2.0 * y if a == 1 else
                  (np.exp(k_exp * ln_u) - np.exp(k_exp * ln_v)) / CLD(a - 1))
-            return (2.0 * np.exp(p * ln_v)
-                    / (1.0 + np.exp(np.exp(2.0 * ln_v))) * k)
+            return f_dlnv(ln_v) * k
 
         res = integrate_finite(f_kernel_dv, 0.0, y_max,
                                _TAIL_TOL_FACTOR * tol)
-        tail_outer = (math.exp(-(upper * upper))
-                      + 2.0 * upper * math.exp(-y_max) * (1.0 + y_max))
-        evals = res.evals
+        value, evals = res.value, res.evals
+        err = res.abs_err + (cut + 2.0 * upper * math.exp(-y_max)
+                             * (1.0 + y_max))
     else:
-        one_m2rs = CLD(1 - 2 * rs)
+        j2 = 2 * np.arange(63)
+        w_terms = _exp_ratio_series() / (p + j2)
+        s_terms = 2.0 * w_terms / (CLD(2 * rho_col) + j2)
+        w1 = w_terms.sum()
+        d1 = 16 * _EPS_LD * float(np.abs(w_terms).sum())
+        # tol/2 clears the inner's 80-bit floor.
+        cum = CumulativeIntegral(f_dlnv, 0.0, math.log(upper), tol / 2.0)
 
-        def inner_f(v):
-            v = np.asarray(v, dtype=LD)
-            return 2.0 * np.exp(one_m2rs * np.log(v)) / (1.0 + np.exp(v * v))
+        def c_w_and_bound(u):
+            w, e_in = cum.query_lo_many(u)
+            c = 2.0 * np.exp(k_exp * u)
+            return np.stack([c * (w1 + w), np.abs(c) * (e_in + d1)])
 
-        # The inner integral's 80-bit floor is about 2e-19 to 3.4e-19 for
-        # rows rho1..rho3, so it gets half of tol, propagated to abs_err.
-        vmax = math.sqrt(upper * upper + 12.0)
-        cum = CumulativeIntegral(inner_f, 0.0, vmax, tol / 2.0, initial=32)
-        t_hi, coef_exp = upper * upper, CLD(a - 2)
-
-        def outer_coef(t):
-            return np.exp(coef_exp * np.log(t))
-
-        def w_lo(t):
-            return cum.query_lo_many(np.sqrt(t))
-
-        res = integrate_nested(outer_coef, w_lo, tol, 0.0, t_hi)
-        w0 = complex(gamma(1 - rs) * eta(1 - rs))
-        tail_outer = math.exp(-t_hi) + abs(w0) * 80.0
+        res = integrate_finite(c_w_and_bound, 0.0, math.log(upper), tol)
+        value = complex(s_terms.sum() + res.value[0])
+        err = (2.0 * res.abs_err + float(res.value[1].real)
+               + 16 * _EPS_LD * float(np.abs(s_terms).sum()) + cut
+               + 80.0 * abs(gamma(1 - rs) * eta(1 - rs)))
         evals = res.evals + cum.evals
     gf = complex(g_const).conjugate() * complex(f_const)
-    value = gf * res.value
-    abs_err = abs(gf) * (res.abs_err + tail_outer)
+    value, abs_err = gf * value, abs(gf) * err
     if not (math.isfinite(abs_err) and cmath.isfinite(value)):
         raise DomainError("gram requires finite value and error")
     return QuadResult(value, abs_err, evals)

@@ -618,6 +618,16 @@ def test_out_of_range_flags_exit_2_naming_the_limit(capsys, argv, flag,
     assert limit in captured.err
 
 
+def test_residual_gamma_overflow_exits_1_naming_double_precision(capsys):
+    # Inside the --s range, Gamma(s) at Im s = 999 is not finite in
+    # double precision: one CapabilityError line, not a traceback.
+    code, lines = run(capsys, "residual", "--s", "0.01+999i", "--K", "4")
+    assert code == 1 and len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CapabilityError"
+    assert "double precision" in err["message"]
+
+
 def test_flag_limits_themselves_run(capsys):
     for argv in (["norm-check", "--c", "15"],
                  ["residual", "--s", "100", "--K", "4"],

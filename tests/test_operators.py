@@ -278,6 +278,14 @@ def test_psi_coefficients_below_rounding_floor_raise_with_scaled_best(
     assert np.max(np.abs(best.value - want)) <= best.abs_err + 1e-15
 
 
+def test_psi_coefficients_with_nan_estimate_raise():
+    # At Re s = 1e-3 the stacked quadrature's error estimate is NaN;
+    # `err > tol` is False for NaN, so the exit test is `not err <= tol`
+    # and the H residual raises instead of returning NaN coefficients.
+    with pytest.raises(ConvergenceError, match="NaN"):
+        eigen_residual(StateParams(1e-3), 4, "H")
+
+
 def test_coefficient_kernel_vs_quadrature():
     a = laguerre_coefficients(StateParams(RHO1), 16, which="psi_tilde")
     for n in (0, 10):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from zetalab.errors import (ConvergenceError, DivergenceError, DomainError,
-                            PreconditionError)
+from zetalab.errors import (CapabilityError, ConvergenceError,
+                            DivergenceError, DomainError, PreconditionError)
 from zetalab.quad import QuadResult, integrate_semi_infinite
 from zetalab.special import bessel_j0, eta, gamma, zeta
 from zetalab.states import (GRAM_SIGN, StateParams, amplitude_F,
@@ -244,6 +244,15 @@ def test_norm_integral_divergence_guard():
         norm_integral(1.005)
 
 
+def test_norm_integral_overflow_names_the_limit():
+    # The tail bound C T^(c-2) e^-T (c = 150) or the envelope itself
+    # (c = 1e300) is not finite: refused naming double precision, not a
+    # bare OverflowError from the truncation point.
+    for c in (150, 1e300):
+        with pytest.raises(CapabilityError, match="double precision"):
+            norm_integral(c)
+
+
 @pytest.fixture(scope="module")
 def gram2():
     return gram_matrix([RHO1, RHO2])
@@ -355,8 +364,8 @@ def test_gram_refuses_non_finite_result(monkeypatch):
 
 
 def test_gram_tail_route_is_one_integral(monkeypatch):
-    # The tail route runs integrate_finite once; it builds no
-    # CumulativeIntegral and never calls integrate_nested.
+    # The tail route runs integrate_finite once and builds no
+    # CumulativeIntegral.
     import zetalab.states as states
 
     runs = []
@@ -371,7 +380,6 @@ def test_gram_tail_route_is_one_integral(monkeypatch):
 
     monkeypatch.setattr(states, "integrate_finite", counting)
     monkeypatch.setattr(states, "CumulativeIntegral", refuse)
-    monkeypatch.setattr(states, "integrate_nested", refuse)
     for rho_col in (RHO1, RHO2):
         runs.clear()
         gram(RHO1, rho_col)
@@ -402,6 +410,32 @@ def test_gram_unreachable_tol_stops_at_rounding_floor():
     assert best is not None and best.abs_err > 1e-25
 
 
+def test_gram_naive_route_meets_its_bound_at_every_tol():
+    # The oracle's abs_err bounds its error from tol 1e-2 to 1e-18 at the
+    # diagonals of rho3..rho6 and their pairings with rho1.  Its inner
+    # integral's first panel at v = 0 used to over-run it by up to 2.5x
+    # at rho3; on one log axis down to v = 1e-22, panels 3.27 wide there
+    # aliased and over-ran it at rho4..rho6 by up to 3.4x.
+    for tau in oracles.ZERO_TAUS[2:6]:
+        rho = complex(0.5, tau)
+        closed = gram_diagonal_closed_form(rho)
+        for tol in (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-18):
+            for rho_col, want in ((rho, closed), (RHO1, 0)):
+                e = gram(rho, rho_col, tol=tol, route="naive")
+                assert abs(e.value - want) <= e.abs_err, (tau, tol, rho_col)
+
+
+def test_exp_ratio_series_sums_to_its_function():
+    # The naive route's series for 2/(1+e^z), |z| <= 1, against mpmath:
+    # its long-double coefficients and cut after z^62 lose about 1e-21.
+    from zetalab.states import _exp_ratio_series
+    b = [_mp_exact(c).real for c in _exp_ratio_series()]
+    with mp.workdps(34):
+        for z in (mp.mpf(1), mp.mpf(-1), mp.mpc(0, 1), mp.mpc(0.6, -0.8)):
+            got = mp.fsum(c * z**j for j, c in enumerate(b))
+            assert abs(got - 2 / (1 + mp.exp(z))) < 1e-20, z
+
+
 def test_gram_evaluates_its_inner_integrand_only_at_build():
     # The naive route's queries evaluate no integrand, so an entry costs
     # its outer run plus one inner build (542,872 evaluations when each
@@ -409,10 +443,10 @@ def test_gram_evaluates_its_inner_integrand_only_at_build():
     assert gram(RHO1, RHO3, route="naive").evals < 60_000
 
 
-def _inner_integral_reference(tau, xs, vmax):
-    """int_0^x and int_x^vmax of gram's inner integrand
-    2 v^{2i tau} / (1 + e^{v^2}) at sorted xs, at mpmath's working
-    precision."""
+def _inner_integral_reference(tau, ln_lo, ln_xs, ln_hi):
+    """int from e^{ln_lo} to each x = e^{ln_x}, and from each x to
+    e^{ln_hi}, of gram's inner integrand 2 v^{2i tau} / (1 + e^{v^2}) dv
+    at sorted ln_xs, at mpmath's working precision."""
     p = 2j * mp.mpf(tau)
     # 1/(1+e^u) = 1/2 - sum_n (4^n - 1) B_2n u^{2n-1} / (2n)!, |u| < pi,
     # integrated term by term against 2 v^p on [0, x] for x <= 1
@@ -429,16 +463,15 @@ def _inner_integral_reference(tau, xs, vmax):
 
     def seg(a, b):
         if b <= 1:
-            return lo(b) - (lo(a) if a > 0 else 0)
+            return lo(b) - lo(a)
         if a < 1:
             return seg(a, mp.mpf(1)) + seg(mp.mpf(1), b)
         return mp.quad(f, mp.linspace(a, b, int(10 * (b - a)) + 2))
 
-    pts = [mp.mpf(0)] + [_mp_exact(x).real for x in xs] + [
-        _mp_exact(vmax).real]
+    pts = [mp.exp(v) for v in [ln_lo, *ln_xs, ln_hi]]
     segs = [seg(a, b) for a, b in zip(pts, pts[1:])]
-    return ([mp.fsum(segs[:k + 1]) for k in range(len(xs))],
-            [mp.fsum(segs[k + 1:]) for k in range(len(xs))])
+    return ([mp.fsum(segs[:k + 1]) for k in range(len(ln_xs))],
+            [mp.fsum(segs[k + 1:]) for k in range(len(ln_xs))])
 
 
 def _mp_exact(x):
@@ -449,13 +482,12 @@ def _mp_exact(x):
 
 
 def test_gram_inner_queries_meet_their_bounds(monkeypatch):
-    # Both query forms of the naive route's inner CumulativeIntegral, rows
-    # rho1..rho3, against 34-digit references at 13 seeded points each,
-    # uniform over the outer range gram queries.  Beyond the reported
-    # bound the test allows only the integrand's 80-bit conditioning on
-    # the partial panel: a node's rounding moves 2 v^{2i tau}/(1+e^{v^2})
-    # by eps |2i tau - 2v^2| relatively, which no |G31 - G15| sees; in the
-    # tail, where values sit far below tol, that sets the error.
+    # Both query forms of the naive route's inner CumulativeIntegral on
+    # u = ln v in [0, ln U], rows rho1..rho3, against 34-digit references
+    # at 17 seeded points each, uniform in v over [1, U]; each u's long
+    # double value is taken as exact.  No allowance: in the tail, v >~ 3,
+    # the bounds hold without one for the integrand's conditioning, and
+    # no initial panel turns more than 2 tau ln(U)/8 < 13 radians.
     import zetalab.states as states
     from zetalab.quad import CumulativeIntegral
 
@@ -466,26 +498,24 @@ def test_gram_inner_queries_meet_their_bounds(monkeypatch):
         raise Built(CumulativeIntegral(*args, **kwargs))
 
     upper = math.sqrt(-math.log(1e-18) + 8.0)
-    eps = float(np.finfo(np.longdouble).eps)
     for row, rho in enumerate((RHO1, RHO2, RHO3)):
         monkeypatch.setattr(states, "CumulativeIntegral", capture)
         with pytest.raises(Built) as info:
             gram(rho, rho, route="naive")
         monkeypatch.undo()
         cum = info.value.args[0]
-        xs = np.sort(np.random.default_rng(row).uniform(0, upper, 13))
-        j = np.searchsorted(cum._rights, xs)
-        a, b = cum._lefts[j].astype(float), cum._rights[j].astype(float)
-        floor = eps * abs(2j * rho.imag - 2 * b * b) * 2 / (1 + np.exp(a * a))
+        rng = np.random.default_rng(row)
+        us = np.sort(np.log(rng.uniform(1, upper, 17))).astype(np.longdouble)
         with mp.workdps(34):
             want_lo, want_hi = _inner_integral_reference(
-                rho.imag, xs.astype(np.longdouble), cum._rights[-1])
-            for query, want, width in ((cum.query_lo_many, want_lo, xs - a),
-                                       (cum.query_hi_many, want_hi, b - xs)):
-                got, err = query(xs)
+                rho.imag, 0, [_mp_exact(u).real for u in us],
+                math.log(upper))
+            for query, want in ((cum.query_lo_many, want_lo),
+                                (cum.query_hi_many, want_hi)):
+                got, err = query(us)
                 miss = np.array([float(abs(_mp_exact(g) - w))
                                  for g, w in zip(got, want)])
-                assert np.all(miss <= err + floor * width), (row, miss / err)
+                assert np.all(miss <= err), (row, miss / err)
 
 
 def test_state_satisfies_first_order_ode():
