@@ -68,8 +68,6 @@ def _float_flag(ok, what: str):
 
 _positive_float = _float_flag(lambda v: 0 < v < math.inf,
                               "a positive finite number")
-_nonnegative_float = _float_flag(lambda v: 0 <= v < math.inf,
-                                 "a finite number >= 0")
 _number = _float_flag(lambda v: not math.isnan(v), "a number")
 
 
@@ -324,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
              "on a fixed 0.01 grid; csv columns: index, tau, rho_re, "
              "rho_im, residual, bracket_lo, bracket_hi")
     p.add_argument("--tau-max", type=_number, required=True)
-    p.add_argument("--tol", type=_nonnegative_float, default=1e-10)
+    p.add_argument("--tol", default=1e-10, type=_float_flag(
+        lambda v: 0 <= v < 0.01,
+        "a finite number >= 0 below the 0.01 scan step"))
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_zeros)
 

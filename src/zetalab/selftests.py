@@ -325,6 +325,13 @@ def suite_spectrum():
                                                         35.0)),
                    1.0, 0.0, "derived-oracle",
                    inputs={"rect": "[0.05,0.95]x[31,35]"}))
+    # Completeness: gram takes "the first n zeros" from the scan, so the
+    # scan must miss none that the argument principle counts.
+    r.append(check("zeros-complete-to-60", len(spec.find_zeros(60.0)),
+                   spec.count_zeros(spec.StripRectangle(0.05, 0.95, 0.0,
+                                                        60.0)),
+                   0.0, "derived-oracle",
+                   inputs={"rect": "[0.05,0.95]x[0,60]"}))
 
     r.append(flag("rectangle-validation",
                   _raises(DomainError, spec.StripRectangle,

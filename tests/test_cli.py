@@ -339,14 +339,19 @@ def test_gram_num_zeros_guard(capsys):
 
 
 def test_zeros_tau_max_and_tol_flags_exit_2(capsys):
-    # A NaN --tau-max and a NaN, infinite or negative --tol are refused
-    # up front, naming the flag, before find_zeros' own DomainError;
-    # --tol 0 still runs, and a finite --tau-max past the cap keeps its
-    # exit-1 CapabilityError (test_zeros_tau_cap_error).
+    # A NaN --tau-max and a NaN, infinite, negative or scan-step-wide
+    # --tol are refused up front, naming the flag (and the 0.01 limit),
+    # before find_zeros' own DomainError; --tol 0 still runs, and a
+    # finite --tau-max past the cap keeps its exit-1 CapabilityError
+    # (test_zeros_tau_cap_error).
+    below_step = "a finite number >= 0 below the 0.01 scan step"
     for argv, what in ((["--tau-max", "nan"], "a number"),
-                       (["--tau-max", "16", "--tol", "nan"], "a finite"),
-                       (["--tau-max", "16", "--tol", "inf"], "a finite"),
-                       (["--tau-max", "16", "--tol", "-1"], "a finite")):
+                       (["--tau-max", "16", "--tol", "nan"], below_step),
+                       (["--tau-max", "16", "--tol", "inf"], below_step),
+                       (["--tau-max", "16", "--tol", "-1"], below_step),
+                       (["--tau-max", "60", "--tol", "0.01"], below_step),
+                       (["--tau-max", "60", "--tol", "0.02"], below_step),
+                       (["--tau-max", "60", "--tol", "1e300"], below_step)):
         with pytest.raises(SystemExit) as exc:
             main(["zeros", *argv])
         assert exc.value.code == 2

@@ -233,9 +233,12 @@ def test_batched_rows_equal_single_calls_bit_for_bit(monkeypatch):
 
 
 def test_scan_signs_equal_single_point_calls(monkeypatch):
-    # find_zeros evaluates its grid in blocks, then refines every bracket
-    # in lockstep rounds, one array call each; every row of every call
-    # equals the one-point call, so brackets and roots keep their bits.
+    # find_zeros evaluates its grid below tau = 10, the points the
+    # Riemann-Siegel margin cannot decide, tau_max and both ends of every
+    # bracket by array calls of at most _SCAN_BLOCK rows, then refines
+    # every bracket in lockstep rounds, one array call each; every row of
+    # every call equals the one-point call, so brackets and roots keep
+    # their bits.
     line = spectrum.critical_line_real_form
     calls = []
 
@@ -248,12 +251,11 @@ def test_scan_signs_equal_single_point_calls(monkeypatch):
     monkeypatch.setattr(spectrum, "critical_line_real_form", recording)
     zeros = spectrum.find_zeros(60.0)
     assert len(zeros) == 13
-    # The scan's blocks come first, then the refinement rounds.
-    nblocks = len(range(0, 6000, spectrum._SCAN_BLOCK))
-    blocks = calls[:nblocks]
-    assert len(calls) > nblocks
-    assert np.array_equal(np.unique(np.concatenate([t for t, _ in blocks])),
-                          np.minimum(np.arange(6001) * 0.01, 60.0))
+    assert all(len(taus) <= spectrum._SCAN_BLOCK for taus, _ in calls)
+    seen = set(np.concatenate([t for t, _ in calls]).tolist())
+    grid = np.arange(6001) * 0.01
+    assert set(grid[grid < 10].tolist()) | {60.0} <= seen
+    assert {end for z in zeros for end in z.bracket} <= seen
     for taus, vals in calls:
         for t, v in zip(taus, vals):
             one = line(float(t))

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -71,16 +72,21 @@ def test_find_zeros_capability_cap():
 @pytest.mark.parametrize("kwargs", [{"tau_max": math.nan},
                                     {"tau_max": 30.0, "tol": -1.0},
                                     {"tau_max": 30.0, "tol": math.inf},
-                                    {"tau_max": 30.0, "tol": math.nan}],
+                                    {"tau_max": 30.0, "tol": math.nan},
+                                    {"tau_max": 60.0, "tol": 0.01},
+                                    {"tau_max": 60.0, "tol": 0.02}],
                          ids=["nan-tau_max", "negative-tol", "inf-tol",
-                              "nan-tol"])
+                              "nan-tol", "scan-step-tol", "loose-tol"])
 def test_find_zeros_refuses_nan_tau_max_and_bad_tol(kwargs):
     # A NaN tau_max used to reach int(nan), a negative tol to run every
-    # bracket to brentq's iteration cap.  tol = 0 leaves rtol in charge.
+    # bracket to brentq's iteration cap, and a tol of the 0.01 scan step
+    # or more to return bare bracket ends as roots (residual 3.7e-3 at
+    # tol 0.02).  tol = 0 leaves rtol in charge.
     with pytest.raises(DomainError, match="tau_max" if len(kwargs) == 1
-                       else "tol"):
+                       else r"tol < 0\.01"):
         find_zeros(**kwargs)
     assert len(find_zeros(15.0, tol=0.0)) == 1
+    assert len(find_zeros(60.0, tol=0.0099)) == 13
 
 
 def _root_and_calls(solver, f, a, b, xtol, rtol=8.9e-16):
@@ -163,24 +169,107 @@ def test_lockstep_roots_equal_scalar_brentq(tol):
 
 
 def test_find_zeros_calls_once_per_block_and_round(monkeypatch):
-    # The scan takes one call per block; refinement takes one per round,
-    # and it seeds each bracket with the scan's end values, so there are
-    # at most (largest single-bracket brentq call count - 2) rounds.
+    # The scan's exact calls take at most _SCAN_BLOCK rows each, and
+    # about a sixth of the 6001 grid points: the 1000 below tau = 10,
+    # the few the Riemann-Siegel margin cannot decide, tau_max and the
+    # bracket ends.  Refinement takes one call per round, and it seeds
+    # each bracket with the scan's end values, so there are at most
+    # (largest single-bracket brentq call count - 2) rounds.
     line = critical_line_real_form
-    sizes = []
+    lockstep = spectrum._lockstep
+    sizes, rounds = [], []
 
     def recording(tau):
         sizes.append(np.size(tau) if np.ndim(tau) else None)
         return line(tau)
 
+    def counting(f, steps):
+        return lockstep(lambda x: rounds.append(len(x)) or f(x), steps)
+
     monkeypatch.setattr(spectrum, "critical_line_real_form", recording)
+    monkeypatch.setattr(spectrum, "_lockstep", counting)
     zeros = find_zeros(60.0)
+    monkeypatch.undo()
     assert None not in sizes
-    rounds = len(sizes) - len(range(0, 6000, spectrum._SCAN_BLOCK))
+    assert max(sizes) <= spectrum._SCAN_BLOCK
+    assert sizes[-len(rounds):] == rounds
+    assert 1000 < sum(sizes[:-len(rounds)]) <= 1100
     most = max(_root_and_calls(spectrum.brentq, line, *z.bracket, 1e-10)[1]
                for z in zeros)
-    assert 0 < rounds <= most - 2
-    assert max(sizes[-rounds:]) == len(zeros)
+    assert 0 < len(rounds) <= most - 2
+    assert max(rounds) == len(zeros)
+
+
+def _riemann_siegel_signs(t):
+    """The scan's sign of xi(1/2 + i t), 0 where Z is inside its margin."""
+    z, margin = spectrum._riemann_siegel(t)
+    return np.where(np.abs(z) > margin, -np.sign(z), 0.0)
+
+
+def test_riemann_siegel_signs_are_certified_on_the_whole_grid():
+    # The margin is measured, not proven, so every grid point the scan
+    # can take from Riemann-Siegel, 0.01 k for k = 1000..6000, is checked:
+    # each sign it decides is the exact one, and it decides at least 98%.
+    t = np.arange(1000, 6001) * spectrum._SCAN_STEP
+    signs = _riemann_siegel_signs(t)
+    decided = signs != 0
+    assert np.array_equal(signs[decided],
+                          np.sign(critical_line_real_form(t[decided])))
+    assert decided.mean() >= 0.98
+
+
+def test_riemann_siegel_remainder_is_half_the_margin():
+    # At 200 seeded tau in [10, 60], and at 30 next to C0's removable
+    # singularity (p = 1/4 at N = 2, p = 3/4 at N = 1 and 2, with
+    # 1e-3 <= |cos 2 pi p| <= 1e-2) and 5 just below tau = 18 pi, where
+    # the remainder peaks, |Z_RS - Z| stays within half the margin.
+    rng = random.Random(20261019)
+    taus = [rng.uniform(10.0, 60.0) for _ in range(200)]
+    for n_p in (2.25, 1.75, 2.75):
+        taus += [2 * math.pi * (n_p + rng.choice((-1, 1))
+                                * rng.uniform(1.6e-4, 1.6e-3)) ** 2
+                 for _ in range(10)]
+    taus += [18 * math.pi - rng.uniform(0.0, 1e-3) for _ in range(5)]
+    t = np.array(taus)
+    z, margin = spectrum._riemann_siegel(t)
+    assert np.all(np.isfinite(margin))
+    want = np.array([float(mpmath.siegelz(tau)) for tau in taus])
+    assert np.all(np.abs(z - want) <= margin / 2)
+    # Closer to the singularity, |cos 2 pi p| < 1e-3, the scan decides
+    # nothing and takes the exact route.
+    near = np.array([2 * math.pi * (n_p + d) ** 2 for n_p in (2.25, 1.75, 2.75)
+                     for d in (-1e-4, 0.0, 1e-4)])
+    assert np.all(spectrum._riemann_siegel(near)[1] == math.inf)
+
+
+def _exact_scan(tau_max):
+    """find_zeros as an all-exact scan: critical_line_real_form at every
+    grid point, scalar brentq on every bracket, zeta for the residual."""
+    last = int(math.ceil(max(tau_max, 0) / spectrum._SCAN_STEP))
+    t = np.minimum(np.arange(last + 1) * spectrum._SCAN_STEP, tau_max)
+    v = np.concatenate([critical_line_real_form(t[i:i + 256])
+                        for i in range(0, last + 1, 256)]) if last else t
+    records = []
+    for k in np.flatnonzero((v[1:] == 0) | (v[:-1] * v[1:] < 0)):
+        bracket = (float(t[k]), float(t[k + 1]))
+        root = spectrum.brentq(critical_line_real_form, *bracket,
+                               xtol=1e-10, rtol=8.9e-16)
+        rho = complex(0.5, root)
+        records.append(spectrum.ZeroRecord(len(records) + 1, root, rho,
+                                           abs(zeta(rho)), bracket))
+    return records
+
+
+def test_find_zeros_equals_an_all_exact_scan():
+    # Seeded tau_max on and off the 0.01 grid, below, at and above
+    # tau = 10, up to the cap: the records equal the all-exact scan's.
+    rng = random.Random(20261019)
+    sweep = [0.0, 5.0, 9.99, 9.995, 10.0, 10.005, 12.57, 14.2, 45.5,
+             59.345, 60.0]
+    sweep += [round(rng.uniform(0.0, 60.0), 2) for _ in range(6)]
+    sweep += [rng.uniform(0.0, 60.0) for _ in range(6)]
+    for tau_max in sweep:
+        assert find_zeros(tau_max) == _exact_scan(tau_max), tau_max
 
 
 def test_lockstep_budget_error_names_its_bracket():
