@@ -85,17 +85,24 @@ def _finite_floats(text: str) -> list[float]:
     return values
 
 
+# Largest --x-grid count.  psi took 1 to 3 ms a point on its series
+# route (x up to 10 or 50; 2-vCPU x86), so the cap is 10 to 35 s of work.
+_GRID_MAX = 10_001
+
+
 def _parse_grid(text: str) -> np.ndarray:
+    bad = argparse.ArgumentTypeError(
+        f"must be lo:hi:count with finite lo < hi and 2 <= count <= "
+        f"{_GRID_MAX}, got {text!r}")
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"grid must be lo:hi:count, got {text!r}")
+        raise bad
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}")
-    if n < 2 or not -math.inf < lo < hi < math.inf:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}")
+        raise bad
+    if not (2 <= n <= _GRID_MAX and -math.inf < lo < hi < math.inf):
+        raise bad
     return np.linspace(lo, hi, n)
 
 
@@ -335,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_parse_complex, required=True,
                    help="0.01 <= Re(s) <= 100, e.g. 0.5+14.134725i")
     p.add_argument("--x-grid", type=_parse_grid, required=True,
-                   help="lo:hi:count, e.g. 0:10:101")
+                   help=f"lo:hi:count, count <= {_GRID_MAX}; e.g. 0:10:101")
     p.add_argument("--which", choices=("psi_tilde", "psi"),
                    default="psi_tilde")
     p.add_argument("--tol", type=_positive_float, default=1e-10)

@@ -482,14 +482,13 @@ def suite_states():
     r.append(check("gram-by-parts-route",
                    st.gram_diagonal_by_parts(RHO1), g11.value,
                    1e-6, "derived-oracle", mode="rel", inputs={"rho": RHO1}))
-    r.append(check("gram-log-moment-route",
-                   st.gram_diagonal_log_moment(RHO1).value,
+    lm11 = st.gram_diagonal_log_moment(RHO1).value
+    r.append(check("gram-log-moment-route", lm11,
                    st.gram_diagonal_by_parts(RHO1), 1e-6,
                    "derived-oracle", mode="rel", inputs={"rho": RHO1}))
-    gn = st.gram(RHO1, RHO1, route="naive")
-    r.append(check("gram-route-cross-check", gn.value, g11.value,
+    r.append(check("gram-route-cross-check", g11.value, lm11,
                    1e-4, "derived-oracle", mode="rel",
-                   inputs={"routes": "naive vs tail"}))
+                   inputs={"routes": "nested vs log moment"}))
     gsc = st.gram(RHO1, RHO1, f_const=2.0, g_const=3.0)
     r.append(check("gram-bilinearity", gsc.value, 6.0 * g11.value,
                    1e-15, "trivial", mode="rel", inputs={"f": 2.0, "g": 3.0}))

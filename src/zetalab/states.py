@@ -73,9 +73,6 @@ _SERIES_TAU_MAX = 60.0
 _SERIES_TERMS_MAX = 512
 # Share of tol granted to the series truncation.
 _SERIES_TAIL_SHARE = 1.0 / 256.0
-# gram's tail integral is asked for this multiple of tol: its diagonals
-# stall at an 80-bit rounding floor of 1.7e-18 (rho1) to 2.8e-18 (rho4).
-_TAIL_TOL_FACTOR = 8.0
 
 
 @lru_cache(maxsize=1)
@@ -412,7 +409,7 @@ def gram_diagonal_log_moment(rho) -> QuadResult:
 
 
 def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
-         tol: float = 1e-18, route: str = "tail") -> QuadResult:
+         tol: float = 1e-18) -> QuadResult:
     """The bilinear pairing
     conj(g) f * integral_0^inf t^{rho_row* + rho_col - 2}
                  (integral_0^t tau^{-rho_row*}/(1+e^tau) dtau) dt
@@ -422,23 +419,14 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     integral_0^inf 2 x^{2a-3} W(x) dx, W(x) = integral_0^x f,
     f(v) = 2 v^{p-1}/(1+e^{v^2}).  W tends to the anchor
     w0 = Gamma(1-rho_row*) eta(1-rho_row*): zero at exact zeros, below
-    1e-24 at the double-rounded rho1..rho4.  Both routes cut x at
+    1e-24 at the double-rounded rho1..rho4.  x is cut at
     U = sqrt(8 - ln tol): on the line |f| <= 1, and past t = U^2
     |W - w0| <= t^{-1/2} e^{-t} against |t^{a-2}| = 1/t, so the cut
     drops at most e^{-U^2}.
 
-    route="tail" (default) takes w0 as 0 and swaps the order of
-    integration: one integral of f K, K(v) = (U^{2a-2} - v^{2a-2})/(a-1)
-    or 2 ln(U/v) at a = 1, on y = ln(U/v) in [0, Y], where v^{2i tau}
-    turns at a fixed rate, to _TAIL_TOL_FACTOR * tol.  As
-    |K| <= 2 ln(U/v), the part below eps = U e^{-Y} is at most
-    2 eps (1 + Y) = tol (1 + Y)/(64 (1 + y0)) < tol/46, with
-    y0 = ln(128 U/tol) and Y = y0 + ln(1 + y0).
-
-    route="naive", the independent oracle, keeps the printed inner
-    direction.  For x <= 1, with 2/(1+e^z) = sum_j b_j z^j
-    (_exp_ratio_series), W(x) = sum_j b_j x^{p+2j}/(p+2j) and the outer
-    integral is S = sum_j 2 b_j/((p+2j)(2 rho_col+2j)).  On [1, U], one
+    For x <= 1, with 2/(1+e^z) = sum_j b_j z^j (_exp_ratio_series),
+    W(x) = sum_j b_j x^{p+2j}/(p+2j) and the outer integral is
+    S = sum_j 2 b_j/((p+2j)(2 rho_col+2j)).  On [1, U], one
     CumulativeIntegral on u = ln x to tol/2 gives W - W(1) and its bound
     e_in at the nodes of one integrate_finite of [c W, |c| (e_in + d1)],
     c = 2 x^{2a-2}, to tol; d1 bounds W(1)'s error.  abs_err adds twice
@@ -461,57 +449,38 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
         _require_zero(rho_col, "rho_col")
     if 1 - rs not in (rho_row, rho_col):
         _require_zero(1 - rs, "1 - conj(rho_row)")
-    if route not in ("tail", "naive"):
-        raise DomainError(f"unknown route {route!r}")
 
     a = rs + rho_col
     upper = math.sqrt(-math.log(tol) + 8.0)
-    cut = math.exp(-(upper * upper))
-    ln_u, k_exp, p = np.log(LD(upper)), CLD(2 * a - 2), CLD(2 - 2 * rs)
+    ln_u, k_exp, p = math.log(upper), CLD(2 * a - 2), CLD(2 - 2 * rs)
 
     def f_dlnv(ln_v):
         return 2.0 * np.exp(p * ln_v) / (1.0 + np.exp(np.exp(2.0 * ln_v)))
 
-    if route == "tail":
-        y0 = math.log(128.0 * upper / tol)
-        y_max = y0 + math.log(1.0 + y0)
+    j2 = 2 * np.arange(63)
+    w_terms = _exp_ratio_series() / (p + j2)
+    s_terms = 2.0 * w_terms / (CLD(2 * rho_col) + j2)
+    w1 = w_terms.sum()
+    d1 = 16 * _EPS_LD * float(np.abs(w_terms).sum())
+    # tol/2 clears the inner's 80-bit floor.
+    cum = CumulativeIntegral(f_dlnv, 0.0, ln_u, tol / 2.0)
 
-        def f_kernel_dv(y):
-            ln_v = ln_u - y
-            k = (2.0 * y if a == 1 else
-                 (np.exp(k_exp * ln_u) - np.exp(k_exp * ln_v)) / CLD(a - 1))
-            return f_dlnv(ln_v) * k
+    def c_w_and_bound(u):
+        w, e_in = cum.query_lo_many(u)
+        c = 2.0 * np.exp(k_exp * u)
+        return np.stack([c * (w1 + w), np.abs(c) * (e_in + d1)])
 
-        res = integrate_finite(f_kernel_dv, 0.0, y_max,
-                               _TAIL_TOL_FACTOR * tol)
-        value, evals = res.value, res.evals
-        err = res.abs_err + (cut + 2.0 * upper * math.exp(-y_max)
-                             * (1.0 + y_max))
-    else:
-        j2 = 2 * np.arange(63)
-        w_terms = _exp_ratio_series() / (p + j2)
-        s_terms = 2.0 * w_terms / (CLD(2 * rho_col) + j2)
-        w1 = w_terms.sum()
-        d1 = 16 * _EPS_LD * float(np.abs(w_terms).sum())
-        # tol/2 clears the inner's 80-bit floor.
-        cum = CumulativeIntegral(f_dlnv, 0.0, math.log(upper), tol / 2.0)
-
-        def c_w_and_bound(u):
-            w, e_in = cum.query_lo_many(u)
-            c = 2.0 * np.exp(k_exp * u)
-            return np.stack([c * (w1 + w), np.abs(c) * (e_in + d1)])
-
-        res = integrate_finite(c_w_and_bound, 0.0, math.log(upper), tol)
-        value = complex(s_terms.sum() + res.value[0])
-        err = (2.0 * res.abs_err + float(res.value[1].real)
-               + 16 * _EPS_LD * float(np.abs(s_terms).sum()) + cut
-               + 80.0 * abs(gamma(1 - rs) * eta(1 - rs)))
-        evals = res.evals + cum.evals
+    res = integrate_finite(c_w_and_bound, 0.0, ln_u, tol)
     gf = complex(g_const).conjugate() * complex(f_const)
-    value, abs_err = gf * value, abs(gf) * err
+    value = gf * complex(s_terms.sum() + res.value[0])
+    abs_err = abs(gf) * (
+        2.0 * res.abs_err + float(res.value[1].real)
+        + 16 * _EPS_LD * float(np.abs(s_terms).sum())
+        + math.exp(-(upper * upper))
+        + 80.0 * abs(gamma(1 - rs) * eta(1 - rs)))
     if not (math.isfinite(abs_err) and cmath.isfinite(value)):
         raise DomainError("gram requires finite value and error")
-    return QuadResult(value, abs_err, evals)
+    return QuadResult(value, abs_err, res.evals + cum.evals)
 
 
 def gram_matrix(rhos, tol: float = 1e-18):

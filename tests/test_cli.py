@@ -310,11 +310,13 @@ def test_gram_moves_names_every_moved_entry():
 
 def test_gram_three_zeros_within_bounds(capsys):
     # For three and for four zeros, each diagonal meets its closed form,
-    # and each off-diagonal vanishes, within the entry's abs_err.
+    # and each off-diagonal vanishes, within the entry's abs_err; also at
+    # --tol 1e-4, where wide panels can alias: the swapped order of
+    # integration missed the rho3 x rho4 entry there by 3.29x its bound.
     from zetalab.states import gram_diagonal_closed_form
 
-    for n in (3, 4):
-        code, lines = run(capsys, "gram", "--num-zeros", str(n))
+    for n, tol in ((3, []), (4, []), (4, ["--tol", "1e-4"])):
+        code, lines = run(capsys, "gram", "--num-zeros", str(n), *tol)
         assert code == 0 and len(lines) == 1
         rec = json.loads(lines[0])
         m = rec["matrix"]
@@ -325,7 +327,7 @@ def test_gram_three_zeros_within_bounds(capsys):
                 if i == j:
                     rho = complex(rec["rhos"][i]["re"], rec["rhos"][i]["im"])
                     v -= gram_diagonal_closed_form(rho)
-                assert abs(v) <= e["abs_err"], (n, i, j)
+                assert abs(v) <= e["abs_err"], (n, tol, i, j)
 
 
 def test_gram_num_zeros_guard(capsys):
@@ -608,12 +610,23 @@ def test_norm_check_and_tol_scale_guards_exit_2(capsys):
      "0.01 <= Re(s) <= 100"),
     (["eigenfunction", "--s", "100.5", "--x-grid", "0:1:2"], "--s",
      "Re(s) <= 100"),
+    (["eigenfunction", "--s", "2", "--x-grid", "0:1:100000000"], "--x-grid",
+     "2 <= count <= 10001"),
+    (["eigenfunction", "--s", "2", "--x-grid", "0:1:10002"], "--x-grid",
+     "2 <= count <= 10001"),
 ], ids=["norm-c-1e300", "norm-c-15.5", "residual-s-1e300",
-        "residual-s-0.009", "eigen-s-1e-300", "eigen-s-100.5"])
-def test_out_of_range_flags_exit_2_naming_the_limit(capsys, argv, flag,
-                                                    limit):
+        "residual-s-0.009", "eigen-s-1e-300", "eigen-s-100.5",
+        "eigen-grid-1e8", "eigen-grid-10002"])
+def test_out_of_range_flags_exit_2_naming_the_limit(capsys, monkeypatch,
+                                                    argv, flag, limit):
     # Each used to end in an OverflowError traceback (norm-check's tail
-    # bound, residual's Gamma) or a NaN ConvergenceError (eigenfunction).
+    # bound, residual's Gamma), a NaN ConvergenceError (eigenfunction)
+    # or, for the grid, 800 MB of linspace and 10^8 psi calls; no case
+    # may reach the grid's allocation.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused flag reached np.linspace")
+
+    monkeypatch.setattr(np, "linspace", refuse)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -641,6 +654,9 @@ def test_flag_limits_themselves_run(capsys):
         code, lines = run(capsys, *argv)
         assert code == 0, argv
         assert not re.search(r"\bnan\b", "\n".join(lines))
+    # The --x-grid cap itself parses; tabulating it is 10 s or more of psi.
+    from zetalab.cli import _parse_grid
+    assert len(_parse_grid("0:1:10001")) == 10001
 
 
 def test_norm_check_divergent_exponent_exits_1(capsys):

@@ -304,12 +304,6 @@ def test_gram_log_moment_route():
     assert abs(lm - bp) <= 1e-6 * abs(bp)
 
 
-def test_gram_naive_route_cross_check(gram2):
-    gn = gram(RHO1, RHO1, route="naive")
-    g11 = gram2[0][0].value
-    assert abs(gn.value - g11) <= 1e-7 * abs(g11)
-
-
 def test_gram_bilinear_in_constants(gram2):
     # conj(2 - 1j) * (1 + 2j) = 5j.
     gs = gram(RHO1, RHO1, f_const=1 + 2j, g_const=2 - 1j)
@@ -320,8 +314,6 @@ def test_gram_bilinear_in_constants(gram2):
 def test_gram_guards():
     with pytest.raises(PreconditionError):
         gram(0.6 + 3j, RHO1)
-    with pytest.raises(DomainError):
-        gram(RHO1, RHO1, route="bogus")
 
 
 def test_gram_refuses_tol_outside_the_unit_interval():
@@ -354,46 +346,27 @@ def test_gram_checks_each_distinct_point_once(monkeypatch):
 
 
 def test_gram_refuses_non_finite_result(monkeypatch):
+    # The outer run is stacked: row 0 the integral, row 1 its bound.
     import zetalab.states as states
 
-    monkeypatch.setattr(
-        states, "integrate_finite",
-        lambda *args, **kwargs: QuadResult(complex("nan"), 0.0, 0))
+    nan = np.full(2, complex("nan"))
+    monkeypatch.setattr(states, "integrate_finite",
+                        lambda *args, **kwargs: QuadResult(nan, 0.0, 0))
     with pytest.raises(DomainError, match="finite"):
         gram(RHO1, RHO1)
 
 
-def test_gram_tail_route_is_one_integral(monkeypatch):
-    # The tail route runs integrate_finite once and builds no
-    # CumulativeIntegral.
-    import zetalab.states as states
-
-    runs = []
-    finite = states.integrate_finite
-
-    def counting(*args, **kwargs):
-        runs.append(args)
-        return finite(*args, **kwargs)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the tail route reached the nested oracle")
-
-    monkeypatch.setattr(states, "integrate_finite", counting)
-    monkeypatch.setattr(states, "CumulativeIntegral", refuse)
-    for rho_col in (RHO1, RHO2):
-        runs.clear()
-        gram(RHO1, rho_col)
-        assert len(runs) == 1
-
-
-def test_gram_tail_route_meets_closed_form_for_four_zeros():
+def test_gram_nested_route_meets_closed_form_for_four_zeros():
     # rho1..rho4, 16 entries at the default tol: each diagonal meets its
     # closed form and each off-diagonal vanishes within abs_err, and
-    # every abs_err is inside the documented charge: the integral's
-    # 8 tol, the cut near v = 0 (under tol/46) and e^{-U^2}.
+    # every abs_err is inside the documented charge: twice the outer
+    # run's tol, its bound row int |c| (e_in + d1) du with |c| = 2 on the
+    # line, e_in <= tol/2 and d1 < 1e-19 over u in [0, ln U], and under
+    # 1e-20 for the rest (the series' rounding, e^{-U^2} and 80 |w0|).
     tol = 1e-18
     rhos = [complex(0.5, t) for t in oracles.ZERO_TAUS[:4]]
-    bound = 8 * tol + tol / 46 + math.exp(-(8.0 - math.log(tol)))
+    ln_u = 0.5 * math.log(8.0 - math.log(tol))
+    bound = 2 * tol + 2 * ln_u * (tol / 2 + 1e-19) + 1e-20
     for i, row in enumerate(gram_matrix(rhos, tol=tol)):
         for j, e in enumerate(row):
             want = gram_diagonal_closed_form(rhos[i]) if i == j else 0
@@ -402,17 +375,17 @@ def test_gram_tail_route_meets_closed_form_for_four_zeros():
 
 
 def test_gram_unreachable_tol_stops_at_rounding_floor():
-    # The tail integral's 80-bit floor is about 1.7e-18 at rho1, so tol
-    # 1e-25 fails fast, with the best estimate attached.
+    # The inner CumulativeIntegral's 80-bit floor is about 2.3e-20 at
+    # rho1, so tol 1e-25 fails fast, with the best estimate attached.
     with pytest.raises(ConvergenceError, match="rounding floor") as info:
         gram(RHO1, RHO1, tol=1e-25)
     best = info.value.best
     assert best is not None and best.abs_err > 1e-25
 
 
-def test_gram_naive_route_meets_its_bound_at_every_tol():
-    # The oracle's abs_err bounds its error from tol 1e-2 to 1e-18 at the
-    # diagonals of rho3..rho6 and their pairings with rho1.  Its inner
+def test_gram_meets_its_bound_at_every_tol():
+    # abs_err bounds the error from tol 1e-2 to 1e-18 at the diagonals of
+    # rho3..rho6 and their pairings with rho1.  The nested form's inner
     # integral's first panel at v = 0 used to over-run it by up to 2.5x
     # at rho3; on one log axis down to v = 1e-22, panels 3.27 wide there
     # aliased and over-ran it at rho4..rho6 by up to 3.4x.
@@ -421,12 +394,12 @@ def test_gram_naive_route_meets_its_bound_at_every_tol():
         closed = gram_diagonal_closed_form(rho)
         for tol in (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-18):
             for rho_col, want in ((rho, closed), (RHO1, 0)):
-                e = gram(rho, rho_col, tol=tol, route="naive")
+                e = gram(rho, rho_col, tol=tol)
                 assert abs(e.value - want) <= e.abs_err, (tau, tol, rho_col)
 
 
 def test_exp_ratio_series_sums_to_its_function():
-    # The naive route's series for 2/(1+e^z), |z| <= 1, against mpmath:
+    # gram's series for 2/(1+e^z), |z| <= 1, against mpmath:
     # its long-double coefficients and cut after z^62 lose about 1e-21.
     from zetalab.states import _exp_ratio_series
     b = [_mp_exact(c).real for c in _exp_ratio_series()]
@@ -437,10 +410,10 @@ def test_exp_ratio_series_sums_to_its_function():
 
 
 def test_gram_evaluates_its_inner_integrand_only_at_build():
-    # The naive route's queries evaluate no integrand, so an entry costs
-    # its outer run plus one inner build (542,872 evaluations when each
+    # The inner queries evaluate no integrand, so an entry costs its
+    # outer run plus one inner build (542,872 evaluations when each
     # outer node re-ran a 31-point rule through the inner integrand).
-    assert gram(RHO1, RHO3, route="naive").evals < 60_000
+    assert gram(RHO1, RHO3).evals < 60_000
 
 
 def _inner_integral_reference(tau, ln_lo, ln_xs, ln_hi):
@@ -482,7 +455,7 @@ def _mp_exact(x):
 
 
 def test_gram_inner_queries_meet_their_bounds(monkeypatch):
-    # Both query forms of the naive route's inner CumulativeIntegral on
+    # Both query forms of gram's inner CumulativeIntegral on
     # u = ln v in [0, ln U], rows rho1..rho3, against 34-digit references
     # at 17 seeded points each, uniform in v over [1, U]; each u's long
     # double value is taken as exact.  No allowance: in the tail, v >~ 3,
@@ -501,7 +474,7 @@ def test_gram_inner_queries_meet_their_bounds(monkeypatch):
     for row, rho in enumerate((RHO1, RHO2, RHO3)):
         monkeypatch.setattr(states, "CumulativeIntegral", capture)
         with pytest.raises(Built) as info:
-            gram(rho, rho, route="naive")
+            gram(rho, rho)
         monkeypatch.undo()
         cum = info.value.args[0]
         rng = np.random.default_rng(row)
