@@ -86,7 +86,8 @@ def _finite_floats(text: str) -> list[float]:
 
 
 # Largest --x-grid count.  psi took 1 to 3 ms a point on its series
-# route (x up to 10 or 50; 2-vCPU x86), so the cap is 10 to 35 s of work.
+# route at |Im s| <= 90 (x up to 10 or 50; 2-vCPU x86), 3 to 6 ms at
+# |Im s| 160 to 220 and 18 ms at 440, so the cap is 10 s to 3 minutes.
 _GRID_MAX = 10_001
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, DomainError
 from .quad import QuadResult, integrate_semi_infinite
-from .special import _bernoulli_any, _laguerre_table, _series_coeff_exact
+from .special import (_bernoulli_any, _laguerre_table, _series_coeff_exact,
+                      gamma)
 from .states import _psi_tilde_coefficients
 
 __all__ = [
@@ -230,7 +231,7 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
     fc = complex(p.f_const)
 
     if which == "psi_tilde":
-        return _psi_tilde_coefficients(s, K, fc)[0]
+        return _psi_tilde_coefficients(s, gamma(s), K, fc)[0]
 
     sm1 = np.clongdouble(s - 1)
     signs = 2.0 * (-1.0) ** np.arange(K)

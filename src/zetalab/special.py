@@ -240,13 +240,18 @@ def _lanczos(z):
 
 
 def gamma(s):
-    """Complex Gamma function, relative error about 1e-13 on the strip.
+    """Complex Gamma function, relative error at most
+    max(1e-13, 3 eps |s| ln|s|): a few roundings of the Lanczos exponent
+    (s - 1/2) ln t - t.  Against mpmath at 3,000 seeded points with
+    0.01 <= Re(s) <= 4 and |Im s| up to where Gamma(s) underflows, the
+    worst was 0.45 of that charge (7.4e-13, near |Im s| = 450).
 
     Lanczos approximation for Re(s) >= 1/2, reflection formula below.
     Accepts a scalar (returns complex) or an array; a row of an array
     equals the scalar call bit for bit.  Nonpositive integer input
     raises PoleError carrying the integer, and a result that is not
-    finite in double precision raises CapabilityError.
+    finite in double precision raises CapabilityError, as where the
+    reflection's sin(pi s) overflows (Re(s) < 1/2, |Im s| >~ 226).
     """
     arr = np.asarray(s, dtype=complex)
     z = np.atleast_1d(arr).ravel()
@@ -255,11 +260,15 @@ def gamma(s):
         raise PoleError(f"gamma pole at s = {int(poles[0].real)}",
                         location=complex(poles[0]))
     left = z.real < 0.5
-    out = _lanczos(np.where(left, 1 - z, z))
-    # Gamma(s) Gamma(1-s) = pi / sin(pi s)
-    out[left] = math.pi / (np.sin(math.pi * z[left]) * out[left])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = _lanczos(np.where(left, 1 - z, z))
+        # Gamma(s) Gamma(1-s) = pi / sin(pi s)
+        out[left] = math.pi / (np.sin(math.pi * z[left]) * out[left])
     if not np.isfinite(out).all():
-        raise CapabilityError("gamma is not finite in double precision")
+        raise CapabilityError(
+            "gamma's reflection formula overflows in double precision "
+            "(Re(s) < 1/2, |Im s| >~ 226)" if not np.isfinite(out[left]).all()
+            else "gamma is not finite in double precision")
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -18,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, PreconditionError
+from .errors import (CapabilityError, DivergenceError, DomainError,
+                     PreconditionError)
 from .quad import (
     CLD,
     LD,
@@ -66,9 +67,8 @@ GRAM_SIGN = -1
 _LN2 = math.log(2.0)
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_LD = float(np.finfo(LD).eps)
+_TINY64 = float(np.finfo(np.float64).tiny)
 
-# psi takes the Laguerre series up to |Im s| = 60, quadrature past it.
-_SERIES_TAU_MAX = 60.0
 # Longest Laguerre series psi sums before it falls back to quadrature.
 _SERIES_TERMS_MAX = 512
 # Share of tol granted to the series truncation.
@@ -127,10 +127,9 @@ def amplitude_F(p: StateParams, t: float) -> complex:
     )
 
 
-def _gamma_ratios(s: complex):
+def _gamma_ratios(s: complex, q: complex):
     """Gamma(n+s)/n! for n = 0, 1, 2, ... by the forward recurrence
-    q_{n+1} = q_n (n+s)/(n+1), started from Gamma(s)."""
-    q = gamma(s)
+    q_{n+1} = q_n (n+s)/(n+1), started from q = Gamma(s)."""
     n = 0
     while True:
         yield q
@@ -138,19 +137,21 @@ def _gamma_ratios(s: complex):
         n += 1
 
 
-def _psi_tilde_coefficients(s: complex, K: int, f_const: complex):
+def _psi_tilde_coefficients(s: complex, g: complex, K: int,
+                            f_const: complex):
     """(a, a_err) for n < K: a_n = f Gamma(n+s)(1 - eta(n+s))/n!, the
     coefficients of psi_tilde in the orthonormal basis e^{-x/2} L_n(x),
-    and a bound on the absolute error of each.
+    and a bound on the absolute error of each, given g = Gamma(s).
 
     One engine call gives every 1 - eta(n+s) with its error bound; the
-    bound adds Gamma's 1e-13 relative error and a few roundings per
-    recurrence step.
+    bound adds Gamma's relative error, max(1e-13, 3 eps |s| ln|s|) (the
+    law in special.gamma), and a few roundings per recurrence step.
     """
     n = np.arange(K)
-    fq = f_const * np.fromiter(_gamma_ratios(s), complex, K)
+    fq = f_const * np.fromiter(_gamma_ratios(s, g), complex, K)
     ome, ome_err = _one_minus_eta(s + n)
-    err = np.abs(ome) * (1e-13 + 8 * (n + 2) * _EPS64) + ome_err
+    g_rel = max(1e-13, 3 * _EPS64 * abs(s) * math.log(abs(s)))
+    err = np.abs(ome) * (g_rel + 8 * (n + 2) * _EPS64) + ome_err
     return fq * ome, np.abs(fq) * err
 
 
@@ -172,8 +173,9 @@ def _series_tail(K: int, q_abs: float, sigma: float, tau: float) -> float:
 
 
 def _psi_series(p: StateParams, x: float, tol: float):
-    """psi(x) = sum_{n<K} a_n L_n(x) with an error bound, or None when
-    no K up to _SERIES_TERMS_MAX brings the a-priori tail below
+    """psi(x) = sum_{n<K} a_n L_n(x) with an error bound, or None where
+    Gamma(s) is not a finite normal double or no K up to
+    _SERIES_TERMS_MAX brings the a-priori tail below
     tol * _SERIES_TAIL_SHARE.
 
     Szegő's bound |e^{-x/2} L_n(x)| <= 1 for x >= 0 (Orthogonal
@@ -188,13 +190,19 @@ def _psi_series(p: StateParams, x: float, tol: float):
     fc = complex(p.f_const)
     weight = math.exp(-0.5 * x)
     need = tol * _SERIES_TAIL_SHARE * weight
-    for K, q in enumerate(_gamma_ratios(s)):
+    try:
+        g = gamma(s)
+    except CapabilityError:
+        return None
+    if not abs(g) >= _TINY64:
+        return None
+    for K, q in enumerate(_gamma_ratios(s, g)):
         if K > _SERIES_TERMS_MAX:
             return None
         tail = _series_tail(K, abs(fc * q), s.real, abs(s.imag))
         if K > 0 and tail <= need:
             break
-    a, a_err = _psi_tilde_coefficients(s, K, fc)
+    a, a_err = _psi_tilde_coefficients(s, g, K, fc)
     lag = _laguerre_table(np.full(1, x, dtype=LD), K)[:, 0]
     value = complex(np.sum(a.astype(CLD) * lag))
     mag = np.abs(lag).astype(np.float64)
@@ -233,16 +241,16 @@ def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
     e^{x/2}, falls below tol/256.  abs_err bounds the truncation (the
     tail times e^{x/2}), the coefficient errors carried through
     |L_n(x)|, and the rounding of the sum; evals counts the terms
-    summed.  Where that bound exceeds tol, or |Im s| > 60, the value
-    comes from adaptive quadrature of the integral instead, and evals
-    counts integrand evaluations.
+    summed.  Where that bound exceeds tol (large x, very small tol), or
+    Gamma(s) is not a finite normal double (Re s < 1/2 past |Im s| ~ 226,
+    or past |Im s| ~ 450), the value comes from adaptive quadrature of
+    the integral instead, and evals counts integrand evaluations.
     """
     if not 0 <= x < math.inf:
         raise DomainError(f"psi requires a finite x >= 0, got {x}")
-    if abs(complex(p.s).imag) <= _SERIES_TAU_MAX:
-        r = _psi_series(p, x, tol)
-        if r is not None and r.abs_err <= tol:
-            return r
+    r = _psi_series(p, x, tol)
+    if r is not None and r.abs_err <= tol:
+        return r
     return _psi_quadrature(p, x, tol)
 
 

@@ -180,6 +180,8 @@ def psi_series_oracle(s, x, target: float = 1e-20):
     """(psi(x), error bound) from the Laguerre series
     sum_n Gamma(n+s)(1 - eta(n+s))/n! L_n(x) summed at 40 digits.
 
+    Each 1 - eta(n+s) ~ 2^{-n-s} is taken at 40 + 0.31 (n + Re s)
+    digits, as in mp_one_minus_eta, so it keeps 40 digits of its own.
     The tail past the last term is bounded through
     |1 - eta(z)| <= 2^{-Re z}(1 + 2/(Re z - 1)), the ratio
     |n+s|/(n+1) of consecutive Gamma(n+s)/n!, and Szegő's
@@ -201,7 +203,9 @@ def psi_series_oracle(s, x, target: float = 1e-20):
             tail = abs(q) * mp.power(2, -re_z) * (1 + 2 / (re_z - 1)) / (1 - r)
             if tail * grow < target:
                 break
-        term = q * (1 - mp.altzeta(n + s)) * l_cur
+        with mp.workdps(40 + int(0.31 * re_z)):
+            ome = 1 - mp.altzeta(n + s)
+        term = q * ome * l_cur
         total += term
         size += abs(term)
         l_prev, l_cur = l_cur, ((2 * n + 1 - x) * l_cur - n * l_prev) / (n + 1)

@@ -236,6 +236,22 @@ def test_eigenfunction_weight_relation(capsys):
     assert abs(vt - vr * math.exp(-0.65)) < 1e-12
 
 
+def test_eigenfunction_above_tau_60_bound_covers_true_error(capsys):
+    # Summed by quadrature this printed 7.7e-5 with abs_err 7.5e-6 at
+    # x = 4.39, where the true value is below 1e-33.
+    s = complex(1.5801565651828051, -69.65193222640391)
+    code, lines = run(capsys, "eigenfunction", "--s",
+                      "1.5801565651828051-69.65193222640391i",
+                      "--x-grid", "4.386612207053902:5:2", "--tol", "1e-4")
+    assert code == 0 and len(lines) == 3
+    for row in lines[1:]:
+        x, re_, im_, abs_err = (float(v) for v in row.split(","))
+        w = math.exp(-0.5 * x)
+        want, want_err = oracles.psi_series_oracle(s, x, 1e-3 * abs_err / w)
+        assert abs_err <= 1e-4
+        assert abs(complex(re_, im_) - want * w) + want_err * w <= abs_err
+
+
 @pytest.mark.parametrize("argv", [
     ["zeros", "--tau-max", "30"],
     ["eigenfunction", "--s", RHO1_ARG, "--x-grid", "0:10:5",

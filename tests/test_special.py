@@ -93,6 +93,40 @@ def test_eta_prime_against_difference_quotient():
         assert abs(eta_prime(s) - want) <= 1e-6 * max(1.0, abs(want))
 
 
+def test_gamma_meets_its_documented_relative_error():
+    # 0.01 <= Re s <= 4 up to the largest |Im s| where Gamma(s) is a
+    # normal double, which is where psi's series takes it: past
+    # |Im s| ~ 226 for Re s < 1/2 the reflection overflows, and past
+    # |Im s| ~ 450 Gamma(s) underflows.
+    rng = np.random.default_rng(20261019)
+    eps = np.finfo(float).eps
+    reached = 0.0
+    for sigma, tau in zip(rng.uniform(0.01, 4.0, 400),
+                          rng.uniform(0.0, 470.0, 400)):
+        s = complex(sigma, tau)
+        try:
+            got = gamma(s)
+        except CapabilityError:
+            assert sigma < 0.5 and tau > 225
+            continue
+        if not abs(got) >= np.finfo(float).tiny:
+            assert tau > 440
+            continue
+        want = oracles.mp_gamma(s)
+        charge = max(1e-13, 3 * eps * abs(s) * math.log(abs(s)))
+        assert abs(got - want) <= charge * abs(want)
+        reached = max(reached, tau)
+    assert reached > 440
+
+
+@pytest.mark.filterwarnings("error")
+def test_gamma_overflow_raises_capability_error_without_warnings():
+    with pytest.raises(CapabilityError, match="reflection"):
+        gamma(0.3 + 300j)
+    with pytest.raises(CapabilityError, match="double precision"):
+        gamma(200.0)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.floats(1e-6, 520.0), st.floats(-60.0, 60.0))
 @example(1.0, 0.0)           # the removable point of the pole terms

@@ -115,6 +115,48 @@ def test_transform_falls_back_to_quadrature_below_series_bound():
     assert abs(got.value - want) <= got.abs_err + want_err
 
 
+def test_transform_above_tau_60_meets_series_oracle():
+    # |Im s| in (60, 220], x in [0, 50]: psi takes the series wherever
+    # its own bound meets tol.  The oracle sums to 1e-3 of the smallest
+    # abs_err, so the comparison is not vacuous.  By quadrature, the
+    # true error at such points reached 9.4 abs_err at tol 1e-2 and
+    # 10.5 at 1e-4.
+    rng = random.Random(20261019)
+    tols = (1e-2, 1e-4, 1e-6, 1e-10)
+    for _ in range(4):
+        s = complex(rng.uniform(0.01, 4.0),
+                    rng.choice((-1, 1)) * rng.uniform(60.0, 220.0))
+        x = rng.uniform(0.0, 50.0)
+        got = [psi(StateParams(s), x, tol) for tol in tols]
+        floor = min(g.abs_err for g in got)
+        want, want_err = oracles.psi_series_oracle(s, x, 1e-3 * floor)
+        assert want_err <= 1e-3 * floor
+        for tol, g in zip(tols, got):
+            assert g.abs_err <= tol
+            assert abs(g.value - want) + want_err <= g.abs_err
+
+
+def test_transform_falls_back_where_gamma_is_not_normal():
+    # For Re s < 1/2 Gamma's reflection overflows (0.3+300i), and past
+    # |Im s| ~ 450 Gamma(s) underflows (0.5+500i): the series does not
+    # apply, and psi answers or raises as the quadrature does (at
+    # 0.5+500i, x = 2, tol 1e-6 it stalls at its rounding floor), never
+    # 0 with abs_err 0.
+    def outcome(route, p, x, tol):
+        try:
+            return route(p, x, tol)
+        except ConvergenceError as exc:
+            return str(exc)
+
+    for s in (0.3 + 300j, 0.5 + 500j):
+        p = StateParams(s)
+        for x, tol in ((1.0, 1e-10), (2.0, 1e-6)):
+            assert _psi_series(p, x, tol) is None
+            got = outcome(psi, p, x, tol)
+            assert got == outcome(_psi_quadrature, p, x, tol)
+            assert isinstance(got, str) or got.abs_err > 0
+
+
 def test_transform_series_agrees_with_quadrature():
     for rho in (RHO1, RHO2):
         p = StateParams(rho)
