@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,23 +167,10 @@ def build_H(K: int) -> TruncatedOperator:
     return TruncatedOperator(K, m)
 
 
-def build_H_tilde(K: int) -> TruncatedOperator:
-    """H~ = iN - iN_minus - i sum_m c_m (N_minus)^m.
-
-    On the truncation (N_minus)^m is the m-step upper shift with
-    entries (n+m)!/n!, zero for m >= K, so the series terminates and
-    every entry is exact up to one rounding: the diagonal is i(n + 1/2)
-    since c_0 = 0, the first band -1.5i(n+1) (the shift plus c_1 = 1/2),
-    and the (n, n+m) entry for even m >= 2 is -i p C(n+m, m) / q with
-    p/q = B_m (2^m - 1), one correctly rounded integer division.  The
-    odd bands m >= 3 vanish with B_m.  Every real part is +0.
-    """
-    if K < 2:
-        raise DomainError("build_H_tilde requires K >= 2")
-    if K > _H_TILDE_CAP:
-        raise CapabilityError(
-            f"exact entries overflow float64 beyond K = {_H_TILDE_CAP}"
-        )
+@lru_cache(maxsize=1)
+def _h_tilde_band() -> np.ndarray:
+    # Imaginary parts of H~ at K = _H_TILDE_CAP; see build_H_tilde.
+    K = _H_TILDE_CAP
     n = np.arange(K)
     im = np.diag(n + 0.5) + np.diag(-1.5 * n[1:], 1)
     # C(n+m, m) over n as Python ints: at m = 0 all ones, and each step
@@ -194,8 +182,33 @@ def build_H_tilde(K: int) -> TruncatedOperator:
             b = _bernoulli_any(m)
             p, q = b.numerator * (2**m - 1), b.denominator
             im[n[:-m], n[m:]] = -(p * binom) / q
+    im.setflags(write=False)
+    return im
+
+
+def build_H_tilde(K: int) -> TruncatedOperator:
+    """H~ = iN - iN_minus - i sum_m c_m (N_minus)^m.
+
+    On the truncation (N_minus)^m is the m-step upper shift with
+    entries (n+m)!/n!, zero for m >= K, so the series terminates and
+    every entry is exact up to one rounding: the diagonal is i(n + 1/2)
+    since c_0 = 0, the first band -1.5i(n+1) (the shift plus c_1 = 1/2),
+    and the (n, n+m) entry for even m >= 2 is -i p C(n+m, m) / q with
+    p/q = B_m (2^m - 1), one correctly rounded integer division.  The
+    odd bands m >= 3 vanish with B_m.  Every real part is +0.
+
+    No entry depends on K, so H~ at K is the leading K x K block of H~
+    at the cap: the exact table is built once per process, at K = 192,
+    and each call copies its block into fresh read-only entries.
+    """
+    if K < 2:
+        raise DomainError("build_H_tilde requires K >= 2")
+    if K > _H_TILDE_CAP:
+        raise CapabilityError(
+            f"exact entries overflow float64 beyond K = {_H_TILDE_CAP}"
+        )
     entries = np.zeros((K, K), dtype=np.complex128)
-    entries.imag = im
+    entries.imag = _h_tilde_band()[:K, :K]
     return TruncatedOperator(K, entries)
 
 
@@ -242,8 +255,10 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
         return signs[:, None] * base * _laguerre_table(4.0 * t, K)
 
     try:
-        r = integrate_semi_infinite(f, s.real,
-                                    _COEFF_TOL * _COEFF_TOL_SHARE)
+        # Overflow past the rounding floor gives a NaN estimate, refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = integrate_semi_infinite(f, s.real,
+                                        _COEFF_TOL * _COEFF_TOL_SHARE)
     except ConvergenceError as exc:
         r = exc.best
         if not r.abs_err <= _COEFF_TOL:  # a NaN estimate is not kept

@@ -48,16 +48,22 @@ _BERNOULLI_HARD_CAP = 256
 # Bernoulli numbers and the c_m coefficient table
 
 
-@lru_cache(maxsize=8)
-def _bernoulli_list(m_max: int) -> tuple[Fraction, ...]:
-    # Akiyama-Tanigawa transform; yields the B_1 = +1/2 convention directly.
-    acc = [Fraction(0)] * (m_max + 1)
-    out = []
-    for m in range(m_max + 1):
-        acc[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            acc[j - 1] = j * (acc[j - 1] - acc[j])
-        out.append(acc[0])
+@lru_cache(maxsize=1)
+def _bernoulli_table() -> tuple[Fraction, ...]:
+    # B_0 .. B_256 from the integer tangent numbers T_k by Brent &
+    # Harvey, "Fast computation of Bernoulli, tangent and secant
+    # numbers" (2011): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+    n = _BERNOULLI_HARD_CAP // 2
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = [Fraction(1), Fraction(1, 2)] + [Fraction(0)] * (2 * n - 1)
+    for k in range(1, n + 1):
+        out[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k],
+                              4**k * (4**k - 1))
     return tuple(out)
 
 
@@ -68,9 +74,7 @@ def _bernoulli_any(m: int) -> Fraction:
         raise CapabilityError(
             f"Bernoulli numbers supported up to m={_BERNOULLI_HARD_CAP}, got {m}"
         )
-    # Round the cache key up so repeated calls share one table.
-    m_max = min(_BERNOULLI_HARD_CAP, ((m // 64) + 1) * 64)
-    return _bernoulli_list(m_max)[m]
+    return _bernoulli_table()[m]
 
 
 def bernoulli(m: int) -> Fraction:

@@ -218,6 +218,27 @@ def test_uppertri_capability_guard():
     assert ht.entries.tobytes() == oracles.h_tilde_oracle(192).tobytes()
 
 
+@pytest.mark.parametrize("K", [2, 3, 36, 65, 124, 191])
+def test_uppertri_truncations_match_oracle(K):
+    # Each truncation is a block of one table built at the cap; every
+    # size must still equal its own exact construction bit for bit.
+    assert build_H_tilde(K).entries.tobytes() == \
+        oracles.h_tilde_oracle(K).tobytes()
+
+
+def test_uppertri_entries_are_fresh_and_read_only():
+    a, b = build_H_tilde(65), build_H_tilde(65)
+    assert not np.shares_memory(a.entries, b.entries)
+    with pytest.raises(ValueError):
+        a.entries[0, 2] = 0
+    # A caller that forces its copy writable cannot reach the table that
+    # later calls are cut from.
+    b.entries.setflags(write=True)
+    b.entries[:] = 0
+    assert build_H_tilde(192).entries.tobytes() == \
+        oracles.h_tilde_oracle(192).tobytes()
+
+
 def test_dense_operator_assembly():
     _, d_op, t_op = build_composites(12)
     h = build_H(12)
@@ -278,6 +299,7 @@ def test_psi_coefficients_below_rounding_floor_raise_with_scaled_best(
     assert np.max(np.abs(best.value - want)) <= best.abs_err + 1e-15
 
 
+@pytest.mark.filterwarnings("error")
 def test_psi_coefficients_with_nan_estimate_raise():
     # At Re s = 1e-3 the stacked quadrature's error estimate is NaN;
     # `err > tol` is False for NaN, so the exit test is `not err <= tol`

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,8 +13,8 @@ from zetalab.errors import CapabilityError, DomainError, PoleError
 from zetalab import special, spectrum
 from zetalab.special import (_ETA, _ZETA, bernoulli, bessel_j0, eta,
                              eta_integral, eta_prime, gamma, laguerre,
-                             series_coeff, zeta, zeta_prime, _hurwitz,
-                             _one_minus_eta, _series_coeff_exact)
+                             series_coeff, zeta, zeta_prime, _bernoulli_any,
+                             _hurwitz, _one_minus_eta, _series_coeff_exact)
 
 
 def test_bernoulli_against_literals():
@@ -29,6 +30,16 @@ def test_bernoulli_recurrence_identity():
         acc = sum(Fraction(math.comb(m + 1, k)) * bernoulli(k)
                   for k in range(m + 1))
         assert acc == m + 1
+
+
+def test_bernoulli_table_matches_mpmath_to_the_cap():
+    for m in range(257):
+        want = Fraction(*(int(v) for v in mp.bernfrac(m)))
+        assert _bernoulli_any(m) == (-want if m == 1 else want)
+    with pytest.raises(CapabilityError):
+        bernoulli(65)
+    with pytest.raises(CapabilityError):
+        _bernoulli_any(257)
 
 
 def test_series_coefficients_match_taylor_division():

@@ -286,6 +286,7 @@ def test_norm_integral_divergence_guard():
         norm_integral(1.005)
 
 
+@pytest.mark.filterwarnings("error")
 def test_norm_integral_overflow_names_the_limit():
     # The tail bound C T^(c-2) e^-T (c = 150) or the envelope itself
     # (c = 1e300) is not finite: refused naming double precision, not a
