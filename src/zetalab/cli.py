@@ -30,13 +30,14 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, PoleError, ZetalabError
 from .reporting import RunManifest, fmt_complex, fmt_float
+from .special import _EM_TAU_CAP
 
 
 def _parse_complex(text: str) -> complex:
     """Accept 1.5, 0.5+14.1i, 0.5+14.1j, with optional whitespace.  A
-    NaN or infinite part, or Re(s) outside [0.01, 100] (below, psi and
-    H's residual meet NaN; above, Gamma overflows), is a bad flag.  Only
-    a trailing i is the imaginary unit; the i of inf is not."""
+    NaN or infinite part, Re(s) outside [0.01, 100] (below, psi and H's
+    residual meet NaN; above, Gamma overflows) or |Im s| past the zeta
+    engine's cap is a bad flag; a trailing i, not inf's, is imaginary."""
     cleaned = text.strip().replace(" ", "")
     if cleaned.endswith("i"):
         cleaned = cleaned[:-1] + "j"
@@ -44,10 +45,11 @@ def _parse_complex(text: str) -> complex:
         value = complex(cleaned)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
-    if not (cmath.isfinite(value) and 0.01 <= value.real <= 100):
+    if not (cmath.isfinite(value) and 0.01 <= value.real <= 100
+            and abs(value.imag) <= _EM_TAU_CAP):
         raise argparse.ArgumentTypeError(
-            f"must be a finite complex number with 0.01 <= Re(s) <= 100, "
-            f"got {text!r}")
+            f"must be a finite complex number with 0.01 <= Re(s) <= 100 "
+            f"and |Im s| <= {_EM_TAU_CAP:g}, got {text!r}")
     return value
 
 
@@ -341,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="tabulate the transform on a grid; csv columns: x, re, im, "
              "abs_err")
     p.add_argument("--s", type=_parse_complex, required=True,
-                   help="0.01 <= Re(s) <= 100, e.g. 0.5+14.134725i")
+                   help=f"0.01 <= Re(s) <= 100, |Im s| <= {_EM_TAU_CAP:g}; "
+                        "e.g. 0.5+14.134725i")
     p.add_argument("--x-grid", type=_parse_grid, required=True,
                    help=f"lo:hi:count, count <= {_GRID_MAX}; e.g. 0:10:101")
     p.add_argument("--which", choices=("psi_tilde", "psi"),
@@ -371,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         "residual",
         help="eigen-residual profile as one JSON object")
     p.add_argument("--s", type=_parse_complex, required=True,
-                   help="state parameter with 0.01 <= Re(s) <= 100")
+                   help="state parameter with 0.01 <= Re(s) <= 100 and "
+                        f"|Im s| <= {_EM_TAU_CAP:g}")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--operator", choices=("h", "htilde"), default="htilde")
     p.set_defaults(func=cmd_residual)

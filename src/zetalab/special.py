@@ -318,10 +318,11 @@ def _em_plan(shifts, coeffs, q, n):
             np.abs(d), math.log(b[0]), D, D[1:] * k[:-1])
 
 
-def _hurwitz(s, shifts, coeffs, q=1, deriv=False):
+def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
     """q^{-s} sum_j c_j zeta(s, a_j) for a 1-D complex array s with
     Re(s) > -1, and a bound on its absolute error: (value, bound), or
-    with deriv=True (value, bound, d/ds value, bound).
+    with deriv=True (value, bound, d/ds value, bound).  bound=False
+    skips the bounds' block and returns None for each, same value bits.
 
     Euler-Maclaurin summation: for each shift, n direct terms
     (q(a_j + k))^{-s}, then from b_j = a_j + n the terms
@@ -360,6 +361,16 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False):
     inner = pt.sum(axis=1) + cu
     b0u = np.exp(lb0 - s * lqb[0])          # q^{-s} b_0^u
     val = t.sum(axis=1) + (bs * bsum).sum(axis=1) - b0u * inner
+    if deriv:
+        # d/ds (s)_{2m-1} = Q_m (1 + s sum_{1 <= i <= 2m-2} 1/(s+i)).
+        hs = np.cumsum(_POCH_MASK / F, axis=1)[:, ::2]
+        dcorr = (Q * (1 + col * hs))[:, None, :] * kap
+        dt = -lg * t
+        der = (dt.sum(axis=1)
+               + (bs * (dcorr.sum(axis=2) - lqb * bsum)).sum(axis=1)
+               + b0u * (lqb[0] * inner + dpt.sum(axis=1) - cu2))
+    if not bound:
+        return (val, None, der, None) if deriv else (val, None)
 
     # Bound: rounding, Taylor truncation, Euler-Maclaurin remainder.
     sig, big, ab0u = s.real[:, None], np.abs(col), np.abs(b0u)
@@ -383,14 +394,6 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False):
            + poch * rem.sum(axis=1))
     if not deriv:
         return val, err
-
-    # d/ds (s)_{2m-1} = Q_m (1 + s sum_{1 <= i <= 2m-2} 1/(s+i)).
-    hs = np.cumsum(_POCH_MASK / F, axis=1)[:, ::2]
-    dcorr = (Q * (1 + col * hs))[:, None, :] * kap
-    dt = -lg * t
-    dinner = lqb[0] * inner + dpt.sum(axis=1) - cu2
-    der = (dt.sum(axis=1) + (bs * (dcorr.sum(axis=2) - lqb * bsum)).sum(axis=1)
-           + b0u * dinner)
     r = 1 / lqb
     span = (np.abs(col + np.arange(mm))[:, None, :] + r[:, None]).prod(axis=2)
     derr = (rounding(dt, np.abs(bs) * np.abs(dcorr).sum(axis=2) + lqb * bmag,
@@ -427,13 +430,14 @@ def eta(s) -> complex:
     engine; regular at s = 1.  On 0 < Re(s) <= 4, |Im(s)| <= 60 the
     engine's bound is below 1e-11 relative to max(|eta|, 1) (measured
     errors stay under 1e-13); beyond, it grows like |s| eps."""
-    return complex(_hurwitz(_batch(s, "eta()"), *_ETA)[0][0])
+    return complex(_hurwitz(_batch(s, "eta()"), *_ETA, bound=False)[0][0])
 
 
 def eta_prime(s) -> complex:
     """Derivative of eta, the engine's sums differentiated term by term,
     with the same bound and accuracy as eta."""
-    return complex(_hurwitz(_batch(s, "eta_prime()"), *_ETA, deriv=True)[2][0])
+    return complex(_hurwitz(_batch(s, "eta_prime()"), *_ETA, deriv=True,
+                            bound=False)[2][0])
 
 
 def _one_minus_eta(s):
@@ -449,7 +453,7 @@ def zeta(s) -> complex:
     On 0 < Re(s) <= 4, |Im(s)| <= 60 the engine's bound, rounding
     included, is below 1e-11 relative to max(|zeta|, 1) (measured
     errors stay under 1e-13); beyond, it grows like |s| eps."""
-    return complex(_hurwitz(_batch(s, "zeta", 0), *_ZETA)[0][0])
+    return complex(_hurwitz(_batch(s, "zeta", 0), *_ZETA, bound=False)[0][0])
 
 
 def zeta_prime(s) -> complex:
@@ -461,7 +465,8 @@ def zeta_prime(s) -> complex:
 def _zeta_pair(s):
     """(zeta(s), zeta'(s)) as arrays from one engine call over the
     array s; count_zeros calls this once per integrand call."""
-    val, _, der, _ = _hurwitz(_batch(s, "zeta", 0), *_ZETA, deriv=True)
+    val, _, der, _ = _hurwitz(_batch(s, "zeta", 0), *_ZETA, deriv=True,
+                              bound=False)
     return val, der
 
 

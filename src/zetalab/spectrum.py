@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,14 +98,15 @@ def critical_line_real_form(tau):
     which is real-analytic in tau and changes sign exactly at the
     on-line zeros in the working range.  Accepts a float (returns a
     float) or an array of tau; a row of an array equals the float call
-    bit for bit."""
+    bit for bit.  zeta skips the engine's error bound (bound=False):
+    the scan and Brent's method read signs and values only."""
     arr = np.asarray(tau, dtype=float)
     t = np.atleast_1d(arr)
     if np.any(t < 0):
         raise DomainError("critical_line_real_form requires tau >= 0")
     s = 0.5 + 1j * t
     val = (0.5 * s * (s - 1) * np.exp(-s / 2 * math.log(math.pi))
-           * gamma(s / 2) * _hurwitz(s, *_ZETA)[0]).real
+           * gamma(s / 2) * _hurwitz(s, *_ZETA, bound=False)[0]).real
     return float(val[0]) if arr.ndim == 0 else val
 
 
@@ -205,18 +207,48 @@ def brentq(f, xa, xb, xtol, rtol, maxiter=100):
     return _lockstep(lambda x: [f(x[0])], [steps])[0]
 
 
+def _settle(t, v, sign):
+    """Exact values, _SCAN_BLOCK rows a call, where sign is 0 and v NaN,
+    then at each bracket end v lacks; returns k of each [t_k, t_k+1]."""
+    def exact(idx):
+        for i in range(0, len(idx), _SCAN_BLOCK):
+            rows = idx[i:i + _SCAN_BLOCK]
+            v[rows] = critical_line_real_form(t[rows])
+
+    todo = np.flatnonzero((sign == 0) & np.isnan(v))
+    exact(todo)
+    sign[todo] = np.sign(v[todo])
+    ks = np.flatnonzero((sign[1:] == 0) | (sign[:-1] * sign[1:] < 0))
+    ends = np.union1d(ks, ks + 1)
+    exact(ends[np.isnan(v[ends])])
+    return ks
+
+
+@lru_cache(maxsize=1)
+def _grid_scan():
+    """The scan of the grid k _SCAN_STEP to _TAU_CAP, once per process:
+    read-only t, v (NaN where no exact value is needed) and sign, which
+    from _RS_FROM up is -sign Z where Z clears its margin."""
+    t = np.arange(round(_TAU_CAP / _SCAN_STEP) + 1) * _SCAN_STEP
+    v, sign = np.full(len(t), np.nan), np.zeros(len(t))
+    pre = t >= _RS_FROM
+    z, margin = _riemann_siegel(t[pre])
+    sign[pre] = np.where(np.abs(z) > margin, -np.sign(z), 0.0)
+    _settle(t, v, sign)
+    for a in (t, v, sign):
+        a.flags.writeable = False
+    return t, v, sign
+
+
 def find_zeros(tau_max: float, tol: float = 1e-10):
-    """All on-line zeros with 0 < tau <= tau_max, bracketed by a sign
-    scan of the grid i * _SCAN_STEP, capped at tau_max, and refined by
-    Brent's method.  From tau = _RS_FROM up the signs come from the
-    Riemann-Siegel Z where it clears its margin, as sign xi(1/2 + i tau)
-    = -sign Z(tau).  critical_line_real_form, at most _SCAN_BLOCK rows
-    per call, gives every other point, tau_max itself and both ends of
-    every bracket, so brackets, end values and roots are those of an
-    all-exact scan.  Each bracket's _brent starts from the end values,
-    and all step in lockstep, one call per round; a row of a call equals
-    the one-point call bit for bit, so each root has `brentq`'s bits.
-    tol must stay below _SCAN_STEP, or bare bracket ends pass as roots."""
+    """All on-line zeros with 0 < tau <= tau_max: the signs of the grid
+    k _SCAN_STEP, capped at tau_max, from _grid_scan's table, with
+    tau_max and any bracket end the table lacks evaluated exactly, then
+    Brent's method on every bracket in lockstep, one call per round,
+    from the exact end values.  A row of a call equals the one-point
+    call bit for bit, so brackets and roots are an all-exact scan's and
+    each root has `brentq`'s bits.  tol must stay below _SCAN_STEP, or
+    bare bracket ends pass as roots."""
     if math.isnan(tau_max):
         raise DomainError("find_zeros requires a tau_max that is a number")
     if tau_max > _TAU_CAP:
@@ -227,24 +259,11 @@ def find_zeros(tau_max: float, tol: float = 1e-10):
     last = int(math.ceil(max(tau_max, 0) / _SCAN_STEP))
     if last == 0:
         return []
-    t = np.minimum(np.arange(last + 1) * _SCAN_STEP, tau_max)
-    v = np.full(last + 1, np.nan)
-
-    def exact(idx):
-        for i in range(0, len(idx), _SCAN_BLOCK):
-            rows = idx[i:i + _SCAN_BLOCK]
-            v[rows] = critical_line_real_form(t[rows])
-
-    sign = np.zeros(last + 1)
-    pre = (t >= _RS_FROM) & (t < tau_max)
-    z, margin = _riemann_siegel(t[pre])
-    sign[pre] = np.where(np.abs(z) > margin, -np.sign(z), 0.0)
-    todo = np.flatnonzero(sign == 0)
-    exact(todo)
-    sign[todo] = np.sign(v[todo])
-    ks = np.flatnonzero((sign[1:] == 0) | (sign[:-1] * sign[1:] < 0))
-    ends = np.union1d(ks, ks + 1)
-    exact(ends[np.isnan(v[ends])])
+    grid, grid_v, grid_sign = _grid_scan()
+    t = np.minimum(grid[:last + 1], tau_max)
+    v = np.where(t == tau_max, np.nan, grid_v[:last + 1])
+    sign = np.where(t == tau_max, 0.0, grid_sign[:last + 1])
+    ks = _settle(t, v, sign)
     brackets = [(float(t[k]), float(t[k + 1])) for k in ks]
     steps = [_brent(a, b, float(v[k]), float(v[k + 1]), tol, 8.9e-16, 100)
              for (a, b), k in zip(brackets, ks)]
@@ -252,7 +271,8 @@ def find_zeros(tau_max: float, tol: float = 1e-10):
         lambda x: critical_line_real_form(np.array(x)).tolist(), steps)
     # One engine call; each row equals a one-point zeta call bit for bit.
     rhos = [complex(0.5, root) for root in roots]
-    residuals = _hurwitz(np.array(rhos), *_ZETA)[0] if roots else []
+    residuals = (_hurwitz(np.array(rhos), *_ZETA, bound=False)[0]
+                 if roots else [])
     return [ZeroRecord(k + 1, root, rho, abs(complex(r)), bracket)
             for k, (root, bracket, rho, r)
             in enumerate(zip(roots, brackets, rhos, residuals))]

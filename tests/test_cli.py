@@ -476,8 +476,8 @@ def test_residual_profile_json(capsys):
 def test_residual_past_tau_60(capsys):
     # Past |Im s| = 60 the engine takes more direct terms: each
     # 1 - eta(n+s) of the K = 16 coefficients still meets half its bound
-    # against mpmath, and the command exits 0.  Past |Im s| = 1000 it
-    # exits 1 with an error naming the limit.
+    # against mpmath, and the command exits 0.  Past |Im s| = 1000, the
+    # engine's cap, --s is a bad flag (exit 2) that names the limit.
     from zetalab.special import _one_minus_eta
 
     s = complex(0.5, 100.0)
@@ -487,10 +487,10 @@ def test_residual_past_tau_60(capsys):
     code, lines = run(capsys, "residual", "--s", "0.5+100i", "--K", "16")
     assert code == 0
     assert len(json.loads(lines[0])["per_component"]) == 16
-    code, lines = run(capsys, "residual", "--s", "0.5+2000i", "--K", "16")
-    assert code == 1
-    err = json.loads(lines[0])
-    assert err["error"] == "CapabilityError" and "1000" in err["message"]
+    with pytest.raises(SystemExit) as exc:
+        main(["residual", "--s", "0.5+2000i", "--K", "16"])
+    assert exc.value.code == 2
+    assert "argument --s: must be" in capsys.readouterr().err
 
 
 def test_residual_dense_operator(capsys):
@@ -626,12 +626,17 @@ def test_norm_check_and_tol_scale_guards_exit_2(capsys):
      "0.01 <= Re(s) <= 100"),
     (["eigenfunction", "--s", "100.5", "--x-grid", "0:1:2"], "--s",
      "Re(s) <= 100"),
+    (["eigenfunction", "--s", "0.5+1e9i", "--x-grid", "0:1:2"], "--s",
+     "|Im s| <= 1000"),
+    (["residual", "--s", "0.5-1000.5i", "--K", "4"], "--s",
+     "|Im s| <= 1000"),
     (["eigenfunction", "--s", "2", "--x-grid", "0:1:100000000"], "--x-grid",
      "2 <= count <= 10001"),
     (["eigenfunction", "--s", "2", "--x-grid", "0:1:10002"], "--x-grid",
      "2 <= count <= 10001"),
 ], ids=["norm-c-1e300", "norm-c-15.5", "residual-s-1e300",
         "residual-s-0.009", "eigen-s-1e-300", "eigen-s-100.5",
+        "eigen-s-1e9i", "residual-s-1000.5i",
         "eigen-grid-1e8", "eigen-grid-10002"])
 def test_out_of_range_flags_exit_2_naming_the_limit(capsys, monkeypatch,
                                                     argv, flag, limit):
@@ -671,8 +676,12 @@ def test_flag_limits_themselves_run(capsys):
         assert code == 0, argv
         assert not re.search(r"\bnan\b", "\n".join(lines))
     # The --x-grid cap itself parses; tabulating it is 10 s or more of psi.
-    from zetalab.cli import _parse_grid
+    from zetalab.cli import _parse_grid, build_parser
     assert len(_parse_grid("0:1:10001")) == 10001
+    # So does |Im s| at the engine cap, 1000, for both --s flags.
+    for argv in (["eigenfunction", "--s", "0.5+1000i", "--x-grid", "0:1:2"],
+                 ["residual", "--s", "0.5-1000i", "--K", "4"]):
+        assert build_parser().parse_args(argv).s == complex(argv[2][:-1] + "j")
 
 
 def test_norm_check_divergent_exponent_exits_1(capsys):

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 import oracles
 from zetalab.errors import CapabilityError, DomainError, PoleError
 from zetalab import special, spectrum
-from zetalab.special import (_ETA, _ZETA, bernoulli, bessel_j0, eta,
-                             eta_integral, eta_prime, gamma, laguerre,
-                             series_coeff, zeta, zeta_prime, _bernoulli_any,
-                             _hurwitz, _one_minus_eta, _series_coeff_exact)
+from zetalab.special import (_ETA, _ONE_MINUS_ETA, _ZETA, bernoulli,
+                             bessel_j0, eta, eta_integral, eta_prime, gamma,
+                             laguerre, series_coeff, zeta, zeta_prime,
+                             _bernoulli_any, _hurwitz, _one_minus_eta,
+                             _series_coeff_exact)
 
 
 def test_bernoulli_against_literals():
@@ -195,6 +196,19 @@ def test_engine_meets_its_bound_on_the_strip():
     assert eta(_STRIP[3]) == e[3] and eta_prime(_STRIP[3]) == ep[3]
 
 
+@pytest.mark.parametrize("cfg", [_ZETA, _ETA, _ONE_MINUS_ETA],
+                         ids=["zeta", "eta", "one_minus_eta"])
+def test_engine_without_bound_returns_the_same_bits(cfg):
+    # bound=False skips only the bound block: values and derivatives,
+    # batched and one point at a time, equal the bound=True call's bits.
+    for s in (_STRIP, _STRIP[7:8]):
+        val, _, der, _ = _hurwitz(s, *cfg, deriv=True)
+        assert _hurwitz(s, *cfg, bound=False)[1] is None
+        for deriv, want in ((False, [val]), (True, [val, der])):
+            got = _hurwitz(s, *cfg, deriv=deriv, bound=False)[::2]
+            assert [_bits(g) for g in got] == [_bits(w) for w in want]
+
+
 def test_eta_and_one_minus_eta_at_one():
     # s = 1 is removable in eta, eta' and 1 - eta: the pole terms of the
     # two Hurwitz values are summed as one Taylor series in 1 - s.
@@ -293,6 +307,7 @@ def test_scan_signs_equal_single_point_calls(monkeypatch):
             calls.append((np.array(tau), v))
         return v
 
+    spectrum._grid_scan.cache_clear()
     monkeypatch.setattr(spectrum, "critical_line_real_form", recording)
     zeros = spectrum.find_zeros(60.0)
     assert len(zeros) == 13
@@ -410,8 +425,13 @@ def test_eta_property(sigma, tau):
     assert _rel(got, oracles.mp_eta(s)) <= 1e-12
     if s != 1:
         # eta = (1 - 2^{1-s}) zeta, though the engine sums the two as
-        # different Hurwitz combinations.
-        assert _rel(got, (1 - 2 ** (1 - s)) * zeta(s)) <= 1e-12
+        # different Hurwitz combinations.  1 - 2^{1-s} is taken as
+        # -2 sinh(w/2) e^{w/2}, w = (1-s) ln 2, without the cancellation
+        # of 1 - 2^{1-s} next to s = 1 (at s = 1 - 2.9e-15 that form
+        # is 0.1% off while eta and zeta are both exact to 1e-15).
+        w = (1 - s) * math.log(2)
+        factor = -2 * cmath.sinh(w / 2) * cmath.exp(w / 2)
+        assert _rel(got, factor * zeta(s)) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -169,12 +169,14 @@ def test_lockstep_roots_equal_scalar_brentq(tol):
 
 
 def test_find_zeros_calls_once_per_block_and_round(monkeypatch):
-    # The scan's exact calls take at most _SCAN_BLOCK rows each, and
-    # about a sixth of the 6001 grid points: the 1000 below tau = 10,
-    # the few the Riemann-Siegel margin cannot decide, tau_max and the
-    # bracket ends.  Refinement takes one call per round, and it seeds
-    # each bracket with the scan's end values, so there are at most
-    # (largest single-bracket brentq call count - 2) rounds.
+    # A cold call builds the scan table: exact calls of at most
+    # _SCAN_BLOCK rows each, about a sixth of the 6001 grid points (the
+    # 1000 below tau = 10, the few the Riemann-Siegel margin cannot
+    # decide and the bracket ends), then tau_max.  Refinement takes one
+    # call per round, and it seeds each bracket with the scan's end
+    # values, so there are at most (largest single-bracket brentq call
+    # count - 2) rounds.  A warm call makes one scan call, tau_max
+    # alone (no bracket ends at 59.99), then the same rounds.
     line = critical_line_real_form
     lockstep = spectrum._lockstep
     sizes, rounds = [], []
@@ -186,18 +188,26 @@ def test_find_zeros_calls_once_per_block_and_round(monkeypatch):
     def counting(f, steps):
         return lockstep(lambda x: rounds.append(len(x)) or f(x), steps)
 
+    spectrum._grid_scan.cache_clear()
     monkeypatch.setattr(spectrum, "critical_line_real_form", recording)
     monkeypatch.setattr(spectrum, "_lockstep", counting)
     zeros = find_zeros(60.0)
+    cold_sizes, cold_rounds = sizes[:], rounds[:]
+    sizes.clear()
+    rounds.clear()
+    warm = find_zeros(60.0)
     monkeypatch.undo()
-    assert None not in sizes
-    assert max(sizes) <= spectrum._SCAN_BLOCK
-    assert sizes[-len(rounds):] == rounds
-    assert 1000 < sum(sizes[:-len(rounds)]) <= 1100
+    assert None not in cold_sizes
+    assert max(cold_sizes) <= spectrum._SCAN_BLOCK
+    assert cold_sizes[-len(cold_rounds):] == cold_rounds
+    assert 1000 < sum(cold_sizes[:-len(cold_rounds)]) <= 1100
     most = max(_root_and_calls(spectrum.brentq, line, *z.bracket, 1e-10)[1]
                for z in zeros)
-    assert 0 < len(rounds) <= most - 2
-    assert max(rounds) == len(zeros)
+    assert 0 < len(cold_rounds) <= most - 2
+    assert max(cold_rounds) == len(zeros)
+    assert warm == zeros
+    assert rounds == cold_rounds
+    assert sizes == [1] + rounds
 
 
 def _riemann_siegel_signs(t):
@@ -262,14 +272,29 @@ def _exact_scan(tau_max):
 
 def test_find_zeros_equals_an_all_exact_scan():
     # Seeded tau_max on and off the 0.01 grid, below, at and above
-    # tau = 10, up to the cap: the records equal the all-exact scan's.
+    # tau = 10, up to the cap: the records equal the all-exact scan's,
+    # from a cold scan table (built by that call) and from a warm one.
     rng = random.Random(20261019)
     sweep = [0.0, 5.0, 9.99, 9.995, 10.0, 10.005, 12.57, 14.2, 45.5,
              59.345, 60.0]
     sweep += [round(rng.uniform(0.0, 60.0), 2) for _ in range(6)]
     sweep += [rng.uniform(0.0, 60.0) for _ in range(6)]
     for tau_max in sweep:
-        assert find_zeros(tau_max) == _exact_scan(tau_max), tau_max
+        want = _exact_scan(tau_max)
+        spectrum._grid_scan.cache_clear()
+        assert find_zeros(tau_max) == want, ("cold", tau_max)
+        assert find_zeros(tau_max) == want, ("warm", tau_max)
+
+
+def test_scan_table_is_read_only():
+    # find_zeros copies what it changes; the process-wide table refuses
+    # writes, so no caller can corrupt a later scan.
+    for array in spectrum._grid_scan():
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    t, v, sign = spectrum._grid_scan()
+    assert len(t) == 6001 and t[-1] == spectrum._TAU_CAP
+    assert not np.isnan(v[t < spectrum._RS_FROM]).any()
 
 
 def test_lockstep_budget_error_names_its_bracket():
