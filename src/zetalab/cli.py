@@ -95,7 +95,7 @@ _GRID_MAX = 10_001
 
 def _parse_grid(text: str) -> np.ndarray:
     bad = argparse.ArgumentTypeError(
-        f"must be lo:hi:count with finite lo < hi and 2 <= count <= "
+        f"must be lo:hi:count with finite 0 <= lo < hi and 2 <= count <= "
         f"{_GRID_MAX}, got {text!r}")
     parts = text.split(":")
     if len(parts) != 3:
@@ -104,7 +104,7 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise bad
-    if not (2 <= n <= _GRID_MAX and -math.inf < lo < hi < math.inf):
+    if not (2 <= n <= _GRID_MAX and 0 <= lo < hi < math.inf):
         raise bad
     return np.linspace(lo, hi, n)
 
@@ -346,7 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"0.01 <= Re(s) <= 100, |Im s| <= {_EM_TAU_CAP:g}; "
                         "e.g. 0.5+14.134725i")
     p.add_argument("--x-grid", type=_parse_grid, required=True,
-                   help=f"lo:hi:count, count <= {_GRID_MAX}; e.g. 0:10:101")
+                   help=f"lo:hi:count, 0 <= lo < hi, count <= {_GRID_MAX}; "
+                        "e.g. 0:10:101 (a value starting with '-' needs "
+                        "--x-grid=-5:1:2).  The cap suits psi's series "
+                        "route; points where psi takes its quadrature "
+                        "(x >~ 50 at rho_1) cost 60-200 ms each")
     p.add_argument("--which", choices=("psi_tilde", "psi"),
                    default="psi_tilde")
     p.add_argument("--tol", type=_positive_float, default=1e-10)

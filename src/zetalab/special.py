@@ -290,6 +290,7 @@ _EM_TAU_CAP = 1000.0
 # Taylor terms of the combined pole term of a multi-shift sum.
 _POLE_TERMS = 20
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 # cumprod of s * mask + offs gives 1, (s+1), (s+1)(s+2), ...
 _POCH_MASK = np.r_[0.0, np.ones(2 * _EM_M - 2)]
 _POCH_OFFS = np.r_[1.0, np.arange(1.0, 2 * _EM_M - 1)]
@@ -355,13 +356,14 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
     corr = (col * Q)[:, None, :] * kap
     bsum = 0.5 + corr.sum(axis=2)
     bs = c * np.exp(-col * lqb)
-    cu, cu2 = (C / u, C / (u * u)) if C else (0, 0)
+    cu = C / u if C else 0
     upow = u[:, None] ** np.arange(K)
     pt, dpt = upow * D, upow[:, :-1] * dD
     inner = pt.sum(axis=1) + cu
     b0u = np.exp(lb0 - s * lqb[0])          # q^{-s} b_0^u
     val = t.sum(axis=1) + (bs * bsum).sum(axis=1) - b0u * inner
     if deriv:
+        cu2 = C / (u * u) if C else 0
         # d/ds (s)_{2m-1} = Q_m (1 + s sum_{1 <= i <= 2m-2} 1/(s+i)).
         hs = np.cumsum(_POCH_MASK / F, axis=1)[:, ::2]
         dcorr = (Q * (1 + col * hs))[:, None, :] * kap
@@ -411,17 +413,22 @@ _ETA = ((0.5, 1.0), (1.0, -1.0), 2)
 _ONE_MINUS_ETA = ((1.0, 1.5), (1.0, -1.0), 2)
 
 
-def _batch(s, name: str, lowest: float = -1):
+def _batch(s, name: str, lowest: float = -1, pole: int = 0):
     """s as a 1-D complex array after the guards Re(s) > lowest and
     |s| <= 1e10 (past about 1e11, |(s)_2M| in _hurwitz's bound
-    overflows), and for zeta (lowest 0) s != 1."""
+    overflows), and |s - 1|^pole >= the smallest normal double, so that
+    a pole term 1/(s-1)^pole stays finite."""
     z = np.atleast_1d(np.asarray(s, dtype=complex))
     if not np.all(z.real > lowest):
         raise DomainError(f"{name} requires Re(s) > {lowest:g}")
     if not np.all(np.abs(z) <= 1e10):
         raise CapabilityError(f"{name} supports |s| <= 1e10")
-    if lowest == 0 and np.any(z == 1):
-        raise PoleError("zeta pole at s = 1", location=1 + 0j)
+    if pole:
+        gap = _TINY ** (1 / pole)
+        near = complex(z[np.argmin(np.abs(z - 1))])
+        if abs(near - 1) < gap:
+            raise PoleError(f"{name} pole at s = 1: |s - 1| < {gap:.3g} at "
+                            f"s = {near}", location=1 + 0j)
     return z
 
 
@@ -448,24 +455,26 @@ def _one_minus_eta(s):
 
 
 def zeta(s) -> complex:
-    """Riemann zeta on Re(s) > 0, s != 1, |Im(s)| <= 1000: the Hurwitz
+    """Riemann zeta on Re(s) > 0, |Im(s)| <= 1000, |s - 1| >= 2.2e-308
+    (the smallest normal double, so 1/(s-1) is finite): the Hurwitz
     zeta(s, 1) by Euler-Maclaurin summation with a proven remainder.
     On 0 < Re(s) <= 4, |Im(s)| <= 60 the engine's bound, rounding
     included, is below 1e-11 relative to max(|zeta|, 1) (measured
     errors stay under 1e-13); beyond, it grows like |s| eps."""
-    return complex(_hurwitz(_batch(s, "zeta", 0), *_ZETA, bound=False)[0][0])
+    return complex(_hurwitz(_batch(s, "zeta", 0, 1), *_ZETA,
+                            bound=False)[0][0])
 
 
 def zeta_prime(s) -> complex:
-    """zeta'(s) on the same domain, the derivative half of _zeta_pair,
-    with the same bound and accuracy as zeta."""
+    """zeta'(s) on the same domain, |s - 1| >= 1.5e-154: the derivative
+    half of _zeta_pair, with the same bound and accuracy as zeta."""
     return complex(_zeta_pair(s)[1][0])
 
 
 def _zeta_pair(s):
     """(zeta(s), zeta'(s)) as arrays from one engine call over the
     array s; count_zeros calls this once per integrand call."""
-    val, _, der, _ = _hurwitz(_batch(s, "zeta", 0), *_ZETA, deriv=True,
+    val, _, der, _ = _hurwitz(_batch(s, "zeta'", 0, 2), *_ZETA, deriv=True,
                               bound=False)
     return val, der
 

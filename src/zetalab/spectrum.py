@@ -36,19 +36,14 @@ __all__ = [
 ]
 
 _TAU_CAP = 60.0
-# Sign-scan grid step: consecutive zero gaps stay above 0.05 below
-# tau = _TAU_CAP, so no bracket holds two zeros.
+# Sign-scan grid step, and the grid steps per coarse cell of the scan.
+# The smallest gap between zeros below tau = _TAU_CAP is 1.769 (rho_9
+# to rho_10), over 7 cells of 0.25, so a cell holds at most one zero:
+# where a cell's two end signs agree, it holds none.
 _SCAN_STEP = 0.01
+_SCAN_CELL = 25
 # Rows per critical_line_real_form call; temporaries stay ~115 kB.
 _SCAN_BLOCK = 256
-# The scan takes signs from the Riemann-Siegel Z with its C0 term from
-# tau = _RS_FROM up.  Its remainder R is measured, not proven: against
-# mpmath.siegelz, sup |R| tau^{5/4} is 0.9264 on [10, 60] (reached just
-# below tau = 18 pi, where N steps to 3).  Gabcke's proven bound,
-# |R| < 0.127 t^{-3/4}, holds only from t = 200.  A sign is taken where
-# |Z| exceeds twice the measured remainder.
-_RS_FROM = 10.0
-_RS_REMAINDER = 0.93
 # count_zeros integrates each rectangle edge from two panels to this
 # absolute tol: four edges miss 2 pi n by at most 0.04, well inside the
 # 0.1 turn the count allows.  Four or eight initial panels cost more.
@@ -108,28 +103,6 @@ def critical_line_real_form(tau):
     val = (0.5 * s * (s - 1) * np.exp(-s / 2 * math.log(math.pi))
            * gamma(s / 2) * _hurwitz(s, *_ZETA, bound=False)[0]).real
     return float(val[0]) if arr.ndim == 0 else val
-
-
-def _riemann_siegel(t):
-    """Z(t) for an array of t >= _RS_FROM by the Riemann-Siegel formula
-    (Edwards, Riemann's Zeta Function, 1974, ch. 7): Z = 2 sum_{n <= N}
-    n^{-1/2} cos(theta - t ln n) + (-1)^{N-1} (t/2pi)^{-1/4} C0(p) + R,
-    with N + p = sqrt(t/2pi), and the margin 2 _RS_REMAINDER t^{-5/4}
-    outside which Z has the sign of this sum; the margin is infinite
-    where |cos 2 pi p| < 1e-3, next to C0's removable singularity."""
-    a = np.sqrt(t / (2 * math.pi))
-    n = np.floor(a)
-    p = a - n
-    theta = (t / 2 * np.log(t / (2 * math.pi)) - t / 2 - math.pi / 8
-             + 1 / (48 * t) + 7 / (5760 * t ** 3))
-    k = np.arange(1, 4)[:, None]  # N <= 3 below tau = 32 pi > _TAU_CAP
-    z = 2 * np.where(k <= n, np.cos(theta - t * np.log(k)) / np.sqrt(k),
-                     0.0).sum(axis=0)
-    cos_2pp = np.cos(2 * math.pi * p)
-    z += (-1) ** (n - 1) / np.sqrt(a) * np.cos(
-        2 * math.pi * (p * p - p - 1 / 16)) / cos_2pp
-    return z, np.where(np.abs(cos_2pp) < 1e-3, np.inf,
-                       2 * _RS_REMAINDER * t ** -1.25)
 
 
 def eigenvalue_of(rho) -> complex:
@@ -227,13 +200,17 @@ def _settle(t, v, sign):
 @lru_cache(maxsize=1)
 def _grid_scan():
     """The scan of the grid k _SCAN_STEP to _TAU_CAP, once per process:
-    read-only t, v (NaN where no exact value is needed) and sign, which
-    from _RS_FROM up is -sign Z where Z clears its margin."""
+    read-only t, v (NaN where no exact value is needed) and sign, all
+    exact.  Every _SCAN_CELL-th point is evaluated; a cell whose end
+    signs agree holds no zero and lends that sign to its inner points,
+    and _settle evaluates every point of the other cells."""
     t = np.arange(round(_TAU_CAP / _SCAN_STEP) + 1) * _SCAN_STEP
     v, sign = np.full(len(t), np.nan), np.zeros(len(t))
-    pre = t >= _RS_FROM
-    z, margin = _riemann_siegel(t[pre])
-    sign[pre] = np.where(np.abs(z) > margin, -np.sign(z), 0.0)
+    ends = slice(None, None, _SCAN_CELL)
+    _settle(t[ends], v[ends], sign[ends])
+    cells = sign[:-1].reshape(-1, _SCAN_CELL)  # a view, one cell a row
+    agree = cells[:, 0] * sign[ends][1:] > 0
+    cells[agree, 1:] = cells[agree, :1]
     _settle(t, v, sign)
     for a in (t, v, sign):
         a.flags.writeable = False
@@ -241,8 +218,8 @@ def _grid_scan():
 
 
 def find_zeros(tau_max: float, tol: float = 1e-10):
-    """All on-line zeros with 0 < tau <= tau_max: the signs of the grid
-    k _SCAN_STEP, capped at tau_max, from _grid_scan's table, with
+    """All on-line zeros with 0 < tau <= tau_max: the exact signs of the
+    grid k _SCAN_STEP, capped at tau_max, from _grid_scan's table, with
     tau_max and any bracket end the table lacks evaluated exactly, then
     Brent's method on every bracket in lockstep, one call per round,
     from the exact end values.  A row of a call equals the one-point

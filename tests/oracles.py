@@ -20,7 +20,8 @@ import numpy as np
 
 mp.mp.dps = 40
 
-# First ten nontrivial zero ordinates, rounded from 30-digit values.
+# The thirteen nontrivial zero ordinates below 60, rounded from 30-digit
+# values.
 ZERO_TAUS = (
     14.134725141734695,
     21.022039638771555,
@@ -32,6 +33,9 @@ ZERO_TAUS = (
     43.327073280914999,
     48.005150881167159,
     49.773832477672302,
+    52.970321477714464,
+    56.446247697063395,
+    59.347044002602353,
 )
 
 RHO1 = complex(0.5, ZERO_TAUS[0])

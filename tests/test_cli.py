@@ -634,10 +634,12 @@ def test_norm_check_and_tol_scale_guards_exit_2(capsys):
      "2 <= count <= 10001"),
     (["eigenfunction", "--s", "2", "--x-grid", "0:1:10002"], "--x-grid",
      "2 <= count <= 10001"),
+    (["eigenfunction", "--s", "2", "--x-grid=-5:1:2"], "--x-grid",
+     "0 <= lo < hi"),
 ], ids=["norm-c-1e300", "norm-c-15.5", "residual-s-1e300",
         "residual-s-0.009", "eigen-s-1e-300", "eigen-s-100.5",
         "eigen-s-1e9i", "residual-s-1000.5i",
-        "eigen-grid-1e8", "eigen-grid-10002"])
+        "eigen-grid-1e8", "eigen-grid-10002", "eigen-grid-negative"])
 def test_out_of_range_flags_exit_2_naming_the_limit(capsys, monkeypatch,
                                                     argv, flag, limit):
     # Each used to end in an OverflowError traceback (norm-check's tail

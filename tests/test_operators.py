@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
@@ -31,7 +31,8 @@ def test_ladder_entries_exact():
         assert Np.entries[n + 1, n] == n + 1
 
 
-@settings(derandomize=True, max_examples=8, deadline=None)
+@seed(20261019)
+@settings(max_examples=8, deadline=None, database=None)
 @given(st.integers(2, 40))
 @example(6)
 def test_ladder_commutators_exact(K):

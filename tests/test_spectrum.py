@@ -2,10 +2,9 @@ import cmath
 import math
 import random
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
@@ -126,7 +125,8 @@ _FAMILIES = (
 )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
 @given(st.integers(0, len(_FAMILIES) - 1), st.floats(-0.9, 0.9),
        st.floats(-1.5, 0.0), st.floats(0.0, 1.5),
        st.sampled_from((1e-12, 1e-10, 1e-6, 0.1)))
@@ -170,12 +170,11 @@ def test_lockstep_roots_equal_scalar_brentq(tol):
 
 def test_find_zeros_calls_once_per_block_and_round(monkeypatch):
     # A cold call builds the scan table: exact calls of at most
-    # _SCAN_BLOCK rows each, about a sixth of the 6001 grid points (the
-    # 1000 below tau = 10, the few the Riemann-Siegel margin cannot
-    # decide and the bracket ends), then tau_max.  Refinement takes one
-    # call per round, and it seeds each bracket with the scan's end
-    # values, so there are at most (largest single-bracket brentq call
-    # count - 2) rounds.  A warm call makes one scan call, tau_max
+    # _SCAN_BLOCK rows each, on the 241 cell ends and the 24 inner points
+    # of each of the 13 cells that hold a zero, then tau_max.  Refinement
+    # takes one call per round, and it seeds each bracket with the scan's
+    # end values, so there are at most (largest single-bracket brentq
+    # call count - 2) rounds.  A warm call makes one scan call, tau_max
     # alone (no bracket ends at 59.99), then the same rounds.
     line = critical_line_real_form
     lockstep = spectrum._lockstep
@@ -200,7 +199,7 @@ def test_find_zeros_calls_once_per_block_and_round(monkeypatch):
     assert None not in cold_sizes
     assert max(cold_sizes) <= spectrum._SCAN_BLOCK
     assert cold_sizes[-len(cold_rounds):] == cold_rounds
-    assert 1000 < sum(cold_sizes[:-len(cold_rounds)]) <= 1100
+    assert sum(cold_sizes[:-len(cold_rounds)]) == 241 + 13 * 24 + 1
     most = max(_root_and_calls(spectrum.brentq, line, *z.bracket, 1e-10)[1]
                for z in zeros)
     assert 0 < len(cold_rounds) <= most - 2
@@ -210,46 +209,24 @@ def test_find_zeros_calls_once_per_block_and_round(monkeypatch):
     assert sizes == [1] + rounds
 
 
-def _riemann_siegel_signs(t):
-    """The scan's sign of xi(1/2 + i t), 0 where Z is inside its margin."""
-    z, margin = spectrum._riemann_siegel(t)
-    return np.where(np.abs(z) > margin, -np.sign(z), 0.0)
+def test_scan_table_signs_are_the_exact_signs():
+    # The table infers the signs inside a cell whose ends agree; at every
+    # one of the 6001 grid points its sign is that of the exact value.
+    t, _, sign = spectrum._grid_scan()
+    exact = np.concatenate([critical_line_real_form(t[i:i + 256])
+                            for i in range(0, len(t), 256)])
+    assert np.array_equal(sign, np.sign(exact))
 
 
-def test_riemann_siegel_signs_are_certified_on_the_whole_grid():
-    # The margin is measured, not proven, so every grid point the scan
-    # can take from Riemann-Siegel, 0.01 k for k = 1000..6000, is checked:
-    # each sign it decides is the exact one, and it decides at least 98%.
-    t = np.arange(1000, 6001) * spectrum._SCAN_STEP
-    signs = _riemann_siegel_signs(t)
-    decided = signs != 0
-    assert np.array_equal(signs[decided],
-                          np.sign(critical_line_real_form(t[decided])))
-    assert decided.mean() >= 0.98
-
-
-def test_riemann_siegel_remainder_is_half_the_margin():
-    # At 200 seeded tau in [10, 60], and at 30 next to C0's removable
-    # singularity (p = 1/4 at N = 2, p = 3/4 at N = 1 and 2, with
-    # 1e-3 <= |cos 2 pi p| <= 1e-2) and 5 just below tau = 18 pi, where
-    # the remainder peaks, |Z_RS - Z| stays within half the margin.
-    rng = random.Random(20261019)
-    taus = [rng.uniform(10.0, 60.0) for _ in range(200)]
-    for n_p in (2.25, 1.75, 2.75):
-        taus += [2 * math.pi * (n_p + rng.choice((-1, 1))
-                                * rng.uniform(1.6e-4, 1.6e-3)) ** 2
-                 for _ in range(10)]
-    taus += [18 * math.pi - rng.uniform(0.0, 1e-3) for _ in range(5)]
-    t = np.array(taus)
-    z, margin = spectrum._riemann_siegel(t)
-    assert np.all(np.isfinite(margin))
-    want = np.array([float(mpmath.siegelz(tau)) for tau in taus])
-    assert np.all(np.abs(z - want) <= margin / 2)
-    # Closer to the singularity, |cos 2 pi p| < 1e-3, the scan decides
-    # nothing and takes the exact route.
-    near = np.array([2 * math.pi * (n_p + d) ** 2 for n_p in (2.25, 1.75, 2.75)
-                     for d in (-1e-4, 0.0, 1e-4)])
-    assert np.all(spectrum._riemann_siegel(near)[1] == math.inf)
+def test_zero_gap_exceeds_the_scan_cell():
+    # A scan cell holds at most one zero: the smallest gap between the
+    # tabulated ordinates below tau = 60 (rho_9 to rho_10) is far wider
+    # than a cell, and the table holds every zero below 60.
+    taus = np.array(oracles.ZERO_TAUS)
+    assert len(taus) == len(find_zeros(60.0)) == 13
+    gap = np.diff(taus).min()
+    assert round(gap, 3) == 1.769
+    assert gap > 4 * spectrum._SCAN_CELL * spectrum._SCAN_STEP
 
 
 def _exact_scan(tau_max):
@@ -271,12 +248,15 @@ def _exact_scan(tau_max):
 
 
 def test_find_zeros_equals_an_all_exact_scan():
-    # Seeded tau_max on and off the 0.01 grid, below, at and above
-    # tau = 10, up to the cap: the records equal the all-exact scan's,
+    # Seeded tau_max on and off the 0.01 grid, up to the cap: the records equal the all-exact scan's,
     # from a cold scan table (built by that call) and from a warm one.
     rng = random.Random(20261019)
     sweep = [0.0, 5.0, 9.99, 9.995, 10.0, 10.005, 12.57, 14.2, 45.5,
              59.345, 60.0]
+    # A cell boundary, one ulp either side of it, and inside the cell
+    # [48, 48.25] on either side of its zero rho_9.
+    sweep += [25.0, math.nextafter(25.0, 0.0), math.nextafter(25.0, 60.0),
+              48.003, 48.01]
     sweep += [round(rng.uniform(0.0, 60.0), 2) for _ in range(6)]
     sweep += [rng.uniform(0.0, 60.0) for _ in range(6)]
     for tau_max in sweep:
@@ -294,7 +274,7 @@ def test_scan_table_is_read_only():
             array[0] = 1.0
     t, v, sign = spectrum._grid_scan()
     assert len(t) == 6001 and t[-1] == spectrum._TAU_CAP
-    assert not np.isnan(v[t < spectrum._RS_FROM]).any()
+    assert not np.isnan(v[::spectrum._SCAN_CELL]).any()
 
 
 def test_lockstep_budget_error_names_its_bracket():
