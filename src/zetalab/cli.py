@@ -89,7 +89,8 @@ def _finite_floats(text: str) -> list[float]:
 
 # Largest --x-grid count.  psi took 1 to 3 ms a point on its series
 # route at |Im s| <= 90 (x up to 10 or 50; 2-vCPU x86), 3 to 6 ms at
-# |Im s| 160 to 220 and 18 ms at 440, so the cap is 10 s to 3 minutes.
+# |Im s| 160 to 220, 18 ms at 440 and 15 to 35 ms on its quadrature
+# (x >~ 50 at rho_1), so the cap is 10 s to 6 minutes.
 _GRID_MAX = 10_001
 
 
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "e.g. 0:10:101 (a value starting with '-' needs "
                         "--x-grid=-5:1:2).  The cap suits psi's series "
                         "route; points where psi takes its quadrature "
-                        "(x >~ 50 at rho_1) cost 60-200 ms each")
+                        "(x >~ 50 at rho_1) cost 15-35 ms each")
     p.add_argument("--which", choices=("psi_tilde", "psi"),
                    default="psi_tilde")
     p.add_argument("--tol", type=_positive_float, default=1e-10)

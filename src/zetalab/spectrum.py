@@ -192,8 +192,9 @@ def _settle(t, v, sign):
     exact(todo)
     sign[todo] = np.sign(v[todo])
     ks = np.flatnonzero((sign[1:] == 0) | (sign[:-1] * sign[1:] < 0))
-    ends = np.union1d(ks, ks + 1)
-    exact(ends[np.isnan(v[ends])])
+    ends = np.zeros(len(v), bool)
+    ends[ks] = ends[ks + 1] = True
+    exact(np.flatnonzero(ends & np.isnan(v)))
     return ks
 
 

@@ -30,6 +30,7 @@ from .quad import (
 )
 from .special import (
     EULER_GAMMA,
+    _digamma,
     _laguerre_table,
     _one_minus_eta,
     _series_coeff_exact,
@@ -393,13 +394,11 @@ def gram_diagonal_closed_form(rho) -> complex:
 
 def gram_diagonal_by_parts(rho) -> complex:
     """-d/drho [Gamma(rho) eta(rho)], the integration-by-parts value of
-    the diagonal at f = g = 1, assembled from Gamma' (central
-    difference), eta and eta'.  Keeps the Gamma' eta term, which
-    matters only off an exact zero."""
+    the diagonal at f = g = 1: -Gamma(rho) (psi(rho) eta(rho) + eta'(rho)),
+    with Gamma' = Gamma psi from the bounded digamma series.  Keeps the
+    Gamma' eta term, which matters only off an exact zero."""
     rho = complex(rho)
-    h = 1e-6
-    gp = (gamma(rho + h) - gamma(rho - h)) / (2 * h)
-    return -(gp * eta(rho) + gamma(rho) * eta_prime(rho))
+    return -gamma(rho) * (_digamma(rho)[0] * eta(rho) + eta_prime(rho))
 
 
 def gram_diagonal_log_moment(rho) -> QuadResult:

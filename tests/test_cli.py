@@ -273,6 +273,24 @@ def test_runtime_never_imports_scipy(argv):
     assert done.returncode == 0, done.stderr + done.stdout
 
 
+def test_zero_scan_never_imports_numpy_ma():
+    # numpy.ma costs about 14 ms to import, most of a cold zero scan;
+    # np.union1d (through np.unique) pulls it in.
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "zetalab.cli", "zeros",
+         "--tau-max", "60"], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    names = [ln.rsplit("|", 1)[-1].strip()
+             for ln in done.stderr.splitlines() if ln.startswith("import")]
+    assert "zetalab.spectrum" in names
+    assert not [n for n in names if n == "numpy.ma"
+                or n.startswith("numpy.ma.")]
+
+
 def test_gram_matrix_output(capsys):
     code, lines = run(capsys, "gram", "--num-zeros", "2")
     assert code == 0

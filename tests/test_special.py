@@ -372,11 +372,21 @@ def test_bessel_j0_grid():
         assert abs(bessel_j0(float(x)) - want) < 2e-12
 
 
-def test_bessel_j0_route_seam_and_root():
+def test_bessel_j0_near_12_and_root():
     assert abs(bessel_j0(11.999999) - oracles.mp_j0(11.999999)) < 2e-12
     assert abs(bessel_j0(12.000001) - oracles.mp_j0(12.000001)) < 2e-12
     assert abs(bessel_j0(oracles.J0_ROOT1)) < 1e-12
     assert abs(bessel_j0(10.0) - oracles.J0_10) < 1e-13
+
+
+def test_bessel_j0_refuses_outside_its_range():
+    # A NaN in a batch would size N for every point, so it is refused.
+    for bad in (-1e-300, math.nan, [1.0, math.nan], [1.0, -2.0]):
+        with pytest.raises(DomainError):
+            bessel_j0(bad)
+    with pytest.raises(CapabilityError):
+        bessel_j0([1.0, 1600.5])
+    assert bessel_j0(1600.0) == bessel_j0(np.array([1600.0]))[0]
 
 
 def test_bessel_j0_vectorized():
@@ -384,6 +394,57 @@ def test_bessel_j0_vectorized():
     vals = bessel_j0(xs)
     for x, v in zip(xs, vals):
         assert abs(v - bessel_j0(float(x))) == 0.0
+
+
+def _j0_bound(z, got):
+    # bessel_j0's docstring: truncation, rounding in extended precision,
+    # and the final rounding to float64.
+    eps_ld = float(np.finfo(np.longdouble).eps)
+    return (2.0**-65 + 2.0**-130 + 2 * (z + 32) * eps_ld
+            + np.spacing(abs(got)) / 2)
+
+
+def test_bessel_j0_meets_its_documented_bound():
+    rng = np.random.default_rng(20261019)
+    zs = np.r_[0.0, oracles.J0_ROOT1, 12.0, 1600.0,
+               rng.uniform(0.0, 1600.0, 200), rng.uniform(0.0, 20.0, 40)]
+    assert bessel_j0(0.0) == 1.0
+    with mp.workdps(40):
+        for z in zs:
+            got = bessel_j0(float(z))
+            err = abs(mp.mpf(got) - mp.besselj(0, mp.mpf(float(z))))
+            assert err <= _j0_bound(z, got), (z, float(err))
+
+
+def test_bessel_j0_size_rule_bounds_the_trapezoid_error():
+    # The trapezoid error is 2 sum_m J_2mN(z), led by J_2N.  N is the
+    # smallest even number whose bound (z/2)^2N/(2N)! is <= 2^-66.
+    # 1.6845811 is the worst z on a fine scan: J_2N there is 0.95 of
+    # 2^-66, so 2^-66 and not a tighter figure is what the rule holds.
+    for zmax in (1e-3, 1.6845811452863213, 12.0, 155.0, 1600.0):
+        n = special._j0_size(zmax)
+        assert n % 2 == 0
+        with mp.workdps(30):
+            assert abs(mp.besselj(2 * n, zmax)) <= mp.mpf(2) ** -66
+            prev = (mp.mpf(zmax) / 2) ** (2 * n - 4) / mp.factorial(2 * n - 4)
+            assert n == 2 or prev > mp.mpf(2) ** -66
+    assert special._j0_size(0.0) == 2
+
+
+def test_digamma_meets_its_bound():
+    rng = np.random.default_rng(20261019)
+    pts = [complex(0.5, t) for t in oracles.ZERO_TAUS]
+    pts += list(rng.uniform(1e-3, 5.0, 60)
+                + 1j * rng.uniform(-100.0, 100.0, 60))
+    pts += [1e-8 + 0j, 1.0 + 0j, 0.01 + 1e3j, 9.999 + 0j]
+    with mp.workdps(40):
+        for s in pts:
+            val, bound = special._digamma(s)
+            err = abs(mp.mpc(val) - mp.digamma(mp.mpc(s)))
+            assert err <= bound, (s, float(err), bound)
+            assert bound <= 1e-13 * max(1.0, abs(val))
+    with pytest.raises(DomainError):
+        special._digamma(0.0)
 
 
 def test_laguerre_explicit_forms():

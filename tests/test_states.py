@@ -136,6 +136,25 @@ def test_transform_above_tau_60_meets_series_oracle():
             assert abs(g.value - want) + want_err <= g.abs_err
 
 
+def test_transform_by_quadrature_at_large_x_meets_series_oracle():
+    # Past x = 50 psi's series misses tight tols and psi integrates
+    # F_s(t) J0(2 sqrt(x t)), with J0 at z up to about 155.  Below
+    # x = 200 the oracle's own error stays under 1e-20; past it, it
+    # exceeds a tol-1e-10 bound.  The worst true error / abs_err here
+    # is 0.63.
+    for s in (RHO1, 2 + 30j):
+        p = StateParams(s)
+        for x in (60.0, 100.0):
+            want, want_err = oracles.psi_series_oracle(s, x)
+            assert want_err <= 1e-20
+            for tol in (1e-6, 1e-10):
+                got = psi(p, x, tol)
+                if x == 100.0:
+                    assert got == _psi_quadrature(p, x, tol)
+                assert got.abs_err <= tol
+                assert abs(got.value - want) <= got.abs_err + want_err
+
+
 def test_transform_falls_back_where_gamma_is_not_normal():
     # For Re s < 1/2 Gamma's reflection overflows (0.3+300i), and past
     # |Im s| ~ 450 Gamma(s) underflows (0.5+500i): the series does not
@@ -345,6 +364,16 @@ def test_gram_log_moment_route():
     lm = gram_diagonal_log_moment(RHO1).value
     bp = gram_diagonal_by_parts(RHO1)
     assert abs(lm - bp) <= 1e-6 * abs(bp)
+
+
+def test_gram_by_parts_keeps_gamma_prime_off_a_zero():
+    # Off a zero eta(s) is not small, so Gamma'(s) = Gamma(s) psi(s)
+    # carries the value; the old central difference erred by ~1e-10.
+    with mp.workdps(30):
+        for s in (2 + 3j, 0.7 + 20j, 0.05 + 45j):
+            want = complex(-mp.diff(lambda z: mp.gamma(z) * mp.altzeta(z),
+                                    mp.mpc(s)))
+            assert abs(gram_diagonal_by_parts(s) - want) <= 1e-12 * abs(want)
 
 
 def test_gram_bilinear_in_constants(gram2):
