@@ -35,8 +35,8 @@ from .special import _EM_TAU_CAP
 
 def _parse_complex(text: str) -> complex:
     """Accept 1.5, 0.5+14.1i, 0.5+14.1j, with optional whitespace.  A
-    NaN or infinite part, Re(s) outside [0.01, 100] (below, psi and H's
-    residual meet NaN; above, Gamma overflows) or |Im s| past the zeta
+    NaN or infinite part, Re(s) outside [0.01, 100] (below, psi's
+    quadrature meets NaN; above, Gamma overflows) or |Im s| past the zeta
     engine's cap is a bad flag; a trailing i, not inf's, is imaginary."""
     cleaned = text.strip().replace(" ", "")
     if cleaned.endswith("i"):

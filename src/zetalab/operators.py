@@ -1,6 +1,7 @@
 """Truncated coefficient-space realizations of the ladder operators
 and their composites, a tridiagonal eigensolver front end, the
-spectral evaluation of t/(1+e^{-t}), and eigen-residual profiles.
+spectral evaluation of t/(1+e^{-t}), the states' Laguerre coefficients
+(psi's by one DFT, refused past a 1e-12 bound), eigen-residuals.
 
 Convention: operators act on expansion coefficients in the
 orthonormal basis <x|n> = e^{-x/2} L_n(x).  A ket action
@@ -20,10 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, DomainError
-from .quad import QuadResult, integrate_semi_infinite
-from .special import (_bernoulli_any, _laguerre_table, _series_coeff_exact,
-                      gamma)
-from .states import _psi_tilde_coefficients
+from .quad import QuadResult
+from .special import (_ETA, PI_L, _bernoulli_any, _gamma_ld, _hurwitz,
+                      _series_coeff_exact, gamma)
+from .states import _EPS64, _EPS_LD, _psi_tilde_coefficients
 
 __all__ = [
     "TruncatedOperator",
@@ -41,11 +42,7 @@ __all__ = [
 
 _K_CAP = 512
 _H_TILDE_CAP = 192  # largest exact entry ~e^640 at K=192; float64 dies ~K=216
-# The psi coefficients share one absolute tol; each is asked for
-# _COEFF_TOL * 2^-20 (just under 1e-6 of it), so coefficients decades
-# below 1 still carry digits.
-_COEFF_TOL = 1e-12
-_COEFF_TOL_SHARE = 2.0**-20
+_COEFF_TOL, _ALIAS_TOL = 1e-12, 2.0**-56  # psi's b_n
 
 
 @dataclass(frozen=True)
@@ -220,19 +217,16 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
     """Expansion coefficients of psi_tilde (or psi) in the orthonormal
     Laguerre basis, for n < K.
 
-    which="psi_tilde": the t-side kernel for the e^{-x} weight is
-    e^{-t} t^n / n!, and the t-integral of F against it evaluates in
-    closed form to Gamma(n+s)(1 - eta(n+s))/n!, computed by a stable
-    forward recurrence (relative accuracy is essential for the
-    residual study, where |a_n| spans many decades).
+    which="psi_tilde": the kernel e^{-t} t^n / n! against F gives
+    Gamma(n+s)(1 - eta(n+s))/n!, by a forward recurrence that keeps the
+    relative accuracy of a_n over the many decades they span.
 
-    which="psi": the e^{-x/2}-weight kernel is 2(-1)^n e^{-2t} L_n(4t).
-    All K t-integrals are one stacked quadrature whose row n is the
-    kernel against F; one Laguerre recurrence at each node emits every
-    degree, and every coefficient is asked for _COEFF_TOL * 2^-20.
-    Where rounding in the rows stalls the quadrature above that (small
-    Re s, large K or |Im s|), its estimate is returned if its error
-    bound meets _COEFF_TOL, and ConvergenceError is raised otherwise.
+    which="psi": b_n are the Cauchy coefficients of G(w) = sum b_n w^n =
+    2 Gamma(s)/(1+w) h(s, (3-w)/(1+w)), h(s, a) = sum_j (-1)^j (j+a)^-s:
+    one DFT of G on one circle |w| = r, in long double, times r^-n, each
+    with a bound.  Where a bound less b_n's own complex128 rounding, which
+    any route pays, exceeds _COEFF_TOL (Re s near 0 or past about 9),
+    ConvergenceError carries every b_n and the bound.
     """
     s = complex(p.s)
     if s.real <= 0:
@@ -246,41 +240,75 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
     if which == "psi_tilde":
         return _psi_tilde_coefficients(s, gamma(s), K, fc)[0]
 
-    sm1 = np.clongdouble(s - 1)
-    signs = 2.0 * (-1.0) ** np.arange(K)
+    b, err, samples = _psi_coefficients(s, K)
+    if not (err - _EPS64 / 2 * np.abs(b)).max() <= _COEFF_TOL:  # NaN too
+        raise ConvergenceError(
+            f"psi coefficients' bound {err.max():.3e} exceeds {_COEFF_TOL:g}",
+            best=QuadResult(fc * b, abs(fc) * float(err.max()), samples))
+    return fc * b
 
-    def f(t):
-        t = np.asarray(t, dtype=np.longdouble)
-        base = np.exp(sm1 * np.log(t) - 2.0 * t) / (1.0 + np.exp(t))
-        return signs[:, None] * base * _laguerre_table(4.0 * t, K)
 
-    try:
-        # Overflow past the rounding floor gives a NaN estimate, refused below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = integrate_semi_infinite(f, s.real,
-                                        _COEFF_TOL * _COEFF_TOL_SHARE)
-    except ConvergenceError as exc:
-        r = exc.best
-        if not r.abs_err <= _COEFF_TOL:  # a NaN estimate is not kept
-            raise ConvergenceError(
-                str(exc),
-                best=QuadResult(fc * r.value, abs(fc) * r.abs_err, r.evals),
-            ) from exc
-    return fc * r.value
+def _psi_coefficients(s: complex, K: int):
+    """(b, bound, N) at f = 1, b real for real s.  Gain r^{1-K}: the most
+    with eps_LD max|G| gain <= 2^-56 max(1, max|G|) and E gain <=
+    _COEFF_TOL / 2 on 32 samples at gain 1024, else on max(32, K) at
+    gain 2 (hopeless past 1000 _COEFF_TOL).  |b_n| <= 2 Gamma(sig) = e^lb,
+    as |e^{-2t} L_n(4t)| <= 1, so N = 2^k with e^lb r^N <= _ALIAS_TOL."""
+    (g, g_rel), e, sig = _gamma_ld(s), -1 / max(K - 1, 1), s.real
+    lb, lg1 = np.log(np.longdouble(2)) + math.lgamma(sig), math.lgamma(sig + 1)
+
+    def circle(r, N, cut):
+        # G at w = r e^{2 pi i k/N} in blocks, and E: sample bounds and DFT
+        # rounding (Higham, Thm 24.2, twiddles within 2 eps_LD).  A node is
+        # off by 9 eps_LD, a = 4/(1+w) - 1 by da = 24 eps_LD pre^2: Gamma h
+        # moves by da |Gamma(s+1) h(s+1, .)| <= da Gamma(sig+1) / Re(a)^k,
+        # k = sig + 1; past cut, by da (|Gamma(s+1) h(s+1, a)| + its engine
+        # bound) plus that first bound times k da / Re(a).
+        G, err, rows = [], 0.0, 1024 // math.ceil(max(1, abs(s.imag) / 60))
+        for lo in range(0, N, rows):
+            w = r * np.exp(2j * PI_L * np.arange(lo, min(lo + rows, N)) / N)
+            a, pre, m = 4 / (1 + w) - 1, np.abs(2 / (1 + w)), len(w)
+            da = 24 * _EPS_LD * pre * pre
+            node = da * np.exp(lg1 - (sig + 1) * np.log(a.real))
+            up = np.flatnonzero(pre * node > cut)
+            x = np.stack([a / 2, a / 2 + 0.5], 1)[np.r_[:m, up]]
+            h, h_err = _hurwitz((s + (np.arange(len(x)) >= m)).astype(
+                np.clongdouble), x, *_ETA[1:])
+            node[up] = da[up] * (abs(g * s) * (np.abs(h[m:]) + h_err[m:])
+                                 + node[up] * (sig + 1) / a.real[up])
+            G.append(2 * g / (1 + w) * h[:m])
+            err += (pre * (abs(g) * h_err[:m] + 8 * _EPS_LD * np.abs(G[-1])
+                           + node)).sum()
+        mag = np.abs(G := np.concatenate(G))
+        return G, float(err / N + 4 * _EPS_LD * mag.mean() + 8 * math.log2(N)
+                        * _EPS_LD * np.hypot.reduce(mag) / math.sqrt(N))
+
+    for least, size in ((1024, 32), (2, max(32, 2 * K))):
+        G, E = circle(least ** e, size, 0.0)
+        gain = min(128 / min(np.abs(G).max(), 1), _COEFF_TOL / 2 / E)
+        if gain >= least:
+            break
+    if not E <= 1000 * _COEFF_TOL:  # best: 0, within 2 Gamma(sig)
+        return np.zeros(K, complex), np.full(K, np.exp(lb)), size
+    r = float(gain := max(gain, 2)) ** e
+    N = max(K, math.ceil((lb - math.log(_ALIAS_TOL)) / -math.log(r)))
+    G, E = circle(r, N := 1 << (N - 1).bit_length(), _COEFF_TOL / 8 / gain)
+    scale = r ** -np.arange(K, dtype=np.longdouble)
+    b = np.fft.fft(G)[:K] / N * scale
+    err = (scale * E + math.exp(lb + N * math.log(r)) / (1 - r ** N)
+           + (_EPS64 / 2 + 4 * _EPS_LD + g_rel) * np.abs(b))
+    return (b.real if s.imag == 0 else b).astype(complex), err, N
 
 
 def _tail_ratio(coeffs):
-    mags = np.abs(np.asarray(coeffs, dtype=np.complex128))
-    k = len(mags)
-    window = mags[max(1, k - max(4, k // 4)):]
-    ratios = [
-        window[i + 1] / window[i]
-        for i in range(len(window) - 1)
-        if window[i] > 0
-    ]
-    if not ratios:
+    k = len(coeffs)
+    w = np.abs(coeffs)[max(1, k - max(4, k // 4)):]
+    # np.median's sorted middle, without the numpy.ma import it costs.
+    r = np.sort(w[1:][w[:-1] > 0] / w[:-1][w[:-1] > 0])
+    if not r.size:
         return 0.5
-    return float(min(max(np.median(ratios), 0.1), 0.95))
+    return float(min(max((r[(r.size - 1) // 2] + r[r.size // 2]) / 2, 0.1),
+                     0.95))
 
 
 def eigen_residual(p, K: int, which: str = "H_tilde") -> ResidualProfile:
@@ -303,9 +331,8 @@ def eigen_residual(p, K: int, which: str = "H_tilde") -> ResidualProfile:
         coeffs = laguerre_coefficients(p, K, which="psi")
     else:
         raise DomainError(f"unknown operator {which!r}")
-    a = np.asarray(coeffs, dtype=np.complex128)
     lam = 1j * (0.5 - s)
-    resid = np.abs(op.entries @ a - lam * a)
+    resid = np.abs(op.entries @ coeffs - lam * coeffs)
 
     ratio = _tail_ratio(coeffs)
     a_next = abs(coeffs[-1]) * ratio

@@ -2,10 +2,10 @@
 
 Contents: exact Bernoulli numbers (B_1 = +1/2 convention), the Taylor
 coefficients c_m of x/(1+e^{-x}), Laguerre polynomials, the Bessel
-function J0, the complex Gamma function and digamma, and one
-Hurwitz-zeta engine (_hurwitz) from which the Riemann zeta function, the
-Dirichlet eta function, 1 - eta and their derivatives all come, each
-with a proven error bound that covers rounding.
+function J0, the complex Gamma function (and a long-double one) and
+digamma, and one Hurwitz-zeta engine (_hurwitz) from which zeta, eta,
+1 - eta, their derivatives and psi's generating function all come,
+each with a proven error bound that covers rounding.
 
 All functions are pure and deterministic.  zeta (Re(s) > 0) and eta
 (Re(s) > -1) reach |Im(s)| <= 1000, with bounds that grow like |s| eps
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -23,6 +24,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import CapabilityError, DomainError, PoleError
+from .quad import _EPS_LD
 
 __all__ = [
     "bernoulli",
@@ -125,12 +127,6 @@ def _laguerre_rows(x):
         yield cur
         prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
         k += 1
-
-
-def _laguerre_table(x, K):
-    """(K, len(x)) array of L_0(x) .. L_{K-1}(x) from one recurrence
-    pass."""
-    return np.array(list(islice(_laguerre_rows(x), K)))
 
 
 def laguerre(n: int, x):
@@ -273,6 +269,25 @@ def _digamma(s):
     return val, rem + 16 * _EPS * (abs(lnz) + size + 1)
 
 
+def _gamma_ld(s):
+    """(Gamma(s), relative bound) in long double, Re(s) > 0: Gamma(z)/(s
+    ... (s+k-1)), z = s + k, |z| >= 10, by Stirling's series to B_26, its
+    remainder under |B_28| sec^28(ph(z)/2)/(756 |z|^27) (DLMF 5.11(ii));
+    rounding costs 8 eps_LD (|z| (|ln z| + 1) + 1) and 4 eps_LD (k + 2)."""
+    z, prod, k = np.clongdouble(s), np.clongdouble(1), 0
+    while abs(z) < 10:
+        prod, z, k = prod * z, z + 1, k + 1
+    lnz = np.log(z)
+    ser = sum(np.longdouble(f.numerator) / f.denominator / z ** (2 * i - 1)
+              for i, f in ((i, _bernoulli_any(2 * i) / (2 * i * (2 * i - 1)))
+                           for i in range(1, 14)))
+    val = np.exp((z - 0.5) * lnz - z + np.log(2 * PI_L) / 2 + ser) / prod
+    err = (float(abs(_bernoulli_any(28))) / 756 / float(abs(z)) ** 27
+           / math.cos(float(lnz.imag) / 2) ** 28
+           + 8 * _EPS_LD * (float(abs(z)) * (float(abs(lnz)) + 1) + 1))
+    return val, math.expm1(err) + 4 * _EPS_LD * (k + 2)
+
+
 # ---------------------------------------------------------------------------
 # One Dirichlet-series engine: zeta, eta, 1 - eta and their derivatives
 
@@ -294,26 +309,27 @@ _POCH_OFFS = np.r_[1.0, np.arange(1.0, 2 * _EM_M - 1)]
 
 
 @lru_cache(maxsize=16)
-def _em_plan(shifts, coeffs, q, n):
-    """Constants of one engine configuration: ln(q x) and the
-    coefficient of each direct term x = a_j + k; per shift c_j, the
-    tail start b_j = a_j + n, ln(q b_j), the Bernoulli factors
-    B_2m/(2m)! b_j^{1-2m} and |d_j| = |ln(b_j/b_0)|; ln b_0; and the
-    pole term's Taylor coefficients D_k = sum_j c_j d_j^k/k!,
-    k = 1 .. K, with those of its derivative (K = 1 and D = 0 for one
-    shift)."""
-    a, c = np.array(shifts), np.array(coeffs)
+def _em_plan(a, coeffs, q, n):
+    """Constants of one engine configuration per row of the shifts a (a
+    tuple is one row), in a's precision: ln(q x) and the coefficient of
+    each direct term x = a_j + k; per shift c_j, the tail start
+    b_j = a_j + n, ln(q b_j), the Bernoulli factors B_2m/(2m)!
+    b_j^{1-2m} and |d_j| = |ln(b_j/b_0)|; ln b_0; and the pole term's
+    Taylor coefficients D_k = sum_j c_j d_j^k/k!, k = 1 .. K, with those
+    of its derivative (K = 1 and D = 0 for one shift)."""
+    a, c = np.array([a]) if isinstance(a, tuple) else a, np.array(coeffs)
     b = a + n
     m = np.arange(1, _EM_M + 1)
-    bern = np.array([float(_bernoulli_any(2 * i) / math.factorial(2 * i))
-                     for i in m])
-    d = np.log1p((b - b[0]) / b[0])
-    k = np.arange(1, (_POLE_TERMS if len(a) > 1 else 1) + 1)
-    D = (c[:, None] * d[:, None] ** k).sum(axis=0) / np.array(
+    bern = np.array([str(Decimal(f.numerator) / f.denominator) for f in (
+        _bernoulli_any(2*i) / math.factorial(2*i) for i in m)], a.real.dtype)
+    d = np.log1p((b - b[:, :1]) / b[:, :1])
+    k = np.arange(1, (_POLE_TERMS if a.shape[1] > 1 else 1) + 1)
+    D = (c[:, None] * d[..., None] ** k).sum(axis=1) / np.array(
         [math.factorial(i) for i in k], dtype=float)
-    return (np.log(q * (a[:, None] + np.arange(n))).ravel(), np.repeat(c, n),
-            c, b, np.log(q * b), bern * b[:, None] ** (1.0 - 2 * m),
-            np.abs(d), math.log(b[0]), D, D[1:] * k[:-1])
+    return (np.log(q * (a[..., None] + np.arange(n))).reshape(len(a), -1),
+            np.repeat(c, n), c, b, np.log(q * b),
+            bern * b[..., None] ** (1.0 - 2 * m),
+            np.abs(d), np.log(b[:, 0]), D, D[:, 1:] * k[:-1])
 
 
 def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
@@ -321,6 +337,9 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
     Re(s) > -1, and a bound on its absolute error: (value, bound), or
     with deriv=True (value, bound, d/ds value, bound).  bound=False
     skips the bounds' block and returns None for each, same value bits.
+    shifts is a tuple of real a_j, or a (rows, J) array of complex a_j,
+    Re a_j > 0, one set per row of s (value and bound only).  Both run
+    in s's dtype: float64 for zeta and eta, clongdouble for psi's b_n.
 
     Euler-Maclaurin summation: for each shift, n direct terms
     (q(a_j + k))^{-s}, then from b_j = a_j + n the terms
@@ -330,22 +349,27 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
     C = sum_j c_j, so where C = 0 (eta, 1 - eta) it has no pole and
     s = 1 needs no branch.  The bound adds Johansson's remainder
     |R_j| <= 4|(s)_2M|/(2 pi)^2M b_j^{-sigma-2M+1}/(sigma+2M-1)
-    (Numer. Algorithms 69, 2015, Thm 1) times q^{-sigma}, for the
+    (Numer. Algorithms 69, 2015, Thm 1; at complex b_j, Re b_j and a
+    factor e^{max(0, Im s arg b_j)}) times q^{-sigma}, for the
     derivative Cauchy's estimate of it on the circle of radius
     1/ln(q b_j), the Taylor truncation, and a rounding charge of
     4 eps (|s| |ln x| + 2M) per term x^{-s}, which covers the rounding
-    of each term's argument.  Each row depends on its own s and on n
-    only, so with n = 28 (all |Im s| <= 60) a row of a batch equals a
-    one-element call bit for bit.
+    of each term's argument (at complex shifts, n >= 12 and 4 eps (|s|
+    (|ln x| + 1) + 8) per direct term).  A row depends on its own s and
+    shifts and on n only: with n = 28 (all |Im s| <= 60) a row of a
+    batch equals a one-element call bit for bit.
     """
     tau = float(np.abs(s.imag).max())
     if not tau <= _EM_TAU_CAP:
         raise CapabilityError(
             f"zeta and eta support |Im s| <= {_EM_TAU_CAP:g}, got {tau:g}")
-    n = _EM_N if tau <= _EM_TAU else math.ceil(_EM_N * tau / _EM_TAU)
-    lg, w, c, b, lqb, kap, d, lb0, D, dD = _em_plan(shifts, coeffs, q, n)
-    col, mm, K = s[:, None], 2 * _EM_M, len(D)
-    u, C = 1 - s, float(c.sum())
+    n = max(_EM_N if isinstance(shifts, tuple) else 12,
+            math.ceil(_EM_N * tau / _EM_TAU))
+    plan = _em_plan if isinstance(shifts, tuple) else _em_plan.__wrapped__
+    lg, w, c, b, lqb, kap, d, lb0, D, dD = plan(shifts, coeffs, q, n)
+    col, mm, K = s[:, None], 2 * _EM_M, D.shape[1]
+    eps = _EPS_LD if s.dtype == np.clongdouble else _EPS
+    u, C, l0 = 1 - s, float(c.sum()), lqb[:, 0]
     # (s)_{2m-1} = s Q_m with Q_m = (s+1) ... (s+2m-2).
     F = col * _POCH_MASK + _POCH_OFFS
     Q = np.cumprod(F, axis=1)[:, ::2]
@@ -357,7 +381,7 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
     upow = u[:, None] ** np.arange(K)
     pt, dpt = upow * D, upow[:, :-1] * dD
     inner = pt.sum(axis=1) + cu
-    b0u = np.exp(lb0 - s * lqb[0])          # q^{-s} b_0^u
+    b0u = np.exp(lb0 - s * l0)              # q^{-s} b_0^u
     val = t.sum(axis=1) + (bs * bsum).sum(axis=1) - b0u * inner
     if deriv:
         cu2 = C / (u * u) if C else 0
@@ -367,37 +391,43 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
         dt = -lg * t
         der = (dt.sum(axis=1)
                + (bs * (dcorr.sum(axis=2) - lqb * bsum)).sum(axis=1)
-               + b0u * (lqb[0] * inner + dpt.sum(axis=1) - cu2))
+               + b0u * (l0 * inner + dpt.sum(axis=1) - cu2))
     if not bound:
         return (val, None, der, None) if deriv else (val, None)
 
     # Bound: rounding, Taylor truncation, Euler-Maclaurin remainder.
     sig, big, ab0u = s.real[:, None], np.abs(col), np.abs(b0u)
     x = np.abs(u)[:, None] * d
+    if lg.dtype.kind == "c":  # Re b_j and e^{max(0, Im s arg b_j)} in R_j
+        alg, mt, alqb, sl0 = np.abs(lg) + 1, 8, np.abs(lqb), col * lqb[:, :1]
+        ex = np.maximum(col.imag * np.angle(b), 0) - sig * np.log(q * b.real)
+    else:
+        alg, mt, alqb, sl0 = np.abs(lg), mm, lqb, sig * lqb[:, :1]
+        ex = -sig * lqb
     # |q^{-s} b_0^u| times the Taylor truncation; one exp avoids overflow.
-    trunc = (np.abs(c) * d * x ** (K - 1) * np.exp(x + lb0 - sig * lqb[0])
-             / math.factorial(K))
+    trunc = (np.abs(c) * d * x ** (K - 1) * np.exp(
+        x + lb0.real[:, None] - sl0.real) / math.factorial(K))
 
     def rounding(terms, tails, pole):
-        return 4 * _EPS * (
-            (np.abs(terms) * (big * np.abs(lg) + mm)).sum(axis=1)
-            + (tails * (big * lqb + mm)).sum(axis=1)
-            + ab0u * pole * (big[:, 0] * lqb[0] + mm))
+        return 4 * eps * (
+            (np.abs(terms) * (big * alg + mt)).sum(axis=1)
+            + (tails * (big * alqb + mm)).sum(axis=1)
+            + ab0u * pole * (big[:, 0] * alqb[:, 0] + mm))
 
     pole_mag = np.abs(pt).sum(axis=1) + np.abs(cu)
     bmag = np.abs(bs) * (0.5 + np.abs(corr).sum(axis=2))
-    rem = (4 / (2 * math.pi) ** mm * np.abs(c) * np.exp(-sig * lqb)
-           * b ** (1.0 - mm) / (sig + mm - 1))
+    rem = (4 / (2 * math.pi) ** mm * np.abs(c) * np.exp(ex)
+           * b.real ** (1.0 - mm) / (sig + mm - 1))
     poch = (big * np.abs(Q[:, -1:] * (col + mm - 1)))[:, 0]  # |(s)_2M|
     err = (rounding(t, bmag, pole_mag) + (x / (K + 1) * trunc).sum(axis=1)
            + poch * rem.sum(axis=1))
     if not deriv:
         return val, err
     r = 1 / lqb
-    span = (np.abs(col + np.arange(mm))[:, None, :] + r[:, None]).prod(axis=2)
+    span = (np.abs(col + np.arange(mm))[:, None] + r[..., None]).prod(2)
     derr = (rounding(dt, np.abs(bs) * np.abs(dcorr).sum(axis=2) + lqb * bmag,
-                     lqb[0] * pole_mag + np.abs(dpt).sum(axis=1) + np.abs(cu2))
-            + ((lqb[0] * x / (K + 1) + d) * trunc).sum(axis=1)
+                     l0 * pole_mag + np.abs(dpt).sum(axis=1) + np.abs(cu2))
+            + ((lqb[:, :1] * x / (K + 1) + d) * trunc).sum(axis=1)
             + (math.e / r * span * rem * (sig + mm - 1)
                / (sig - r + mm - 1)).sum(axis=1))
     return val, err, der, derr

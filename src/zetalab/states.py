@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .quad import (
 from .special import (
     EULER_GAMMA,
     _digamma,
-    _laguerre_table,
+    _laguerre_rows,
     _one_minus_eta,
     _series_coeff_exact,
     bessel_j0,
@@ -204,7 +205,8 @@ def _psi_series(p: StateParams, x: float, tol: float):
         if K > 0 and tail <= need:
             break
     a, a_err = _psi_tilde_coefficients(s, g, K, fc)
-    lag = _laguerre_table(np.full(1, x, dtype=LD), K)[:, 0]
+    rows = _laguerre_rows(np.full(1, x, dtype=LD))
+    lag = np.concatenate(list(islice(rows, K)))
     value = complex(np.sum(a.astype(CLD) * lag))
     mag = np.abs(lag).astype(np.float64)
     size = float(np.abs(a) @ np.maximum.accumulate(mag))

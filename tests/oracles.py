@@ -14,6 +14,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import mpmath as mp
 import numpy as np
@@ -252,7 +253,7 @@ def coefficients_direct(p, K: int, which: str, tol: float):
     route checks.
     """
     from zetalab.quad import integrate_finite
-    from zetalab.special import _laguerre_table
+    from zetalab.special import _laguerre_rows
     from zetalab.states import _psi_quadrature
 
     inner_tol = min(tol, 1e-9)
@@ -264,7 +265,8 @@ def coefficients_direct(p, K: int, which: str, tol: float):
         weight = np.exp(-xs / 2.0)
         if which == "psi_tilde":
             vals = vals * weight
-        return vals * weight * _laguerre_table(xs, K)
+        table = np.array(list(islice(_laguerre_rows(xs), K)))
+        return vals * weight * table
 
     return integrate_finite(f, 0.0, 40.0, max(tol, 1e-7)).value
 

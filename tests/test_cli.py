@@ -291,6 +291,25 @@ def test_zero_scan_never_imports_numpy_ma():
                 or n.startswith("numpy.ma.")]
 
 
+@pytest.mark.parametrize("operator", ["htilde", "h"])
+def test_residual_never_imports_numpy_ma(operator):
+    # np.median imports numpy.ma (10 to 14 ms); the tail ratio of the
+    # trusted prefix takes the sorted middle itself.
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "zetalab.cli", "residual",
+         "--s", RHO1_ARG, "--K", "16", "--operator", operator], env=env,
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    names = [ln.rsplit("|", 1)[-1].strip()
+             for ln in done.stderr.splitlines() if ln.startswith("import")]
+    assert "zetalab.operators" in names
+    assert not [n for n in names if n == "numpy.ma"
+                or n.startswith("numpy.ma.")]
+
+
 def test_gram_matrix_output(capsys):
     code, lines = run(capsys, "gram", "--num-zeros", "2")
     assert code == 0
@@ -685,6 +704,21 @@ def test_residual_gamma_overflow_exits_1_naming_double_precision(capsys):
     err = json.loads(lines[0])
     assert err["error"] == "CapabilityError"
     assert "double precision" in err["message"]
+
+
+def test_residual_h_refuses_by_its_bound_with_best(capsys):
+    # At Re s = 100 the pilot samples of psi's generating function put
+    # the bound far past 1e-12: one ConvergenceError line that carries
+    # every b_n (0, within 2 Gamma(100)) and the bound, never a profile.
+    code, lines = run(capsys, "residual", "--s", "100", "--K", "16",
+                      "--operator", "h")
+    assert code == 1 and len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConvergenceError"
+    assert "exceeds 1e-12" in err["message"]
+    best = err["best"]
+    assert len(best["value"]) == 16 and best["abs_err"] > 1e-12
+    assert best["evals"] == 32  # the pilot's samples at gain 2
 
 
 def test_flag_limits_themselves_run(capsys):

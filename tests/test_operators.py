@@ -1,4 +1,6 @@
+import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +12,9 @@ from scipy.linalg import eigh_tridiagonal
 import oracles
 from zetalab.errors import (CapabilityError, ConvergenceError, DomainError,
                             ZetalabError)
-from zetalab.operators import (TruncatedOperator, build_H, build_H_tilde,
-                               build_composites, build_ladder,
-                               eigen_residual, fermi_of_T,
+from zetalab.operators import (TruncatedOperator, _psi_coefficients,
+                               build_H, build_H_tilde, build_composites,
+                               build_ladder, eigen_residual, fermi_of_T,
                                fermi_series_partial, laguerre_coefficients,
                                tridiag_eigh)
 from zetalab.quad import integrate_semi_infinite
@@ -263,9 +265,8 @@ def test_coefficients_match_high_precision_oracle():
 
 
 def test_psi_coefficients_match_closed_form_oracle():
-    # Every degree comes out of one stacked quadrature asked for
-    # tol * 2^-20; RHO1 at K = 64 stops at its rounding floor above that,
-    # and its estimate is kept.
+    # Every degree comes out of one DFT of the generating function on one
+    # circle, in long double.
     for s, K in ((RHO1, 16), (complex(0.5, oracles.ZERO_TAUS[5]), 16),
                  (2.0, 8), (RHO1, 64)):
         b = laguerre_coefficients(StateParams(s), K, which="psi")
@@ -274,10 +275,9 @@ def test_psi_coefficients_match_closed_form_oracle():
             assert abs(b[n] - oracles.psi_coefficient_oracle(s, n)) <= 1e-16
 
 
-def test_psi_coefficients_at_small_re_s_keep_their_rounding_floor():
-    # At small Re s the rows' rounding noise sits far above tol * 2^-20
-    # and, at K = 128, above tol * 2^-14: the run stops at that floor
-    # instead of spending its budget, and the estimate is kept.
+def test_psi_coefficients_at_small_re_s_and_large_k_meet_the_oracle():
+    # At small Re s, G grows like |1 + w|^(Re s - 1) towards w = -1, and
+    # at K = 128 the circle nears it: still within 1e-16.
     s = 0.1 + 3j
     b = laguerre_coefficients(StateParams(s), 128, which="psi")
     for n in (0, 64):
@@ -286,13 +286,13 @@ def test_psi_coefficients_at_small_re_s_keep_their_rounding_floor():
 
 def test_psi_coefficients_below_rounding_floor_raise_with_scaled_best(
         monkeypatch):
-    # A tol under the rows' rounding floor cannot be met; the error
+    # A tol under the coefficients' bound cannot be met; the error
     # carries the estimate in coefficient units, f_const included.
     import zetalab.operators as operators
 
     p = StateParams(RHO1, f_const=2.0)
     monkeypatch.setattr(operators, "_COEFF_TOL", 1e-24)
-    with pytest.raises(ConvergenceError, match="rounding floor") as info:
+    with pytest.raises(ConvergenceError, match="exceeds 1e-24") as info:
         laguerre_coefficients(p, 8, which="psi")
     monkeypatch.undo()
     best = info.value.best
@@ -301,12 +301,73 @@ def test_psi_coefficients_below_rounding_floor_raise_with_scaled_best(
 
 
 @pytest.mark.filterwarnings("error")
-def test_psi_coefficients_with_nan_estimate_raise():
-    # At Re s = 1e-3 the stacked quadrature's error estimate is NaN;
-    # `err > tol` is False for NaN, so the exit test is `not err <= tol`
-    # and the H residual raises instead of returning NaN coefficients.
-    with pytest.raises(ConvergenceError, match="NaN"):
-        eigen_residual(StateParams(1e-3), 4, "H")
+def test_psi_coefficients_near_re_s_zero_are_exact_or_refused():
+    # Re s = 1e-3 is below the CLI's floor: no NaN may reach the H
+    # residual.  Either every b_n is finite and within 1e-16 of the
+    # oracle, or ConvergenceError is raised (|b_n| ~ Gamma(1e-3) ~ 1e3,
+    # so the bound nears 1e-12 here).
+    s = 1e-3
+    try:
+        b = laguerre_coefficients(StateParams(s), 4, which="psi")
+    except ConvergenceError as exc:
+        assert exc.best.abs_err > 1e-12
+        with pytest.raises(ConvergenceError):
+            eigen_residual(StateParams(s), 4, "H")
+        return
+    for n in range(4):
+        assert abs(b[n] - oracles.psi_coefficient_oracle(s, n)) <= 1e-16
+
+
+def test_psi_coefficients_answer_at_large_re_s():
+    # Re s from 7 to 9, where |b_n| reaches 5e3 and the samples 4e4: the
+    # shifts' rounding is charged through |Gamma(s+1) h(s+1, a)|, not
+    # through Re(a) alone, so these answer, within 1e-12 plus b_n's own
+    # complex128 rounding.
+    for s, K in ((7.0, 64), (8.5 + 14.134725141734695j, 16), (9.0, 16),
+                 (9.0 + 100j, 64)):
+        b = laguerre_coefficients(StateParams(s), K, which="psi")
+        for n in (0, K // 2, K - 1):
+            want = oracles.psi_coefficient_oracle(s, n)
+            assert abs(b[n] - want) <= 1e-12 + 2**-53 * abs(want), (s, n)
+
+
+def test_psi_coefficients_far_past_the_cli_range_raise():
+    # Gamma(200) overflows double; the bound refuses it, not an
+    # OverflowError, and the best it carries is 0 within 2 Gamma(200).
+    with pytest.raises(ConvergenceError, match="exceeds 1e-12") as info:
+        laguerre_coefficients(StateParams(200.0), 4, which="psi")
+    assert np.all(info.value.best.value == 0)
+    assert info.value.best.abs_err > 1e300
+
+
+def _psi_table():
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "psi_coefficient_table.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def test_psi_coefficients_meet_their_bounds_on_a_seeded_table():
+    # 15 seeded (s, K, n), 0.05 <= Re s <= 3, |Im s| <= 60, K <= 128,
+    # n = K - 1 at every third, against the closed-form oracle frozen by
+    # tests/freeze_psi_coefficients.py: the true error within the bound
+    # the route returns, and that bound within the 1e-12 tol.
+    for row in _psi_table():
+        s, K, n = complex(*row["s"]), row["K"], row["n"]
+        b, bound = _psi_coefficients(s, K)[:2]
+        assert bound.max() <= 1e-12, (s, K)
+        assert abs(b[n] - complex(*row["b"])) <= bound[n], (s, K, n)
+
+
+def test_psi_coefficients_at_s1_and_past_double_gamma():
+    # s = 1: the engine's combined pole term has C = 0 and needs no
+    # branch.  Real s gives real coefficients.  Gamma(0.5 + 500i)
+    # underflows double precision, but not the long-double route.
+    b, bound = _psi_coefficients(1.0 + 0j, 8)[:2]
+    assert np.all(b.imag == 0) and bound.max() <= 1e-13
+    assert abs(b[0] - (2 * math.log(2.0) - 1.0)) <= 1e-16
+    b, bound = _psi_coefficients(0.5 + 500j, 16)[:2]
+    assert np.all(np.isfinite(b)) and bound.max() <= 1e-12
 
 
 def test_coefficient_kernel_vs_quadrature():

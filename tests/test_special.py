@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -445,6 +446,67 @@ def test_digamma_meets_its_bound():
             assert bound <= 1e-13 * max(1.0, abs(val))
     with pytest.raises(DomainError):
         special._digamma(0.0)
+
+
+def test_long_double_gamma_meets_its_bound():
+    # 250 seeded points, log-uniform in 0.01 <= Re s <= 100 with
+    # |Im s| <= 1000, and the corners, against 40-digit mpmath: the
+    # relative error of _gamma_ld within the bound it returns, also
+    # where Gamma underflows double precision.
+    rng = np.random.default_rng(20261019)
+    pts = list(np.exp(rng.uniform(math.log(0.01), math.log(100.0), 250))
+               + 1j * rng.uniform(-1000.0, 1000.0, 250))
+    pts += [0.01, 0.01 + 1000j, 100.0, 100 - 1000j, 1.0, 0.5 + 500j, 9.99]
+    with mp.workdps(40):
+        for s in pts:
+            val, rel = special._gamma_ld(s)
+            want = mp.gamma(mp.mpc(s))
+            got = mp.mpc(str(val.real), str(val.imag))
+            assert abs(got - want) <= rel * abs(want), (s, rel)
+            assert rel <= 1e-14
+    assert 0 < abs(special._gamma_ld(0.5 + 500j)[0]) < np.longdouble("1e-330")
+
+
+def test_engine_with_complex_shifts_meets_its_bound():
+    # One set of complex shifts per row, in long double: zeta(s, a) and
+    # the alternating h(s, a) = 2^-s (zeta(s, a/2) - zeta(s, (a+1)/2))
+    # against 40-digit mpmath at seeded s and a, within the bound.
+    rng = np.random.default_rng(20261019)
+    n = 40
+    s = (rng.uniform(0.05, 3.0, n)
+         + 1j * rng.uniform(-60.0, 60.0, n)).astype(np.clongdouble)
+    a = (rng.uniform(0.05, 40.0, n)
+         + 1j * rng.uniform(-40.0, 40.0, n)).astype(np.clongdouble)
+    one, one_err = _hurwitz(s, a[:, None], (1.0,), 1)
+    alt, alt_err = _hurwitz(s, np.stack([a / 2, a / 2 + 0.5], 1), *_ETA[1:])
+    assert one.dtype == np.clongdouble and alt_err.dtype == np.longdouble
+    with mp.workdps(40):
+        for k in range(n):
+            sk, ak = (mp.mpc(str(v.real), str(v.imag)) for v in (s[k], a[k]))
+            want = mp.zeta(sk, ak)
+            got = mp.mpc(str(one[k].real), str(one[k].imag))
+            assert abs(got - want) <= mp.mpf(str(one_err[k])), k
+            want = mp.power(2, -sk) * (mp.zeta(sk, ak / 2)
+                                       - mp.zeta(sk, ak / 2 + 0.5))
+            got = mp.mpc(str(alt[k].real), str(alt[k].imag))
+            assert abs(got - want) <= mp.mpf(str(alt_err[k])), k
+
+
+# sha256 of zeta, zeta', eta, eta' and 1 - eta with their bounds on
+# the batch below, as the float64 engine gave them before it took complex
+# shifts.
+_ENGINE_BATCH_SHA256 = (
+    "e32cab437004c53971cef9b28b9bcb6a71e99d1805823ae0c82965c4dcac23c0")
+
+
+def test_real_shift_engine_keeps_its_float64_bits():
+    batch = np.concatenate([_STRIP, [0.5 + 300j, 2 - 999j, 30.0]])
+    h = hashlib.sha256()
+    for cfg in (_ZETA, _ETA, _ONE_MINUS_ETA):
+        for out in (_hurwitz(batch, *cfg, deriv=True), _hurwitz(batch, *cfg)):
+            for part in out:
+                h.update(np.ascontiguousarray(part).tobytes())
+    assert h.hexdigest() == _ENGINE_BATCH_SHA256
 
 
 def test_laguerre_explicit_forms():
