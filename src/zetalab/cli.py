@@ -34,10 +34,10 @@ from .special import _EM_TAU_CAP
 
 
 def _parse_complex(text: str) -> complex:
-    """Accept 1.5, 0.5+14.1i, 0.5+14.1j, with optional whitespace.  A
-    NaN or infinite part, Re(s) outside [0.01, 100] (below, psi's
-    quadrature meets NaN; above, Gamma overflows) or |Im s| past the zeta
-    engine's cap is a bad flag; a trailing i, not inf's, is imaginary."""
+    """1.5, 0.5+14.1i or 0.5+14.1j, spaces allowed, a trailing i (not
+    inf's) imaginary.  A NaN or infinite part, |Im s| past the zeta
+    engine's cap or Re(s) outside [0.01, 100] is a bad flag: below, psi's
+    quadrature meets NaN; above, only residual's H_tilde answers (prefix 0)."""
     cleaned = text.strip().replace(" ", "")
     if cleaned.endswith("i"):
         cleaned = cleaned[:-1] + "j"

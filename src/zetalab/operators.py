@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, DomainError
 from .quad import QuadResult
-from .special import (_ETA, PI_L, _bernoulli_any, _gamma_ld, _hurwitz,
-                      _series_coeff_exact, gamma)
+from .special import (_ETA, PI_L, _bernoulli_any, _gamma, _hurwitz,
+                      _series_coeff_exact, _stirling)
 from .states import _EPS64, _EPS_LD, _psi_tilde_coefficients
 
 __all__ = [
@@ -238,7 +238,7 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
     fc = complex(p.f_const)
 
     if which == "psi_tilde":
-        return _psi_tilde_coefficients(s, gamma(s), K, fc)[0]
+        return _psi_tilde_coefficients(s, *_gamma(s), K, fc)[0]
 
     b, err, samples = _psi_coefficients(s, K)
     if not (err - _EPS64 / 2 * np.abs(b)).max() <= _COEFF_TOL:  # NaN too
@@ -254,7 +254,7 @@ def _psi_coefficients(s: complex, K: int):
     _COEFF_TOL / 2 on 32 samples at gain 1024, else on max(32, K) at
     gain 2 (hopeless past 1000 _COEFF_TOL).  |b_n| <= 2 Gamma(sig) = e^lb,
     as |e^{-2t} L_n(4t)| <= 1, so N = 2^k with e^lb r^N <= _ALIAS_TOL."""
-    (g, g_rel), e, sig = _gamma_ld(s), -1 / max(K - 1, 1), s.real
+    (g,), (g_rel,), e, sig = *_stirling(s)[:2], -1 / max(K - 1, 1), s.real
     lb, lg1 = np.log(np.longdouble(2)) + math.lgamma(sig), math.lgamma(sig + 1)
 
     def circle(r, N, cut):

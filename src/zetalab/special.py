@@ -2,8 +2,8 @@
 
 Contents: exact Bernoulli numbers (B_1 = +1/2 convention), the Taylor
 coefficients c_m of x/(1+e^{-x}), Laguerre polynomials, the Bessel
-function J0, the complex Gamma function (and a long-double one) and
-digamma, and one Hurwitz-zeta engine (_hurwitz) from which zeta, eta,
+function J0, Gamma and digamma from one long-double Stirling kernel,
+and one Hurwitz-zeta engine (_hurwitz) from which zeta, eta,
 1 - eta, their derivatives and psi's generating function all come,
 each with a proven error bound that covers rounding.
 
@@ -14,7 +14,6 @@ past 60; each other docstring states its own range.
 
 from __future__ import annotations
 
-import cmath
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -189,103 +188,86 @@ def bessel_j0(z):
 
 
 # ---------------------------------------------------------------------------
-# Gamma
-
-# Lanczos approximation, g = 607/128, 15 coefficients.
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = np.array([
-    0.99999999999999709182, 57.156235665862923517, -59.597960355475491248,
-    14.136097974741747174, -0.49191381609762019978, 3.3994649984811888699e-5,
-    4.6523628927048575665e-5, -9.8374475304879564677e-5,
-    1.5808870322491248884e-4, -2.1026444172410488319e-4,
-    2.1743961811521264320e-4, -1.6431810653676389022e-4,
-    8.4418223983852743293e-5, -2.6190838401581408670e-5,
-    3.6899182659531622704e-6,
-])
+# Gamma and digamma from one Stirling kernel
 
 
-def _lanczos(z):
-    # Valid for Re(z) >= 1/2; z is a complex array.
-    terms = _LANCZOS_C[1:] / (z[:, None] + np.arange(14))
-    acc = _LANCZOS_C[0] + terms.sum(axis=1)
-    t = z + (_LANCZOS_G - 0.5)
-    return math.sqrt(2 * math.pi) * np.exp((z - 0.5) * np.log(t) - t) * acc
+@lru_cache(maxsize=1)
+def _stirling_terms():
+    # B_2i / (2i (2i - 1)) rounded once to long double, i = 1 .. 13, and
+    # matmul weights that sum t_i from 0 in order of i, and (2i - 1) t_i.
+    c = [_bernoulli_any(2 * i) / (2 * i * (2 * i - 1)) for i in range(1, 14)]
+    return (np.array([np.longdouble(f.numerator) / f.denominator for f in c]),
+            np.stack([np.ones(13), np.arange(1.0, 27.0, 2.0)], axis=1))
+
+
+def _stirling(s):
+    """(Gamma(s), relative bound, digamma(s), absolute bound) for an array
+    s with Re(s) > 0, in long double, each row as its one-element call.
+    z = s + k, the first of s, s + 1, ..., s + 10 with |z| >= 10, takes
+    ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2 + sum_{i<=13} t_i,
+    t_i = B_2i / (2i (2i-1) z^{2i-1}), and its derivative digamma(z), and
+    Gamma(s) = Gamma(z) / (s ... (s+k-1)), digamma(s) = digamma(z) - sum_j
+    1/(s+j), j < k.  As |z| >= 10, |ph z| < pi/2, the remainders are below
+    6 and 42 eps_LD: sec^28(ph(z)/2) |B_28| / (756 |z|^27) (DLMF 5.11(ii))
+    and, from the integral of (B_28 - B~_28(t)) / (28 (z+t)^28) over t > 0
+    with |z+t| >= (|z|+t) cos(ph(z)/2), 2 |B_28| sec^29(ph(z)/2) / (28
+    |z|^28).  Rounding costs the exponent 8 eps_LD (|z| (|ln z| + 1) + 1),
+    Gamma 4 eps_LD (k + 2) more, digamma 16 eps_LD (|ln z| + 1/|s| + 4.2)."""
+    s = np.atleast_1d(np.asarray(s, dtype=np.clongdouble))
+    if (s.real <= 0).any():
+        raise DomainError("the Stirling kernel requires Re(s) > 0")
+    (c, w), z, k, prod, back = _stirling_terms(), s, 0, 1, 0
+    if (np.abs(s) < 10).any():              # s + j by repeated + 1
+        Z = np.cumsum(np.hstack((s[:, None], np.ones((len(s), 10)))), 1)
+        k = (np.abs(Z) < 10).sum(axis=1)
+        prev, on = (np.arange(len(s)), k - 1), k > 0
+        z = Z[prev[0], k]
+        prod = np.where(on, np.cumprod(Z, axis=1)[prev], 1)
+        back = np.where(on, np.cumsum(1 / Z, axis=1)[prev], 0)
+    lnz, (ser, wser) = np.log(z), (c / z[:, None] ** w[:, 1] @ w).T
+    g = np.exp((z - 0.5) * lnz - z + np.log(2 * PI_L) / 2 + ser) / prod
+    dg = lnz - (0.5 + wser) / z - back
+    az, alz = np.abs(z).astype(float), np.abs(lnz).astype(float)
+    rel = np.expm1(8 * _EPS_LD * (az * (alz + 1) + 2)) + 4 * _EPS_LD * (k + 2)
+    return g, rel, dg, 16 * _EPS_LD * (alz + 1 / np.abs(s).astype(float) + 8)
+
+
+def _gamma(s):
+    """(gamma(s), its relative bound); see gamma."""
+    z = np.atleast_1d(arr := np.asarray(s, dtype=complex)).ravel()
+    zl, left = z.astype(np.clongdouble), z.real <= 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g, rel = _stirling(np.where(left, 1 - zl, zl))[:2]
+        if left.any():
+            m = np.rint(z.real[left])
+            u = PI_L * (zl[left] - m)
+            if (u == 0).any():
+                raise PoleError(f"gamma pole at s = {int(m[u == 0][0])}",
+                                location=complex(m[u == 0][0]))
+            g[left] = PI_L / (np.sin(u) * (1 - 2 * (m % 2)) * g[left])
+            rel[left] += 2 * _EPS_LD * (np.abs(u).astype(float) + 7)
+        out = g.astype(complex).reshape(arr.shape)
+        ok = np.isfinite(mag := np.abs(out)) & (mag >= _TINY)
+    if not ok.all():
+        raise CapabilityError(f"|gamma(s)| at s = {arr[~ok].flat[0]} is not "
+                              f"a finite normal number in double precision")
+    rel = rel.reshape(arr.shape) + _EPS
+    return (complex(out), float(rel)) if arr.ndim == 0 else (out, rel)
 
 
 def gamma(s):
-    """Complex Gamma function, relative error at most
-    max(1e-13, 3 eps |s| ln|s|): a few roundings of the Lanczos exponent
-    (s - 1/2) ln t - t.  Against mpmath at 3,000 seeded points with
-    0.01 <= Re(s) <= 4 and |Im s| up to where Gamma(s) underflows, the
-    worst was 0.45 of that charge (7.4e-13, near |Im s| = 450).
-
-    Lanczos approximation for Re(s) >= 1/2, reflection formula below.
-    Accepts a scalar (returns complex) or an array; a row of an array
-    equals the scalar call bit for bit.  Nonpositive integer input
-    raises PoleError carrying the integer, and a result that is not
-    finite in double precision raises CapabilityError, as where the
-    reflection's sin(pi s) overflows (Re(s) < 1/2, |Im s| >~ 226).
-    """
-    arr = np.asarray(s, dtype=complex)
-    z = np.atleast_1d(arr).ravel()
-    poles = z[(z.imag == 0) & (z.real <= 0) & (z.real == np.floor(z.real))]
-    if poles.size:
-        raise PoleError(f"gamma pole at s = {int(poles[0].real)}",
-                        location=complex(poles[0]))
-    left = z.real < 0.5
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _lanczos(np.where(left, 1 - z, z))
-        # Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        out[left] = math.pi / (np.sin(math.pi * z[left]) * out[left])
-    if not np.isfinite(out).all():
-        raise CapabilityError(
-            "gamma's reflection formula overflows in double precision "
-            "(Re(s) < 1/2, |Im s| >~ 226)" if not np.isfinite(out[left]).all()
-            else "gamma is not finite in double precision")
-    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def _digamma(s):
-    """(psi(s), bound) for Re(s) > 0: psi(s) = psi(z) - sum_{j<k} 1/(s+j),
-    z = s + k with |z| >= 10, and psi(z) = ln z - 1/(2z)
-    - sum_{m<14} B_2m / (2m z^2m) + R (DLMF 5.15.8).  R is the derivative
-    of ln Gamma's remainder, the integral over t > 0 of
-    (B_28 - B~_28(t)) / (28 (z + t)^28) (DLMF 5.11(ii)); with
-    |z + t| >= (|z| + t) cos(ph(z)/2) and |B_28 - B~_28(t)| <= 2 |B_28|,
-    |R| <= 2 |B_28| / (28 |z|^28 cos^29(ph(z)/2)).  Rounding is charged
-    16 eps (|ln z| + sum_j |1/(s+j)| + 1)."""
-    z = complex(s)
-    if not z.real > 0:
-        raise DomainError("digamma requires Re(s) > 0")
-    shift, size = 0j, 0.0
-    while abs(z) < 10:
-        shift, size, z = shift + 1 / z, size + 1 / abs(z), z + 1
-    lnz = cmath.log(z)
-    val = lnz - 1 / (2 * z) - shift - sum(
-        float(_bernoulli_any(2 * m)) / (2 * m * z ** (2 * m))
-        for m in range(1, 14))
-    rem = (2 * float(abs(_bernoulli_any(28)))
-           / (28 * abs(z) ** 28 * math.cos(lnz.imag / 2) ** 29))
-    return val, rem + 16 * _EPS * (abs(lnz) + size + 1)
-
-
-def _gamma_ld(s):
-    """(Gamma(s), relative bound) in long double, Re(s) > 0: Gamma(z)/(s
-    ... (s+k-1)), z = s + k, |z| >= 10, by Stirling's series to B_26, its
-    remainder under |B_28| sec^28(ph(z)/2)/(756 |z|^27) (DLMF 5.11(ii));
-    rounding costs 8 eps_LD (|z| (|ln z| + 1) + 1) and 4 eps_LD (k + 2)."""
-    z, prod, k = np.clongdouble(s), np.clongdouble(1), 0
-    while abs(z) < 10:
-        prod, z, k = prod * z, z + 1, k + 1
-    lnz = np.log(z)
-    ser = sum(np.longdouble(f.numerator) / f.denominator / z ** (2 * i - 1)
-              for i, f in ((i, _bernoulli_any(2 * i) / (2 * i * (2 * i - 1)))
-                           for i in range(1, 14)))
-    val = np.exp((z - 0.5) * lnz - z + np.log(2 * PI_L) / 2 + ser) / prod
-    err = (float(abs(_bernoulli_any(28))) / 756 / float(abs(z)) ** 27
-           / math.cos(float(lnz.imag) / 2) ** 28
-           + 8 * _EPS_LD * (float(abs(z)) * (float(abs(lnz)) + 1) + 1))
-    return val, math.expm1(err) + 4 * _EPS_LD * (k + 2)
+    """Complex Gamma at every s but its poles, within the relative bound
+    _gamma returns; a scalar gives a complex, an array an array whose rows
+    equal scalar calls bit for bit.  Re(s) > 0 takes _stirling; below, the
+    long-double reflection pi / (sin(pi s) Gamma(1 - s)), sin(pi s) =
+    (-1)^m sin(u), u = pi (s - m), m = round(Re s), s - m exact.  1 - s
+    rounds inside the kernel's charge, u by 2 eps_LD |u|, moving sin(u) by
+    (1 + |u|) times that (|u cot u| <= 1 + |u|), and sin, pi and the
+    division cost 12 eps_LD; rounding to float64, at most eps/sqrt(2) of
+    |Gamma| even with a subnormal part.  Nonpositive integers raise
+    PoleError with the integer; CapabilityError where |Gamma(s)| is not a
+    finite normal double: Re(s) past 171.6, |Im s| past 452 at Re 1/2."""
+    return _gamma(s)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ from .quad import (
 )
 from .special import (
     EULER_GAMMA,
-    _digamma,
+    _gamma,
     _laguerre_rows,
     _one_minus_eta,
     _series_coeff_exact,
+    _stirling,
     bessel_j0,
     eta,
     eta_prime,
@@ -69,7 +70,6 @@ GRAM_SIGN = -1
 _LN2 = math.log(2.0)
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_LD = float(np.finfo(LD).eps)
-_TINY64 = float(np.finfo(np.float64).tiny)
 
 # Longest Laguerre series psi sums before it falls back to quadrature.
 _SERIES_TERMS_MAX = 512
@@ -96,8 +96,10 @@ class StateParams:
 
     def __post_init__(self):
         s = complex(self.s)
-        if not cmath.isfinite(s):
-            raise DomainError(f"StateParams requires a finite s, got {s}")
+        for name, v in (("s", s), ("f_const", complex(self.f_const))):
+            if not cmath.isfinite(v):
+                raise DomainError(f"StateParams requires a finite {name}, "
+                                  f"got {v}")
         if s.real <= 0:
             raise DomainError("StateParams requires Re(s) > 0")
 
@@ -139,44 +141,30 @@ def _gamma_ratios(s: complex, q: complex):
         n += 1
 
 
-def _psi_tilde_coefficients(s: complex, g: complex, K: int,
+def _psi_tilde_coefficients(s: complex, g: complex, g_rel: float, K: int,
                             f_const: complex):
     """(a, a_err) for n < K: a_n = f Gamma(n+s)(1 - eta(n+s))/n!, the
-    coefficients of psi_tilde in the orthonormal basis e^{-x/2} L_n(x),
-    and a bound on the absolute error of each, given g = Gamma(s).
-
-    One engine call gives every 1 - eta(n+s) with its error bound; the
-    bound adds Gamma's relative error, max(1e-13, 3 eps |s| ln|s|) (the
-    law in special.gamma), and a few roundings per recurrence step.
+    coefficients of psi_tilde in the orthonormal basis e^{-x/2} L_n(x), and
+    a bound on each, given Gamma(s) = g within relative error g_rel.  One
+    engine call gives every 1 - eta(n+s) with its bound; the bound adds
+    g_rel and a few roundings per recurrence step.  CapabilityError where
+    one is not finite in double precision (past n + Re s ~ 171 or sooner).
     """
     n = np.arange(K)
-    fq = f_const * np.fromiter(_gamma_ratios(s, g), complex, K)
     ome, ome_err = _one_minus_eta(s + n)
-    g_rel = max(1e-13, 3 * _EPS64 * abs(s) * math.log(abs(s)))
     err = np.abs(ome) * (g_rel + 8 * (n + 2) * _EPS64) + ome_err
-    return fq * ome, np.abs(fq) * err
-
-
-def _series_tail(K: int, q_abs: float, sigma: float, tau: float) -> float:
-    """Bound on sum_{n>=K} |Gamma(n+s)(1 - eta(n+s))/n!| given
-    q_abs = |Gamma(K+s)/K!|; inf where the bound does not hold yet.
-
-    |1 - eta(z)| <= 2^{-x}(1 + 2/(x-1)) for x = Re z > 1, a bound that
-    at least halves per unit step in x, and each further index
-    multiplies |Gamma(n+s)/n!| by |n+s|/(n+1) <= max(n+sigma+tau,
-    n+1)/(n+1), which does not grow with n.  So the terms from K on
-    shrink at least geometrically by r = max(K+sigma+tau, K+1)/(2(K+1)).
-    """
-    x = K + sigma
-    r = max(K + sigma + tau, K + 1.0) / (2.0 * (K + 1))
-    if x <= 1.0 or r >= 1.0:
-        return math.inf
-    return q_abs * 2.0 ** -x * (1.0 + 2.0 / (x - 1.0)) / (1.0 - r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fq = f_const * np.fromiter(_gamma_ratios(s, g), complex, K)
+        a, a_err = fq * ome, np.abs(fq) * err
+    if not (np.isfinite(a).all() and np.isfinite(a_err).all()):
+        raise CapabilityError(f"psi_tilde's coefficients at s = {s} leave "
+                              f"double precision before n = {K}")
+    return a, a_err
 
 
 def _psi_series(p: StateParams, x: float, tol: float):
     """psi(x) = sum_{n<K} a_n L_n(x) with an error bound, or None where
-    Gamma(s) is not a finite normal double or no K up to
+    Gamma(s) or a coefficient refuses double precision or no K up to
     _SERIES_TERMS_MAX brings the a-priori tail below
     tol * _SERIES_TAIL_SHARE.
 
@@ -187,26 +175,30 @@ def _psi_series(p: StateParams, x: float, tol: float):
     the recurrence's error in L_n is relative to max_{k<=n} |L_k(x)|,
     not to |L_n(x)|, which can sit near a root, so the rounding term
     weighs each |a_n| by that running maximum.
+
+    The tail: |1 - eta(z)| <= 2^{-x}(1 + 2/(x-1)) at x = Re z > 1 at least
+    halves per unit step in x, and |n+s|/(n+1) <= max(n+sigma+tau, n+1)/(n+1)
+    does not grow with n, so from K on the terms shrink at least
+    geometrically by r = max(K+sigma+tau, K+1)/(2(K+1)) once r < 1.
     """
-    s = complex(p.s)
-    fc = complex(p.f_const)
+    s, fc = complex(p.s), complex(p.f_const)
     weight = math.exp(-0.5 * x)
     need = tol * _SERIES_TAIL_SHARE * weight
     try:
-        g = gamma(s)
+        g, g_rel = _gamma(s)
+        for K, q in enumerate(_gamma_ratios(s, g)):
+            if K > _SERIES_TERMS_MAX:
+                return None
+            xk = K + s.real
+            r = max(xk + abs(s.imag), K + 1) / (2 * K + 2)
+            if xk > 1 and r < 1:
+                tail = abs(fc * q) * 2.0 ** -xk * (1 + 2 / (xk - 1)) / (1 - r)
+                if K > 0 and tail <= need:
+                    break
+        a, a_err = _psi_tilde_coefficients(s, g, g_rel, K, fc)
     except CapabilityError:
         return None
-    if not abs(g) >= _TINY64:
-        return None
-    for K, q in enumerate(_gamma_ratios(s, g)):
-        if K > _SERIES_TERMS_MAX:
-            return None
-        tail = _series_tail(K, abs(fc * q), s.real, abs(s.imag))
-        if K > 0 and tail <= need:
-            break
-    a, a_err = _psi_tilde_coefficients(s, g, K, fc)
-    rows = _laguerre_rows(np.full(1, x, dtype=LD))
-    lag = np.concatenate(list(islice(rows, K)))
+    lag = np.concatenate(list(islice(_laguerre_rows(np.full(1, x, LD)), K)))
     value = complex(np.sum(a.astype(CLD) * lag))
     mag = np.abs(lag).astype(np.float64)
     size = float(np.abs(a) @ np.maximum.accumulate(mag))
@@ -245,8 +237,8 @@ def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
     tail times e^{x/2}), the coefficient errors carried through
     |L_n(x)|, and the rounding of the sum; evals counts the terms
     summed.  Where that bound exceeds tol (large x, very small tol), or
-    Gamma(s) is not a finite normal double (Re s < 1/2 past |Im s| ~ 226,
-    or past |Im s| ~ 450), the value comes from adaptive quadrature of
+    Gamma(s) or a coefficient is not a finite double (Gamma past |Im s|
+    ~ 450 at Re s <= 1), the value comes from adaptive quadrature of
     the integral instead, and evals counts integrand evaluations.
     """
     if not 0 <= x < math.inf:
@@ -397,10 +389,11 @@ def gram_diagonal_closed_form(rho) -> complex:
 def gram_diagonal_by_parts(rho) -> complex:
     """-d/drho [Gamma(rho) eta(rho)], the integration-by-parts value of
     the diagonal at f = g = 1: -Gamma(rho) (psi(rho) eta(rho) + eta'(rho)),
-    with Gamma' = Gamma psi from the bounded digamma series.  Keeps the
-    Gamma' eta term, which matters only off an exact zero."""
+    with Gamma' = Gamma psi from the bounded digamma of special._stirling.
+    Keeps the Gamma' eta term, which matters only off an exact zero."""
     rho = complex(rho)
-    return -gamma(rho) * (_digamma(rho)[0] * eta(rho) + eta_prime(rho))
+    return -gamma(rho) * (complex(_stirling(rho)[2][0]) * eta(rho)
+                          + eta_prime(rho))
 
 
 def gram_diagonal_log_moment(rho) -> QuadResult:

@@ -706,6 +706,17 @@ def test_residual_gamma_overflow_exits_1_naming_double_precision(capsys):
     assert "double precision" in err["message"]
 
 
+def test_residual_htilde_refuses_past_gammas_normal_range(capsys):
+    # |Gamma(1+480i)| ~ 1e-326 is not a normal double: one CapabilityError
+    # line, where 16 zero residuals used to print under a trusted prefix
+    # of 16.
+    code, lines = run(capsys, "residual", "--s", "1+480i", "--K", "16")
+    assert code == 1 and len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CapabilityError"
+    assert "double precision" in err["message"]
+
+
 def test_residual_h_refuses_by_its_bound_with_best(capsys):
     # At Re s = 100 the pilot samples of psi's generating function put
     # the bound far past 1e-12: one ConvergenceError line that carries

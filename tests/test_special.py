@@ -106,38 +106,87 @@ def test_eta_prime_against_difference_quotient():
         assert abs(eta_prime(s) - want) <= 1e-6 * max(1.0, abs(want))
 
 
-def test_gamma_meets_its_documented_relative_error():
-    # 0.01 <= Re s <= 4 up to the largest |Im s| where Gamma(s) is a
-    # normal double, which is where psi's series takes it: past
-    # |Im s| ~ 226 for Re s < 1/2 the reflection overflows, and past
-    # |Im s| ~ 450 Gamma(s) underflows.
-    rng = np.random.default_rng(20261019)
-    eps = np.finfo(float).eps
-    reached = 0.0
-    for sigma, tau in zip(rng.uniform(0.01, 4.0, 400),
-                          rng.uniform(0.0, 470.0, 400)):
-        s = complex(sigma, tau)
-        try:
-            got = gamma(s)
-        except CapabilityError:
-            assert sigma < 0.5 and tau > 225
-            continue
-        if not abs(got) >= np.finfo(float).tiny:
-            assert tau > 440
-            continue
-        want = oracles.mp_gamma(s)
-        charge = max(1e-13, 3 * eps * abs(s) * math.log(abs(s)))
-        assert abs(got - want) <= charge * abs(want)
-        reached = max(reached, tau)
-    assert reached > 440
+def _gamma_table(count=300, seed=20261019):
+    # Re s in [-5, 100], |Im s| up to 1.05 times the edge of Gamma's
+    # normal range, found by bisection on Stirling's ln |Gamma(s)| ~
+    # (sigma - 1/2) ln|s| - tau arg(s) - sigma + ln(2 pi)/2; points within
+    # 1e-6 of the poles 0, -1 and -3; and points either side of the edges.
+    def ln_abs_gamma(sigma, tau):
+        return ((sigma - 0.5) * math.log(math.hypot(sigma, tau))
+                - tau * math.atan2(tau, sigma) - sigma + 0.92)
+
+    rng = np.random.default_rng(seed)
+    pts = []
+    for sigma in rng.uniform(-5.0, 100.0, count):
+        lo, hi = 0.0, 3000.0
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = ((mid, hi) if ln_abs_gamma(sigma, mid) > -708.4
+                      else (lo, mid))
+        pts.append(complex(sigma, rng.choice([-1, 1])
+                           * rng.uniform(0.0, 1.05 * lo)))
+    return pts + [1e-7, -1e-7, 1e-7j, 3e-7 - 2e-7j, -1 + 1e-7, -1 - 3e-7j,
+                  -1 - 5e-7 + 4e-7j, -3 + 5e-7, -3 - 1e-6, -3 + 2e-7j, 0.5,
+                  1.0, 5.0, 0.3 + 300j, -0.3 + 300j, 0.5 + 451j, 0.5 + 452j,
+                  0.5 + 460j, -4.5 + 420j, 171.5, 171.7, 200.0, 9.999, 10.0]
+
+
+def test_gamma_kernel_meets_its_bounds_on_a_seeded_table():
+    # Against 40-digit mpmath: gamma at every s within the relative bound
+    # _gamma returns, or CapabilityError exactly where |Gamma(s)| is not
+    # a normal double; for Re s > 0 the kernel's long-double Gamma within
+    # its relative bound and its digamma within its absolute bound, also
+    # past Gamma's double range.  Rows of a batch equal scalar calls bit
+    # for bit.
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    answered, refused = [], 0
+    right = [0.5 + 500j, 0.01 + 1000j, 100 - 1000j, 0.01]
+    with mp.workdps(40):
+        for s in _gamma_table():
+            want = mp.gamma(mp.mpc(s))
+            try:
+                got, rel = special._gamma(s)
+            except CapabilityError as exc:
+                assert "double precision" in str(exc)
+                assert not tiny * (1 + 1e-12) <= abs(want) <= huge, s
+                refused += 1
+            else:
+                assert abs(mp.mpc(got) - want) <= rel * abs(want), (s, rel)
+                assert rel <= 1e-13
+                answered.append(s)
+            if s.real > 0:
+                right.append(s)
+        g, rel, dg, err = special._stirling(np.array(right))
+        for i, s in enumerate(right):
+            want = mp.gamma(mp.mpc(s))
+            got = mp.mpc(str(g[i].real), str(g[i].imag))
+            assert abs(got - want) <= rel[i] * abs(want), (s, rel[i])
+            want = mp.digamma(mp.mpc(s))
+            got = mp.mpc(str(dg[i].real), str(dg[i].imag))
+            assert abs(got - want) <= err[i], (s, err[i])
+            assert rel[i] <= 1e-14 and err[i] <= 1e-16 * max(1, abs(want))
+            one = special._stirling(s)
+            assert one[0][0] == g[i] and one[2][0] == dg[i], s
+            assert (one[1][0], one[3][0]) == (rel[i], err[i]), s
+    assert refused > 10 and len(answered) > 250
+    batch = gamma(np.array(answered))
+    assert batch.tobytes() == np.array([gamma(s) for s in answered]).tobytes()
+    with pytest.raises(DomainError):
+        special._stirling(0.0)
 
 
 @pytest.mark.filterwarnings("error")
 def test_gamma_overflow_raises_capability_error_without_warnings():
-    with pytest.raises(CapabilityError, match="reflection"):
-        gamma(0.3 + 300j)
-    with pytest.raises(CapabilityError, match="double precision"):
-        gamma(200.0)
+    # One rule: CapabilityError wherever |Gamma(s)| is not a finite
+    # normal double.  Gamma(0.5 + 460i) ~ 1e-314 is subnormal and
+    # Gamma(200) overflows; Gamma(0.3 + 300i) ~ 1.8e-205 answers, in
+    # long double, where a float64 reflection overflowed.
+    for s in (0.5 + 460j, 200.0, -0.3 + 800j, 1 + 480j):
+        with pytest.raises(CapabilityError, match="double precision"):
+            gamma(s)
+    want = complex(mp.gamma(mp.mpc(0.3, 300)))
+    assert abs(gamma(0.3 + 300j) - want) <= 1e-13 * abs(want)
+    assert abs(want) == pytest.approx(1.8e-205, rel=0.05)
 
 
 @seed(20261019)
@@ -432,41 +481,6 @@ def test_bessel_j0_size_rule_bounds_the_trapezoid_error():
     assert special._j0_size(0.0) == 2
 
 
-def test_digamma_meets_its_bound():
-    rng = np.random.default_rng(20261019)
-    pts = [complex(0.5, t) for t in oracles.ZERO_TAUS]
-    pts += list(rng.uniform(1e-3, 5.0, 60)
-                + 1j * rng.uniform(-100.0, 100.0, 60))
-    pts += [1e-8 + 0j, 1.0 + 0j, 0.01 + 1e3j, 9.999 + 0j]
-    with mp.workdps(40):
-        for s in pts:
-            val, bound = special._digamma(s)
-            err = abs(mp.mpc(val) - mp.digamma(mp.mpc(s)))
-            assert err <= bound, (s, float(err), bound)
-            assert bound <= 1e-13 * max(1.0, abs(val))
-    with pytest.raises(DomainError):
-        special._digamma(0.0)
-
-
-def test_long_double_gamma_meets_its_bound():
-    # 250 seeded points, log-uniform in 0.01 <= Re s <= 100 with
-    # |Im s| <= 1000, and the corners, against 40-digit mpmath: the
-    # relative error of _gamma_ld within the bound it returns, also
-    # where Gamma underflows double precision.
-    rng = np.random.default_rng(20261019)
-    pts = list(np.exp(rng.uniform(math.log(0.01), math.log(100.0), 250))
-               + 1j * rng.uniform(-1000.0, 1000.0, 250))
-    pts += [0.01, 0.01 + 1000j, 100.0, 100 - 1000j, 1.0, 0.5 + 500j, 9.99]
-    with mp.workdps(40):
-        for s in pts:
-            val, rel = special._gamma_ld(s)
-            want = mp.gamma(mp.mpc(s))
-            got = mp.mpc(str(val.real), str(val.imag))
-            assert abs(got - want) <= rel * abs(want), (s, rel)
-            assert rel <= 1e-14
-    assert 0 < abs(special._gamma_ld(0.5 + 500j)[0]) < np.longdouble("1e-330")
-
-
 def test_engine_with_complex_shifts_meets_its_bound():
     # One set of complex shifts per row, in long double: zeta(s, a) and
     # the alternating h(s, a) = 2^-s (zeta(s, a/2) - zeta(s, (a+1)/2))
@@ -587,8 +601,9 @@ def test_eta_property(sigma, tau):
 @given(_SIGMA, _TAU)
 def test_gamma_property(sigma, tau):
     s = complex(sigma, tau)
-    g = gamma(s)
-    assert _rel(g, oracles.mp_gamma(s)) <= 1e-13
+    g, rel = special._gamma(s)
+    want = oracles.mp_gamma(s)
+    assert abs(g - want) <= rel * abs(want)
     # Reflection Gamma(s) Gamma(1-s) sin(pi s) = pi, away from the
     # poles of Gamma(1-s) where sin(pi s) itself loses digits.
     sine = cmath.sin(math.pi * s)

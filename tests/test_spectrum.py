@@ -27,6 +27,13 @@ def test_boundary_function_routes_agree():
         assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
 
 
+def test_boundary_function_refuses_past_gammas_normal_range():
+    # Gamma(0.5+500i) ~ 1e-330 is below the normal doubles; xi_bc used
+    # to return 0j there.
+    with pytest.raises(CapabilityError, match="double precision"):
+        xi_bc(0.5 + 500j)
+
+
 def test_boundary_function_vanishes_at_zero():
     assert abs(xi_bc(oracles.RHO1)) < 1e-13
     assert abs(xi_bc(oracles.RHO2)) < 1e-13

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from zetalab.errors import (CapabilityError, ConvergenceError,
                             DivergenceError, DomainError, PreconditionError)
+from zetalab.operators import eigen_residual
 from zetalab.quad import QuadResult, integrate_semi_infinite
 from zetalab.special import bessel_j0, eta, gamma, zeta
 from zetalab.states import (GRAM_SIGN, StateParams, amplitude_F,
@@ -37,6 +38,14 @@ def test_state_params_refuse_non_finite_s():
               math.inf):
         with pytest.raises(DomainError, match="finite s"):
             StateParams(s)
+
+
+def test_state_params_refuse_non_finite_f_const():
+    # A NaN f_const used to give NaN residuals under a full trusted
+    # prefix, and psi at x = 1 an unrelated quadrature refusal.
+    for f in (math.nan, complex(1.0, math.nan), math.inf):
+        with pytest.raises(DomainError, match="finite f_const"):
+            StateParams(0.5 + 14.134725141734693j, f_const=f)
 
 
 def test_amplitude_interior_value():
@@ -156,24 +165,39 @@ def test_transform_by_quadrature_at_large_x_meets_series_oracle():
 
 
 def test_transform_falls_back_where_gamma_is_not_normal():
-    # For Re s < 1/2 Gamma's reflection overflows (0.3+300i), and past
-    # |Im s| ~ 450 Gamma(s) underflows (0.5+500i): the series does not
-    # apply, and psi answers or raises as the quadrature does (at
-    # 0.5+500i, x = 2, tol 1e-6 it stalls at its rounding floor), never
-    # 0 with abs_err 0.
+    # Past |Im s| ~ 450 Gamma(s) underflows double precision (0.5+500i):
+    # the series does not apply, and psi answers or raises as the
+    # quadrature does (at x = 2, tol 1e-6 it stalls at its rounding
+    # floor), never 0 with abs_err 0.  Gamma(0.3+300i) = 1.8e-205 is a
+    # normal double, so psi takes the series there and meets the oracle.
     def outcome(route, p, x, tol):
         try:
             return route(p, x, tol)
         except ConvergenceError as exc:
             return str(exc)
 
-    for s in (0.3 + 300j, 0.5 + 500j):
-        p = StateParams(s)
-        for x, tol in ((1.0, 1e-10), (2.0, 1e-6)):
-            assert _psi_series(p, x, tol) is None
-            got = outcome(psi, p, x, tol)
-            assert got == outcome(_psi_quadrature, p, x, tol)
-            assert isinstance(got, str) or got.abs_err > 0
+    p = StateParams(0.5 + 500j)
+    for x, tol in ((1.0, 1e-10), (2.0, 1e-6)):
+        assert _psi_series(p, x, tol) is None
+        got = outcome(psi, p, x, tol)
+        assert got == outcome(_psi_quadrature, p, x, tol)
+        assert isinstance(got, str) or got.abs_err > 0
+    p = StateParams(0.3 + 300j)
+    got = psi(p, 1.0, 1e-10)
+    assert got == _psi_series(p, 1.0, 1e-10) and 0 < got.abs_err <= 1e-10
+    want, want_err = oracles.psi_series_oracle(p.s, 1.0, 1e-3 * got.abs_err)
+    assert abs(got.value - want) + want_err <= got.abs_err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coefficients_past_double_range_refuse():
+    # At s = 170, Gamma(170) = 4.3e304 is a normal double but
+    # Gamma(n+s)/n! is not from n = 2: psi_tilde's coefficients refuse by
+    # name, where the residual was NaN under a full trusted prefix, and
+    # psi's series falls back as it does where Gamma refuses.
+    with pytest.raises(CapabilityError, match="double precision"):
+        eigen_residual(StateParams(170.0), 16)
+    assert _psi_series(StateParams(170.0), 1.0, 1e-10) is None
 
 
 def test_transform_series_agrees_with_quadrature():
