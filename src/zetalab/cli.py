@@ -87,10 +87,9 @@ def _finite_floats(text: str) -> list[float]:
     return values
 
 
-# Largest --x-grid count.  psi took 1 to 3 ms a point on its series
-# route at |Im s| <= 90 (x up to 10 or 50; 2-vCPU x86), 3 to 6 ms at
-# |Im s| 160 to 220, 18 ms at 440 and 15 to 35 ms on its quadrature
-# (x >~ 50 at rho_1), so the cap is 10 s to 6 minutes.
+# Largest --x-grid count.  At one s psi's series costs 0.05 to 0.5 ms a
+# point (|Im s| <= 440, x <= 10; 2-vCPU x86), so its quadrature (x >~ 50
+# at rho_1, 15 to 35 ms a point) sets the worst case, 2.5 to 6 minutes.
 _GRID_MAX = 10_001
 
 
@@ -345,13 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
              "abs_err")
     p.add_argument("--s", type=_parse_complex, required=True,
                    help=f"0.01 <= Re(s) <= 100, |Im s| <= {_EM_TAU_CAP:g}; "
-                        "e.g. 0.5+14.134725i")
+                        "e.g. 0.5+14.134725i.  At --tol 1e-10 it exits 1 "
+                        "from Re(s) ~ 12, where |psi| ~ Gamma(Re s)")
     p.add_argument("--x-grid", type=_parse_grid, required=True,
                    help=f"lo:hi:count, 0 <= lo < hi, count <= {_GRID_MAX}; "
                         "e.g. 0:10:101 (a value starting with '-' needs "
-                        "--x-grid=-5:1:2).  The cap suits psi's series "
-                        "route; points where psi takes its quadrature "
-                        "(x >~ 50 at rho_1) cost 15-35 ms each")
+                        "--x-grid=-5:1:2).  psi's series costs under 1 ms "
+                        "a point at one s; where psi takes its quadrature "
+                        "(x >~ 50 at rho_1) a point costs 15-35 ms")
     p.add_argument("--which", choices=("psi_tilde", "psi"),
                    default="psi_tilde")
     p.add_argument("--tol", type=_positive_float, default=1e-10)

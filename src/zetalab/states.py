@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -131,16 +132,6 @@ def amplitude_F(p: StateParams, t: float) -> complex:
     )
 
 
-def _gamma_ratios(s: complex, q: complex):
-    """Gamma(n+s)/n! for n = 0, 1, 2, ... by the forward recurrence
-    q_{n+1} = q_n (n+s)/(n+1), started from q = Gamma(s)."""
-    n = 0
-    while True:
-        yield q
-        q = q * (n + s) / (n + 1)
-        n += 1
-
-
 def _psi_tilde_coefficients(s: complex, g: complex, g_rel: float, K: int,
                             f_const: complex):
     """(a, a_err) for n < K: a_n = f Gamma(n+s)(1 - eta(n+s))/n!, the
@@ -154,12 +145,62 @@ def _psi_tilde_coefficients(s: complex, g: complex, g_rel: float, K: int,
     ome, ome_err = _one_minus_eta(s + n)
     err = np.abs(ome) * (g_rel + 8 * (n + 2) * _EPS64) + ome_err
     with np.errstate(over="ignore", invalid="ignore"):
-        fq = f_const * np.fromiter(_gamma_ratios(s, g), complex, K)
+        fq = f_const * np.fromiter(accumulate(
+            range(K - 1), lambda q, k: q * (k + s) / (k + 1), initial=g),
+            complex, K)
         a, a_err = fq * ome, np.abs(fq) * err
     if not (np.isfinite(a).all() and np.isfinite(a_err).all()):
         raise CapabilityError(f"psi_tilde's coefficients at s = {s} leave "
                               f"double precision before n = {K}")
     return a, a_err
+
+
+class _SeriesPlan:
+    """What _psi_series needs of (s, f) alone, built once: Gamma(s), the
+    tails by K and a prefix of the a_n, keyed on the four float64 parts
+    (0.5+0i and 0.5-0i differ).  Rows equal a cold call's: the recurrence
+    is sequential, and an engine row hangs on s + n and on Im s only."""
+
+    def __init__(self, key: bytes):
+        sr, si, fr, fi = struct.unpack("4d", key)
+        self.s, self.fc, self.tails = complex(sr, si), complex(fr, fi), []
+        self.a = self.a_err = np.zeros(0)
+        try:
+            self.g, self.g_rel = _gamma(self.s)
+            self.q = self.g
+        except CapabilityError:  # no K will do
+            self.tails = [math.nan] * (_SERIES_TERMS_MAX + 1)
+
+    def terms(self, need: float):
+        """(tail, a, a_err) for the first K <= _SERIES_TERMS_MAX whose
+        a-priori tail is <= need, or None.  A miss builds max(K, 2 held)
+        coefficients, at most _SERIES_TERMS_MAX, or K where those refuse."""
+        s, tails = self.s, self.tails
+        for K in range(1, _SERIES_TERMS_MAX + 1):
+            while len(tails) <= K:  # NaN where the bound does not hold yet
+                n, q = len(tails), self.q
+                xk = n + s.real
+                r = max(xk + abs(s.imag), n + 1) / (2 * n + 2)
+                tails.append(abs(self.fc * q) * 2.0 ** -xk * (1 + 2 / (xk - 1))
+                             / (1 - r) if xk > 1 and r < 1 else math.nan)
+                self.q = q * (n + s) / (n + 1)
+            if tails[K] <= need:
+                break
+        else:
+            return None
+        rows = max(K, min(2 * len(self.a), _SERIES_TERMS_MAX))
+        while len(self.a) < K:
+            try:
+                self.a, self.a_err = _psi_tilde_coefficients(
+                    s, self.g, self.g_rel, rows, self.fc)
+            except CapabilityError:
+                if rows == K:
+                    return None
+                rows = K
+        return tails[K], self.a[:K], self.a_err[:K]
+
+
+_series_plan = lru_cache(maxsize=16)(_SeriesPlan)  # plans kept at once
 
 
 def _psi_series(p: StateParams, x: float, tol: float):
@@ -182,23 +223,12 @@ def _psi_series(p: StateParams, x: float, tol: float):
     geometrically by r = max(K+sigma+tau, K+1)/(2(K+1)) once r < 1.
     """
     s, fc = complex(p.s), complex(p.f_const)
+    plan = _series_plan(struct.pack("4d", s.real, s.imag, fc.real, fc.imag))
     weight = math.exp(-0.5 * x)
-    need = tol * _SERIES_TAIL_SHARE * weight
-    try:
-        g, g_rel = _gamma(s)
-        for K, q in enumerate(_gamma_ratios(s, g)):
-            if K > _SERIES_TERMS_MAX:
-                return None
-            xk = K + s.real
-            r = max(xk + abs(s.imag), K + 1) / (2 * K + 2)
-            if xk > 1 and r < 1:
-                tail = abs(fc * q) * 2.0 ** -xk * (1 + 2 / (xk - 1)) / (1 - r)
-                if K > 0 and tail <= need:
-                    break
-        a, a_err = _psi_tilde_coefficients(s, g, g_rel, K, fc)
-    except CapabilityError:
+    if (terms := plan.terms(tol * _SERIES_TAIL_SHARE * weight)) is None:
         return None
-    lag = np.concatenate(list(islice(_laguerre_rows(np.full(1, x, LD)), K)))
+    (tail, a, a_err), K = terms, len(terms[1])
+    lag = np.array(list(islice(_laguerre_rows(LD(x)), K)))
     value = complex(np.sum(a.astype(CLD) * lag))
     mag = np.abs(lag).astype(np.float64)
     size = float(np.abs(a) @ np.maximum.accumulate(mag))
@@ -233,14 +263,14 @@ def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
     The value is the Laguerre series psi(x) = sum_{n<K} a_n L_n(x) with
     the closed-form coefficients a_n = f Gamma(n+s)(1 - eta(n+s))/n!,
     K being the first index where the a-priori coefficient tail, times
-    e^{x/2}, falls below tol/256.  abs_err bounds the truncation (the
-    tail times e^{x/2}), the coefficient errors carried through
-    |L_n(x)|, and the rounding of the sum; evals counts the terms
+    e^{x/2}, falls below tol/256; Gamma(s), the tails and the a_n are
+    computed once per (s, f) and reused across x.  abs_err bounds the
+    truncation (the tail times e^{x/2}), the coefficient errors carried
+    through |L_n(x)|, and the rounding of the sum; evals counts the terms
     summed.  Where that bound exceeds tol (large x, very small tol), or
     Gamma(s) or a coefficient is not a finite double (Gamma past |Im s|
-    ~ 450 at Re s <= 1), the value comes from adaptive quadrature of
-    the integral instead, and evals counts integrand evaluations.
-    """
+    ~ 450 at Re s <= 1), adaptive quadrature of the integral gives the
+    value, and evals counts integrand evaluations."""
     if not 0 <= x < math.inf:
         raise DomainError(f"psi requires a finite x >= 0, got {x}")
     r = _psi_series(p, x, tol)

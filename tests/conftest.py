@@ -2,8 +2,9 @@
 
 The acceptance tests register one human-readable PASS/FAIL line per
 criterion; the hook below reprints them after the run summary so they
-are visible regardless of capture mode.  The fixture below keeps a
-monkeypatched spectrum from filling the process-wide zero-scan table.
+are visible regardless of capture mode.  The fixtures below keep a
+monkeypatched spectrum from filling the process-wide zero-scan table,
+and give every test an empty cache of psi's series plans.
 
 Property tests are pinned: each carries its own @seed, and the default
 run draws them from an empty pool of local constants (see
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.internal.conjecture import providers
 
-from zetalab import spectrum
+from zetalab import spectrum, states
 
 ACCEPTANCE_LINES = []
 _EXPLORE_FACTOR = 10
@@ -54,6 +55,16 @@ def _fresh_scan_table(request):
     spectrum._grid_scan.cache_clear()
     yield
     spectrum._grid_scan.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_series_plans():
+    # A plan holds Gamma(s) and the coefficients, so a test that
+    # monkeypatches states._gamma or _one_minus_eta would otherwise read
+    # one built before the patch.
+    states._series_plan.cache_clear()
+    yield
+    states._series_plan.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -455,6 +455,40 @@ def test_budget_error_carries_best_estimate(capsys):
     assert str(best["evals"]) in err["message"]
 
 
+def test_eigenfunction_refuses_large_real_s_at_default_tol(capsys):
+    # Pins a known limit: |psi| grows like Gamma(Re s), so from Re s ~ 12
+    # the absolute tol 1e-10 falls below an ulp of the value; the series
+    # bound misses it and the quadrature stalls at its rounding floor.
+    code = main(["eigenfunction", "--s", "20", "--x-grid", "0:1:2"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1 and len(lines) == 1 and captured.err == ""
+    err = json.loads(lines[0])
+    assert err["error"] == "ConvergenceError"
+    assert set(err["best"]) == {"value", "abs_err", "evals"}
+    assert err["best"]["abs_err"] > 1e-10
+
+
+def test_eigenfunction_builds_coefficients_once_per_grid(capsys, monkeypatch):
+    # The coefficients hang on s alone: one engine call serves a grid of
+    # 101 points where each point made its own, and an ascending grid
+    # regrows them at most once.
+    from zetalab import states
+
+    calls = []
+    engine = states._one_minus_eta
+
+    def counting(s):
+        calls.append(len(s))
+        return engine(s)
+
+    monkeypatch.setattr(states, "_one_minus_eta", counting)
+    code, lines = run(capsys, "eigenfunction", "--s", RHO1_ARG, "--x-grid",
+                      "0:10:101")
+    assert code == 0 and len(lines) == 102
+    assert 1 <= len(calls) <= 2
+
+
 def test_pole_error_carries_location(capsys):
     # No command's input reaches a pole: the commands call Gamma and
     # zeta only at Re(s) > 0 and s != 1.  The emitter is driven directly.

@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import math
 from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 import numpy as np
@@ -15,8 +16,8 @@ from zetalab import special, spectrum
 from zetalab.special import (_ETA, _ONE_MINUS_ETA, _ZETA, bernoulli,
                              bessel_j0, eta, eta_integral, eta_prime, gamma,
                              laguerre, series_coeff, zeta, zeta_prime,
-                             _bernoulli_any, _hurwitz, _one_minus_eta,
-                             _series_coeff_exact)
+                             _bernoulli_any, _hurwitz, _laguerre_rows,
+                             _one_minus_eta, _series_coeff_exact)
 
 
 def test_bernoulli_against_literals():
@@ -546,6 +547,20 @@ def test_laguerre_recurrence_consistency():
         lhs = (n + 1) * laguerre(n + 1, x)
         rhs = (2 * n + 1 - x) * laguerre(n, x) - n * laguerre(n - 1, x)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+
+def test_scalar_laguerre_rows_equal_the_one_element_array_rows():
+    # psi's series takes L_n(x) from a long-double scalar; the scalar
+    # path runs the same 80-bit operations as a one-element array.  The
+    # values are compared, not the bytes: numpy keeps each 80-bit value
+    # in a 16-byte slot whose 6 padding bytes are arbitrary.
+    rng = np.random.default_rng(20261019)
+    for x in np.concatenate([[0.0, 1.0, 1000.0], rng.uniform(0, 1000, 40)]):
+        scalar = np.array(list(islice(_laguerre_rows(np.longdouble(x)), 513)))
+        array = np.concatenate(list(islice(
+            _laguerre_rows(np.full(1, x, np.longdouble)), 513)))
+        assert scalar.dtype == array.dtype == np.longdouble
+        assert np.array_equal(scalar, array, equal_nan=True), x
 
 
 def test_eta_integral_closed_form():

@@ -18,6 +18,7 @@ from zetalab.states import (GRAM_SIGN, StateParams, amplitude_F,
                             gram_diagonal_log_moment, gram_matrix,
                             norm_integral, norm_series_oracle,
                             paper_norm_closed_form, psi, psi_tilde)
+from zetalab import states
 from zetalab.states import _psi_quadrature, _psi_series
 
 RHO1 = oracles.RHO1
@@ -198,6 +199,92 @@ def test_coefficients_past_double_range_refuse():
     with pytest.raises(CapabilityError, match="double precision"):
         eigen_residual(StateParams(170.0), 16)
     assert _psi_series(StateParams(170.0), 1.0, 1e-10) is None
+
+
+def _outcome(fn, p, x, tol):
+    """fn(p, x, tol) as its exact bits, or the refusal it raised."""
+    try:
+        r = fn(p, x, tol)
+    except (CapabilityError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+    return (r.value.real.hex(), r.value.imag.hex(), r.abs_err.hex(), r.evals)
+
+
+def _stub_quadrature(monkeypatch):
+    # The plans serve the series only; a stub keeps the points that fall
+    # back from costing a quadrature each.
+    monkeypatch.setattr(states, "_psi_quadrature",
+                        lambda p, x, tol: QuadResult(0j, -1.0, -1))
+
+
+_PLAN_XS = (0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0, 89.0)
+
+
+def test_series_plan_rows_equal_cold_calls_bit_for_bit(monkeypatch):
+    # Whatever the order of x, psi and psi_tilde through a warm plan give
+    # each point the bits of a cold call.  At Re s = 100 and 150 no K has
+    # a tail below tol at f = 1, so psi falls back at every x.  Tiny f
+    # lets the series apply at large Re s: at 100 a regrowth is capped at
+    # _SERIES_TERMS_MAX rows, and at 120 and 130 the doubled build leaves
+    # double precision and the plan builds exactly K instead.
+    _stub_quadrature(monkeypatch)
+    build, builds = states._psi_tilde_coefficients, []
+
+    def recording(s, g, g_rel, K, fc):
+        builds.append((s, K))
+        out = build(s, g, g_rel, K, fc)
+        builds[-1] += (True,)
+        return out
+
+    monkeypatch.setattr(states, "_psi_tilde_coefficients", recording)
+    rng = random.Random(30)
+    for s, f in ((RHO1, 1.0), (0.3 + 300j, 1.0), (2 + 30j, 1.0), (3.0, 1.0),
+                 (100.0, 1.0), (150.0, 1.0), (100.0, 1e-150),
+                 (120.0, 1e-200), (130.0, 1e-230)):
+        p = StateParams(s, f)
+        for tol in (1e-10, 1e-6):
+            cold = {}
+            for x in _PLAN_XS:
+                for fn in (psi, psi_tilde):
+                    states._series_plan.cache_clear()
+                    cold[fn, x] = _outcome(fn, p, x, tol)
+            for order in (_PLAN_XS, _PLAN_XS[::-1],
+                          rng.sample(_PLAN_XS, len(_PLAN_XS))):
+                states._series_plan.cache_clear()
+                for x in order:
+                    for fn in (psi, psi_tilde):
+                        assert _outcome(fn, p, x, tol) == cold[fn, x], (
+                            s, f, tol, x, fn.__name__)
+    assert max(b[1] for b in builds if b[0] == 100) == 512
+    for z in (120, 130):
+        mine = [b for b in builds if b[0] == z]
+        assert any(len(a) == 2 and b[2:] == (True,) and b[1] < a[1]
+                   for a, b in zip(mine, mine[1:]))
+
+
+def test_series_plans_keep_bits_per_key_and_evict(monkeypatch):
+    # One plan per exact (s, f): 0.5+0i and 0.5-0i do not share, two
+    # f_const at one s do not share, and with more (s, f) than the cache
+    # holds, a plan rebuilt after eviction still gives the cold bits.
+    _stub_quadrature(monkeypatch)
+    ps = ([StateParams(complex(0.5, 0.0)), StateParams(complex(0.5, -0.0)),
+           StateParams(RHO1), StateParams(RHO1, 2 - 1j)]
+          + [StateParams(complex(0.5 + 0.05 * k, 14.0 + k)) for k in range(20)])
+    xs = (0.0, 3.0, 1.0, 20.0)
+    want = {}
+    for i, p in enumerate(ps):
+        for x in xs:
+            states._series_plan.cache_clear()
+            want[i, x] = _outcome(psi, p, x, 1e-10)
+    states._series_plan.cache_clear()
+    psi(ps[0], 1.0)
+    psi(ps[1], 1.0)
+    assert states._series_plan.cache_info().currsize == 2
+    for x in xs:
+        for i, p in enumerate(ps):
+            assert _outcome(psi, p, x, 1e-10) == want[i, x], (p, x)
+    info = states._series_plan.cache_info()
+    assert info.currsize == info.maxsize < len(ps)
 
 
 def test_transform_series_agrees_with_quadrature():
