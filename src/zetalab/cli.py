@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_parse_complex, required=True,
                    help=f"0.01 <= Re(s) <= 100, |Im s| <= {_EM_TAU_CAP:g}; "
                         "e.g. 0.5+14.134725i.  At --tol 1e-10 it exits 1 "
-                        "from Re(s) ~ 12, where |psi| ~ Gamma(Re s)")
+                        "from Re(s) ~ 10.25, where |psi| ~ Gamma(Re s)")
     p.add_argument("--x-grid", type=_parse_grid, required=True,
                    help=f"lo:hi:count, 0 <= lo < hi, count <= {_GRID_MAX}; "
                         "e.g. 0:10:101 (a value starting with '-' needs "

@@ -21,10 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, DomainError
-from .quad import QuadResult
-from .special import (_ETA, PI_L, _bernoulli_any, _gamma, _hurwitz,
+from .quad import _EPS_LD, QuadResult
+from .special import (_EPS, _ETA, PI_L, _bernoulli_any, _gamma, _hurwitz,
                       _series_coeff_exact, _stirling)
-from .states import _EPS64, _EPS_LD, _psi_tilde_coefficients
+from .states import _psi_tilde_coefficients
 
 __all__ = [
     "TruncatedOperator",
@@ -241,7 +241,7 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
         return _psi_tilde_coefficients(s, *_gamma(s), K, fc)[0]
 
     b, err, samples = _psi_coefficients(s, K)
-    if not (err - _EPS64 / 2 * np.abs(b)).max() <= _COEFF_TOL:  # NaN too
+    if not (err - _EPS / 2 * np.abs(b)).max() <= _COEFF_TOL:  # NaN too
         raise ConvergenceError(
             f"psi coefficients' bound {err.max():.3e} exceeds {_COEFF_TOL:g}",
             best=QuadResult(fc * b, abs(fc) * float(err.max()), samples))
@@ -296,7 +296,7 @@ def _psi_coefficients(s: complex, K: int):
     scale = r ** -np.arange(K, dtype=np.longdouble)
     b = np.fft.fft(G)[:K] / N * scale
     err = (scale * E + math.exp(lb + N * math.log(r)) / (1 - r ** N)
-           + (_EPS64 / 2 + 4 * _EPS_LD + g_rel) * np.abs(b))
+           + (_EPS / 2 + 4 * _EPS_LD + g_rel) * np.abs(b))
     return (b.real if s.imag == 0 else b).astype(complex), err, N
 
 

@@ -11,15 +11,16 @@ cannot reach through oscillatory cancellation.
 
 Panels are refined worst-first from a deterministic heap.  Each
 refining integrand call covers at most two panels, both children of a
-split or two initial panels, on one flat node array; CumulativeIntegral
-then makes one call on every final panel.  The final panels are kept
-as arrays ordered by left endpoint, and one compensated running sum
-over them gives every run's value and CumulativeIntegral's prefix and
-suffix, so results are reproducible bit-for-bit.  Every run has one
-exit rule: it returns once the exactly summed panel error meets tol,
-and raises ConvergenceError (best estimate attached) at its evaluation
-budget or at its rounding floor, where doubling the panel count no
-longer halves that error.
+split or two initial panels, on one flat node array.  The run keeps
+each panel's values at its 31 G31 nodes, and CumulativeIntegral builds
+its antiderivatives from them without calling its integrand again.  The
+final panels are kept as arrays ordered by left endpoint, and one
+compensated running sum over them gives every run's value and
+CumulativeIntegral's prefix and suffix, so results are reproducible
+bit-for-bit.  Every run has one exit rule: it returns once the exactly
+summed panel error meets tol, and raises ConvergenceError (best
+estimate attached) at its evaluation budget or at its rounding floor,
+where doubling the panel count no longer halves that error.
 
 integrate_finite and integrate_semi_infinite also take a stacked
 integrand: f(t) returns shape (m, len(t)), components on the leading
@@ -140,29 +141,25 @@ def _running_sum(vals):
     return run + np.cumsum(np.concatenate([zero, err]), axis=0)
 
 
-def _panel_nodes(lefts, rights, x):
-    # Rule nodes x on [-1, 1] mapped onto each panel, shape
-    # (panels, len(x)), and the panels' half-widths.
-    h = (rights - lefts) / 2
-    return ((lefts + rights) / 2)[:, None] + h[:, None] * x, h
-
-
 def _eval_panels(f, lefts, rights):
-    """G31 values and |G31 - G15| errors of the given panels.
+    """G31 values, |G31 - G15| errors and G31-node values of panels.
 
     One integrand call on the 46 nodes of every panel, passed as one
     flat 1-D array.  Values have shape (panels,) or, for a stacked
     integrand, (panels, m); a stacked panel's error is the maximum over
-    its components.
+    its components.  The node values have shape (panels, 31) or
+    (panels, m, 31).
     """
-    nodes, h = _panel_nodes(lefts, rights, _X46)
+    h = (rights - lefts) / 2
+    nodes = ((lefts + rights) / 2)[:, None] + h[:, None] * _X46
     y = np.asarray(f(nodes.ravel()))
     y = y.reshape(y.shape[:-1] + nodes.shape)
     v31 = h * (y[..., :31] @ _W31)
     diff = abs(v31 - h * (y[..., 31:] @ _W15))
     if diff.ndim == 2:
         v31, diff = v31.T, diff.max(axis=0)
-    return v31, diff.astype(np.float64).tolist()
+    return (v31, diff.astype(np.float64).tolist(),
+            np.moveaxis(y[..., :31], -2, 0))
 
 
 def _result_value(value):
@@ -184,12 +181,13 @@ def _check_interval(a, b):
 def _adaptive_panels(f, a, b, tol, max_evals, initial):
     """Worst-first refinement until the summed error estimate meets tol.
 
-    Returns (lefts, rights, vals, errs, err, evals): the final panels as
-    arrays sorted by left edge, their G31 values and error estimates,
-    the exactly summed error and the evaluation count.  Raises
-    DomainError unless a < b are finite, and ConvergenceError with the
-    best estimate attached when the budget runs out, the run stalls at
-    its rounding or width floor, or the error estimate is NaN.
+    Returns (lefts, rights, vals, errs, ys, err, evals): the final panels
+    as arrays sorted by left edge, their G31 values, error estimates and
+    integrand values at the 31 G31 nodes, the exactly summed error and
+    the evaluation count.  Raises DomainError unless a < b are finite,
+    and ConvergenceError with the best estimate attached when the budget
+    runs out, the run stalls at its rounding or width floor, or the
+    error estimate is NaN.
     """
     _check_interval(a, b)
     edges = np.linspace(LD(a), LD(b), initial + 1)
@@ -202,10 +200,10 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
     def _push(lefts, rights):
         # One integrand call on at most two panels, queued worst-first.
         nonlocal evals, seq, total_err
-        vals, errs = _eval_panels(f, lefts, rights)
+        vals, errs, ys = _eval_panels(f, lefts, rights)
         evals += 46 * len(errs)
-        for pa, pb, v, e in zip(lefts, rights, vals, errs):
-            heapq.heappush(heap, (-e, seq, pa, pb, v))
+        for pa, pb, v, e, y in zip(lefts, rights, vals, errs, ys):
+            heapq.heappush(heap, (-e, seq, pa, pb, v, y))
             seq += 1
             total_err += e
 
@@ -237,12 +235,12 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
         if evals + 92 > max_evals:
             stop = "budget exhausted"
             break
-        neg_err, _, pa, pb, pv = heapq.heappop(heap)
+        neg_err, _, pa, pb, pv, py = heapq.heappop(heap)
         width = pb - pa
         floor = max(1e-300, 4 * _EPS_LD * float(max(abs(pa), abs(pb))))
         if float(width) < floor:
             # Cannot refine further in this precision; keep as-is.
-            stuck.append((pa, pb, pv, -neg_err))
+            stuck.append((pa, pb, pv, -neg_err, py))
             if _exact_err() <= tol:
                 break
             continue
@@ -250,9 +248,9 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
         mid = pa + width / 2
         _push(np.array([pa, mid]), np.array([mid, pb]))
 
-    panels = [(pa, pb, pv, -ne) for ne, _, pa, pb, pv in heap] + stuck
-    panels.sort(key=lambda p: p[0])
-    lefts, rights, vals, errs = (np.array(c) for c in zip(*panels))
+    panels = [(pa, pb, pv, -ne, py) for ne, _, pa, pb, pv, py in heap]
+    panels = sorted(panels + stuck, key=lambda p: p[0])
+    lefts, rights, vals, errs, ys = (np.array(c) for c in zip(*panels))
     err = math.fsum(errs)
     if not err <= tol:
         stop = "NaN error estimate" if math.isnan(err) else stop
@@ -262,7 +260,7 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
             best=QuadResult(_result_value(_running_sum(vals)[-1]), err,
                             evals),
         )
-    return lefts, rights, vals, errs, err, evals
+    return lefts, rights, vals, errs, ys, err, evals
 
 
 def integrate_finite(f, a, b, tol, endpoint_exponent=1.0, max_evals=400_000,
@@ -287,8 +285,8 @@ def integrate_finite(f, a, b, tol, endpoint_exponent=1.0, max_evals=400_000,
             return np.asarray(g(a_ld + u**inv)) * inv * u ** (inv - 1)
 
         a, b = LD(0), (LD(b) - a_ld) ** sigma
-    _, _, vals, _, err, evals = _adaptive_panels(f, a, b, tol, max_evals,
-                                                 initial)
+    _, _, vals, _, _, err, evals = _adaptive_panels(f, a, b, tol, max_evals,
+                                                    initial)
     return QuadResult(_result_value(_running_sum(vals)[-1]), err, evals)
 
 
@@ -369,22 +367,20 @@ class CumulativeIntegral:
     query_lo_many(xs) returns the running integrals from lo to each x;
     query_hi_many(xs) the remainders from each x to hi, whose error
     bounds cover [x, hi] only: a caller that drops a tail beyond hi adds
-    its bound itself.  The build evaluates every final panel's 31 G31
-    nodes once more, in one call, and keeps the Chebyshev coefficients
-    of their interpolant's antiderivative, so a query evaluates no
+    its bound itself.  From the G31-node values the refinement already
+    computed, the build keeps the Chebyshev coefficients of each final
+    panel's interpolant's antiderivative, so a query evaluates no
     integrand; it charges the partial panel's |G31 - G15| plus its last
     two coefficients' moduli.  Every panel's error also carries 4 eps
     (long double) times its G31 integral of |f|, for the rounding of
-    the values and sums a query adds up.  evals counts the build's
-    evaluations.
+    the values and sums a query adds up.  evals counts the refinement's
+    evaluations, the only ones the build makes.
     """
 
     def __init__(self, f, lo, hi, tol):
-        self._lefts, self._rights, vals, errs, _, evals = _adaptive_panels(
-            f, lo, hi, tol, 400_000, 8)
-        nodes, h = _panel_nodes(self._lefts, self._rights, _X31)
-        y = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-        self.evals = evals + nodes.size
+        (self._lefts, self._rights, vals, errs, y, _,
+         self.evals) = _adaptive_panels(f, lo, hi, tol, 400_000, 8)
+        h = (self._rights - self._lefts) / 2
         errs = errs + 4 * _EPS_LD * (h * (np.abs(y) @ _W31)).astype(float)
         self._coefs = [h[:, None] * (y @ m.T) for m in (_LO_MAP, _HI_MAP)]
         tail = abs(self._coefs[0][:, 30:]).sum(axis=1)  # |d_30| + |d_31|

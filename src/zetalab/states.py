@@ -20,10 +20,11 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .errors import (CapabilityError, DivergenceError, DomainError,
-                     PreconditionError)
+from .errors import (CapabilityError, ConvergenceError, DivergenceError,
+                     DomainError, PreconditionError)
 from .quad import (
     CLD,
+    _EPS_LD,
     LD,
     CumulativeIntegral,
     QuadResult,
@@ -31,6 +32,7 @@ from .quad import (
     integrate_semi_infinite,
 )
 from .special import (
+    _EPS,
     EULER_GAMMA,
     _gamma,
     _laguerre_rows,
@@ -69,8 +71,6 @@ __all__ = [
 GRAM_SIGN = -1
 
 _LN2 = math.log(2.0)
-_EPS64 = float(np.finfo(np.float64).eps)
-_EPS_LD = float(np.finfo(LD).eps)
 
 # Longest Laguerre series psi sums before it falls back to quadrature.
 _SERIES_TERMS_MAX = 512
@@ -143,7 +143,7 @@ def _psi_tilde_coefficients(s: complex, g: complex, g_rel: float, K: int,
     """
     n = np.arange(K)
     ome, ome_err = _one_minus_eta(s + n)
-    err = np.abs(ome) * (g_rel + 8 * (n + 2) * _EPS64) + ome_err
+    err = np.abs(ome) * (g_rel + 8 * (n + 2) * _EPS) + ome_err
     with np.errstate(over="ignore", invalid="ignore"):
         fq = f_const * np.fromiter(accumulate(
             range(K - 1), lambda q, k: q * (k + s) / (k + 1), initial=g),
@@ -233,7 +233,7 @@ def _psi_series(p: StateParams, x: float, tol: float):
     mag = np.abs(lag).astype(np.float64)
     size = float(np.abs(a) @ np.maximum.accumulate(mag))
     err = (tail / weight + float(a_err @ mag)
-           + 8 * K * _EPS_LD * size + _EPS64 * abs(value))
+           + 8 * K * _EPS_LD * size + _EPS * abs(value))
     return QuadResult(value, err, K)
 
 
@@ -253,7 +253,12 @@ def _psi_quadrature(p: StateParams, x: float, tol: float) -> QuadResult:
             )
         return fc * base
 
-    return integrate_semi_infinite(f, s.real, tol)
+    r = integrate_semi_infinite(f, s.real, tol)
+    r = QuadResult(r.value, r.abs_err + _EPS * abs(r.value), r.evals)
+    if r.abs_err <= tol:
+        return r
+    raise ConvergenceError(f"psi quadrature bound {r.abs_err:.3e} exceeds "
+                           f"tol {tol:.3e}", best=r)
 
 
 def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
@@ -270,7 +275,8 @@ def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
     summed.  Where that bound exceeds tol (large x, very small tol), or
     Gamma(s) or a coefficient is not a finite double (Gamma past |Im s|
     ~ 450 at Re s <= 1), adaptive quadrature of the integral gives the
-    value, and evals counts integrand evaluations."""
+    value, and evals counts integrand evaluations; its abs_err adds the
+    value's rounding to double, and above tol it raises ConvergenceError."""
     if not 0 <= x < math.inf:
         raise DomainError(f"psi requires a finite x >= 0, got {x}")
     r = _psi_series(p, x, tol)
@@ -352,9 +358,7 @@ def amplitude_G_rewritten(rho, t: float) -> QuadResult:
     inner = integrate_finite(f, 0.0, t, 1e-12 / max(abs(pref), 1.0),
                              1.0 - rho.real)
     value = -1.0 - pref * inner.value
-    err = abs(pref) * inner.abs_err + 64 * float(np.finfo(LD).eps) * (
-        1.0 + abs(value)
-    )
+    err = abs(pref) * inner.abs_err + 64 * _EPS_LD * (1.0 + abs(value))
     return QuadResult(value, err, inner.evals)
 
 

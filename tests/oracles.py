@@ -181,9 +181,10 @@ def laguerre_coefficient_oracle(s, n: int) -> complex:
     return complex(mp.quad(f, [0, 1, 5, 20, 60]))
 
 
-def psi_series_oracle(s, x, target: float = 1e-20):
+def psi_series_oracle(s, x, target: float = 1e-20, rounded: bool = True):
     """(psi(x), error bound) from the Laguerre series
-    sum_n Gamma(n+s)(1 - eta(n+s))/n! L_n(x) summed at 40 digits.
+    sum_n Gamma(n+s)(1 - eta(n+s))/n! L_n(x) summed at 40 digits; the
+    value is rounded to a complex double unless rounded is False.
 
     Each 1 - eta(n+s) ~ 2^{-n-s} is taken at 40 + 0.31 (n + Re s)
     digits, as in mp_one_minus_eta, so it keeps 40 digits of its own.
@@ -216,7 +217,8 @@ def psi_series_oracle(s, x, target: float = 1e-20):
         l_prev, l_cur = l_cur, ((2 * n + 1 - x) * l_cur - n * l_prev) / (n + 1)
         q = q * (n + s) / (n + 1)
         n += 1
-    return complex(total), float(tail * grow + size * mp.mpf(10) ** -35)
+    return (complex(total) if rounded else total,
+            float(tail * grow + size * mp.mpf(10) ** -35))
 
 
 def psi_coefficient_oracle(s, n: int) -> complex:

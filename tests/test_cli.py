@@ -456,9 +456,10 @@ def test_budget_error_carries_best_estimate(capsys):
 
 
 def test_eigenfunction_refuses_large_real_s_at_default_tol(capsys):
-    # Pins a known limit: |psi| grows like Gamma(Re s), so from Re s ~ 12
+    # Pins a known limit: |psi| grows like Gamma(Re s), so from Re s ~ 10.25
     # the absolute tol 1e-10 falls below an ulp of the value; the series
-    # bound misses it and the quadrature stalls at its rounding floor.
+    # bound misses it, and the quadrature's bound, its rounding to double
+    # included, exceeds tol or the quadrature stalls at its rounding floor.
     code = main(["eigenfunction", "--s", "20", "--x-grid", "0:1:2"])
     captured = capsys.readouterr()
     lines = captured.out.splitlines()

@@ -13,8 +13,8 @@ import oracles
 from zetalab.errors import CapabilityError, ConvergenceError, DomainError
 from zetalab.quad import (CumulativeIntegral, gauss_legendre,
                           integrate_finite, integrate_semi_infinite,
-                          _adaptive_panels,
-                          _HI_MAP, _LO_MAP, _X31, _legendre_pn,
+                          _adaptive_panels, _EPS_LD, _HI_MAP, _LO_MAP,
+                          _W31, _X31, _legendre_pn,
                           _result_value, _running_sum, _truncation_point)
 
 
@@ -212,13 +212,13 @@ def _nested(coef, inner, tol, a, b):
 def test_nested_queries_cover_at_most_two_panels():
     # The outer integrand and its inner queries see at most two panels'
     # nodes per call, and the inner error rides along as the second row
-    # of the same calls.  The build re-evaluates every final panel's 31
-    # nodes in one call.
+    # of the same calls.  The build makes the refinement's calls only:
+    # no final call on the final panels' 31 G31 nodes.
     build, outer, queries = [], [], []
     cum = CumulativeIntegral(_recording(lambda u: np.exp(-u), build),
                              0.0, 40.0, 1e-11)
-    assert set(build) == {(92,), (31 * len(cum._lefts),)}
-    assert build[-1] == (31 * len(cum._lefts),)
+    assert set(build) == {(92,)}
+    assert cum.evals == 92 * len(build)
 
     def inner(t):
         queries.append(np.size(t))
@@ -269,8 +269,8 @@ def test_run_values_equal_scalar_neumaier_bit_for_bit():
               lambda t: np.exp(1j * t) * np.cos(5 * t),
               lambda t: np.exp(-k * t) * np.cos(k * t),
               lambda t: np.exp((1j - k) * t) / (1 + t)):
-        _, _, vals, _, _, _ = _adaptive_panels(f, 0.0, 6.0, 1e-15,
-                                               400_000, 8)
+        _, _, vals, _, _, _, _ = _adaptive_panels(f, 0.0, 6.0, 1e-15,
+                                                  400_000, 8)
         prefix = _running_sum(vals)
         assert _same_bits(prefix[-1], oracles.neumaier(vals))
         for i in range(1, len(vals), 7):
@@ -348,9 +348,9 @@ def test_antiderivative_maps_reproduce_legendre_antiderivatives():
 
 
 def test_cumulative_evals_count_query_points():
-    # evals covers every integrand point, all of them at build: the
-    # refinement and one 31-node re-evaluation of each final panel.
-    # Queries evaluate no integrand.
+    # evals covers every integrand point, all of them at build, where
+    # the refinement is the only caller: evals equals integrate_finite's
+    # for the same f, interval and tol.  Queries evaluate no integrand.
     points = [0]
 
     def f(t):
@@ -360,10 +360,32 @@ def test_cumulative_evals_count_query_points():
     cum = CumulativeIntegral(f, 0.0, 40.0, 1e-12)
     built = points[0]
     refined = integrate_finite(lambda t: np.exp(-t), 0.0, 40.0, 1e-12).evals
-    assert cum.evals == built == refined + 31 * len(cum._lefts)
+    assert cum.evals == built == refined
     cum.query_lo_many(np.array([0.0, 0.3, 7.0]))
     cum.query_hi_many(np.array([2.5, cum._lefts[3], 40.0]))
     assert cum.evals == points[0] == built
+
+
+def test_cumulative_build_equals_a_fresh_evaluation_bit_for_bit():
+    # The build reuses the refinement's G31-node values.  For an
+    # elementwise integrand they equal a fresh evaluation of the final
+    # panels' 31 G31 nodes, and so do the coefficients and the rounding
+    # charge built from them.
+    for f in (lambda t: np.exp(-t) * np.cos(9 * t),
+              lambda t: np.exp(1j * t) / (1 + t)):
+        cum = CumulativeIntegral(f, 0.0, 12.0, 1e-13)
+        a, b = cum._lefts, cum._rights
+        h = (b - a) / 2
+        y = f(((a + b) / 2)[:, None] + h[:, None] * _X31)
+        _, _, _, errs, ys, _, _ = _adaptive_panels(f, 0.0, 12.0, 1e-13,
+                                                   400_000, 8)
+        assert _same_bits(ys, y)
+        coefs = [h[:, None] * (y @ m.T) for m in (_LO_MAP, _HI_MAP)]
+        assert all(_same_bits(c, d) for c, d in zip(cum._coefs, coefs))
+        part = (errs + 4 * _EPS_LD
+                * (h * (np.abs(y) @ _W31)).astype(float)
+                + abs(coefs[0][:, 30:]).sum(axis=1).astype(float))
+        assert _same_bits(cum._part_err, part)
 
 
 def test_nested_triangle_and_coupling():

@@ -190,6 +190,28 @@ def test_transform_falls_back_where_gamma_is_not_normal():
     assert abs(got.value - want) + want_err <= got.abs_err
 
 
+def test_psi_bound_covers_its_rounding_to_double_at_large_real_s():
+    # |psi| grows like Gamma(Re s), so from Re s ~ 10 half an ulp of the
+    # value passes tol 1e-10.  Both routes charge that rounding, so psi
+    # answers within its bound or refuses, and a refusal's best covers
+    # the truth as well.  At tol 1e-6 every point still answers.
+    for sigma in (11.0, 12.0, 13.0):
+        for x in (0.0, 1.0):
+            if x:
+                want, want_err = oracles.psi_series_oracle(sigma, x,
+                                                           rounded=False)
+            else:
+                want, want_err = mp.gamma(sigma) * mp.altzeta(sigma), 0.0
+            for tol in (1e-10, 1e-6):
+                try:
+                    got = psi(StateParams(sigma), x, tol)
+                    assert got.abs_err <= tol
+                except ConvergenceError as exc:
+                    assert tol == 1e-10
+                    got = exc.best
+                assert abs(mp.mpc(got.value) - want) + want_err <= got.abs_err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_coefficients_past_double_range_refuse():
     # At s = 170, Gamma(170) = 4.3e304 is a normal double but
