@@ -235,32 +235,10 @@ def cmd_gram(args) -> int:
 
 
 def cmd_norm_check(args) -> int:
-    from .reporting import INFORMATIONAL, check
-    from .selftests import PAPER_NORM_2
-    from .states import norm_integral, norm_series_oracle, \
-        paper_norm_closed_form
+    from .selftests import norm_checks
 
-    def suite():
-        reports = []
-        for c in args.c:
-            got = norm_integral(c).value
-            reports.append(check(
-                f"norm-route-agreement-c{c}", got,
-                norm_series_oracle(c - 1.0), 1e-9, "derived-oracle",
-                mode="rel", inputs={"c": c}))
-        closed = paper_norm_closed_form(2.0)
-        reports.append(check("norm-printed-form", closed, PAPER_NORM_2,
-                             1e-12, "paper", inputs={"c": 2.0}))
-        reports.append(check("norm-exponent-shift", closed,
-                             norm_series_oracle(3.0), 1e-12, "paper",
-                             inputs={"c": 2.0, "series_s": 3.0}))
-        reports.append(check(
-            "norm-exponent-discrepancy", closed, norm_integral(2.0).value,
-            INFORMATIONAL, "paper",
-            inputs={"c": 2.0, "note": "same-c integral route"}))
-        return reports
-
-    return _run_suites([("norm-check", suite)], 1.0, " ".join(args.argv))
+    return _run_suites([("norm-check", lambda: norm_checks(args.c))], 1.0,
+                       " ".join(args.argv))
 
 
 def cmd_residual(args) -> int:

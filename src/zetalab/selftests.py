@@ -86,8 +86,18 @@ def _series_target(x: float) -> float:
     return 2 * x / (1 - math.exp(-2 * x)) - x / (1 - math.exp(-x))
 
 
+def _exp_hankel(x: float) -> complex:
+    """The integral of e^{-t} J0(2 sqrt(x t)) over t > 0; it is e^{-x}."""
+    from .quad import integrate_semi_infinite
+    from .special import bessel_j0
+
+    return integrate_semi_infinite(lambda t: np.exp(-t) * bessel_j0(
+        2.0 * np.sqrt(x * np.asarray(t, dtype=np.float64))), 1.0, 1e-10).value
+
+
 def suite_special():
     from . import special as sp
+    from . import states as st
 
     r = []
     r.append(flag("bernoulli-b0", sp.bernoulli(0) == Fraction(1), "trivial"))
@@ -176,14 +186,15 @@ def suite_special():
     r.append(check("laguerre-n5", sp.laguerre(5, x), l5, 1e-14,
                    "trivial", inputs={"x": x}))
 
-    r.append(check("eta-integral-at-2", sp.eta_integral(2.0).value,
+    r.append(check("eta-integral-at-2",
+                   st._psi_quadrature(st.StateParams(2.0), 0.0, 1e-11).value,
                    math.pi**2 / 12, 1e-10, "paper"))
     return r
 
 
 def suite_quad():
     from . import quad as q
-    from .special import bessel_j0, gamma
+    from .special import gamma
 
     r = []
     xs, ws = q.gauss_legendre(16)
@@ -246,11 +257,7 @@ def suite_quad():
     r.append(check("nested-triangle", res.value[0], 1.0 / 8, 1e-12,
                    "trivial", inputs={"integral": "t * int_0^t u du"}))
 
-    res = q.integrate_semi_infinite(
-        lambda t: np.exp(-t) * bessel_j0(
-            2.0 * np.sqrt(4.0 * np.asarray(t, dtype=np.float64))),
-        1.0, 1e-10)
-    r.append(check("hankel-exponential-selfpair", res.value,
+    r.append(check("hankel-exponential-selfpair", _exp_hankel(4.0),
                    math.exp(-4.0), 1e-9, "paper", inputs={"x": 4.0}))
 
     exc = _raises(q.ConvergenceError, lambda: q.integrate_finite(
@@ -345,6 +352,28 @@ def suite_spectrum():
     return r
 
 
+def norm_checks(cs):
+    """The norm integral against its series oracle at each c, then the
+    paper's printed closed form at c = 2 against three references."""
+    from .states import norm_integral, norm_series_oracle, \
+        paper_norm_closed_form
+
+    r = [check(f"norm-route-agreement-c{c}", norm_integral(c).value,
+               norm_series_oracle(c - 1.0), 1e-9, "derived-oracle",
+               mode="rel", inputs={"c": c}) for c in cs]
+    closed = paper_norm_closed_form(2.0)
+    r.append(check("norm-printed-form", closed, PAPER_NORM_2, 1e-12,
+                   "paper", inputs={"c": 2.0}))
+    # The printed closed form reproduces the series oracle two steps up
+    # in the exponent, not the direct integral at the same c.
+    r.append(check("norm-exponent-shift", closed, norm_series_oracle(3.0),
+                   1e-12, "paper", inputs={"c": 2.0, "series_s": 3.0}))
+    r.append(check("norm-exponent-discrepancy", closed,
+                   norm_integral(2.0).value, INFORMATIONAL, "paper",
+                   inputs={"c": 2.0, "note": "same-c integral route"}))
+    return r
+
+
 def suite_states():
     from . import states as st
     from .special import eta, gamma, zeta
@@ -436,29 +465,15 @@ def suite_states():
     r.append(check("norm-integral-closed-2", st.norm_integral(2.0).value,
                    math.log(2.0) - 0.5, 1e-12, "derived-oracle",
                    inputs={"c": 2.0}))
-    for c, ref in ((2.0, NORM_INT_2), (2.5, NORM_INT_2P5),
-                   (4.0, NORM_INT_4)):
-        got = st.norm_integral(c).value
-        r.append(check(f"norm-route-agreement-c{c}", got,
-                       st.norm_series_oracle(c - 1.0), 1e-9,
-                       "derived-oracle", mode="rel", inputs={"c": c}))
-        r.append(check(f"norm-reference-c{c}", got, ref, 1e-11,
-                       "derived-oracle", inputs={"c": c}))
-    r.append(check("norm-printed-form", st.paper_norm_closed_form(2.0),
-                   PAPER_NORM_2, 1e-12, "paper", inputs={"c": 2.0}))
-    r.append(check("norm-printed-form-c1-limit",
-                   st.paper_norm_closed_form(1.0), PAPER_NORM_1,
-                   1e-9, "derived-oracle", inputs={"c": 1.0}))
-    # The printed closed form reproduces the series oracle two steps up
-    # in the exponent, not the direct integral at the same c; both
-    # reports below document that resolution.
-    r.append(check("norm-exponent-shift", st.paper_norm_closed_form(2.0),
-                   st.norm_series_oracle(3.0), 1e-12, "paper",
-                   inputs={"c": 2.0, "series_s": 3.0}))
-    r.append(check("norm-exponent-discrepancy",
-                   st.paper_norm_closed_form(2.0),
-                   st.norm_integral(2.0).value, INFORMATIONAL, "paper",
-                   inputs={"c": 2.0, "note": "same-c integral route"}))
+    *agree, printed, shift, discrepancy = norm_checks((2.0, 2.5, 4.0))
+    for rep, ref in zip(agree, (NORM_INT_2, NORM_INT_2P5, NORM_INT_4)):
+        c = rep.inputs["c"]
+        r.extend([rep, check(f"norm-reference-c{c}", rep.computed, ref,
+                             1e-11, "derived-oracle", inputs={"c": c})])
+    r.extend([printed, check("norm-printed-form-c1-limit",
+                             st.paper_norm_closed_form(1.0), PAPER_NORM_1,
+                             1e-9, "derived-oracle", inputs={"c": 1.0}),
+              shift, discrepancy])
     r.append(flag("norm-divergence-guard",
                   _raises(DivergenceError, st.norm_integral, 1.0 + 1e-3),
                   "trivial", inputs={"c": "1+1e-3"}))
@@ -516,15 +531,8 @@ def suite_states():
     r.append(check("adjoint-ode-residual", worst, 0.0, 1e-6,
                    "derived-oracle", inputs={"t": "1.0, 2.0"}))
 
-    from .quad import integrate_semi_infinite
-    from .special import bessel_j0
-    t0 = 0.8
-    back = integrate_semi_infinite(
-        lambda x: np.exp(-x) * bessel_j0(
-            2.0 * np.sqrt(t0 * np.asarray(x, dtype=np.float64))),
-        1.0, 1e-10)
-    r.append(check("transform-self-reciprocal", back.value,
-                   math.exp(-t0), 1e-9, "paper", inputs={"t": t0}))
+    r.append(check("transform-self-reciprocal", _exp_hankel(0.8),
+                   math.exp(-0.8), 1e-9, "paper", inputs={"t": 0.8}))
     return r
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "eta_prime",
     "zeta",
     "zeta_prime",
-    "eta_integral",
 ]
 
 # Extended-precision constants (parsed by strtold, full 80-bit on x86).
@@ -486,23 +485,3 @@ def _zeta_pair(s):
     val, _, der, _ = _hurwitz(_batch(s, "zeta'", 0, 2), *_ZETA, deriv=True,
                               bound=False)
     return val, der
-
-
-def eta_integral(s):
-    """The integral of t^{s-1}/(1+e^t) over (0, inf) by quadrature, to
-    absolute tolerance 1e-11.
-
-    Equals gamma(s)*eta(s); the quadrature route exists as an
-    independent check of that identity.  Returns a QuadResult.
-    """
-    s = complex(s)
-    if s.real <= 0:
-        raise DomainError("eta_integral() requires Re(s) > 0")
-    from .quad import integrate_semi_infinite
-
-    sm1 = np.clongdouble(s - 1)
-
-    def f(t):
-        return np.exp(sm1 * np.log(t)) / (1 + np.exp(t))
-
-    return integrate_semi_infinite(f, s.real, 1e-11)

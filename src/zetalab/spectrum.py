@@ -42,8 +42,6 @@ _TAU_CAP = 60.0
 # where a cell's two end signs agree, it holds none.
 _SCAN_STEP = 0.01
 _SCAN_CELL = 25
-# Rows per critical_line_real_form call; temporaries stay ~115 kB.
-_SCAN_BLOCK = 256
 # count_zeros integrates each rectangle edge from two panels to this
 # absolute tol: four edges miss 2 pi n by at most 0.04, well inside the
 # 0.1 turn the count allows.  Four or eight initial panels cost more.
@@ -181,12 +179,11 @@ def brentq(f, xa, xb, xtol, rtol, maxiter=100):
 
 
 def _settle(t, v, sign):
-    """Exact values, _SCAN_BLOCK rows a call, where sign is 0 and v NaN,
-    then at each bracket end v lacks; returns k of each [t_k, t_k+1]."""
+    """Exact values, one call each, where sign is 0 and v NaN, then at
+    each bracket end v lacks; returns k of each [t_k, t_k+1]."""
     def exact(idx):
-        for i in range(0, len(idx), _SCAN_BLOCK):
-            rows = idx[i:i + _SCAN_BLOCK]
-            v[rows] = critical_line_real_form(t[rows])
+        if len(idx):
+            v[idx] = critical_line_real_form(t[idx])
 
     todo = np.flatnonzero((sign == 0) & np.isnan(v))
     exact(todo)

@@ -253,8 +253,14 @@ def _psi_quadrature(p: StateParams, x: float, tol: float) -> QuadResult:
             )
         return fc * base
 
-    r = integrate_semi_infinite(f, s.real, tol)
-    r = QuadResult(r.value, r.abs_err + _EPS * abs(r.value), r.evals)
+    def rounded(r):  # the value's rounding to double joins abs_err
+        return QuadResult(r.value, r.abs_err + _EPS * abs(r.value), r.evals)
+
+    try:
+        r = rounded(integrate_semi_infinite(f, s.real, tol))
+    except ConvergenceError as exc:
+        exc.best = rounded(exc.best)
+        raise
     if r.abs_err <= tol:
         return r
     raise ConvergenceError(f"psi quadrature bound {r.abs_err:.3e} exceeds "
@@ -275,8 +281,9 @@ def psi(p: StateParams, x: float, tol: float = 1e-10) -> QuadResult:
     summed.  Where that bound exceeds tol (large x, very small tol), or
     Gamma(s) or a coefficient is not a finite double (Gamma past |Im s|
     ~ 450 at Re s <= 1), adaptive quadrature of the integral gives the
-    value, and evals counts integrand evaluations; its abs_err adds the
-    value's rounding to double, and above tol it raises ConvergenceError."""
+    value, and evals counts integrand evaluations; its abs_err, and the
+    best of a refusal, add the value's rounding to double, and above tol
+    it raises ConvergenceError."""
     if not 0 <= x < math.inf:
         raise DomainError(f"psi requires a finite x >= 0, got {x}")
     r = _psi_series(p, x, tol)

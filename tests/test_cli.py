@@ -534,6 +534,18 @@ def test_norm_check_reports(capsys):
     assert disc["pass"]
 
 
+def test_norm_check_lines_equal_the_states_suite_lines(capsys):
+    # norm-check prints the states suite's own norm checks: each of its
+    # report lines equals, byte for byte and in order, the line of the
+    # same name in `verify --suite states`.
+    _, norm = run(capsys, "norm-check")
+    _, states = run(capsys, "verify", "--suite", "states")
+    names = {json.loads(ln)["name"] for ln in norm[:-1]}
+    assert len(names) == 6
+    assert norm[:-1] == [ln for ln in states[:-1]
+                         if json.loads(ln)["name"] in names]
+
+
 def test_residual_profile_json(capsys):
     code, lines = run(capsys, "residual", "--s", RHO1_ARG, "--K", "16")
     assert code == 0

@@ -14,10 +14,11 @@ import oracles
 from zetalab.errors import CapabilityError, DomainError, PoleError
 from zetalab import special, spectrum
 from zetalab.special import (_ETA, _ONE_MINUS_ETA, _ZETA, bernoulli,
-                             bessel_j0, eta, eta_integral, eta_prime, gamma,
+                             bessel_j0, eta, eta_prime, gamma,
                              laguerre, series_coeff, zeta, zeta_prime,
                              _bernoulli_any, _hurwitz, _laguerre_rows,
                              _one_minus_eta, _series_coeff_exact)
+from zetalab.states import StateParams, _psi_quadrature
 
 
 def test_bernoulli_against_literals():
@@ -369,7 +370,7 @@ def test_batched_rows_equal_single_calls_bit_for_bit(monkeypatch):
 def test_scan_signs_equal_single_point_calls(monkeypatch):
     # find_zeros evaluates every cell end of its grid, every point of a
     # cell that holds a zero, tau_max and both ends of every bracket by
-    # array calls of at most _SCAN_BLOCK rows, then refines every bracket
+    # array calls, then refines every bracket
     # in lockstep rounds, one array call each; every row of every call
     # equals the one-point call, so brackets and roots keep their bits.
     line = spectrum.critical_line_real_form
@@ -385,7 +386,6 @@ def test_scan_signs_equal_single_point_calls(monkeypatch):
     monkeypatch.setattr(spectrum, "critical_line_real_form", recording)
     zeros = spectrum.find_zeros(60.0)
     assert len(zeros) == 13
-    assert all(len(taus) <= spectrum._SCAN_BLOCK for taus, _ in calls)
     seen = set(np.concatenate([t for t, _ in calls]).tolist())
     grid = np.arange(6001) * 0.01
     assert set(grid[::spectrum._SCAN_CELL].tolist()) | {60.0} <= seen
@@ -564,9 +564,9 @@ def test_scalar_laguerre_rows_equal_the_one_element_array_rows():
 
 
 def test_eta_integral_closed_form():
-    r = eta_integral(2.0)
+    r = _psi_quadrature(StateParams(2.0), 0.0, 1e-11)
     assert abs(r.value - math.pi**2 / 12) <= max(r.abs_err, 1e-10)
-    r = eta_integral(1.0)
+    r = _psi_quadrature(StateParams(1.0), 0.0, 1e-11)
     assert abs(r.value - math.log(2)) <= max(r.abs_err, 1e-10)
 
 

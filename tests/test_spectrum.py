@@ -176,13 +176,13 @@ def test_lockstep_roots_equal_scalar_brentq(tol):
 
 
 def test_find_zeros_calls_once_per_block_and_round(monkeypatch):
-    # A cold call builds the scan table: exact calls of at most
-    # _SCAN_BLOCK rows each, on the 241 cell ends and the 24 inner points
-    # of each of the 13 cells that hold a zero, then tau_max.  Refinement
-    # takes one call per round, and it seeds each bracket with the scan's
-    # end values, so there are at most (largest single-bracket brentq
-    # call count - 2) rounds.  A warm call makes one scan call, tau_max
-    # alone (no bracket ends at 59.99), then the same rounds.
+    # A cold call builds the scan table: exact calls on the 241 cell ends
+    # and the 24 inner points of each of the 13 cells that hold a zero,
+    # then tau_max.  Refinement takes one call per round, and it seeds
+    # each bracket with the scan's end values, so there are at most
+    # (largest single-bracket brentq call count - 2) rounds.  A warm call
+    # makes one scan call, tau_max alone (no bracket ends at 59.99), then
+    # the same rounds.
     line = critical_line_real_form
     lockstep = spectrum._lockstep
     sizes, rounds = [], []
@@ -204,7 +204,6 @@ def test_find_zeros_calls_once_per_block_and_round(monkeypatch):
     warm = find_zeros(60.0)
     monkeypatch.undo()
     assert None not in cold_sizes
-    assert max(cold_sizes) <= spectrum._SCAN_BLOCK
     assert cold_sizes[-len(cold_rounds):] == cold_rounds
     assert sum(cold_sizes[:-len(cold_rounds)]) == 241 + 13 * 24 + 1
     most = max(_root_and_calls(spectrum.brentq, line, *z.bracket, 1e-10)[1]

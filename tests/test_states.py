@@ -212,6 +212,19 @@ def test_psi_bound_covers_its_rounding_to_double_at_large_real_s():
                 assert abs(mp.mpc(got.value) - want) + want_err <= got.abs_err
 
 
+def test_psi_refusal_best_covers_its_rounding_to_double():
+    # Past Re s ~ 13.75 the quadrature itself stalls at its rounding
+    # floor and refuses.  The best it hands on charges the value's
+    # rounding to double as an answer does, so it still covers the truth
+    # (at Re s = 14 the error is 4.5e-7, 708 times quad's own bound).
+    for sigma in (14.0, 15.0):
+        with pytest.raises(ConvergenceError) as info:
+            psi(StateParams(sigma), 0.0, 1e-10)
+        best = info.value.best
+        want = mp.gamma(sigma) * mp.altzeta(sigma)
+        assert abs(mp.mpc(best.value) - want) <= best.abs_err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_coefficients_past_double_range_refuse():
     # At s = 170, Gamma(170) = 4.3e304 is a normal double but
