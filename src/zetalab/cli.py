@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, PoleError, ZetalabError
-from .reporting import RunManifest, fmt_complex, fmt_float
+from .reporting import RunManifest, dumps
 from .special import _EM_TAU_CAP
 
 
@@ -109,28 +109,36 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _emit(records, fmt="json", header=None) -> int:
+    """Print computed records as JSON lines, or under the csv header as
+    rows in which a complex value becomes re, im and a pair its items."""
+    if fmt == "json":
+        sys.stdout.writelines(dumps(r) + "\n" for r in records)
+        return 0
+    sys.stdout.write(header + "\n")
+    for r in records:
+        cells = []
+        for v in r.values():
+            cells += ((v.real, v.imag) if isinstance(v, complex)
+                      else v if isinstance(v, tuple) else (v,))
+        sys.stdout.write(",".join(map(dumps, cells)) + "\n")
+    return 0
+
+
 def _emit_error(exc: Exception) -> int:
     """One JSON error object; a budget failure carries its best
     estimate (a list for a stacked quadrature) and a pole its location."""
-    import json
-
     from .quad import QuadResult
 
-    extra = ""
+    payload = {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, ConvergenceError) and isinstance(exc.best, QuadResult):
         best = exc.best
-        if np.ndim(best.value):
-            value = "[%s]" % ",".join(fmt_complex(v) for v in best.value)
-        else:
-            value = fmt_complex(best.value)
-        extra = ',"best":{"value":%s,"abs_err":%s,"evals":%d}' % (
-            value, fmt_float(best.abs_err), best.evals)
+        payload["best"] = {
+            "value": np.asarray(best.value, dtype=complex).tolist(),
+            "abs_err": best.abs_err, "evals": best.evals}
     if isinstance(exc, PoleError):
-        extra = ',"location":%s' % fmt_complex(exc.location)
-    sys.stdout.write(
-        '{"error":%s,"message":%s%s}\n'
-        % (json.dumps(type(exc).__name__), json.dumps(str(exc)), extra)
-    )
+        payload["location"] = complex(exc.location)
+    _emit([payload])
     return 1
 
 
@@ -166,24 +174,11 @@ def cmd_verify(args) -> int:
 def cmd_zeros(args) -> int:
     from .spectrum import find_zeros
 
-    zeros = find_zeros(args.tau_max, tol=args.tol)
-    out = sys.stdout
-    if args.format == "csv":
-        out.write("index,tau,rho_re,rho_im,residual,bracket_lo,bracket_hi\n")
-        for z in zeros:
-            out.write("%d,%s,%s,%s,%s,%s,%s\n" % (
-                z.index, fmt_float(z.tau), fmt_float(z.rho.real),
-                fmt_float(z.rho.imag), fmt_float(z.residual),
-                fmt_float(z.bracket[0]), fmt_float(z.bracket[1])))
-    else:
-        for z in zeros:
-            out.write(
-                '{"index":%d,"tau":%s,"rho":%s,"residual":%s,'
-                '"bracket":[%s,%s]}\n'
-                % (z.index, fmt_float(z.tau), fmt_complex(z.rho),
-                   fmt_float(z.residual), fmt_float(z.bracket[0]),
-                   fmt_float(z.bracket[1])))
-    return 0
+    zeros = [{"index": z.index, "tau": z.tau, "rho": complex(z.rho),
+              "residual": z.residual, "bracket": tuple(z.bracket)}
+             for z in find_zeros(args.tau_max, tol=args.tol)]
+    return _emit(zeros, args.format,
+                 "index,tau,rho_re,rho_im,residual,bracket_lo,bracket_hi")
 
 
 def cmd_eigenfunction(args) -> int:
@@ -194,18 +189,9 @@ def cmd_eigenfunction(args) -> int:
     rows = []
     for x in args.x_grid:
         r = transform(p, float(x), tol=args.tol)
-        rows.append((float(x), r.value, r.abs_err))
-    out = sys.stdout
-    if args.format == "csv":
-        out.write("x,re,im,abs_err\n")
-        for x, v, e in rows:
-            out.write("%s,%s,%s,%s\n" % (fmt_float(x), fmt_float(v.real),
-                                         fmt_float(v.imag), fmt_float(e)))
-    else:
-        for x, v, e in rows:
-            out.write('{"x":%s,"value":%s,"abs_err":%s}\n'
-                      % (fmt_float(x), fmt_complex(v), fmt_float(e)))
-    return 0
+        rows.append({"x": float(x), "value": complex(r.value),
+                     "abs_err": r.abs_err})
+    return _emit(rows, args.format, "x,re,im,abs_err")
 
 
 def cmd_gram(args) -> int:
@@ -214,24 +200,10 @@ def cmd_gram(args) -> int:
 
     n = args.num_zeros
     rhos = [z.rho for z in find_zeros(60.0)[:n]]
-    entries = gram_matrix(rhos, tol=args.tol)
-    out = sys.stdout
-    out.write('{"rhos":[%s],"matrix":[' % ",".join(
-        fmt_complex(r) for r in rhos))
-    for i in range(n):
-        if i:
-            out.write(",")
-        out.write("[")
-        for j in range(n):
-            if j:
-                out.write(",")
-            e = entries[i][j]
-            out.write('{"re":%s,"im":%s,"abs_err":%s}'
-                      % (fmt_float(e.value.real), fmt_float(e.value.imag),
-                         fmt_float(e.abs_err)))
-        out.write("]")
-    out.write("]}\n")
-    return 0
+    matrix = [[{"re": e.value.real, "im": e.value.imag,
+                "abs_err": e.abs_err} for e in row]
+              for row in gram_matrix(rhos, tol=args.tol)]
+    return _emit([{"rhos": [complex(r) for r in rhos], "matrix": matrix}])
 
 
 def cmd_norm_check(args) -> int:
@@ -247,13 +219,9 @@ def cmd_residual(args) -> int:
 
     which = {"h": "H", "htilde": "H_tilde"}[args.operator]
     prof = eigen_residual(StateParams(args.s), args.K, which)
-    comps = ",".join(fmt_float(v) for v in prof.per_component)
-    sys.stdout.write(
-        '{"s":%s,"K":%d,"operator":"%s","trusted_prefix":%d,'
-        '"per_component":[%s]}\n'
-        % (fmt_complex(args.s), args.K, args.operator,
-           prof.trusted_prefix, comps))
-    return 0
+    return _emit([{"s": args.s, "K": args.K, "operator": args.operator,
+                   "trusted_prefix": prof.trusted_prefix,
+                   "per_component": prof.per_component}])
 
 
 def cmd_operator_dump(args) -> int:
@@ -272,15 +240,9 @@ def cmd_operator_dump(args) -> int:
         mat = np.asarray(build_H(K).entries, dtype=complex)
     else:
         mat = np.asarray(build_H_tilde(K).entries, dtype=complex)
-    out = sys.stdout
-    out.write("row,col,re,im\n")
-    for i in range(K):
-        for j in range(K):
-            v = mat[i, j]
-            if v != 0:
-                out.write("%d,%d,%s,%s\n" % (i, j, fmt_float(v.real),
-                                             fmt_float(v.imag)))
-    return 0
+    entries = [{"row": i, "col": j, "value": mat[i, j]}
+               for i in range(K) for j in range(K) if mat[i, j] != 0]
+    return _emit(entries, "csv", "row,col,re,im")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,10 @@
-"""Machine-readable check reports and run manifests.
+"""The one encoder of printed lines, check reports and run manifests.
 
-Every verification emits one JSON object per line with a fixed field
-order and fixed float formatting (17 significant digits), so identical
-command lines produce byte-identical report streams.  The final
-manifest line carries wall-clock timings and is therefore the one line
+Every line zetalab prints is a JSON value written by dumps, or a csv
+row of the values dumps writes: one rule for an int, a float (17
+significant digits), a complex number, a null and a list, so identical
+command lines produce byte-identical output.  The final manifest line
+of a check run carries wall-clock timings and is therefore the one line
 excluded from byte-for-byte comparisons.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 # Checks with tol >= INFORMATIONAL never gate the exit code; they exist
@@ -22,9 +24,23 @@ def fmt_float(x) -> str:
     return "%.17g" % float(x)
 
 
-def fmt_complex(z) -> str:
-    z = complex(z)
-    return '{"re":%s,"im":%s}' % (fmt_float(z.real), fmt_float(z.imag))
+def dumps(value) -> str:
+    """value as JSON: None, bools and strings as json writes them, an
+    integer with %d, any other real number by fmt_float, a complex number
+    as {"re":...,"im":...}, a dict in insertion order, and any other
+    iterable as a list."""
+    if value is None or isinstance(value, (bool, str)):
+        return json.dumps(value)
+    if isinstance(value, numbers.Integral):
+        return "%d" % value
+    if isinstance(value, numbers.Real):
+        return fmt_float(value)
+    if isinstance(value, numbers.Complex):
+        return dumps({"re": value.real, "im": value.imag})
+    if isinstance(value, dict):
+        return "{%s}" % ",".join("%s:%s" % (json.dumps(k), dumps(v))
+                                 for k, v in value.items())
+    return "[%s]" % ",".join(dumps(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -44,25 +60,13 @@ class CheckReport:
             raise ValueError(f"bad provenance {self.provenance!r}")
 
     def to_line(self) -> str:
-        items = ",".join(
-            "%s:%s" % (json.dumps(str(k)), json.dumps(str(v)))
-            for k, v in sorted(self.inputs.items())
-        )
-        return (
-            '{"name":%s,"inputs":{%s},"computed":%s,"reference":%s,'
-            '"abs_err":%s,"rel_err":%s,"tol":%s,"pass":%s,"provenance":%s}'
-            % (
-                json.dumps(self.name),
-                items,
-                fmt_complex(self.computed),
-                fmt_complex(self.reference),
-                fmt_float(self.abs_err),
-                "null" if self.rel_err is None else fmt_float(self.rel_err),
-                fmt_float(self.tol),
-                "true" if self.ok else "false",
-                json.dumps(self.provenance),
-            )
-        )
+        return dumps({
+            "name": self.name,
+            "inputs": {str(k): str(v) for k, v in sorted(self.inputs.items())},
+            "computed": complex(self.computed),
+            "reference": complex(self.reference),
+            "abs_err": self.abs_err, "rel_err": self.rel_err,
+            "tol": self.tol, "pass": self.ok, "provenance": self.provenance})
 
     def scaled(self, factor) -> CheckReport:
         """This check re-gated at tol * factor by check's own pass rule;
@@ -125,21 +129,10 @@ class RunManifest:
         return sum(s[3] for s in self.suites)
 
     def to_line(self) -> str:
-        per = ",".join(
-            '{"suite":%s,"wall_s":%s,"passed":%d,"failed":%d}'
-            % (json.dumps(n), fmt_float(w), p, f)
-            for n, w, p, f in self.suites
-        )
-        return (
-            '{"manifest":{"version":%s,"command":%s,"tol_scale":%s,'
-            '"suites":[%s],"passed":%d,"failed":%d,"total":%d}}'
-            % (
-                json.dumps(self.version),
-                json.dumps(self.command),
-                fmt_float(self.tol_scale),
-                per,
-                self.passed,
-                self.failed,
-                self.passed + self.failed,
-            )
-        )
+        return dumps({"manifest": {
+            "version": self.version, "command": self.command,
+            "tol_scale": self.tol_scale,
+            "suites": [{"suite": n, "wall_s": w, "passed": p, "failed": f}
+                       for n, w, p, f in self.suites],
+            "passed": self.passed, "failed": self.failed,
+            "total": self.passed + self.failed}})
