@@ -10,11 +10,11 @@ Subcommands:
   residual       eigen-residual profile for one state and truncation
   operator-dump  matrix entries of a named operator
 
-All numeric output uses 17 significant digits.  Report and table lines
-are byte-deterministic for a fixed command line; the final manifest
-line of `verify`/`selftest`/`norm-check` carries wall-clock timings and
-is exempt from that guarantee.  Failures inside the library surface as
-a single JSON error object and exit code 1; bad flags exit 2.
+reporting.dumps writes all output, numbers at 17 significant digits.
+Report and table lines are byte-deterministic for a fixed command line;
+the final manifest line of `verify`/`selftest`/`norm-check` carries
+wall-clock timings and is exempt from that guarantee.  Library failures
+surface as a single JSON error object and exit code 1; bad flags exit 2.
 """
 
 from __future__ import annotations
@@ -231,15 +231,12 @@ def cmd_operator_dump(args) -> int:
     K = args.K
     name = args.name
     if name in ("N", "Nplus", "Nminus"):
-        ops = dict(zip(("N", "Nplus", "Nminus"), build_ladder(K)))
-        mat = np.asarray(ops[name].entries, dtype=complex)
+        op = build_ladder(K)[("N", "Nplus", "Nminus").index(name)]
     elif name in ("x", "D", "T"):
-        ops = dict(zip(("x", "D", "T"), build_composites(K)))
-        mat = np.asarray(ops[name].entries, dtype=complex)
-    elif name == "H":
-        mat = np.asarray(build_H(K).entries, dtype=complex)
+        op = build_composites(K)[("x", "D", "T").index(name)]
     else:
-        mat = np.asarray(build_H_tilde(K).entries, dtype=complex)
+        op = build_H(K) if name == "H" else build_H_tilde(K)
+    mat = np.asarray(op.entries, dtype=complex)
     entries = [{"row": i, "col": j, "value": mat[i, j]}
                for i in range(K) for j in range(K) if mat[i, j] != 0]
     return _emit(entries, "csv", "row,col,re,im")
@@ -321,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_parse_complex, required=True,
                    help="state parameter with 0.01 <= Re(s) <= 100 and "
                         f"|Im s| <= {_EM_TAU_CAP:g}")
-    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--K", type=int, required=True,
+                   help="2 to 192 under htilde, 2 to 512 under h")
     p.add_argument("--operator", choices=("h", "htilde"), default="htilde")
     p.set_defaults(func=cmd_residual)
 
@@ -331,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True,
                    choices=("N", "Nplus", "Nminus", "x", "D", "T", "H",
                             "Htilde"))
-    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--K", type=int, required=True,
+                   help="2 to 192 for Htilde, 2 to 512 for the others")
     p.set_defaults(func=cmd_operator_dump)
     return parser
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, DomainError
 from .quad import _EPS_LD, QuadResult
-from .special import (_EPS, _ETA, PI_L, _bernoulli_any, _gamma, _hurwitz,
-                      _series_coeff_exact, _stirling)
+from .special import (_EPS, _ETA, _TINY, PI_L, _bernoulli_any, _gamma,
+                      _hurwitz, _series_coeff_exact, _stirling)
 from .states import _psi_tilde_coefficients
 
 __all__ = [
@@ -226,7 +226,9 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
     one DFT of G on one circle |w| = r, in long double, times r^-n, each
     with a bound.  Where a bound less b_n's own complex128 rounding, which
     any route pays, exceeds _COEFF_TOL (Re s near 0 or past about 9),
-    ConvergenceError carries every b_n and the bound.
+    ConvergenceError carries every b_n and the bound; where a b_n that
+    passes is not a normal double (past |Im s| ~ 450 at Re s = 1/2, where
+    they underflow), CapabilityError.
     """
     s = complex(p.s)
     if s.real <= 0:
@@ -245,7 +247,10 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
         raise ConvergenceError(
             f"psi coefficients' bound {err.max():.3e} exceeds {_COEFF_TOL:g}",
             best=QuadResult(fc * b, abs(fc) * float(err.max()), samples))
-    return fc * b
+    if not np.abs(b := fc * b).min() >= _TINY:
+        raise CapabilityError(f"psi coefficients at s = {s} are not normal "
+                              f"numbers in double precision")
+    return b
 
 
 def _psi_coefficients(s: complex, K: int):
@@ -321,6 +326,7 @@ def eigen_residual(p, K: int, which: str = "H_tilde") -> ResidualProfile:
     trust threshold 1e-8.
     Once the asymptotic operator series has blown past its optimal
     order, no leading component passes and the prefix is honestly 0.
+    A residual that overflows double precision raises CapabilityError.
     """
     s = complex(p.s)
     if which == "H_tilde":
@@ -332,7 +338,11 @@ def eigen_residual(p, K: int, which: str = "H_tilde") -> ResidualProfile:
     else:
         raise DomainError(f"unknown operator {which!r}")
     lam = 1j * (0.5 - s)
-    resid = np.abs(op.entries @ coeffs - lam * coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(op.entries @ coeffs - lam * coeffs)
+    if not np.isfinite(resid).all():
+        raise CapabilityError(f"the residual at s = {s}, K = {K} overflows "
+                              f"double precision")
 
     ratio = _tail_ratio(coeffs)
     a_next = abs(coeffs[-1]) * ratio

@@ -328,15 +328,23 @@ def integrate_semi_infinite(f, endpoint_exponent, tol):
     Truncates at an envelope-derived point T (tail bound folded into the
     reported error), then integrates [0, T] adaptively with the
     endpoint-exponent handling of integrate_finite.  evals includes the
-    envelope samples.
+    envelope samples; a ConvergenceError's best carries both as well, and
+    its message that count.
     """
     if not endpoint_exponent > 0:
         raise DomainError("endpoint_exponent must be positive for integrability")
     T, tail = _truncation_point(f, endpoint_exponent, tol)
-    res = integrate_finite(f, 0.0, T, tol, endpoint_exponent,
-                           max_evals=600_000, initial=16)
-    return QuadResult(res.value, res.abs_err + tail,
-                      res.evals + len(_ENVELOPE_SAMPLES))
+    n = len(_ENVELOPE_SAMPLES)
+    try:
+        res = integrate_finite(f, 0.0, T, tol, endpoint_exponent,
+                               max_evals=600_000, initial=16)
+    except ConvergenceError as exc:
+        b = exc.best
+        raise ConvergenceError(
+            str(exc).replace(f" {b.evals} evaluations",
+                             f" {b.evals + n} evaluations"),
+            best=QuadResult(b.value, b.abs_err + tail, b.evals + n)) from None
+    return QuadResult(res.value, res.abs_err + tail, res.evals + n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import pytest
 import oracles
 import zetalab
 from zetalab.cli import main
-from zetalab.reporting import check
+from zetalab.reporting import check, dumps
 
 RHO1_ARG = "0.5+14.134725141734693i"
 
@@ -21,6 +23,14 @@ def run(capsys, *argv):
     out = capsys.readouterr().out
     lines = out.splitlines()
     return code, lines
+
+
+def printed(argv):
+    """(exit code, printed lines) of one command run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue().splitlines()
 
 
 def test_verify_special_suite(capsys):
@@ -619,23 +629,58 @@ GOLDEN_OPERATOR_DUMP = os.path.join(os.path.dirname(__file__), "golden",
                                     "operator_dump.csv")
 
 
-def test_operator_dump_matches_golden(capsys):
+def operator_dump_rows():
     # operator-dump at K = 12 for every name but H, one "name,row,col,re,im"
     # row per nonzero entry.  H is left out: it goes through LAPACK's
     # eigh, whose last bits depend on the BLAS kernel OpenBLAS picks for
     # the CPU, so its bytes are not portable.
     rows = ["name,row,col,re,im"]
     for name in ("N", "Nplus", "Nminus", "x", "D", "T", "Htilde"):
-        code, lines = run(capsys, "operator-dump", "--name", name,
-                          "--K", "12")
+        code, lines = printed(["operator-dump", "--name", name, "--K", "12"])
         assert code == 0 and lines[0] == "row,col,re,im"
         rows += [f"{name},{ln}" for ln in lines[1:]]
+    return rows
+
+
+def test_operator_dump_matches_golden():
+    rows = operator_dump_rows()
     with open(GOLDEN_OPERATOR_DUMP) as fh:
         golden = fh.read().splitlines()
     for i, (got, want) in enumerate(zip(rows, golden)):
         assert got == want, f"row {i}: golden {want!r}, got {got!r}"
     assert len(rows) == len(golden), (
         f"{len(golden)} golden rows, {len(rows)} dumped")
+
+
+RHO1_ISSUE = "0.5+14.134725141734695i"
+
+# Golden files that one command prints: file name, argv and exit code.
+# tests/regen_verify_golden.py rewrites them all.  Every one prints the
+# same bytes under OPENBLAS_CORETYPE=Sandybridge.  `residual --s
+# 0.5+21.022039638771556i --K 40` is left out: H~ times the coefficients
+# goes through BLAS, and under that kernel 9 of its 40 residuals move in
+# the last digit, so its bytes are not portable.
+CLI_GOLDENS = [
+    ("gram_num_zeros_2.json", ["gram", "--num-zeros", "2"], 0),
+    ("zeros_tau_max_60.csv", ["zeros", "--tau-max", "60"], 0),
+    ("zeros_tau_max_50.jsonl",
+     ["zeros", "--tau-max", "50", "--format", "json"], 0),
+    # x = 50 and 60 take psi's quadrature, the rest its series
+    ("eigenfunction_rho1_0_60_7.jsonl",
+     ["eigenfunction", "--s", RHO1_ISSUE, "--x-grid", "0:60:7",
+      "--format", "json"], 0),
+    ("eigenfunction_s20_refusal.json",
+     ["eigenfunction", "--s", "20", "--x-grid", "0:1:2"], 1),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", CLI_GOLDENS[2:],
+                         ids=[g[0] for g in CLI_GOLDENS[2:]])
+def test_cli_output_matches_golden(name, argv, code):
+    # The first two goldens have tests of their own above.
+    with open(os.path.join(os.path.dirname(__file__), "golden", name)) as fh:
+        golden = fh.read().splitlines()
+    assert printed(argv) == (code, golden)
 
 
 def test_output_is_deterministic(capsys):
@@ -764,6 +809,45 @@ def test_residual_htilde_refuses_past_gammas_normal_range(capsys):
     assert "double precision" in err["message"]
 
 
+@pytest.mark.parametrize("s", ["60", "100"])
+def test_residual_htilde_overflow_refuses_naming_double_precision(capsys, s):
+    # At K = 192 the product of H~ with the coefficients overflows: one
+    # CapabilityError line and no numpy warning, where an `inf` profile
+    # that json cannot read used to print.  Re s = 50 is finite there.
+    code = main(["residual", "--s", s, "--K", "192"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1 and len(lines) == 1 and captured.err == ""
+    err = json.loads(lines[0])
+    assert err["error"] == "CapabilityError"
+    assert "double precision" in err["message"]
+    code, lines = run(capsys, "residual", "--s", "50", "--K", "192")
+    assert code == 0
+    assert all(math.isfinite(v) for v in json.loads(lines[0])["per_component"])
+
+
+@pytest.mark.parametrize("s", ["0.01+1000i", "0.5+500i"])
+def test_residual_h_refuses_coefficients_past_normal_doubles(capsys, s):
+    # Every b_n is 0 at 0.01+1000i and subnormal at 0.5+500i: one
+    # CapabilityError line, where zero residuals used to print under a
+    # full trusted prefix.
+    code, lines = run(capsys, "residual", "--s", s, "--K", "16",
+                      "--operator", "h")
+    assert code == 1 and len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CapabilityError"
+    assert "double precision" in err["message"]
+
+
+def test_residual_h_answers_while_coefficients_stay_normal(capsys):
+    # The smallest |b_n| is 3.0e-306 at 0.5+460i and 1.3e-62 at 11.5+500i.
+    for s, K in (("0.5+460i", "16"), ("11.5+500i", "256")):
+        code, lines = run(capsys, "residual", "--s", s, "--K", K,
+                          "--operator", "h")
+        assert code == 0, s
+        assert len(json.loads(lines[0])["per_component"]) == int(K)
+
+
 def test_residual_h_refuses_by_its_bound_with_best(capsys):
     # At Re s = 100 the pilot samples of psi's generating function put
     # the bound far past 1e-12: one ConvergenceError line that carries
@@ -777,6 +861,90 @@ def test_residual_h_refuses_by_its_bound_with_best(capsys):
     best = err["best"]
     assert len(best["value"]) == 16 and best["abs_err"] > 1e-12
     assert best["evals"] == 32  # the pilot's samples at gain 2
+
+
+def _strict_json(line):
+    # json.loads reads NaN and Infinity, which are not JSON either.
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--suite", "quad"], 0),
+    (["selftest", "quad"], 0),
+    (["norm-check", "--c", "2"], 0),
+    (["norm-check", "--c", "1"], 1),
+    (["zeros", "--tau-max", "30", "--format", "json"], 0),
+    (["zeros", "--tau-max", "61"], 1),
+    (["eigenfunction", "--s", RHO1_ARG, "--x-grid", "0:60:7",
+      "--format", "json"], 0),
+    (["eigenfunction", "--s", "20", "--x-grid", "0:1:2"], 1),
+    (["eigenfunction", "--s", "20", "--x-grid", "0:1:2", "--format",
+      "json"], 1),
+    (["gram", "--num-zeros", "1"], 0),
+    (["gram", "--num-zeros", "1", "--tol", "1e-300"], 1),
+    (["residual", "--s", RHO1_ARG, "--K", "16"], 0),
+    (["residual", "--s", RHO1_ARG, "--K", "8", "--operator", "h"], 0),
+    (["residual", "--s", "100", "--K", "16", "--operator", "h"], 1),
+    (["residual", "--s", "60", "--K", "192"], 1),
+    (["residual", "--s", "100", "--K", "192"], 1),
+    (["residual", "--s", "0.01+1000i", "--K", "16", "--operator", "h"], 1),
+    (["residual", "--s", "0.5+500i", "--K", "16", "--operator", "h"], 1),
+    (["operator-dump", "--name", "Htilde", "--K", "200"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_every_json_line_parses_and_reencodes(argv, code):
+    # Every line that is not csv is a JSON value that json reads, and
+    # dumps writes back byte for byte: the one encoder's rule is exact.
+    got, lines = printed(argv)
+    assert got == code
+    csv = "json" not in argv and argv[0] in ("zeros", "eigenfunction")
+    for line in lines[1:] if csv and code == 0 else lines:
+        assert dumps(_strict_json(line)) == line
+
+
+def test_error_payloads_reencode(capsys):
+    # A pole's location, and scalar and stacked best estimates, which no
+    # command above reaches with a real-valued or stacked quadrature.
+    from zetalab.cli import _emit_error
+    from zetalab.errors import ConvergenceError, PoleError
+    from zetalab.quad import QuadResult
+
+    for exc in (PoleError("pole", location=1),
+                ConvergenceError("stalled", best=QuadResult(2.5, 1e-3, 7)),
+                ConvergenceError("stalled", best=QuadResult(
+                    np.array([1.5, -0.25]), 3e-12, 920))):
+        assert _emit_error(exc) == 1
+        line = capsys.readouterr().out.rstrip("\n")
+        assert dumps(_strict_json(line)) == line
+        assert "{\"re\":" in line
+
+
+def test_dumps_writes_each_value_by_one_rule():
+    assert dumps(None) == "null" and dumps(True) == "true"
+    assert dumps('a"b') == '"a\\"b"'
+    assert dumps(3) == dumps(np.int64(3)) == "3"
+    assert dumps(3.0) == dumps(np.longdouble(3)) == "3"
+    assert dumps(0.1) == dumps(np.float64(0.1)) == "0.10000000000000001"
+    assert dumps(1 - 2j) == dumps(np.clongdouble(1 - 2j)) == (
+        '{"re":1,"im":-2}')
+    assert dumps({"b": (1, 0.5), "a": [np.complex128(1j)]}) == (
+        '{"b":[1,0.5],"a":[{"re":0,"im":1}]}')
+    assert dumps(np.array([0.25, 1e300])) == "[0.25,1.0000000000000001e+300]"
+
+
+def test_csv_rows_split_complex_values_and_pairs(capsys):
+    from zetalab.cli import _emit
+
+    rows = [{"i": 1, "z": 0.5 - 2j, "pair": (0.25, 3.0), "e": 0.1}]
+    assert _emit(rows, "csv", "i,re,im,lo,hi,e") == 0
+    assert capsys.readouterr().out == (
+        "i,re,im,lo,hi,e\n1,0.5,-2,0.25,3,0.10000000000000001\n")
+    assert _emit(rows) == 0
+    assert capsys.readouterr().out == (
+        '{"i":1,"z":{"re":0.5,"im":-2},"pair":[0.25,3],'
+        '"e":0.10000000000000001}\n')
 
 
 def test_flag_limits_themselves_run(capsys):

@@ -431,6 +431,33 @@ def test_budget_exhaustion_attaches_best():
     assert best is not None and best.evals <= 2000
 
 
+def test_semi_infinite_refusal_counts_its_samples_and_tail():
+    # Gamma(14) eta(14)'s integrand stalls at its rounding floor at tol
+    # 1e-10.  As an answer does, the refusal's best counts the envelope
+    # samples among the integrand's points, its message states that
+    # count, and its bound adds the truncation tail to the finite part's.
+    def f(t):
+        return t**13 / (1 + np.exp(t))
+
+    points = []
+
+    def counting(t):
+        points.append(np.size(t))
+        return f(t)
+
+    with pytest.raises(ConvergenceError) as info:
+        integrate_semi_infinite(counting, 14.0, 1e-10)
+    best = info.value.best
+    assert best.evals == sum(points) > 8
+    assert f" {best.evals} evaluations" in str(info.value)
+    T, tail = _truncation_point(f, 14.0, 1e-10)
+    with pytest.raises(ConvergenceError) as finite:
+        integrate_finite(f, 0.0, T, 1e-10, 14.0, max_evals=600_000,
+                         initial=16)
+    assert best.value == finite.value.best.value
+    assert best.abs_err == finite.value.best.abs_err + tail > 0
+
+
 def test_nan_error_estimate_raises_instead_of_returning():
     # err > tol is False for NaN, so the exit test is `not err <= tol`.
     with pytest.raises(ConvergenceError) as info:
