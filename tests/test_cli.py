@@ -652,7 +652,7 @@ def test_operator_dump_matches_golden():
         f"{len(golden)} golden rows, {len(rows)} dumped")
 
 
-RHO1_ISSUE = "0.5+14.134725141734695i"
+RHO1_PRINTED = "0.5+14.134725141734695i"  # rho_1 as `zeros` prints it
 
 # Golden files that one command prints: file name, argv and exit code.
 # tests/regen_verify_golden.py rewrites them all.  Every one prints the
@@ -667,7 +667,7 @@ CLI_GOLDENS = [
      ["zeros", "--tau-max", "50", "--format", "json"], 0),
     # x = 50 and 60 take psi's quadrature, the rest its series
     ("eigenfunction_rho1_0_60_7.jsonl",
-     ["eigenfunction", "--s", RHO1_ISSUE, "--x-grid", "0:60:7",
+     ["eigenfunction", "--s", RHO1_PRINTED, "--x-grid", "0:60:7",
       "--format", "json"], 0),
     ("eigenfunction_s20_refusal.json",
      ["eigenfunction", "--s", "20", "--x-grid", "0:1:2"], 1),
