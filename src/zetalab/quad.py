@@ -329,7 +329,7 @@ def integrate_semi_infinite(f, endpoint_exponent, tol):
     reported error), then integrates [0, T] adaptively with the
     endpoint-exponent handling of integrate_finite.  evals includes the
     envelope samples; a ConvergenceError's best carries both as well, and
-    its message that count.
+    its message that count and err.
     """
     if not endpoint_exponent > 0:
         raise DomainError("endpoint_exponent must be positive for integrability")
@@ -340,11 +340,17 @@ def integrate_semi_infinite(f, endpoint_exponent, tol):
                                max_evals=600_000, initial=16)
     except ConvergenceError as exc:
         b = exc.best
-        raise ConvergenceError(
-            str(exc).replace(f" {b.evals} evaluations",
-                             f" {b.evals + n} evaluations"),
-            best=QuadResult(b.value, b.abs_err + tail, b.evals + n)) from None
+        raise _restated(exc, QuadResult(b.value, b.abs_err + tail,
+                                        b.evals + n)) from None
     return QuadResult(res.value, res.abs_err + tail, res.evals + n)
+
+
+def _restated(exc, best):
+    """exc with best, a widened exc.best, and its message restated."""
+    old, msg = exc.best, str(exc)
+    return ConvergenceError(msg.replace(
+        f"{old.evals} evaluations (err {old.abs_err:.3e}",
+        f"{best.evals} evaluations (err {best.abs_err:.3e}"), best=best)
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,12 @@ _TAU_CAP = 60.0
 # where a cell's two end signs agree, it holds none.
 _SCAN_STEP = 0.01
 _SCAN_CELL = 25
-# count_zeros integrates each rectangle edge from two panels to this
-# absolute tol: four edges miss 2 pi n by at most 0.04, well inside the
-# 0.1 turn the count allows.  Four or eight initial panels cost more.
+# count_zeros starts each edge from _EDGE_PANELS panels per started
+# _EDGE_SPAN (from two in all, a long edge stalls far from any zero); its
+# tol picks a 2 pi branch: 0.25 rad is a quarter of the 0.1 turn allowed.
 _EDGE_PANELS = 2
-_EDGE_TOL = 1e-2
+_EDGE_SPAN = 8.0
+_EDGE_TOL = 0.25
 
 
 @dataclass(frozen=True)
@@ -215,15 +216,35 @@ def _grid_scan():
     return t, v, sign
 
 
+def _refine(t, v, ks, tol):
+    """Brent's method on each bracket [t_k, t_k+1] of ks from the end values
+    v, in lockstep; returns k -> (root, rho, |zeta(rho)|)."""
+    steps = [_brent(float(t[k]), float(t[k + 1]), float(v[k]),
+                    float(v[k + 1]), tol, 8.9e-16, 100) for k in ks]
+    roots = _lockstep(
+        lambda x: critical_line_real_form(np.array(x)).tolist(), steps)
+    rhos = [complex(0.5, root) for root in roots]
+    residuals = (_hurwitz(np.array(rhos), *_ZETA, bound=False)[0]
+                 if roots else [])
+    return {k: (root, rho, abs(complex(r)))
+            for k, root, rho, r in zip(ks, roots, rhos, residuals)}
+
+
+@lru_cache(maxsize=1)
+def _zero_table(tol):
+    """_refine on every bracket of the grid to _TAU_CAP, once per tol."""
+    t, v, sign = (a.copy() for a in _grid_scan())
+    return _refine(t, v, _settle(t, v, sign), tol)
+
+
 def find_zeros(tau_max: float, tol: float = 1e-10):
     """All on-line zeros with 0 < tau <= tau_max: the exact signs of the
-    grid k _SCAN_STEP, capped at tau_max, from _grid_scan's table, with
-    tau_max and any bracket end the table lacks evaluated exactly, then
-    Brent's method on every bracket in lockstep, one call per round,
-    from the exact end values.  A row of a call equals the one-point
-    call bit for bit, so brackets and roots are an all-exact scan's and
-    each root has `brentq`'s bits.  tol must stay below _SCAN_STEP, or
-    bare bracket ends pass as roots."""
+    grid k _SCAN_STEP from _grid_scan's table, grid points moved to tau_max
+    evaluated exactly, each bracket's zero from _zero_table, and a bracket
+    clipped at tau_max refined by _refine.  A row of a call equals the
+    one-point call bit for bit, so brackets and roots are an all-exact
+    scan's and each root has `brentq`'s bits.  tol must stay below
+    _SCAN_STEP, or bare bracket ends pass as roots."""
     if math.isnan(tau_max):
         raise DomainError("find_zeros requires a tau_max that is a number")
     if tau_max > _TAU_CAP:
@@ -234,45 +255,36 @@ def find_zeros(tau_max: float, tol: float = 1e-10):
     last = int(math.ceil(max(tau_max, 0) / _SCAN_STEP))
     if last == 0:
         return []
-    grid, grid_v, grid_sign = _grid_scan()
-    t = np.minimum(grid[:last + 1], tau_max)
-    v = np.where(t == tau_max, np.nan, grid_v[:last + 1])
-    sign = np.where(t == tau_max, 0.0, grid_sign[:last + 1])
-    ks = _settle(t, v, sign)
-    brackets = [(float(t[k]), float(t[k + 1])) for k in ks]
-    steps = [_brent(a, b, float(v[k]), float(v[k + 1]), tol, 8.9e-16, 100)
-             for (a, b), k in zip(brackets, ks)]
-    roots = _lockstep(
-        lambda x: critical_line_real_form(np.array(x)).tolist(), steps)
-    # One engine call; each row equals a one-point zeta call bit for bit.
-    rhos = [complex(0.5, root) for root in roots]
-    residuals = (_hurwitz(np.array(rhos), *_ZETA, bound=False)[0]
-                 if roots else [])
-    return [ZeroRecord(k + 1, root, rho, abs(complex(r)), bracket)
-            for k, (root, bracket, rho, r)
-            in enumerate(zip(roots, brackets, rhos, residuals))]
+    grid, grid_v, grid_sign = (a[:last + 1] for a in _grid_scan())
+    t = np.minimum(grid, tau_max)
+    on = t == grid
+    v = np.where(on, grid_v, np.nan)
+    ks = _settle(t, v, np.where(on, grid_sign, 0.0))
+    found = {**_zero_table(tol),
+             **_refine(t, v, [k for k in ks if not on[k + 1]], tol)}
+    return [ZeroRecord(i + 1, *found[k], (float(t[k]), float(t[k + 1])))
+            for i, k in enumerate(ks)]
 
 
 def count_zeros(rect: StripRectangle) -> int:
     """Number of zeta zeros inside the rectangle, by winding of the
     logarithmic derivative around the boundary (counterclockwise).
 
-    Each edge z(t) = z0 + (z1 - z0) t, t in [0, 1], is one
-    integrate_finite run of (z1 - z0) zeta'/zeta.  That is analytic off
-    the zeros, so an edge that stalls has a zero on or next to it; that,
-    or a node with |zeta| < 1e-6, raises PreconditionError naming the
-    smallest |zeta| seen and where.  Raises CapabilityError beyond
-    |tau| = 60 and ResolutionError if the winding does not land within
-    0.1 of an integer.
+    zeta at the corners (one engine call) gives each edge z0 -> z1 the
+    integral of zeta'/zeta as log zeta(z1) - log zeta(z0) + 2 pi i m; one
+    integrate_finite run per edge picks m, and the winding is the sum.
+    An edge whose quadrature misses that real part by more than 0.5 or
+    the nearest branch by 0.1 turn raises ResolutionError.  An edge that
+    stalls has a zero on or near it; that (named with the stop), or a
+    node with |zeta| < 1e-6, raises PreconditionError naming the smallest
+    |zeta| seen and where.  Raises CapabilityError beyond |tau| = 60.
     """
     if max(abs(rect.tau_lo), abs(rect.tau_hi)) > _TAU_CAP:
         raise CapabilityError(f"count_zeros supports |tau| <= {_TAU_CAP}")
-    corners = [
-        complex(rect.sigma_lo, rect.tau_lo),
-        complex(rect.sigma_hi, rect.tau_lo),
-        complex(rect.sigma_hi, rect.tau_hi),
-        complex(rect.sigma_lo, rect.tau_hi),
-    ]
+    lo, hi = complex(rect.sigma_lo, rect.tau_lo), complex(rect.sigma_hi,
+                                                          rect.tau_hi)
+    corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
+    ends = list(zip(corners, corners[1:] + corners[:1]))
     min_abs, argmin = math.inf, None
 
     def edge(z0, z1):
@@ -285,22 +297,24 @@ def count_zeros(rect: StripRectangle) -> int:
                 min_abs, argmin = float(abs(val[k])), complex(z[k])
             return (z1 - z0) * (der / val)
 
-        return integrate_finite(log_derivative, 0.0, 1.0, _EDGE_TOL,
-                                initial=_EDGE_PANELS).value
+        panels = _EDGE_PANELS * max(1, math.ceil(abs(z1 - z0) / _EDGE_SPAN))
+        try:
+            return integrate_finite(log_derivative, 0.0, 1.0, _EDGE_TOL,
+                                    initial=panels).value
+        except ConvergenceError as exc:
+            raise PreconditionError(
+                f"edge {z0} -> {z1}: {exc}; contour point {argmin} has "
+                f"|zeta| = {min_abs:.2e}, the smallest seen") from None
 
-    try:
-        total = sum(edge(z0, z1)
-                    for z0, z1 in zip(corners, corners[1:] + corners[:1]))
-    except ConvergenceError:
-        total = None
-    if total is None or min_abs < 1e-6:
+    logs = np.log(_hurwitz(np.array(corners), *_ZETA, bound=False)[0])
+    misses = np.array([edge(z0, z1) for z0, z1 in ends]) - (
+        np.roll(logs, -1) - logs)
+    if min_abs < 1e-6:
         raise PreconditionError(f"contour point {argmin} has |zeta| = "
                                 f"{min_abs:.2e}; move the rectangle")
-    winding = total.imag / (2 * math.pi)
-    nearest = round(winding)
-    if abs(winding - nearest) >= 0.1 or abs(total.real) > 0.5:
-        raise ResolutionError(
-            f"winding {winding!r} (closure defect {total.real!r}) "
-            "is not within 0.1 of an integer"
-        )
-    return int(nearest)
+    turns = misses.imag / (2 * math.pi)
+    for (z0, z1), miss, turn in zip(ends, misses, turns):
+        if abs(turn - round(turn)) >= 0.1 or abs(miss.real) > 0.5:
+            raise ResolutionError(f"edge {z0} -> {z1} is {complex(miss)!r}"
+                                  " off a branch of log(zeta(z1)/zeta(z0))")
+    return sum(round(turn) for turn in turns)

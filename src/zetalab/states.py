@@ -28,6 +28,7 @@ from .quad import (
     LD,
     CumulativeIntegral,
     QuadResult,
+    _restated,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -259,8 +260,7 @@ def _psi_quadrature(p: StateParams, x: float, tol: float) -> QuadResult:
     try:
         r = rounded(integrate_semi_infinite(f, s.real, tol))
     except ConvergenceError as exc:
-        exc.best = rounded(exc.best)
-        raise
+        raise _restated(exc, rounded(exc.best)) from None
     if r.abs_err <= tol:
         return r
     raise ConvergenceError(f"psi quadrature bound {r.abs_err:.3e} exceeds "

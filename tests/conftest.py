@@ -3,7 +3,7 @@
 The acceptance tests register one human-readable PASS/FAIL line per
 criterion; the hook below reprints them after the run summary so they
 are visible regardless of capture mode.  The fixtures below keep a
-monkeypatched spectrum from filling the process-wide zero-scan table,
+monkeypatched spectrum from filling the process-wide zero-scan tables,
 and give every test an empty cache of psi's series plans.
 
 Property tests are pinned: each carries its own @seed, and the default
@@ -47,14 +47,17 @@ def pytest_collection_modifyitems(items):
 @pytest.fixture(autouse=True)
 def _fresh_scan_table(request):
     # A test that monkeypatches (say, spectrum.critical_line_real_form)
-    # starts and ends with an empty find_zeros table, so the patched
-    # function neither reads another test's table nor leaves its own.
+    # starts and ends with empty find_zeros tables (the grid's signs and
+    # its refined zeros), so the patched function neither reads another
+    # test's tables nor leaves its own.
     if "monkeypatch" not in request.fixturenames:
         yield
         return
     spectrum._grid_scan.cache_clear()
+    spectrum._zero_table.cache_clear()
     yield
     spectrum._grid_scan.cache_clear()
+    spectrum._zero_table.cache_clear()
 
 
 @pytest.fixture(autouse=True)

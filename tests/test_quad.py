@@ -434,8 +434,9 @@ def test_budget_exhaustion_attaches_best():
 def test_semi_infinite_refusal_counts_its_samples_and_tail():
     # Gamma(14) eta(14)'s integrand stalls at its rounding floor at tol
     # 1e-10.  As an answer does, the refusal's best counts the envelope
-    # samples among the integrand's points, its message states that
-    # count, and its bound adds the truncation tail to the finite part's.
+    # samples among the integrand's points, its bound adds the truncation
+    # tail to the finite part's, and its message states that count and
+    # that bound.
     def f(t):
         return t**13 / (1 + np.exp(t))
 
@@ -449,7 +450,8 @@ def test_semi_infinite_refusal_counts_its_samples_and_tail():
         integrate_semi_infinite(counting, 14.0, 1e-10)
     best = info.value.best
     assert best.evals == sum(points) > 8
-    assert f" {best.evals} evaluations" in str(info.value)
+    assert f" {best.evals} evaluations (err {best.abs_err:.3e} " in str(
+        info.value)
     T, tail = _truncation_point(f, 14.0, 1e-10)
     with pytest.raises(ConvergenceError) as finite:
         integrate_finite(f, 0.0, T, 1e-10, 14.0, max_evals=600_000,

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from scipy.optimize import brentq as scipy_brentq
 import oracles
 from zetalab import spectrum
 from zetalab.errors import (CapabilityError, ConvergenceError, DomainError,
-                            PreconditionError)
+                            PreconditionError, ResolutionError)
+from zetalab.quad import QuadResult
 from zetalab.spectrum import (StripRectangle, count_zeros,
                               critical_line_real_form, eigenvalue_of,
                               find_zeros, xi_bc)
@@ -177,12 +179,15 @@ def test_lockstep_roots_equal_scalar_brentq(tol):
 
 def test_find_zeros_calls_once_per_block_and_round(monkeypatch):
     # A cold call builds the scan table: exact calls on the 241 cell ends
-    # and the 24 inner points of each of the 13 cells that hold a zero,
-    # then tau_max.  Refinement takes one call per round, and it seeds
-    # each bracket with the scan's end values, so there are at most
-    # (largest single-bracket brentq call count - 2) rounds.  A warm call
-    # makes one scan call, tau_max alone (no bracket ends at 59.99), then
-    # the same rounds.
+    # and the 24 inner points of each of the 13 cells that hold a zero
+    # (tau_max = 60 is a grid point, so its value is the table's).  It
+    # then refines every bracket of the grid to 60 in lockstep, one call
+    # per round, each bracket seeded with the scan's end values, so there
+    # are at most (largest single-bracket brentq call count - 2) rounds.
+    # A warm call with tau_max on the grid reads every root from the
+    # zero table: no exact call and no round.  A warm call whose last
+    # bracket is clipped at tau_max, just past a zero, evaluates tau_max
+    # alone and refines that bracket alone, in rounds of one point.
     line = critical_line_real_form
     lockstep = spectrum._lockstep
     sizes, rounds = [], []
@@ -202,16 +207,23 @@ def test_find_zeros_calls_once_per_block_and_round(monkeypatch):
     sizes.clear()
     rounds.clear()
     warm = find_zeros(60.0)
+    warm_sizes, warm_rounds = sizes[:], rounds[:]
+    sizes.clear()
+    rounds.clear()
+    first = zeros[0]
+    clipped = find_zeros((first.tau + first.bracket[1]) / 2)
     monkeypatch.undo()
     assert None not in cold_sizes
     assert cold_sizes[-len(cold_rounds):] == cold_rounds
-    assert sum(cold_sizes[:-len(cold_rounds)]) == 241 + 13 * 24 + 1
+    assert sum(cold_sizes[:-len(cold_rounds)]) == 241 + 13 * 24
     most = max(_root_and_calls(spectrum.brentq, line, *z.bracket, 1e-10)[1]
                for z in zeros)
     assert 0 < len(cold_rounds) <= most - 2
     assert max(cold_rounds) == len(zeros)
     assert warm == zeros
-    assert rounds == cold_rounds
+    assert warm_sizes == warm_rounds == []
+    assert len(clipped) == 1 and clipped[0].bracket[0] == first.bracket[0]
+    assert 0 < len(rounds) <= most - 2 and set(rounds) == {1}
     assert sizes == [1] + rounds
 
 
@@ -235,21 +247,40 @@ def test_zero_gap_exceeds_the_scan_cell():
     assert gap > 4 * spectrum._SCAN_CELL * spectrum._SCAN_STEP
 
 
-def _exact_scan(tau_max):
+@lru_cache(maxsize=1)
+def _exact_grid():
+    """critical_line_real_form at every point of the 0.01 grid to 60."""
+    t = np.arange(6001) * spectrum._SCAN_STEP
+    return np.concatenate([critical_line_real_form(t[i:i + 256])
+                           for i in range(0, len(t), 256)])
+
+
+@lru_cache(maxsize=None)
+def _exact_root(a, b, tol):
+    """Scalar brentq's root on [a, b] and |zeta| there."""
+    root = spectrum.brentq(critical_line_real_form, a, b, xtol=tol,
+                           rtol=8.9e-16)
+    return root, abs(zeta(complex(0.5, root)))
+
+
+def _exact_scan(tau_max, tol=1e-10):
     """find_zeros as an all-exact scan: critical_line_real_form at every
-    grid point, scalar brentq on every bracket, zeta for the residual."""
+    grid point (tau_max where it moves one), scalar brentq on every
+    bracket, zeta for the residual."""
     last = int(math.ceil(max(tau_max, 0) / spectrum._SCAN_STEP))
-    t = np.minimum(np.arange(last + 1) * spectrum._SCAN_STEP, tau_max)
-    v = np.concatenate([critical_line_real_form(t[i:i + 256])
-                        for i in range(0, last + 1, 256)]) if last else t
+    grid = np.arange(last + 1) * spectrum._SCAN_STEP
+    t = np.minimum(grid, tau_max)
+    v = _exact_grid()[:last + 1].copy()
+    moved = t != grid
+    if moved.any():
+        v[moved] = critical_line_real_form(t[moved])
     records = []
     for k in np.flatnonzero((v[1:] == 0) | (v[:-1] * v[1:] < 0)):
         bracket = (float(t[k]), float(t[k + 1]))
-        root = spectrum.brentq(critical_line_real_form, *bracket,
-                               xtol=1e-10, rtol=8.9e-16)
-        rho = complex(0.5, root)
-        records.append(spectrum.ZeroRecord(len(records) + 1, root, rho,
-                                           abs(zeta(rho)), bracket))
+        root, residual = _exact_root(*bracket, tol)
+        records.append(spectrum.ZeroRecord(len(records) + 1, root,
+                                           complex(0.5, root), residual,
+                                           bracket))
     return records
 
 
@@ -268,8 +299,41 @@ def test_find_zeros_equals_an_all_exact_scan():
     for tau_max in sweep:
         want = _exact_scan(tau_max)
         spectrum._grid_scan.cache_clear()
+        spectrum._zero_table.cache_clear()
         assert find_zeros(tau_max) == want, ("cold", tau_max)
         assert find_zeros(tau_max) == want, ("warm", tau_max)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.0, 1e-6])
+def test_warm_find_zeros_equals_a_cold_call(tol):
+    # A warm call reads the root of every bracket of the whole grid from
+    # the zero table and refines only a bracket clipped at tau_max.  At
+    # every tau_max of the 0.01 grid to 60 (k * 0.01, and the decimal
+    # round(k * 0.01, 2), an ulp off it at 820 points) and just past
+    # each zero (its bracket clipped, holding the zero) it equals the
+    # all-exact scan bit for bit, and so does a cold call, which builds
+    # both tables, just past each zero and at each bracket's upper end.
+    spectrum._grid_scan.cache_clear()
+    spectrum._zero_table.cache_clear()
+    zeros = find_zeros(60.0, tol)
+    assert len(zeros) == 13
+    past = [z.tau + d for z in zeros
+            for d in (1e-9, 2e-6, (z.bracket[1] - z.tau) / 2)]
+    ends = [z.bracket[1] for z in zeros]
+    for tau_max in past + ends:
+        spectrum._grid_scan.cache_clear()
+        spectrum._zero_table.cache_clear()
+        assert find_zeros(tau_max, tol) == _exact_scan(tau_max, tol), (
+            "cold", tau_max)
+    grid = np.arange(6001) * spectrum._SCAN_STEP
+    sweep = set(grid.tolist()) | {round(t, 2) for t in grid.tolist()}
+    for tau_max in sorted(sweep) + past:
+        assert find_zeros(tau_max, tol) == _exact_scan(tau_max, tol), (
+            "warm", tau_max)
+    # A root within tol 1e-6 of a zero may lie past it by more than 1e-9.
+    held = [find_zeros(tau_max, tol)[-1].bracket[1] == tau_max
+            for tau_max in past]
+    assert all(held[1::3]) and all(held[2::3])
 
 
 def test_scan_table_is_read_only():
@@ -318,9 +382,95 @@ def test_contour_through_zero_rejected():
     # Top edge passes through the first zero; its quadrature stalls at
     # the rounding floor (the nearest node has |zeta| about 8e-6, so the
     # 1e-6 rule alone would not fire) and the count names the cause.
+    # The message names the stalled edge and the quadrature's stop too.
     rect = StripRectangle(0.05, 0.95, 5.0, oracles.ZERO_TAUS[0])
-    with pytest.raises(PreconditionError, match=r"point .* has \|zeta\| ="):
+    with pytest.raises(PreconditionError, match=r"point .* has \|zeta\| =") as info:
         count_zeros(rect)
+    top = complex(0.95, rect.tau_hi), complex(0.05, rect.tau_hi)
+    assert str(info.value).startswith(
+        f"edge {top[0]} -> {top[1]}: quadrature stalled at rounding floor")
+
+
+def _clearance(rect, taus):
+    """Distance from the rectangle's boundary to the nearest 1/2 + i tau."""
+    def gaps(tau):  # each negative inside the rectangle's span
+        return (max(rect.sigma_lo - 0.5, 0.5 - rect.sigma_hi),
+                max(rect.tau_lo - tau, tau - rect.tau_hi))
+
+    return min(-max(dx, dy) if dx <= 0 and dy <= 0
+               else math.hypot(max(dx, 0.0), max(dy, 0.0))
+               for dx, dy in map(gaps, taus))
+
+
+def test_count_zeros_matches_scan_on_a_seeded_table():
+    # 150 seeded rectangles in (0, 1) x [0, 60], every edge at least 0.05
+    # from every tabulated zero.  Each returns the scan's count: the zeros
+    # between its edges when it straddles the line, else none.  An edge
+    # started from two panels whatever its length refused about one in
+    # ten of these, its driver stopping at a rounding floor before the
+    # panels resolved zeta'/zeta, far from any zero.
+    taus = [z.tau for z in find_zeros(60.0)]
+    rng = random.Random(20261020)
+    rects = []
+    while len(rects) < 150:
+        sigma_lo, sigma_hi = sorted(rng.uniform(0.0, 1.0) for _ in "ab")
+        tau_lo, tau_hi = sorted(rng.uniform(0.0, 60.0) for _ in "ab")
+        if 0 < sigma_lo < sigma_hi < 1 and tau_lo < tau_hi:
+            rect = StripRectangle(sigma_lo, sigma_hi, tau_lo, tau_hi)
+            if _clearance(rect, oracles.ZERO_TAUS) >= 0.05:
+                rects.append(rect)
+    for rect in rects:
+        expected = (sum(rect.tau_lo < t < rect.tau_hi for t in taus)
+                    if rect.sigma_lo < 0.5 < rect.sigma_hi else 0)
+        assert count_zeros(rect) == expected, rect
+
+
+@pytest.mark.parametrize("offsets", [(math.pi * 1j, -math.pi * 1j),
+                                     (0.6, -0.6)],
+                         ids=["half-turns", "real-parts"])
+def test_count_zeros_checks_each_edge(monkeypatch, offsets):
+    # Each edge's integral is known up to its 2 pi branch from zeta at
+    # the corners, so each is checked on its own: shifting two edges by
+    # opposite half turns, or their real parts by opposite 0.6, leaves
+    # the closed sum as it was, and the count still refuses.
+    quad = spectrum.integrate_finite
+    runs = []
+
+    def shifted(*args, **kwargs):
+        r = quad(*args, **kwargs)
+        runs.append(r)
+        shift = dict(zip((2, 3), offsets)).get(len(runs), 0.0)
+        return QuadResult(r.value + shift, r.abs_err, r.evals)
+
+    monkeypatch.setattr(spectrum, "integrate_finite", shifted)
+    rect = StripRectangle(0.05, 0.95, 31.0, 35.0)
+    with pytest.raises(ResolutionError, match="edge"):
+        count_zeros(rect)
+    assert len(runs) == 4
+    monkeypatch.undo()
+    assert count_zeros(rect) == 1
+
+
+def test_count_zeros_and_warm_find_zeros_cost_guard(monkeypatch):
+    # Deterministic counts, so that a cost regression shows in tier-1: a
+    # warm find_zeros(60) evaluates nothing, and count_zeros' engine
+    # points (the four corners and every quadrature node) stay bounded
+    # on verify's boxes; edges from two panels took 3404 and 1564.
+    points, line_calls = [], []
+    hurwitz, pair, line = (spectrum._hurwitz, spectrum._zeta_pair,
+                           spectrum.critical_line_real_form)
+    find_zeros(60.0)
+    monkeypatch.setattr(spectrum, "_hurwitz", lambda s, *a, **k: (
+        points.append(np.size(s)) or hurwitz(s, *a, **k)))
+    monkeypatch.setattr(spectrum, "_zeta_pair", lambda z: (
+        points.append(np.size(z)) or pair(z)))
+    monkeypatch.setattr(spectrum, "critical_line_real_form", lambda t: (
+        line_calls.append(t) or line(t)))
+    assert len(find_zeros(60.0)) == 13 and line_calls == []
+    for tau_hi, most in ((60.0, 1700), (30.0, 1000)):
+        points.clear()
+        count_zeros(StripRectangle(0.05, 0.95, 0.0, tau_hi))
+        assert sum(points) <= most, (tau_hi, sum(points))
 
 
 def test_count_zeros_range_guard():

@@ -216,13 +216,15 @@ def test_psi_refusal_best_covers_its_rounding_to_double():
     # Past Re s ~ 13.75 the quadrature itself stalls at its rounding
     # floor and refuses.  The best it hands on charges the value's
     # rounding to double as an answer does, so it still covers the truth
-    # (at Re s = 14 the error is 4.5e-7, 708 times quad's own bound).
+    # (at Re s = 14 the error is 4.5e-7, 708 times quad's own bound), and
+    # the message states that bound.
     for sigma in (14.0, 15.0):
         with pytest.raises(ConvergenceError) as info:
             psi(StateParams(sigma), 0.0, 1e-10)
         best = info.value.best
         want = mp.gamma(sigma) * mp.altzeta(sigma)
         assert abs(mp.mpc(best.value) - want) <= best.abs_err
+        assert f"(err {best.abs_err:.3e} > tol" in str(info.value)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
