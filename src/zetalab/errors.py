@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 Every guard in the library raises one of these rather than a bare
-ValueError, so callers (and the CLI) can tell a misuse apart from a
-numerical breakdown.
+ValueError, so callers (and the CLI) can tell a misuse (DomainError,
+PoleError), a size or range past support (CapabilityError), an input
+the operation cannot answer (PreconditionError: a contour through a
+zeta zero) and a divergent request apart from a numerical breakdown
+(ConvergenceError).
 """
 
 from __future__ import annotations
@@ -17,13 +20,8 @@ class DomainError(ZetalabError, ValueError):
 
 
 class PoleError(DomainError):
-    """Evaluation requested exactly at (or too near) a pole.
-
-    Attributes
-    ----------
-    location : complex
-        Where the offending pole sits.
-    """
+    """Evaluation requested exactly at (or too near) a pole, which sits
+    at the complex `location`."""
 
     def __init__(self, message: str, location: complex = 0j):
         super().__init__(message)
@@ -43,19 +41,10 @@ class DivergenceError(ZetalabError, ValueError):
 
 
 class ConvergenceError(ZetalabError, RuntimeError):
-    """An iterative scheme ran out of budget before reaching tolerance.
-
-    Attributes
-    ----------
-    best : object or None
-        Best estimate available when the budget ran out (often a
-        QuadResult), for diagnostic use only.
-    """
+    """An iterative scheme ran out of budget before reaching tolerance;
+    `best` is the best estimate then (often a QuadResult) or None, for
+    diagnostic use only."""
 
     def __init__(self, message: str, best=None):
         super().__init__(message)
         self.best = best
-
-
-class ResolutionError(ZetalabError, RuntimeError):
-    """A contour/winding computation could not be resolved to an integer."""

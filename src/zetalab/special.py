@@ -474,14 +474,7 @@ def zeta(s) -> complex:
 
 
 def zeta_prime(s) -> complex:
-    """zeta'(s) on the same domain, |s - 1| >= 1.5e-154: the derivative
-    half of _zeta_pair, with the same bound and accuracy as zeta."""
-    return complex(_zeta_pair(s)[1][0])
-
-
-def _zeta_pair(s):
-    """(zeta(s), zeta'(s)) as arrays from one engine call over the
-    array s; count_zeros calls this once per integrand call."""
-    val, _, der, _ = _hurwitz(_batch(s, "zeta'", 0, 2), *_ZETA, deriv=True,
-                              bound=False)
-    return val, der
+    """zeta'(s) on zeta's domain, |s - 1| >= 1.5e-154: the engine's sums
+    differentiated term by term, with zeta's bound and accuracy."""
+    return complex(_hurwitz(_batch(s, "zeta'", 0, 2), *_ZETA, deriv=True,
+                            bound=False)[2][0])

@@ -1,10 +1,10 @@
-"""Boundary function, zero location on the critical line, strip
-counting by the argument principle, and the eigenvalue map.
+"""Boundary function, zero location on the critical line, a proven
+count of strip zeros, and the eigenvalue map.
 
-The boundary function xi_bc(s) = (1 - 2^{1-s}) Gamma(s) zeta(s) is
-computed as Gamma(s) eta(s), which is regular at s = 1.  Zero
-bracketing uses the classical completed xi, which is real on the
-critical line and so admits sign-change scanning.
+xi_bc(s) = (1 - 2^{1-s}) Gamma(s) zeta(s) is computed as Gamma(s)
+eta(s), regular at s = 1.  Zeros are bracketed by the signs of the
+completed xi, real on the critical line, and counted in a rectangle by
+certified tracking of arg zeta along its boundary: no quadrature.
 """
 
 from __future__ import annotations
@@ -15,15 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    ConvergenceError,
-    DomainError,
-    PreconditionError,
-    ResolutionError,
-)
-from .quad import integrate_finite
-from .special import _ZETA, _hurwitz, _zeta_pair, eta, gamma
+from .errors import (CapabilityError, ConvergenceError, DomainError,
+                     PreconditionError)
+from .special import _EM_M, _EM_N, _ZETA, _em_plan, _hurwitz, eta, gamma
 
 __all__ = [
     "ZeroRecord",
@@ -42,12 +36,9 @@ _TAU_CAP = 60.0
 # where a cell's two end signs agree, it holds none.
 _SCAN_STEP = 0.01
 _SCAN_CELL = 25
-# count_zeros starts each edge from _EDGE_PANELS panels per started
-# _EDGE_SPAN (from two in all, a long edge stalls far from any zero); its
-# tol picks a 2 pi branch: 0.25 rad is a quarter of the 0.1 turn allowed.
-_EDGE_PANELS = 2
-_EDGE_SPAN = 8.0
-_EDGE_TOL = 0.25
+# _track splits a step into at most _SPLIT pieces a round (with both
+# ends next to zeros, h / reach can reach 1e9).
+_SPLIT = 1024
 
 
 @dataclass(frozen=True)
@@ -266,55 +257,81 @@ def find_zeros(tau_max: float, tol: float = 1e-10):
             for i, k in enumerate(ks)]
 
 
-def count_zeros(rect: StripRectangle) -> int:
-    """Number of zeta zeros inside the rectangle, by winding of the
-    logarithmic derivative around the boundary (counterclockwise).
+def _zeta2_bound(z0, z1):
+    """A bound on |zeta''| on each axis-parallel step z0 -> z1 (arrays that
+    broadcast, 0 < Re < 1): the engine's Euler-Maclaurin form (_EM_N = 28
+    direct terms x, tail from b = 29) differentiated twice in modulus.
+    Sums of (ln x)^2 x^-sigma and (ln b)^2 b^-sigma / 2 at the step's least
+    sigma; the pole term b^{1-s}/(s-1) differentiated exactly at the
+    step's distance d from s = 1; Cauchy's 2 max |g| on the unit disc for
+    g, the Bernoulli corrections plus Johansson's remainder (_hurwitz's),
+    with Re w >= sigma - 1 and |w + i| <= |s| + 1 + i on it."""
+    lg, _, _, b, lb, kap = _em_plan(*_ZETA, _EM_N)[:6]
+    b, lb, t0, t1 = b[0, 0], lb[0, 0], z0.imag, z1.imag
+    sig = np.minimum(z0.real, z1.real)
+    d = np.hypot(1 - np.maximum(z0.real, z1.real),
+                 np.where(t0 * t1 > 0, np.minimum(abs(t0), abs(t1)), 0))
+    poch = np.cumprod(np.maximum(abs(z0), abs(z1))[..., None] + 1
+                      + np.arange(2 * _EM_M), axis=-1)  # |(w)_k| <= poch_k-1
+    tails = poch[..., ::2] @ abs(kap[0, 0]) + 4 * poch[..., -1] * b ** (
+        1 - 2 * _EM_M) / (2 * math.pi) ** (2 * _EM_M) / (sig + 2 * _EM_M - 2)
+    return ((lg ** 2 * np.exp(-sig[..., None] * lg)).sum(axis=-1)
+            + lb ** 2 * b ** -sig / 2 + b ** (1 - sig) * (
+                lb ** 2 / d + 2 * lb / d ** 2 + 2 / d ** 3 + 2 * tails))
 
-    zeta at the corners (one engine call) gives each edge z0 -> z1 the
-    integral of zeta'/zeta as log zeta(z1) - log zeta(z0) + 2 pi i m; one
-    integrate_finite run per edge picks m, and the winding is the sum.
-    An edge whose quadrature misses that real part by more than 0.5 or
-    the nearest branch by 0.1 turn raises ResolutionError.  An edge that
-    stalls has a zero on or near it; that (named with the stop), or a
-    node with |zeta| < 1e-6, raises PreconditionError naming the smallest
-    |zeta| seen and where.  Raises CapabilityError beyond |tau| = 60.
-    """
+
+def _track(corners):
+    """Certified argument tracking of zeta around the closed polygon
+    corners, one engine call a round.  A step z_i -> z_j of length h is
+    accepted from an end z_k where h (|zeta'| + e') + h^2/2 M2 + e < |zeta|
+    there (e, e' the engine's bounds, M2 the larger of _zeta2_bound's on
+    the two halves): zeta stays in the disc |w - zeta(z_k)| < |zeta(z_k)|,
+    so Arg zeta(z_j)/zeta(z_i) is the step's exact change of arg.  A step
+    that fails is split into ceil(h / reach) pieces, at most _SPLIT, reach
+    the larger of its ends' certified reaches over their halves.  Returns
+    the points z, zeta there and the accepted steps as rows (i, j, k),
+    i -> j in contour order."""
+    z = new = np.array(corners)
+    steps, done = np.array([[0, 1], [1, 2], [2, 3], [3, 0]]), []
+    val = room = slope = np.empty(0)
+    while len(new):
+        v, e, dv, de = _hurwitz(new, *_ZETA, deriv=True)
+        val, room, slope = (np.concatenate((x, y)) for x, y in zip(
+            (val, room, slope), (v, abs(v) - e, abs(dv) + de)))
+        if room[k := np.argmin(room)] <= 0:
+            raise PreconditionError(
+                f"contour point {z[k]} has |zeta| = {abs(val[k]):.2e}, within"
+                f" its bound {abs(val[k]) - room[k]:.2e}; move the rectangle")
+        a, b = ends = steps.T
+        mid, h = (z[a] + z[b]) / 2, abs(z[b] - z[a])
+        m, rm, sl = _zeta2_bound(z[ends], mid), room[ends], slope[ends]
+        ok = h * sl + h * h / 2 * m.max(axis=0) < rm
+        keep = ok[0] | ok[1]
+        done.append(np.stack((a, b, np.where(ok[0], a, b)), 1)[keep])
+        reach = 2 * rm / (sl + np.sqrt(sl * sl + 2 * m * rm))
+        n = np.ceil(h / reach.max(axis=0))[~keep].clip(2, _SPLIT).astype(int)
+        j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        a, b = np.repeat(a[~keep], n), np.repeat(b[~keep], n)
+        n, inner = np.repeat(n, n), j > 0
+        new = z[a[inner]] + (z[b[inner]] - z[a[inner]]) * (j / n)[inner]
+        ids = np.where(inner, len(z) + np.cumsum(inner) - 1, a)
+        steps = np.stack((ids, np.where(j == n - 1, b, np.r_[ids[1:], 0])), 1)
+        z = np.concatenate((z, new))
+    return z, val, np.concatenate(done)
+
+
+def count_zeros(rect: StripRectangle) -> int:
+    """Number of zeta zeros inside the rectangle, proven: round(sum Arg /
+    2 pi) over _track's steps counterclockwise around it (Ying & Katz,
+    Numer. Math. 53, 1988).  Refuses only where a sample's |zeta| does not
+    exceed its bound (a zero on the contour or within about 1e-12 of it),
+    with PreconditionError naming the point; beyond |tau| = 60 with
+    CapabilityError."""
     if max(abs(rect.tau_lo), abs(rect.tau_hi)) > _TAU_CAP:
         raise CapabilityError(f"count_zeros supports |tau| <= {_TAU_CAP}")
     lo, hi = complex(rect.sigma_lo, rect.tau_lo), complex(rect.sigma_hi,
                                                           rect.tau_hi)
-    corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
-    ends = list(zip(corners, corners[1:] + corners[:1]))
-    min_abs, argmin = math.inf, None
-
-    def edge(z0, z1):
-        def log_derivative(t):
-            nonlocal min_abs, argmin
-            z = z0 + (z1 - z0) * t.astype(float)
-            val, der = _zeta_pair(z)
-            k = np.argmin(np.abs(val))
-            if abs(val[k]) < min_abs:
-                min_abs, argmin = float(abs(val[k])), complex(z[k])
-            return (z1 - z0) * (der / val)
-
-        panels = _EDGE_PANELS * max(1, math.ceil(abs(z1 - z0) / _EDGE_SPAN))
-        try:
-            return integrate_finite(log_derivative, 0.0, 1.0, _EDGE_TOL,
-                                    initial=panels).value
-        except ConvergenceError as exc:
-            raise PreconditionError(
-                f"edge {z0} -> {z1}: {exc}; contour point {argmin} has "
-                f"|zeta| = {min_abs:.2e}, the smallest seen") from None
-
-    logs = np.log(_hurwitz(np.array(corners), *_ZETA, bound=False)[0])
-    misses = np.array([edge(z0, z1) for z0, z1 in ends]) - (
-        np.roll(logs, -1) - logs)
-    if min_abs < 1e-6:
-        raise PreconditionError(f"contour point {argmin} has |zeta| = "
-                                f"{min_abs:.2e}; move the rectangle")
-    turns = misses.imag / (2 * math.pi)
-    for (z0, z1), miss, turn in zip(ends, misses, turns):
-        if abs(turn - round(turn)) >= 0.1 or abs(miss.real) > 0.5:
-            raise ResolutionError(f"edge {z0} -> {z1} is {complex(miss)!r}"
-                                  " off a branch of log(zeta(z1)/zeta(z0))")
-    return sum(round(turn) for turn in turns)
+    _, val, steps = _track([lo, complex(hi.real, lo.imag), hi,
+                            complex(lo.real, hi.imag)])
+    return round(np.angle(val[steps[:, 1]] / val[steps[:, 0]]).sum()
+                 / (2 * math.pi))

@@ -337,7 +337,8 @@ def _bits(x):
 def test_batched_rows_equal_single_calls_bit_for_bit(monkeypatch):
     # A row of a batch equals a one-element call bit for bit: on the
     # zero scan's grid blocks, on a K = 512 coefficient batch, and on
-    # one count_zeros panel.
+    # every engine batch of a count_zeros run (value, derivative and both
+    # bounds), on which the count's determinism rests.
     grid = 0.5 + 1j * np.minimum(np.arange(6001) * 0.01, 60.0)
     for lo in range(0, 6001, 256):
         block = _hurwitz(grid[lo:lo + 256], *_ZETA)
@@ -351,20 +352,20 @@ def test_batched_rows_equal_single_calls_bit_for_bit(monkeypatch):
         one, bound = _one_minus_eta(s + n)
         assert _bits(coeffs[n]) == _bits(one[0])
         assert _bits(bounds[n]) == _bits(bound[0])
-    panels = []
+    batches = []
 
-    def recording(z):
-        panels.append(np.array(z))
-        return special._zeta_pair(z)
+    def recording(s, *args, **kwargs):
+        batches.append(np.array(s))
+        return _hurwitz(s, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "_zeta_pair", recording)
+    monkeypatch.setattr(spectrum, "_hurwitz", recording)
     spectrum.count_zeros(spectrum.StripRectangle(0.2, 0.8, 20.0, 28.0))
-    z = panels[0]
-    val, der = special._zeta_pair(z)
-    for k in range(len(z)):
-        one_val, one_der = special._zeta_pair(z[k])
-        assert _bits(val[k]) == _bits(one_val[0])
-        assert _bits(der[k]) == _bits(one_der[0])
+    assert len(batches) >= 3
+    for z in batches:
+        rows = _hurwitz(z, *_ZETA, deriv=True)
+        for k in range(len(z)):
+            one = _hurwitz(z[k:k + 1], *_ZETA, deriv=True)
+            assert [_bits(r[k]) for r in rows] == [_bits(r[0]) for r in one]
 
 
 def test_scan_signs_equal_single_point_calls(monkeypatch):

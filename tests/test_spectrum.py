@@ -3,6 +3,7 @@ import math
 import random
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings
@@ -12,8 +13,7 @@ from scipy.optimize import brentq as scipy_brentq
 import oracles
 from zetalab import spectrum
 from zetalab.errors import (CapabilityError, ConvergenceError, DomainError,
-                            PreconditionError, ResolutionError)
-from zetalab.quad import QuadResult
+                            PreconditionError)
 from zetalab.spectrum import (StripRectangle, count_zeros,
                               critical_line_real_form, eigenvalue_of,
                               find_zeros, xi_bc)
@@ -379,16 +379,15 @@ def test_count_matches_scan():
 
 
 def test_contour_through_zero_rejected():
-    # Top edge passes through the first zero; its quadrature stalls at
-    # the rounding floor (the nearest node has |zeta| about 8e-6, so the
-    # 1e-6 rule alone would not fire) and the count names the cause.
-    # The message names the stalled edge and the quadrature's stop too.
+    # The top edge passes through the first zero: the tracker's samples
+    # close in on it until one's |zeta| no longer exceeds its own bound,
+    # and the refusal names that point, on the top edge, and its |zeta|.
     rect = StripRectangle(0.05, 0.95, 5.0, oracles.ZERO_TAUS[0])
     with pytest.raises(PreconditionError, match=r"point .* has \|zeta\| =") as info:
         count_zeros(rect)
-    top = complex(0.95, rect.tau_hi), complex(0.05, rect.tau_hi)
-    assert str(info.value).startswith(
-        f"edge {top[0]} -> {top[1]}: quadrature stalled at rounding floor")
+    point = complex(str(info.value).split()[2])
+    assert point.imag == rect.tau_hi and abs(point.real - 0.5) < 1e-12
+    assert "within its bound" in str(info.value)
 
 
 def _clearance(rect, taus):
@@ -425,58 +424,95 @@ def test_count_zeros_matches_scan_on_a_seeded_table():
         assert count_zeros(rect) == expected, rect
 
 
-@pytest.mark.parametrize("offsets", [(math.pi * 1j, -math.pi * 1j),
-                                     (0.6, -0.6)],
-                         ids=["half-turns", "real-parts"])
-def test_count_zeros_checks_each_edge(monkeypatch, offsets):
-    # Each edge's integral is known up to its 2 pi branch from zeta at
-    # the corners, so each is checked on its own: shifting two edges by
-    # opposite half turns, or their real parts by opposite 0.6, leaves
-    # the closed sum as it was, and the count still refuses.
-    quad = spectrum.integrate_finite
-    runs = []
+def _corners(rect):
+    lo, hi = (complex(rect.sigma_lo, rect.tau_lo),
+              complex(rect.sigma_hi, rect.tau_hi))
+    return [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
 
-    def shifted(*args, **kwargs):
-        r = quad(*args, **kwargs)
-        runs.append(r)
-        shift = dict(zip((2, 3), offsets)).get(len(runs), 0.0)
-        return QuadResult(r.value + shift, r.abs_err, r.evals)
 
-    monkeypatch.setattr(spectrum, "integrate_finite", shifted)
-    rect = StripRectangle(0.05, 0.95, 31.0, 35.0)
-    with pytest.raises(ResolutionError, match="edge"):
-        count_zeros(rect)
-    assert len(runs) == 4
-    monkeypatch.undo()
-    assert count_zeros(rect) == 1
+# A rectangle that the quadrature count refused: its left edge passes
+# 0.0011 right of rho_1 ... rho_11.
+NEAR_LINE = StripRectangle(0.5010568574712526, 0.526128397299826,
+                           8.925389938254995, 54.86508014506357)
+
+
+def test_second_derivative_bound_holds_against_mpmath():
+    # _zeta2_bound bounds |zeta''| on a step: at 300 seeded points on
+    # seeded axis-parallel steps in 0 < sigma < 1, |tau| <= 60, one in
+    # five within 0.1 of s = 1 (where the pole term takes over), it is
+    # at least mpmath's |zeta''|.
+    rng = random.Random(20261020)
+    z0, z1, points = [], [], []
+    for k in range(300):
+        near = k % 5 == 0
+        s = complex(rng.uniform(0.9 if near else 1e-3, 0.999),
+                    rng.uniform(-0.2, 0.2) if near else rng.uniform(-60, 60))
+        h = rng.choice((-1, 1)) * rng.uniform(0, 0.1 if near else 2.0)
+        t = (complex(min(max(s.real + h, 1e-3), 0.999), s.imag)
+             if k % 2 else complex(s.real, min(max(s.imag + h, -60), 60)))
+        z0.append(s)
+        z1.append(t)
+        points.append(s + (t - s) * rng.random())
+    bound = spectrum._zeta2_bound(np.array(z0), np.array(z1))
+    for m2, p in zip(bound, points):
+        assert m2 >= abs(mpmath.zeta(p, derivative=2)), p
+
+
+@pytest.mark.parametrize("rect", [StripRectangle(0.05, 0.95, 31.0, 35.0),
+                                  NEAR_LINE], ids=["box-31-35", "near-line"])
+def test_every_accepted_step_stays_in_its_disc(rect):
+    # The certificate: on every accepted step mpmath's zeta stays inside
+    # the disc |w - zeta(z_k)| < |zeta(z_k)| about the certifying end, so
+    # zeta does not wind around 0 there and Arg zeta(z_j)/zeta(z_i) is
+    # the step's change of arg; 8 points along each step.
+    z, val, steps = spectrum._track(_corners(rect))
+    assert sorted(steps[:, 0]) == list(range(len(z)))  # a closed chain
+    for i, j, k in steps:
+        for t in np.linspace(0.0, 1.0, 8):
+            w = complex(mpmath.zeta(z[i] + (z[j] - z[i]) * t))
+            assert abs(w - val[k]) < abs(val[k]), (z[i], z[j], t)
+
+
+def test_count_zeros_answers_next_to_zeros():
+    # The quadrature count refused a vertical edge within about 0.01 of
+    # a zero on the line; the tracker answers edges 1e-8 from one.
+    assert count_zeros(NEAR_LINE) == 0
+    tau1, eps = oracles.ZERO_TAUS[0], 1e-8
+    scan = [z.tau for z in find_zeros(30.0)]
+    for sigma_lo, sigma_hi in ((0.5 - eps, 0.9), (0.5 + eps, 0.9),
+                               (0.1, 0.5 - eps), (0.1, 0.5 + eps)):
+        rect = StripRectangle(sigma_lo, sigma_hi, 10.0, 30.0)
+        assert count_zeros(rect) == (len(scan) if sigma_lo < 0.5 < sigma_hi
+                                     else 0), rect
+    for tau_lo, tau_hi in ((tau1 - eps, 30.0), (tau1 + eps, 30.0),
+                           (5.0, tau1 - eps), (5.0, tau1 + eps)):
+        rect = StripRectangle(0.1, 0.9, tau_lo, tau_hi)
+        assert count_zeros(rect) == sum(tau_lo < t < tau_hi for t in scan)
 
 
 def test_count_zeros_and_warm_find_zeros_cost_guard(monkeypatch):
     # Deterministic counts, so that a cost regression shows in tier-1: a
     # warm find_zeros(60) evaluates nothing, and count_zeros' engine
-    # points (the four corners and every quadrature node) stay bounded
-    # on verify's boxes; edges from two panels took 3404 and 1564.
+    # calls and points stay bounded on verify's boxes.  The tracker takes
+    # 4 calls and 1099 points, and 5 and 632; the quadrature count took
+    # 1660 and 924 points.
     points, line_calls = [], []
-    hurwitz, pair, line = (spectrum._hurwitz, spectrum._zeta_pair,
-                           spectrum.critical_line_real_form)
+    hurwitz, line = spectrum._hurwitz, spectrum.critical_line_real_form
     find_zeros(60.0)
     monkeypatch.setattr(spectrum, "_hurwitz", lambda s, *a, **k: (
         points.append(np.size(s)) or hurwitz(s, *a, **k)))
-    monkeypatch.setattr(spectrum, "_zeta_pair", lambda z: (
-        points.append(np.size(z)) or pair(z)))
     monkeypatch.setattr(spectrum, "critical_line_real_form", lambda t: (
         line_calls.append(t) or line(t)))
     assert len(find_zeros(60.0)) == 13 and line_calls == []
-    for tau_hi, most in ((60.0, 1700), (30.0, 1000)):
+    for tau_hi, most in ((60.0, 1200), (30.0, 700)):
         points.clear()
         count_zeros(StripRectangle(0.05, 0.95, 0.0, tau_hi))
-        assert sum(points) <= most, (tau_hi, sum(points))
+        assert sum(points) <= most and len(points) <= 6, (tau_hi, points)
 
 
 def test_count_zeros_range_guard():
     # Past zeta's calibrated |tau| <= 60 the count is refused up front,
-    # naming the limit, instead of recursing to a ResolutionError or
-    # answering from zeta outside its range.
+    # naming the limit, instead of answering from zeta outside its range.
     for taus in ((200.2, 210.0), (60.5, 80.0), (-70.0, -65.0)):
         with pytest.raises(CapabilityError, match="60"):
             count_zeros(StripRectangle(0.05, 0.95, *taus))
