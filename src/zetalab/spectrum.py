@@ -36,8 +36,17 @@ _TAU_CAP = 60.0
 # where a cell's two end signs agree, it holds none.
 _SCAN_STEP = 0.01
 _SCAN_CELL = 25
-# _track splits a step into at most _SPLIT pieces a round (with both
-# ends next to zeros, h / reach can reach 1e9).
+# _track's first engine call takes the corners and every edge cut into
+# pieces of at most _SEED.  A round costs about 0.3 ms and a point 4 us; on
+# zeros-scan's rectangles a count takes 3.01 calls and 118 points with the
+# corners alone, 2.61 and 116 at 0.45, 2.08 and 117 at 0.225, and 2.01 and
+# 124 at 0.15: below 0.225 the points cost what the rounds save.
+_SEED = 0.225
+# A failing step splits into ceil(_PAST h / reach) pieces, at most _SPLIT
+# a round (h / reach can reach 1e9 next to zeros).  The new inner points
+# usually have less room than the ends that certify reach: at _PAST = 1,
+# 5.6% of the pieces fail again and most counts take a third round.
+_PAST = 1.4
 _SPLIT = 1024
 
 
@@ -282,41 +291,42 @@ def _zeta2_bound(z0, z1):
 
 def _track(corners):
     """Certified argument tracking of zeta around the closed polygon
-    corners, one engine call a round.  A step z_i -> z_j of length h is
-    accepted from an end z_k where h (|zeta'| + e') + h^2/2 M2 + e < |zeta|
-    there (e, e' the engine's bounds, M2 the larger of _zeta2_bound's on
-    the two halves): zeta stays in the disc |w - zeta(z_k)| < |zeta(z_k)|,
-    so Arg zeta(z_j)/zeta(z_i) is the step's exact change of arg.  A step
-    that fails is split into ceil(h / reach) pieces, at most _SPLIT, reach
-    the larger of its ends' certified reaches over their halves.  Returns
-    the points z, zeta there and the accepted steps as rows (i, j, k),
-    i -> j in contour order."""
-    z = new = np.array(corners)
-    steps, done = np.array([[0, 1], [1, 2], [2, 3], [3, 0]]), []
-    val = room = slope = np.empty(0)
-    while len(new):
-        v, e, dv, de = _hurwitz(new, *_ZETA, deriv=True)
+    corners, one engine call a round, the first on every edge cut into
+    pieces of at most _SEED.  A step z_i -> z_j of length h is accepted
+    from an end z_k where h (|zeta'| + e') + h^2/2 M2 + e < |zeta| there
+    (e, e' the engine's bounds, M2 the larger of _zeta2_bound's on the two
+    halves): zeta stays in the disc |w - zeta(z_k)| < |zeta(z_k)|, so
+    Arg zeta(z_j)/zeta(z_i) is the step's exact change of arg.  A step
+    that fails is split into ceil(_PAST h / reach) pieces, 2 to _SPLIT,
+    reach the larger of its ends' certified reaches over their halves.
+    Returns the points z, zeta there and the accepted steps as rows
+    (i, j, k), i -> j in contour order."""
+    z, (a, b) = np.array(corners), np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
+    n = np.ceil(abs(z[b] - z[a]) / _SEED).astype(int)
+    done, (val, room, slope) = [], np.empty((3, 0))
+    while len(a):
+        j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        a, b, n = np.repeat(a, n), np.repeat(b, n), np.repeat(n, n)
+        inner, za = j > 0, z[a]
+        ids = len(z) + np.cumsum(inner) - 1
+        z = np.concatenate((z, (za + (z[b] - za) * (j / n))[inner]))
+        a, b = ends = np.stack((np.where(inner, ids, a),
+                                np.where(j == n - 1, b, ids + 1)))
+        v, e, dv, de = _hurwitz(z[len(val):], *_ZETA, deriv=True)
         val, room, slope = (np.concatenate((x, y)) for x, y in zip(
             (val, room, slope), (v, abs(v) - e, abs(dv) + de)))
         if room[k := np.argmin(room)] <= 0:
             raise PreconditionError(
                 f"contour point {z[k]} has |zeta| = {abs(val[k]):.2e}, within"
                 f" its bound {abs(val[k]) - room[k]:.2e}; move the rectangle")
-        a, b = ends = steps.T
         mid, h = (z[a] + z[b]) / 2, abs(z[b] - z[a])
         m, rm, sl = _zeta2_bound(z[ends], mid), room[ends], slope[ends]
-        ok = h * sl + h * h / 2 * m.max(axis=0) < rm
+        ok = h * sl + h * h / 2 * np.maximum(*m) < rm
         keep = ok[0] | ok[1]
         done.append(np.stack((a, b, np.where(ok[0], a, b)), 1)[keep])
-        reach = 2 * rm / (sl + np.sqrt(sl * sl + 2 * m * rm))
-        n = np.ceil(h / reach.max(axis=0))[~keep].clip(2, _SPLIT).astype(int)
-        j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        a, b = np.repeat(a[~keep], n), np.repeat(b[~keep], n)
-        n, inner = np.repeat(n, n), j > 0
-        new = z[a[inner]] + (z[b[inner]] - z[a[inner]]) * (j / n)[inner]
-        ids = np.where(inner, len(z) + np.cumsum(inner) - 1, a)
-        steps = np.stack((ids, np.where(j == n - 1, b, np.r_[ids[1:], 0])), 1)
-        z = np.concatenate((z, new))
+        reach = np.maximum(*(2 * rm / (sl + np.sqrt(sl * sl + 2 * m * rm))))
+        n = np.ceil(_PAST * h / reach)[~keep].clip(2, _SPLIT).astype(int)
+        a, b = a[~keep], b[~keep]
     return z, val, np.concatenate(done)
 
 

@@ -458,15 +458,24 @@ def test_second_derivative_bound_holds_against_mpmath():
         assert m2 >= abs(mpmath.zeta(p, derivative=2)), p
 
 
-@pytest.mark.parametrize("rect", [StripRectangle(0.05, 0.95, 31.0, 35.0),
-                                  NEAR_LINE], ids=["box-31-35", "near-line"])
-def test_every_accepted_step_stays_in_its_disc(rect):
+@pytest.mark.parametrize("rect, seeded", [
+    (StripRectangle(0.05, 0.95, 31.0, 35.0), 0.0), (NEAR_LINE, 0.0),
+    (StripRectangle(0.2, 0.8, 42.0, 47.0), 0.5)],
+    ids=["box-31-35", "near-line", "scan-42-47"])
+def test_every_accepted_step_stays_in_its_disc(rect, seeded, monkeypatch):
     # The certificate: on every accepted step mpmath's zeta stays inside
     # the disc |w - zeta(z_k)| < |zeta(z_k)| about the certifying end, so
     # zeta does not wind around 0 there and Arg zeta(z_j)/zeta(z_i) is
-    # the step's change of arg; 8 points along each step.
+    # the step's change of arg; 8 points along each step.  The first
+    # engine call takes every edge cut into pieces: on the benchmark-like
+    # rectangle across the line, at least half of those pieces are
+    # accepted from that call as they are.
+    sizes, hurwitz = [], spectrum._hurwitz
+    monkeypatch.setattr(spectrum, "_hurwitz", lambda s, *a, **k: (
+        sizes.append(len(s)) or hurwitz(s, *a, **k)))
     z, val, steps = spectrum._track(_corners(rect))
     assert sorted(steps[:, 0]) == list(range(len(z)))  # a closed chain
+    assert (steps[:, :2] < sizes[0]).all(axis=1).sum() >= seeded * sizes[0]
     for i, j, k in steps:
         for t in np.linspace(0.0, 1.0, 8):
             w = complex(mpmath.zeta(z[i] + (z[j] - z[i]) * t))
@@ -494,8 +503,9 @@ def test_count_zeros_and_warm_find_zeros_cost_guard(monkeypatch):
     # Deterministic counts, so that a cost regression shows in tier-1: a
     # warm find_zeros(60) evaluates nothing, and count_zeros' engine
     # calls and points stay bounded on verify's boxes.  The tracker takes
-    # 4 calls and 1099 points, and 5 and 632; the quadrature count took
-    # 1660 and 924 points.
+    # 3 calls and 1190 points, and 3 and 680; from the corners alone it
+    # took 4 and 1099, and 5 and 632; the quadrature count took 1660 and
+    # 924 points.
     points, line_calls = [], []
     hurwitz, line = spectrum._hurwitz, spectrum.critical_line_real_form
     find_zeros(60.0)
@@ -507,7 +517,41 @@ def test_count_zeros_and_warm_find_zeros_cost_guard(monkeypatch):
     for tau_hi, most in ((60.0, 1200), (30.0, 700)):
         points.clear()
         count_zeros(StripRectangle(0.05, 0.95, 0.0, tau_hi))
-        assert sum(points) <= most and len(points) <= 6, (tau_hi, points)
+        assert sum(points) <= most and len(points) <= 3, (tau_hi, points)
+
+
+def test_count_zeros_takes_two_rounds_on_scan_rectangles(monkeypatch):
+    # 100 seeded rectangles drawn as the benchmark's zeros-scan draws
+    # them: heights 3 to 10 in tau 10 to 60, an edge within 0.3 of a
+    # scanned zero moved 0.6 up, every fourth rectangle right of the line.
+    # Each count equals the scan's; the first engine call seeds every
+    # edge, so a count takes about 2 calls (a round costs about 0.3 ms, a
+    # point 4 us).
+    taus = [z.tau for z in find_zeros(60.0)]
+    calls, hurwitz = [], spectrum._hurwitz
+    monkeypatch.setattr(spectrum, "_hurwitz", lambda s, *a, **k: (
+        calls.append(len(s)) or hurwitz(s, *a, **k)))
+
+    def clear(tau):
+        return tau + 0.6 if any(abs(tau - t) < 0.3 for t in taus) else tau
+
+    rng, per_count = random.Random(20261021), []
+    for k in range(100):
+        height = rng.uniform(3.0, 10.0)
+        tau_lo = clear(rng.uniform(10.0, 58.8 - height))
+        tau_hi = clear(tau_lo + height)
+        if k % 4 != 3:
+            sigmas = 0.1 + 0.3 * rng.random(), 0.6 + 0.3 * rng.random()
+            expected = sum(tau_lo < t < tau_hi for t in taus)
+        else:
+            sigma_lo = 0.55 + 0.15 * rng.random()
+            sigmas = sigma_lo, sigma_lo + 0.1 + 0.2 * rng.random()
+            expected = 0
+        calls.clear()
+        rect = StripRectangle(*sigmas, tau_lo, tau_hi)
+        assert count_zeros(rect) == expected, rect
+        per_count.append(len(calls))
+    assert max(per_count) <= 4 and sum(per_count) <= 230, per_count
 
 
 def test_count_zeros_range_guard():
