@@ -207,6 +207,8 @@ def _adaptive_panels(f, a, b, tol, max_evals, initial):
             seq += 1
             total_err += e
 
+    # In pairs, as a split pushes them: bessel_j0 sizes its sum by the
+    # batch's largest z, so one call on all of them would move psi's bits.
     for i in range(0, initial, 2):
         _push(edges[i:i + 2], edges[i + 1:i + 3])
 

@@ -453,6 +453,35 @@ def gram_diagonal_log_moment(rho) -> QuadResult:
     return QuadResult(-res.value, res.abs_err, res.evals)
 
 
+class _GramRow:
+    """What gram needs of (rho_row, tol) alone, keyed on their three
+    float64 parts: the zero checks, U, the W series, the inner
+    CumulativeIntegral and 80 |w0|.  A build that raises is not kept."""
+
+    def __init__(self, key: bytes):
+        rr, ri, tol = struct.unpack("3d", key)
+        rho, rs = complex(rr, ri), complex(rr, -ri)
+        # On the line 1 - rs is rho_row: each distinct point is checked once.
+        _require_zero(rho, "rho_row")
+        if 1 - rs != rho:
+            _require_zero(1 - rs, "1 - conj(rho_row)")
+        self.upper = math.sqrt(-math.log(tol) + 8.0)
+        self.ln_u, p = math.log(self.upper), CLD(2 - 2 * rs)
+
+        def f_dlnv(ln_v):
+            return 2.0 * np.exp(p * ln_v) / (1.0 + np.exp(np.exp(2.0 * ln_v)))
+
+        self.w_terms = _exp_ratio_series() / (p + 2 * np.arange(63))
+        self.w1 = self.w_terms.sum()
+        self.d1 = 16 * _EPS_LD * float(np.abs(self.w_terms).sum())
+        # tol/2 clears the inner's 80-bit floor.
+        self.cum = CumulativeIntegral(f_dlnv, 0.0, self.ln_u, tol / 2.0)
+        self.anchor = 80.0 * abs(gamma(1 - rs) * eta(1 - rs))
+
+
+_gram_row = lru_cache(maxsize=16)(_GramRow)  # rows kept at once
+
+
 def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
          tol: float = 1e-18) -> QuadResult:
     """The bilinear pairing
@@ -482,47 +511,35 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     terms are below 1e-33.  Each kept term carries at most 10 roundings
     and numpy's pairwise sum 6 more, so a sum's error is charged 16 eps
     (long double) times the sum of its terms' moduli.
-    evals counts every integrand evaluation.
+
+    Per row (_gram_row keeps the 16 last (rho_row, tol)): the checks of
+    rho_row and 1 - rho_row*, U, the W series, the inner build, 80 |w0|.
+    Per entry: any other rho_col's check, S and the outer run.  A warm
+    entry equals a cold one bit for bit; evals counts the outer run's and
+    the row's inner build's integrand evaluations.
     """
     rho_row, rho_col = complex(rho_row), complex(rho_col)
     if not 0 < tol < 1:
         raise DomainError(f"gram requires 0 < tol < 1, got {tol}")
-    rs = rho_row.conjugate()
-    # On the line 1 - rs is rho_row: each distinct point is checked once.
-    _require_zero(rho_row, "rho_row")
-    if rho_col != rho_row:
+    row = _gram_row(struct.pack("3d", rho_row.real, rho_row.imag, tol))
+    rs, cum, w1, d1 = rho_row.conjugate(), row.cum, row.w1, row.d1
+    if rho_col not in (rho_row, 1 - rs):
         _require_zero(rho_col, "rho_col")
-    if 1 - rs not in (rho_row, rho_col):
-        _require_zero(1 - rs, "1 - conj(rho_row)")
-
-    a = rs + rho_col
-    upper = math.sqrt(-math.log(tol) + 8.0)
-    ln_u, k_exp, p = math.log(upper), CLD(2 * a - 2), CLD(2 - 2 * rs)
-
-    def f_dlnv(ln_v):
-        return 2.0 * np.exp(p * ln_v) / (1.0 + np.exp(np.exp(2.0 * ln_v)))
-
-    j2 = 2 * np.arange(63)
-    w_terms = _exp_ratio_series() / (p + j2)
-    s_terms = 2.0 * w_terms / (CLD(2 * rho_col) + j2)
-    w1 = w_terms.sum()
-    d1 = 16 * _EPS_LD * float(np.abs(w_terms).sum())
-    # tol/2 clears the inner's 80-bit floor.
-    cum = CumulativeIntegral(f_dlnv, 0.0, ln_u, tol / 2.0)
+    k_exp = CLD(2 * (rs + rho_col) - 2)
+    s_terms = 2.0 * row.w_terms / (CLD(2 * rho_col) + 2 * np.arange(63))
 
     def c_w_and_bound(u):
         w, e_in = cum.query_lo_many(u)
         c = 2.0 * np.exp(k_exp * u)
         return np.stack([c * (w1 + w), np.abs(c) * (e_in + d1)])
 
-    res = integrate_finite(c_w_and_bound, 0.0, ln_u, tol)
+    res = integrate_finite(c_w_and_bound, 0.0, row.ln_u, tol)
     gf = complex(g_const).conjugate() * complex(f_const)
     value = gf * complex(s_terms.sum() + res.value[0])
     abs_err = abs(gf) * (
         2.0 * res.abs_err + float(res.value[1].real)
         + 16 * _EPS_LD * float(np.abs(s_terms).sum())
-        + math.exp(-(upper * upper))
-        + 80.0 * abs(gamma(1 - rs) * eta(1 - rs)))
+        + math.exp(-(row.upper * row.upper)) + row.anchor)
     if not (math.isfinite(abs_err) and cmath.isfinite(value)):
         raise DomainError("gram requires finite value and error")
     return QuadResult(value, abs_err, res.evals + cum.evals)
@@ -530,5 +547,6 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
 
 def gram_matrix(rhos, tol: float = 1e-18):
     """All pairings of the given zeros at f = g = 1, row-major
-    deterministic order."""
+    deterministic order: each row's inner integral is built once (none
+    for a row still held from an earlier call) and serves every column."""
     return [[gram(r, c, tol=tol) for c in rhos] for r in rhos]

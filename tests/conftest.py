@@ -4,7 +4,8 @@ The acceptance tests register one human-readable PASS/FAIL line per
 criterion; the hook below reprints them after the run summary so they
 are visible regardless of capture mode.  The fixtures below keep a
 monkeypatched spectrum from filling the process-wide zero-scan tables,
-and give every test an empty cache of psi's series plans.
+and give every test an empty cache of psi's series plans and of gram's
+row plans.
 
 Property tests are pinned: each carries its own @seed, and the default
 run draws them from an empty pool of local constants (see
@@ -68,6 +69,16 @@ def _fresh_series_plans():
     states._series_plan.cache_clear()
     yield
     states._series_plan.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_gram_rows():
+    # A row holds its zero checks, its inner CumulativeIntegral and
+    # gamma(1 - rho*) eta(1 - rho*), so a test that monkeypatches
+    # states.zeta, CumulativeIntegral, gamma or eta sees a cold build.
+    states._gram_row.cache_clear()
+    yield
+    states._gram_row.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -546,8 +546,10 @@ def test_gram_refuses_tol_outside_the_unit_interval():
 
 def test_gram_checks_each_distinct_point_once(monkeypatch):
     # On the line 1 - conj(rho_row) is rho_row bit for bit, and on the
-    # diagonal so is rho_col: a diagonal checks one point, an
-    # off-diagonal two.  Off the line each label is kept.
+    # diagonal so is rho_col: a cold diagonal checks one point, a cold
+    # off-diagonal two.  A warm row's points were checked at its build,
+    # so (rho1, rho2) after (rho1, rho1) checks rho2 alone.  Off the line
+    # each label is kept.
     import zetalab.states as states
 
     calls = []
@@ -558,9 +560,14 @@ def test_gram_checks_each_distinct_point_once(monkeypatch):
 
     monkeypatch.setattr(states, "zeta", counting)
     for rho_col, want in ((RHO1, 1), (RHO2, 2)):
+        states._gram_row.cache_clear()
         calls.clear()
         gram(RHO1, rho_col, tol=1e-6)
         assert len(calls) == want
+    gram(RHO1, RHO1, tol=1e-6)
+    calls.clear()
+    gram(RHO1, RHO2, tol=1e-6)
+    assert calls == [RHO2]
     with pytest.raises(PreconditionError, match="rho_row"):
         gram(0.6 + 3j, RHO1)
 
@@ -592,6 +599,58 @@ def test_gram_nested_route_meets_closed_form_for_four_zeros():
             want = gram_diagonal_closed_form(rhos[i]) if i == j else 0
             assert abs(e.value - want) <= e.abs_err, (i, j)
             assert 0 < e.abs_err <= bound, (i, j)
+
+
+def _gram_bits(e):
+    return (e.value.real.hex(), e.value.imag.hex(), e.abs_err.hex(), e.evals)
+
+
+def test_gram_warm_entries_equal_cold_ones():
+    # A row plan serves every entry of its row: value, abs_err and evals
+    # of each warm entry equal those of a call made on an empty cache.
+    import zetalab.states as states
+
+    rhos = [RHO1, RHO2, RHO3]
+    for tol in (1e-18, 1e-12):
+        warm = states.gram_matrix(rhos, tol=tol)
+        for i, r in enumerate(rhos):
+            for j, c in enumerate(rhos):
+                states._gram_row.cache_clear()
+                cold = gram(r, c, tol=tol)
+                assert _gram_bits(warm[i][j]) == _gram_bits(cold), (tol, i, j)
+    fg = {"f_const": 1 + 2j, "g_const": 2 - 1j}
+    states._gram_row.cache_clear()
+    cold = [gram(RHO2, c, **fg) for c in rhos]
+    warm = [gram(RHO2, c, **fg) for c in rhos]
+    assert list(map(_gram_bits, warm)) == list(map(_gram_bits, cold))
+    for c, e in zip(rhos, warm):
+        states._gram_row.cache_clear()
+        assert _gram_bits(e) == _gram_bits(gram(RHO2, c, **fg))
+
+
+def test_gram_builds_one_inner_integral_per_row(monkeypatch):
+    # A 3x3 matrix builds the 3 rows' inner integrals and nothing per
+    # entry; a second call finds all 3 rows held and builds none.  A row
+    # whose build refuses is not held: it refuses again.
+    import zetalab.states as states
+    from zetalab.quad import CumulativeIntegral
+
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return CumulativeIntegral(*args, **kwargs)
+
+    monkeypatch.setattr(states, "CumulativeIntegral", counting)
+    rhos = [RHO1, RHO2, RHO3]
+    gram_matrix(rhos)
+    assert len(builds) == 3
+    gram_matrix(rhos)
+    assert len(builds) == 3
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="rounding floor"):
+            gram(RHO1, RHO2, tol=1e-25)
+    assert len(builds) == 5
 
 
 def test_gram_unreachable_tol_stops_at_rounding_floor():
