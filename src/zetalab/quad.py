@@ -2,12 +2,13 @@
 
 Covers finite, left-endpoint-singular, semi-infinite and cumulative
 integrals.  A nested integral is one integrate_finite run whose
-integrand queries a CumulativeIntegral at its own nodes and returns the
-stacked rows [c W, |c| e_in]: the outer coefficient times the inner
-value and times its bound.  All arithmetic runs in 80-bit extended
-precision internally: the bilinear pairings this package verifies sit
-around 1e-14 with relative targets of 1e-4, which double precision
-cannot reach through oscillatory cancellation.
+integrand takes a CumulativeIntegral's values at its own nodes (one
+query per node array, which a caller may hold for the next run on the
+same nodes) and returns the stacked rows [c W, |c| e_in]: the outer
+coefficient times the inner value and times its bound.  All arithmetic
+runs in 80-bit extended precision internally: the bilinear pairings
+this package verifies sit around 1e-14 with relative targets of 1e-4,
+which double precision cannot reach through oscillatory cancellation.
 
 Panels are refined worst-first from a deterministic heap.  Each
 refining integrand call covers at most two panels, both children of a

@@ -378,7 +378,6 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
 
     # Bound: rounding, Taylor truncation, Euler-Maclaurin remainder.
     sig, big, ab0u = s.real[:, None], np.abs(col), np.abs(b0u)
-    x = np.abs(u)[:, None] * d
     if lg.dtype.kind == "c":  # Re b_j and e^{max(0, Im s arg b_j)} in R_j
         alg, mt, alqb, sl0 = np.abs(lg) + 1, 8, np.abs(lqb), col * lqb[:, :1]
         ex = np.maximum(col.imag * np.angle(b), 0) - sig * np.log(q * b.real)
@@ -386,8 +385,14 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
         alg, mt, alqb, sl0 = np.abs(lg), mm, lqb, sig * lqb[:, :1]
         ex = -sig * lqb
     # |q^{-s} b_0^u| times the Taylor truncation; one exp avoids overflow.
-    trunc = (np.abs(c) * d * x ** (K - 1) * np.exp(
-        x + lb0.real[:, None] - sl0.real) / math.factorial(K))
+    tr = dtr = 0  # d = 0 for one shift: the truncation terms are exactly 0
+    if K > 1:
+        x = np.abs(u)[:, None] * d
+        trunc = (np.abs(c) * d * x ** (K - 1) * np.exp(
+            x + lb0.real[:, None] - sl0.real) / math.factorial(K))
+        tr = (x / (K + 1) * trunc).sum(axis=1)
+        if deriv:
+            dtr = ((lqb[:, :1] * x / (K + 1) + d) * trunc).sum(axis=1)
 
     def rounding(terms, tails, pole):
         return 4 * eps * (
@@ -400,15 +405,14 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
     rem = (4 / (2 * math.pi) ** mm * np.abs(c) * np.exp(ex)
            * b.real ** (1.0 - mm) / (sig + mm - 1))
     poch = (big * np.abs(Q[:, -1:] * (col + mm - 1)))[:, 0]  # |(s)_2M|
-    err = (rounding(t, bmag, pole_mag) + (x / (K + 1) * trunc).sum(axis=1)
-           + poch * rem.sum(axis=1))
+    err = rounding(t, bmag, pole_mag) + tr + poch * rem.sum(axis=1)
     if not deriv:
         return val, err
     r = 1 / lqb
     span = (np.abs(col + np.arange(mm))[:, None] + r[..., None]).prod(2)
     derr = (rounding(dt, np.abs(bs) * np.abs(dcorr).sum(axis=2) + lqb * bmag,
                      l0 * pole_mag + np.abs(dpt).sum(axis=1) + np.abs(cu2))
-            + ((lqb[:, :1] * x / (K + 1) + d) * trunc).sum(axis=1)
+            + dtr
             + (math.e / r * span * rem * (sig + mm - 1)
                / (sig - r + mm - 1)).sum(axis=1))
     return val, err, der, derr

@@ -456,7 +456,9 @@ def gram_diagonal_log_moment(rho) -> QuadResult:
 class _GramRow:
     """What gram needs of (rho_row, tol) alone, keyed on their three
     float64 parts: the zero checks, U, the W series, the inner
-    CumulativeIntegral and 80 |w0|.  A build that raises is not kept."""
+    CumulativeIntegral, 80 |w0| and, in held, its query at each outer
+    node array, keyed on the nodes' 80-bit payloads (the 6 padding bytes
+    of each vary).  A build that raises is not kept."""
 
     def __init__(self, key: bytes):
         rr, ri, tol = struct.unpack("3d", key)
@@ -477,6 +479,7 @@ class _GramRow:
         # tol/2 clears the inner's 80-bit floor.
         self.cum = CumulativeIntegral(f_dlnv, 0.0, self.ln_u, tol / 2.0)
         self.anchor = 80.0 * abs(gamma(1 - rs) * eta(1 - rs))
+        self.held = {}
 
 
 _gram_row = lru_cache(maxsize=16)(_GramRow)  # rows kept at once
@@ -513,10 +516,13 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     (long double) times the sum of its terms' moduli.
 
     Per row (_gram_row keeps the 16 last (rho_row, tol)): the checks of
-    rho_row and 1 - rho_row*, U, the W series, the inner build, 80 |w0|.
-    Per entry: any other rho_col's check, S and the outer run.  A warm
-    entry equals a cold one bit for bit; evals counts the outer run's and
-    the row's inner build's integrand evaluations.
+    rho_row and 1 - rho_row*, U, the W series, the inner build, 80 |w0|,
+    and W - W(1) with e_in at each outer node array met so far: every
+    outer run starts on the same 8 panels of [0, ln U], so an entry
+    queries only where its run refines.  Per entry: any other rho_col's
+    check, S and the outer run.  A warm entry equals a cold one bit for
+    bit (a queried point does not depend on its batch); evals counts the
+    outer run's and the row's inner build's integrand evaluations.
     """
     rho_row, rho_col = complex(rho_row), complex(rho_col)
     if not 0 < tol < 1:
@@ -529,7 +535,10 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
     s_terms = 2.0 * row.w_terms / (CLD(2 * rho_col) + 2 * np.arange(63))
 
     def c_w_and_bound(u):
-        w, e_in = cum.query_lo_many(u)
+        key = u.view(np.uint8).reshape(len(u), -1)[:, :10].tobytes()
+        if (held := row.held.get(key)) is None:
+            held = row.held[key] = cum.query_lo_many(u)
+        w, e_in = held
         c = 2.0 * np.exp(k_exp * u)
         return np.stack([c * (w1 + w), np.abs(c) * (e_in + d1)])
 

@@ -73,9 +73,10 @@ def _fresh_series_plans():
 
 @pytest.fixture(autouse=True)
 def _fresh_gram_rows():
-    # A row holds its zero checks, its inner CumulativeIntegral and
-    # gamma(1 - rho*) eta(1 - rho*), so a test that monkeypatches
-    # states.zeta, CumulativeIntegral, gamma or eta sees a cold build.
+    # A row holds its zero checks, its inner CumulativeIntegral, the
+    # queries made of it and gamma(1 - rho*) eta(1 - rho*), so a test
+    # that monkeypatches states.zeta, CumulativeIntegral (or its _query),
+    # gamma or eta sees a cold build.
     states._gram_row.cache_clear()
     yield
     states._gram_row.cache_clear()

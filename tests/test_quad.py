@@ -14,7 +14,7 @@ from zetalab.errors import CapabilityError, ConvergenceError, DomainError
 from zetalab.quad import (CumulativeIntegral, gauss_legendre,
                           integrate_finite, integrate_semi_infinite,
                           _adaptive_panels, _EPS_LD, _HI_MAP, _LO_MAP,
-                          _W31, _X31, _legendre_pn,
+                          _W31, _X31, _X46, _legendre_pn,
                           _result_value, _running_sum, _truncation_point)
 
 
@@ -312,6 +312,31 @@ def test_cumulative_vectorized_queries():
         for x, v, e in zip(xs, vals, errs):
             v1, e1 = query(np.array([x]))
             assert v1[0] == v and e1[0] == e
+
+
+def test_cumulative_queries_do_not_depend_on_their_batch():
+    # gram holds a row's query values per outer node array and reads
+    # them for every column, so a point's value and bound must not depend
+    # on the batch it comes in: a node array's query equals the
+    # concatenation of its halves' queries, and its permutation's, bit
+    # for bit.  The array is the driver's 46 nodes on 4 panels, stored
+    # edges and both ends included.
+    cum = CumulativeIntegral(lambda t: np.exp(1j * t) / (1 + t), 0.0, 30.0,
+                             1e-13)
+    edges = np.linspace(np.longdouble(0), np.longdouble(30), 5)
+    h = (edges[1:] - edges[:-1]) / 2
+    nodes = ((edges[1:] + edges[:-1]) / 2)[:, None] + h[:, None] * _X46
+    xs = np.concatenate([nodes.ravel(), edges, cum._lefts[1:4]])
+    perm = np.random.default_rng(7).permutation(len(xs))
+    half = len(xs) // 2
+    for query in (cum.query_lo_many, cum.query_hi_many):
+        whole = query(xs)
+        halves = [np.concatenate(p) for p in
+                  zip(query(xs[:half]), query(xs[half:]))]
+        permuted = query(xs[perm])
+        for got, split, shuffled in zip(whole, halves, permuted):
+            assert _same_bits(got, split)
+            assert _same_bits(got[perm], shuffled)
 
 
 def test_cumulative_stored_edges_answer_prefix_and_suffix_bit_for_bit():

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -651,6 +652,77 @@ def test_gram_builds_one_inner_integral_per_row(monkeypatch):
         with pytest.raises(ConvergenceError, match="rounding floor"):
             gram(RHO1, RHO2, tol=1e-25)
     assert len(builds) == 5
+
+
+def _counting_queries(monkeypatch):
+    from zetalab.quad import CumulativeIntegral
+
+    calls, query = [], CumulativeIntegral._query
+
+    def counting(self, xs, form):
+        calls.append(len(xs))
+        return query(self, xs, form)
+
+    monkeypatch.setattr(CumulativeIntegral, "_query", counting)
+    return calls
+
+
+def test_gram_warm_entries_query_no_inner_integral(monkeypatch):
+    # A row holds its inner values at each outer node array queried so
+    # far.  Every outer run of a row starts on the same 8 panels, so only
+    # the row's first entry queries them (4 arrays of 92 nodes).  A
+    # column that refines past them, rho4 at tol 1e-18, queries its new
+    # arrays once.
+    calls = _counting_queries(monkeypatch)
+    for tol in (1e-12, 1e-18):
+        calls.clear()
+        gram(RHO2, RHO2, tol=tol)
+        assert calls == [92] * 4
+        calls.clear()
+        for rho_col in (RHO1, RHO3, RHO2):
+            gram(RHO2, rho_col, tol=tol)
+        assert calls == []
+    rho4 = complex(0.5, oracles.ZERO_TAUS[3])
+    gram(RHO2, rho4)
+    assert calls
+    calls.clear()
+    gram(RHO2, rho4)
+    assert calls == []
+
+
+def test_gram_rows_hold_few_node_arrays():
+    # At tol 1e-18 a column may refine past the 8 initial panels, and
+    # each refined pair is one more array: a 4-zero matrix holds 8, 7, 7
+    # and 7 arrays per row.
+    rhos = [complex(0.5, t) for t in oracles.ZERO_TAUS[:4]]
+    gram_matrix(rhos)
+    for r in rhos:
+        row = states._gram_row(struct.pack("3d", r.real, r.imag, 1e-18))
+        assert 4 <= len(row.held) <= 8, r
+
+
+def test_gram_held_nodes_ignore_padding_bytes(monkeypatch):
+    # A long double keeps its value in 10 of its 16 bytes; the other 6
+    # vary from run to run.  Node arrays that differ in those bytes alone
+    # read the same held values, and the entry keeps its bits.
+    from zetalab.quad import integrate_finite
+
+    def padded(fill):
+        def run(f, *args, **kwargs):
+            def g(u):
+                u = u.copy()
+                u.view(np.uint8).reshape(len(u), -1)[:, 10:] = fill
+                return f(u)
+            return integrate_finite(g, *args, **kwargs)
+        return run
+
+    calls = _counting_queries(monkeypatch)
+    monkeypatch.setattr(states, "integrate_finite", padded(0x00))
+    cold = gram(RHO1, RHO2)
+    assert len(calls) == 4
+    monkeypatch.setattr(states, "integrate_finite", padded(0xA5))
+    assert _gram_bits(gram(RHO1, RHO2)) == _gram_bits(cold)
+    assert len(calls) == 4
 
 
 def test_gram_unreachable_tol_stops_at_rounding_floor():
