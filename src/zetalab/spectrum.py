@@ -4,7 +4,9 @@ count of strip zeros, and the eigenvalue map.
 xi_bc(s) = (1 - 2^{1-s}) Gamma(s) zeta(s) is computed as Gamma(s)
 eta(s), regular at s = 1.  Zeros are bracketed by the signs of the
 completed xi, real on the critical line, and counted in a rectangle by
-certified tracking of arg zeta along its boundary: no quadrature.
+certified tracking of arg zeta along its boundary: no quadrature.  One
+tracking run per process proves a census of every zero below tau = 60,
+and a rectangle clear of its boxes is counted from it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ _SEED = 0.225
 # 5.6% of the pieces fail again and most counts take a third round.
 _PAST = 1.4
 _SPLIT = 1024
+# The census box's sigma span, a thin box's about the line, and its reach
+# past its scan bracket: a zero lies at least 0.01 inside its thin box.
+_BOX, _LINE, _REACH = (0.01, 0.99), (0.49, 0.51), 0.01
 
 
 @dataclass(frozen=True)
@@ -289,24 +294,26 @@ def _zeta2_bound(z0, z1):
                 lb ** 2 / d + 2 * lb / d ** 2 + 2 / d ** 3 + 2 * tails))
 
 
-def _track(corners):
-    """Certified argument tracking of zeta around the closed polygon
-    corners, one engine call a round, the first on every edge cut into
-    pieces of at most _SEED.  A step z_i -> z_j of length h is accepted
-    from an end z_k where h (|zeta'| + e') + h^2/2 M2 + e < |zeta| there
-    (e, e' the engine's bounds, M2 the larger of _zeta2_bound's on the two
-    halves): zeta stays in the disc |w - zeta(z_k)| < |zeta(z_k)|, so
-    Arg zeta(z_j)/zeta(z_i) is the step's exact change of arg.  A step
+def _track(polygons):
+    """Certified argument tracking of zeta around each closed polygon, a
+    row of corners, all in one engine call a round, the first on every
+    edge cut into pieces of at most _SEED.  A step z_i -> z_j of length h is
+    accepted from an end z_k where h (|zeta'| + e') + h^2/2 M2 + e < |zeta|
+    there (e, e' the engine's bounds, M2 the larger of _zeta2_bound's on
+    the two halves): zeta stays in the disc |w - zeta(z_k)| < |zeta(z_k)|,
+    so Arg zeta(z_j)/zeta(z_i) is the step's exact change of arg.  A step
     that fails is split into ceil(_PAST h / reach) pieces, 2 to _SPLIT,
     reach the larger of its ends' certified reaches over their halves.
     Returns the points z, zeta there and the accepted steps as rows
-    (i, j, k), i -> j in contour order."""
-    z, (a, b) = np.array(corners), np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
+    (i, j, k, p), i -> j in polygon p's contour order."""
+    z = np.array(polygons, complex)
+    a, per = np.arange(z.size), z.shape[1]
+    z, b, p = z.ravel(), a - a % per + (a + 1) % per, a // per
     n = np.ceil(abs(z[b] - z[a]) / _SEED).astype(int)
     done, (val, room, slope) = [], np.empty((3, 0))
     while len(a):
         j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        a, b, n = np.repeat(a, n), np.repeat(b, n), np.repeat(n, n)
+        a, b, p, n = (np.repeat(x, n) for x in (a, b, p, n))
         inner, za = j > 0, z[a]
         ids = len(z) + np.cumsum(inner) - 1
         z = np.concatenate((z, (za + (z[b] - za) * (j / n))[inner]))
@@ -323,25 +330,63 @@ def _track(corners):
         m, rm, sl = _zeta2_bound(z[ends], mid), room[ends], slope[ends]
         ok = h * sl + h * h / 2 * np.maximum(*m) < rm
         keep = ok[0] | ok[1]
-        done.append(np.stack((a, b, np.where(ok[0], a, b)), 1)[keep])
+        done.append(np.stack((a, b, np.where(ok[0], a, b), p), 1)[keep])
         reach = np.maximum(*(2 * rm / (sl + np.sqrt(sl * sl + 2 * m * rm))))
         n = np.ceil(_PAST * h / reach)[~keep].clip(2, _SPLIT).astype(int)
-        a, b = a[~keep], b[~keep]
+        a, b, p = a[~keep], b[~keep], p[~keep]
     return z, val, np.concatenate(done)
 
 
+def _windings(polygons):
+    """The number of zeros inside each polygon, proven: round(sum Arg /
+    2 pi) over its _track steps."""
+    _, val, steps = _track(polygons)
+    arg = np.angle(val[steps[:, 1]] / val[steps[:, 0]]) / (2 * math.pi)
+    return [round(w) for w in np.bincount(steps[:, 3], arg, len(polygons))]
+
+
+def _corners(sigma_lo, sigma_hi, tau_lo, tau_hi):
+    """The rectangle's corners, counterclockwise from its lower left."""
+    return [complex(sigma_lo, tau_lo), complex(sigma_hi, tau_lo),
+            complex(sigma_hi, tau_hi), complex(sigma_lo, tau_hi)]
+
+
+@lru_cache(maxsize=1)
+def _census():
+    """Every zero in the box _BOX x [0, _TAU_CAP], once per process: thin
+    boxes _LINE x [t_k - _REACH, t_k+1 + _REACH] about the scan's brackets,
+    as arrays (lo, hi) of their tau ends.  One _track run proves that the
+    box winds once per thin box and each once, all apart inside the box,
+    so each holds one zero; else None (Brent, Math. Comp. 33, 1979)."""
+    t, v, sign = (a.copy() for a in _grid_scan())
+    ks = _settle(t, v, sign)
+    lo, hi = t[ks] - _REACH, t[ks + 1] + _REACH
+    try:
+        wind = _windings([_corners(*_BOX, 0.0, _TAU_CAP)] + [
+            _corners(*_LINE, a, b) for a, b in zip(lo, hi)])
+    except PreconditionError:
+        return None
+    apart = np.diff([0.0, *np.ravel([lo, hi], "F"), _TAU_CAP]) > 0
+    proven = wind == [len(ks)] + [1] * len(ks) and apart.all()
+    return (lo, hi) if proven else None
+
+
 def count_zeros(rect: StripRectangle) -> int:
-    """Number of zeta zeros inside the rectangle, proven: round(sum Arg /
-    2 pi) over _track's steps counterclockwise around it (Ying & Katz,
-    Numer. Math. 53, 1988).  Refuses only where a sample's |zeta| does not
-    exceed its bound (a zero on the contour or within about 1e-12 of it),
-    with PreconditionError naming the point; beyond |tau| = 60 with
+    """Number of zeta zeros inside the rectangle, proven.  Inside the
+    census box, where each thin box of _census lies inside the rectangle
+    or outside it, the number inside; else round(sum Arg / 2 pi) over
+    _track's steps counterclockwise around it (Ying & Katz, Numer. Math.
+    53, 1988).  Refuses only where a sample's |zeta| does not exceed its
+    bound (a zero on the contour or within about 1e-12 of it), with
+    PreconditionError naming the point; beyond |tau| = 60 with
     CapabilityError."""
-    if max(abs(rect.tau_lo), abs(rect.tau_hi)) > _TAU_CAP:
+    sl, sh, tl, th = rect.sigma_lo, rect.sigma_hi, rect.tau_lo, rect.tau_hi
+    if max(abs(tl), abs(th)) > _TAU_CAP:
         raise CapabilityError(f"count_zeros supports |tau| <= {_TAU_CAP}")
-    lo, hi = complex(rect.sigma_lo, rect.tau_lo), complex(rect.sigma_hi,
-                                                          rect.tau_hi)
-    _, val, steps = _track([lo, complex(hi.real, lo.imag), hi,
-                            complex(lo.real, hi.imag)])
-    return round(np.angle(val[steps[:, 1]] / val[steps[:, 0]]).sum()
-                 / (2 * math.pi))
+    if (census := _census()) and _BOX[0] <= sl and sh <= _BOX[1] and tl >= 0:
+        lo, hi = census
+        inside = (sl < _LINE[0]) & (_LINE[1] < sh) & (tl < lo) & (hi < th)
+        outside = (sh < _LINE[0]) | (_LINE[1] < sl) | (hi < tl) | (th < lo)
+        if (inside | outside).all():
+            return int(inside.sum())
+    return _windings([_corners(sl, sh, tl, th)])[0]

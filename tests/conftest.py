@@ -3,9 +3,9 @@
 The acceptance tests register one human-readable PASS/FAIL line per
 criterion; the hook below reprints them after the run summary so they
 are visible regardless of capture mode.  The fixtures below keep a
-monkeypatched spectrum from filling the process-wide zero-scan tables,
-and give every test an empty cache of psi's series plans and of gram's
-row plans.
+monkeypatched spectrum from filling the process-wide zero-scan tables
+and zero census, and give every test an empty cache of psi's series
+plans and of gram's row plans.
 
 Property tests are pinned: each carries its own @seed, and the default
 run draws them from an empty pool of local constants (see
@@ -47,18 +47,20 @@ def pytest_collection_modifyitems(items):
 
 @pytest.fixture(autouse=True)
 def _fresh_scan_table(request):
-    # A test that monkeypatches (say, spectrum.critical_line_real_form)
-    # starts and ends with empty find_zeros tables (the grid's signs and
-    # its refined zeros), so the patched function neither reads another
-    # test's tables nor leaves its own.
+    # A test that monkeypatches (say, spectrum.critical_line_real_form or
+    # spectrum._hurwitz) starts and ends with empty find_zeros tables (the
+    # grid's signs and its refined zeros) and an empty count_zeros census,
+    # which reads the grid and _hurwitz, so the patched function neither
+    # reads another test's tables nor leaves its own.
     if "monkeypatch" not in request.fixturenames:
         yield
         return
-    spectrum._grid_scan.cache_clear()
-    spectrum._zero_table.cache_clear()
+    tables = (spectrum._grid_scan, spectrum._zero_table, spectrum._census)
+    for table in tables:
+        table.cache_clear()
     yield
-    spectrum._grid_scan.cache_clear()
-    spectrum._zero_table.cache_clear()
+    for table in tables:
+        table.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -337,9 +337,10 @@ def _bits(x):
 def test_batched_rows_equal_single_calls_bit_for_bit(monkeypatch):
     # A row of a batch equals a one-element call bit for bit: on the
     # zero scan's grid blocks, on a K = 512 coefficient batch, and on
-    # every engine batch of a count_zeros run (value, derivative and both
+    # every engine batch of a tracker run (value, derivative and both
     # bounds), on which the count's determinism rests: verify's box to
-    # tau = 30, whose count takes a seeded round and two split rounds.
+    # tau = 30, whose tracking takes a seeded round and two split rounds.
+    # (count_zeros answers that box from its census, with no batch.)
     grid = 0.5 + 1j * np.minimum(np.arange(6001) * 0.01, 60.0)
     for lo in range(0, 6001, 256):
         block = _hurwitz(grid[lo:lo + 256], *_ZETA)
@@ -360,7 +361,7 @@ def test_batched_rows_equal_single_calls_bit_for_bit(monkeypatch):
         return _hurwitz(s, *args, **kwargs)
 
     monkeypatch.setattr(spectrum, "_hurwitz", recording)
-    spectrum.count_zeros(spectrum.StripRectangle(0.05, 0.95, 0.0, 30.0))
+    spectrum._windings([spectrum._corners(0.05, 0.95, 0.0, 30.0)])
     assert len(batches) >= 3
     for z in batches:
         rows = _hurwitz(z, *_ZETA, deriv=True)

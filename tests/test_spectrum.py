@@ -418,16 +418,23 @@ def test_count_zeros_matches_scan_on_a_seeded_table():
             rect = StripRectangle(sigma_lo, sigma_hi, tau_lo, tau_hi)
             if _clearance(rect, oracles.ZERO_TAUS) >= 0.05:
                 rects.append(rect)
+    # count_zeros answers most from the census, and the tracker's own
+    # count of each rectangle agrees with it.
     for rect in rects:
         expected = (sum(rect.tau_lo < t < rect.tau_hi for t in taus)
                     if rect.sigma_lo < 0.5 < rect.sigma_hi else 0)
-        assert count_zeros(rect) == expected, rect
+        assert count_zeros(rect) == _tracked(rect) == expected, rect
 
 
 def _corners(rect):
-    lo, hi = (complex(rect.sigma_lo, rect.tau_lo),
-              complex(rect.sigma_hi, rect.tau_hi))
-    return [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
+    return spectrum._corners(rect.sigma_lo, rect.sigma_hi, rect.tau_lo,
+                             rect.tau_hi)
+
+
+def _tracked(rect):
+    """The one-polygon tracker's count of the rectangle, bypassing the
+    census."""
+    return spectrum._windings([_corners(rect)])[0]
 
 
 # A rectangle that the quadrature count refused: its left edge passes
@@ -473,13 +480,50 @@ def test_every_accepted_step_stays_in_its_disc(rect, seeded, monkeypatch):
     sizes, hurwitz = [], spectrum._hurwitz
     monkeypatch.setattr(spectrum, "_hurwitz", lambda s, *a, **k: (
         sizes.append(len(s)) or hurwitz(s, *a, **k)))
-    z, val, steps = spectrum._track(_corners(rect))
+    z, val, steps = spectrum._track([_corners(rect)])
     assert sorted(steps[:, 0]) == list(range(len(z)))  # a closed chain
+    assert (steps[:, 3] == 0).all()
     assert (steps[:, :2] < sizes[0]).all(axis=1).sum() >= seeded * sizes[0]
-    for i, j, k in steps:
+    for i, j, k, _ in steps:
         for t in np.linspace(0.0, 1.0, 8):
             w = complex(mpmath.zeta(z[i] + (z[j] - z[i]) * t))
             assert abs(w - val[k]) < abs(val[k]), (z[i], z[j], t)
+
+
+def _chain(steps, start):
+    """The points of the closed chain of steps i -> j from start, in
+    order; fails unless each point has one step out and the chain
+    returns to start through every step."""
+    out = dict(zip(steps[:, 0].tolist(), steps[:, 1].tolist()))
+    assert len(out) == len(steps)
+    chain = [start]
+    while (nxt := out[chain[-1]]) != start:
+        chain.append(nxt)
+    assert len(chain) == len(steps)
+    return chain
+
+
+def test_track_runs_several_polygons_in_one_set_of_rounds(monkeypatch):
+    # Two rectangles, one across the line holding one zero and one beside
+    # it, tracked together: each polygon's steps form its own closed chain
+    # through its four corners, and each winding equals the polygon's
+    # one-polygon run, in as many engine calls as the longer of the two.
+    rects = [StripRectangle(0.05, 0.95, 31.0, 35.0),
+             StripRectangle(0.55, 0.8, 20.0, 26.0)]
+    calls, hurwitz = [], spectrum._hurwitz
+    monkeypatch.setattr(spectrum, "_hurwitz", lambda s, *a, **k: (
+        calls.append(len(s)) or hurwitz(s, *a, **k)))
+    _, _, steps = spectrum._track([_corners(r) for r in rects])
+    together, rounds, alone = len(calls), [], []
+    for p, rect in enumerate(rects):
+        chain = _chain(steps[steps[:, 3] == p], 4 * p)
+        assert set(range(4 * p, 4 * p + 4)) <= set(chain)
+        calls.clear()
+        alone.append(_tracked(rect))
+        rounds.append(len(calls))
+    assert together == max(rounds)
+    assert alone == [1, 0]
+    assert spectrum._windings([_corners(r) for r in rects]) == alone
 
 
 def test_count_zeros_answers_next_to_zeros():
@@ -501,11 +545,11 @@ def test_count_zeros_answers_next_to_zeros():
 
 def test_count_zeros_and_warm_find_zeros_cost_guard(monkeypatch):
     # Deterministic counts, so that a cost regression shows in tier-1: a
-    # warm find_zeros(60) evaluates nothing, and count_zeros' engine
-    # calls and points stay bounded on verify's boxes.  The tracker takes
-    # 3 calls and 1190 points, and 3 and 680; from the corners alone it
-    # took 4 and 1099, and 5 and 632; the quadrature count took 1660 and
-    # 924 points.
+    # warm find_zeros(60) evaluates nothing, and the tracker's engine
+    # calls and points (count_zeros' route past the census) stay bounded
+    # on verify's boxes.  The tracker takes 3 calls and 1190 points, and
+    # 3 and 680; from the corners alone it took 4 and 1099, and 5 and
+    # 632; the quadrature count took 1660 and 924 points.
     points, line_calls = [], []
     hurwitz, line = spectrum._hurwitz, spectrum.critical_line_real_form
     find_zeros(60.0)
@@ -516,26 +560,19 @@ def test_count_zeros_and_warm_find_zeros_cost_guard(monkeypatch):
     assert len(find_zeros(60.0)) == 13 and line_calls == []
     for tau_hi, most in ((60.0, 1200), (30.0, 700)):
         points.clear()
-        count_zeros(StripRectangle(0.05, 0.95, 0.0, tau_hi))
+        _tracked(StripRectangle(0.05, 0.95, 0.0, tau_hi))
         assert sum(points) <= most and len(points) <= 3, (tau_hi, points)
 
 
-def test_count_zeros_takes_two_rounds_on_scan_rectangles(monkeypatch):
-    # 100 seeded rectangles drawn as the benchmark's zeros-scan draws
-    # them: heights 3 to 10 in tau 10 to 60, an edge within 0.3 of a
-    # scanned zero moved 0.6 up, every fourth rectangle right of the line.
-    # Each count equals the scan's; the first engine call seeds every
-    # edge, so a count takes about 2 calls (a round costs about 0.3 ms, a
-    # point 4 us).
+def _scan_rectangles():
+    """100 seeded rectangles drawn as the benchmark's zeros-scan draws
+    them, each with the scan's count of the zeros inside it."""
     taus = [z.tau for z in find_zeros(60.0)]
-    calls, hurwitz = [], spectrum._hurwitz
-    monkeypatch.setattr(spectrum, "_hurwitz", lambda s, *a, **k: (
-        calls.append(len(s)) or hurwitz(s, *a, **k)))
 
     def clear(tau):
         return tau + 0.6 if any(abs(tau - t) < 0.3 for t in taus) else tau
 
-    rng, per_count = random.Random(20261021), []
+    rng, rects = random.Random(20261021), []
     for k in range(100):
         height = rng.uniform(3.0, 10.0)
         tau_lo = clear(rng.uniform(10.0, 58.8 - height))
@@ -547,11 +584,73 @@ def test_count_zeros_takes_two_rounds_on_scan_rectangles(monkeypatch):
             sigma_lo = 0.55 + 0.15 * rng.random()
             sigmas = sigma_lo, sigma_lo + 0.1 + 0.2 * rng.random()
             expected = 0
+        rects.append((StripRectangle(*sigmas, tau_lo, tau_hi), expected))
+    return rects
+
+
+def test_count_zeros_takes_two_rounds_on_scan_rectangles(monkeypatch):
+    # 100 seeded rectangles drawn as the benchmark's zeros-scan draws
+    # them: heights 3 to 10 in tau 10 to 60, an edge within 0.3 of a
+    # scanned zero moved 0.6 up, every fourth rectangle right of the line.
+    # Each tracker count equals the scan's; the first engine call seeds
+    # every edge, so a count takes about 2 calls (a round costs about
+    # 0.3 ms, a point 4 us).  count_zeros answers these from the census.
+    calls, hurwitz = [], spectrum._hurwitz
+    monkeypatch.setattr(spectrum, "_hurwitz", lambda s, *a, **k: (
+        calls.append(len(s)) or hurwitz(s, *a, **k)))
+    per_count = []
+    for rect, expected in _scan_rectangles():
         calls.clear()
-        rect = StripRectangle(*sigmas, tau_lo, tau_hi)
-        assert count_zeros(rect) == expected, rect
+        assert _tracked(rect) == expected, rect
         per_count.append(len(calls))
     assert max(per_count) <= 4 and sum(per_count) <= 230, per_count
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda ks: np.delete(ks, 4),
+    lambda ks: np.sort(np.append(ks, round(20.0 / spectrum._SCAN_STEP)))],
+    ids=["dropped", "spurious-at-20"])
+def test_census_declines_a_tampered_bracket_list(tamper, monkeypatch):
+    # The scan's brackets only place the thin boxes; the tracker proves
+    # the census.  With rho_5's bracket dropped the box winds 13 around 12
+    # thin boxes, and a thin box about tau = 20 winds 0: either way the
+    # census declines, and every count, taken by the tracker, stays right.
+    taus = [z.tau for z in find_zeros(60.0)]
+    settle, calls, hurwitz = spectrum._settle, [], spectrum._hurwitz
+    monkeypatch.setattr(spectrum, "_settle", lambda *a: tamper(settle(*a)))
+    assert spectrum._census() is None
+    monkeypatch.setattr(spectrum, "_hurwitz", lambda s, *a, **k: (
+        calls.append(len(s)) or hurwitz(s, *a, **k)))
+    for rect in (StripRectangle(0.05, 0.95, 0.0, 30.0),
+                 StripRectangle(0.4, 0.6, 2.0, 12.0),
+                 StripRectangle(0.05, 0.95, 31.0, 35.0),
+                 StripRectangle(0.2, 0.8, 19.0, 21.5),
+                 StripRectangle(0.05, 0.95, 0.0, 60.0)):
+        calls.clear()
+        expected = sum(rect.tau_lo < t < rect.tau_hi for t in taus)
+        assert count_zeros(rect) == expected, rect
+        assert calls, rect
+
+
+def test_census_answers_scan_rectangles_without_the_engine(monkeypatch):
+    # Once the census is built, a count of a zeros-scan rectangle (edges
+    # clear of the thin boxes, inside the census box) is bookkeeping: no
+    # engine call and no line evaluation.  The census proves all 13 zeros
+    # below 60 in one tracker run of one engine call a round.
+    taus, rects = [z.tau for z in find_zeros(60.0)], _scan_rectangles()
+    calls, hurwitz = [], spectrum._hurwitz
+    line, line_calls = spectrum.critical_line_real_form, []
+    monkeypatch.setattr(spectrum, "_hurwitz", lambda s, *a, **k: (
+        calls.append(len(s)) or hurwitz(s, *a, **k)))
+    lo, hi = spectrum._census()
+    assert len(lo) == 13 and all(a < t < b for a, b, t in zip(lo, hi, taus))
+    assert 0 < len(calls) <= 5
+    monkeypatch.setattr(spectrum, "critical_line_real_form", lambda t: (
+        line_calls.append(t) or line(t)))
+    calls.clear()
+    for rect, expected in rects:
+        assert count_zeros(rect) == expected, rect
+    assert calls == line_calls == []
 
 
 def test_count_zeros_range_guard():
