@@ -219,7 +219,10 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
 
     which="psi_tilde": the kernel e^{-t} t^n / n! against F gives
     Gamma(n+s)(1 - eta(n+s))/n!, by a forward recurrence that keeps the
-    relative accuracy of a_n over the many decades they span.
+    relative accuracy of a_n over the many decades they span.  Nothing
+    here reads their bounds, so the engine computes values only (the
+    same bits); CapabilityError where an a_n is not finite in double
+    precision.
 
     which="psi": b_n are the Cauchy coefficients of G(w) = sum b_n w^n =
     2 Gamma(s)/(1+w) h(s, (3-w)/(1+w)), h(s, a) = sum_j (-1)^j (j+a)^-s:
@@ -240,7 +243,7 @@ def laguerre_coefficients(p, K: int, which: str = "psi_tilde"):
     fc = complex(p.f_const)
 
     if which == "psi_tilde":
-        return _psi_tilde_coefficients(s, *_gamma(s), K, fc)[0]
+        return _psi_tilde_coefficients(s, *_gamma(s), K, fc, bound=False)[0]
 
     b, err, samples = _psi_coefficients(s, K)
     if not (err - _EPS / 2 * np.abs(b)).max() <= _COEFF_TOL:  # NaN too
@@ -368,4 +371,4 @@ def eigen_residual(p, K: int, which: str = "H_tilde") -> ResidualProfile:
             trusted = n + 1
         else:
             break
-    return ResidualProfile([float(r) for r in resid], trusted)
+    return ResidualProfile(resid.tolist(), trusted)

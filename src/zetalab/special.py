@@ -92,6 +92,7 @@ def bernoulli(m: int) -> Fraction:
     return _bernoulli_any(m)
 
 
+@lru_cache(maxsize=None)  # m <= _BERNOULLI_HARD_CAP; past it, raises
 def _series_coeff_exact(m: int) -> Fraction:
     # c_m = B_m (2^m - 1) / m!, the Taylor coefficient of x/(1+e^{-x}).
     return _bernoulli_any(m) * (2**m - 1) / Fraction(math.factorial(m))
@@ -289,6 +290,17 @@ _POCH_MASK = np.r_[0.0, np.ones(2 * _EM_M - 2)]
 _POCH_OFFS = np.r_[1.0, np.arange(1.0, 2 * _EM_M - 1)]
 
 
+@lru_cache(maxsize=2)
+def _em_bernoulli(dtype):
+    """B_2m/(2m)!, m = 1 .. _EM_M, each rounded once to dtype from a
+    28-digit decimal, shared read-only by every plan of that dtype."""
+    bern = np.array([str(Decimal(f.numerator) / f.denominator) for f in (
+        _bernoulli_any(2 * i) / math.factorial(2 * i)
+        for i in range(1, _EM_M + 1))], dtype)
+    bern.setflags(write=False)
+    return bern
+
+
 @lru_cache(maxsize=16)
 def _em_plan(a, coeffs, q, n):
     """Constants of one engine configuration per row of the shifts a (a
@@ -300,9 +312,7 @@ def _em_plan(a, coeffs, q, n):
     of its derivative (K = 1 and D = 0 for one shift)."""
     a, c = np.array([a]) if isinstance(a, tuple) else a, np.array(coeffs)
     b = a + n
-    m = np.arange(1, _EM_M + 1)
-    bern = np.array([str(Decimal(f.numerator) / f.denominator) for f in (
-        _bernoulli_any(2*i) / math.factorial(2*i) for i in m)], a.real.dtype)
+    m, bern = np.arange(1, _EM_M + 1), _em_bernoulli(a.real.dtype)
     d = np.log1p((b - b[:, :1]) / b[:, :1])
     k = np.arange(1, (_POLE_TERMS if a.shape[1] > 1 else 1) + 1)
     D = (c[:, None] * d[..., None] ** k).sum(axis=1) / np.array(
@@ -339,6 +349,17 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
     (|ln x| + 1) + 8) per direct term).  A row depends on its own s and
     shifts and on n only: with n = 28 (all |Im s| <= 60) a row of a
     batch equals a one-element call bit for bit.
+
+    With real shifts and one Im s = tau in every row (the rows s + n of
+    psi_tilde's coefficients, a one-element call), -s ln x splits into
+    -sigma ln x and -tau ln x, the very products the complex one rounds,
+    and the second is shared: each direct term is w cexp(-sigma ln x +
+    0i), which skips sincos, times one row of cexp(-i tau ln x).  As
+    glibc's cexp is (e^x cos y, e^x sin y), the bits are those of the
+    one-factor line other batches take, up to the sign of an underflowed
+    term, which a row's nonzero sum drops.  Not the float64 np.exp: its
+    SIMD kernel rounds some elements unlike glibc and follows numpy's
+    CPU dispatch.
     """
     tau = float(np.abs(s.imag).max())
     if not tau <= _EM_TAU_CAP:
@@ -354,7 +375,11 @@ def _hurwitz(s, shifts, coeffs, q=1, deriv=False, bound=True):
     # (s)_{2m-1} = s Q_m with Q_m = (s+1) ... (s+2m-2).
     F = col * _POCH_MASK + _POCH_OFFS
     Q = np.cumprod(F, axis=1)[:, ::2]
-    t = w * np.exp(-col * lg)
+    if isinstance(shifts, tuple) and (s.imag == s.imag[0]).all():
+        t = w * (np.exp((-col.real * lg).astype(s.dtype))
+                 * np.exp(1j * (-s.imag[0] * lg)))
+    else:
+        t = w * np.exp(-col * lg)
     corr = (col * Q)[:, None, :] * kap
     bsum = 0.5 + corr.sum(axis=2)
     bs = c * np.exp(-col * lqb)
@@ -459,11 +484,12 @@ def eta_prime(s) -> complex:
                             bound=False)[2][0])
 
 
-def _one_minus_eta(s):
-    """(1 - eta(s), bound) as arrays.  The Hurwitz difference keeps its
-    relative accuracy at large Re(s), where 1 - eta(s) ~ 2^{-s} lies far
-    below the rounding floor of eta itself."""
-    return _hurwitz(_batch(s, "1 - eta"), *_ONE_MINUS_ETA)
+def _one_minus_eta(s, bound=True):
+    """(1 - eta(s), bound) as arrays, the bound None where bound=False.
+    The Hurwitz difference keeps its relative accuracy at large Re(s),
+    where 1 - eta(s) ~ 2^{-s} lies far below the rounding floor of eta
+    itself."""
+    return _hurwitz(_batch(s, "1 - eta"), *_ONE_MINUS_ETA, bound=bound)
 
 
 def zeta(s) -> complex:

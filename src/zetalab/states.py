@@ -134,23 +134,26 @@ def amplitude_F(p: StateParams, t: float) -> complex:
 
 
 def _psi_tilde_coefficients(s: complex, g: complex, g_rel: float, K: int,
-                            f_const: complex):
+                            f_const: complex, bound: bool = True):
     """(a, a_err) for n < K: a_n = f Gamma(n+s)(1 - eta(n+s))/n!, the
     coefficients of psi_tilde in the orthonormal basis e^{-x/2} L_n(x), and
     a bound on each, given Gamma(s) = g within relative error g_rel.  One
     engine call gives every 1 - eta(n+s) with its bound; the bound adds
     g_rel and a few roundings per recurrence step.  CapabilityError where
     one is not finite in double precision (past n + Re s ~ 171 or sooner).
-    """
+    bound=False asks the engine for values only and returns (a, None),
+    a with the same bits; the guard then reads a alone."""
     n = np.arange(K)
-    ome, ome_err = _one_minus_eta(s + n)
-    err = np.abs(ome) * (g_rel + 8 * (n + 2) * _EPS) + ome_err
+    ome, ome_err = _one_minus_eta(s + n, bound)
     with np.errstate(over="ignore", invalid="ignore"):
         fq = f_const * np.fromiter(accumulate(
             range(K - 1), lambda q, k: q * (k + s) / (k + 1), initial=g),
             complex, K)
-        a, a_err = fq * ome, np.abs(fq) * err
-    if not (np.isfinite(a).all() and np.isfinite(a_err).all()):
+        a = fq * ome
+        a_err = None if ome_err is None else np.abs(fq) * (
+            np.abs(ome) * (g_rel + 8 * (n + 2) * _EPS) + ome_err)
+    if not (np.isfinite(a).all()
+            and (a_err is None or np.isfinite(a_err).all())):
         raise CapabilityError(f"psi_tilde's coefficients at s = {s} leave "
                               f"double precision before n = {K}")
     return a, a_err

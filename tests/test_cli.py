@@ -489,9 +489,9 @@ def test_eigenfunction_builds_coefficients_once_per_grid(capsys, monkeypatch):
     calls = []
     engine = states._one_minus_eta
 
-    def counting(s):
+    def counting(s, *args):
         calls.append(len(s))
-        return engine(s)
+        return engine(s, *args)
 
     monkeypatch.setattr(states, "_one_minus_eta", counting)
     code, lines = run(capsys, "eigenfunction", "--s", RHO1_ARG, "--x-grid",

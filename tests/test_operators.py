@@ -17,9 +17,10 @@ from zetalab.operators import (TruncatedOperator, _psi_coefficients,
                                build_ladder, eigen_residual, fermi_of_T,
                                fermi_series_partial, laguerre_coefficients,
                                tridiag_eigh)
+from zetalab import special
 from zetalab.quad import integrate_semi_infinite
-from zetalab.special import bessel_j0, laguerre
-from zetalab.states import StateParams
+from zetalab.special import _gamma, bessel_j0, laguerre
+from zetalab.states import StateParams, _psi_tilde_coefficients
 
 RHO1 = oracles.RHO1
 
@@ -404,6 +405,43 @@ def test_kernel_closed_forms_match_direct_quadrature():
         want = 2.0 * (-1.0) ** n * math.exp(-2 * t) * float(
             laguerre(n, np.float64(4 * t)))
         assert abs(direct(n, t, half_weight=True) - want) <= 1e-9
+
+
+def test_psi_tilde_coefficients_keep_bits_and_refusals_without_bounds():
+    # laguerre_coefficients asks the engine for values only.  On seeded
+    # (s, K, f) it returns the bits of the bounded build, and it refuses
+    # exactly where that build does, with the same message (73 of the 300
+    # draws: an a_n or its bound leaves double precision before n = K).
+    rng = np.random.default_rng(20261020)
+    refused = 0
+    for _ in range(300):
+        s = complex(rng.uniform(0.01, 171), rng.uniform(-100, 100))
+        K, f = int(rng.integers(1, 513)), complex(*rng.uniform(-1, 1, 2))
+        outcomes = []
+        for build in (lambda: _psi_tilde_coefficients(s, *_gamma(s), K, f)[0],
+                      lambda: laguerre_coefficients(StateParams(s, f), K)):
+            try:
+                outcomes.append(build().tobytes())
+            except CapabilityError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1], (s, K, f)
+        refused += isinstance(outcomes[0], str)
+    assert refused == 73
+
+
+def test_psi_tilde_residual_makes_one_engine_call_without_bounds(
+        monkeypatch):
+    # Cost guard: an H~ residual reads no coefficient bound, so it makes
+    # one engine call for every 1 - eta(s + n), n < K, with bound=False.
+    calls, engine = [], special._hurwitz
+
+    def recording(s, *args, **kwargs):
+        calls.append((len(s), kwargs.get("bound", True)))
+        return engine(s, *args, **kwargs)
+
+    monkeypatch.setattr(special, "_hurwitz", recording)
+    eigen_residual(StateParams(RHO1), 80, "H_tilde")
+    assert calls == [(80, False)]
 
 
 def test_coefficient_tail_decay():

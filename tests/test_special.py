@@ -370,6 +370,32 @@ def test_batched_rows_equal_single_calls_bit_for_bit(monkeypatch):
             assert [_bits(r[k]) for r in rows] == [_bits(r[0]) for r in one]
 
 
+def test_rows_sharing_im_s_equal_single_calls_bit_for_bit():
+    # Rows s + n share Im s, so the engine takes one phase row for all
+    # their direct terms (see _hurwitz).  On seeded batches each row
+    # equals its one-element call in value, bound and derivative, with
+    # and without each.  The same rows batched with their conjugates hold
+    # two values of Im s (and the same largest |Im s|, so the same n) and
+    # take the one-factor line: row by row they equal the same calls, so
+    # the two lines give the same bits.
+    rng = np.random.default_rng(20261020)
+    cfgs = (_ZETA, _ETA, _ONE_MINUS_ETA)
+    for case in range(8):
+        K = int(rng.integers(1, 513))
+        s = complex(rng.uniform(0.01, 171),
+                    rng.uniform(-1000, 1000)) + np.arange(K)
+        cfg, deriv, bound = cfgs[case % 3], bool(case & 1), bool(case & 2)
+        rows = _hurwitz(s, *cfg, deriv=deriv, bound=bound)
+        mixed = _hurwitz(np.concatenate([s, s.conj()]), *cfg, deriv=deriv,
+                         bound=bound)
+        for k in range(K):
+            one = _hurwitz(s[k:k + 1], *cfg, deriv=deriv, bound=bound)
+            want = [None if r is None else _bits(r[0]) for r in one]
+            for out in (rows, mixed):
+                assert [None if r is None else _bits(r[k])
+                        for r in out] == want, (case, k)
+
+
 def test_scan_signs_equal_single_point_calls(monkeypatch):
     # find_zeros evaluates every cell end of its grid, every point of a
     # cell that holds a zero, tau_max and both ends of every bracket by
