@@ -50,6 +50,9 @@ _SEED = 0.225
 # 5.6% of the pieces fail again and most counts take a third round.
 _PAST = 1.4
 _SPLIT = 1024
+# Points a round may evaluate: rounds take at most 749 in the census and 1,566
+# on 300 seeded rectangles, and grow by _SPLIT a round where M2 runs away.
+_ROUND_CAP = 2 ** 15
 # The census box's sigma span, a thin box's about the line, and its reach
 # past its scan bracket: a zero lies at least 0.01 inside its thin box.
 _BOX, _LINE, _REACH = (0.01, 0.99), (0.49, 0.51), 0.01
@@ -273,8 +276,8 @@ def find_zeros(tau_max: float, tol: float = 1e-10):
 
 def _zeta2_bound(z0, z1):
     """A bound on |zeta''| on each axis-parallel step z0 -> z1 (arrays that
-    broadcast, 0 < Re < 1): the engine's Euler-Maclaurin form (_EM_N = 28
-    direct terms x, tail from b = 29) differentiated twice in modulus.
+    broadcast, Re > 0, off s = 1): the engine's Euler-Maclaurin form (_EM_N
+    = 28 direct terms x, tail from b = 29) differentiated twice in modulus.
     Sums of (ln x)^2 x^-sigma and (ln b)^2 b^-sigma / 2 at the step's least
     sigma; the pole term b^{1-s}/(s-1) differentiated exactly at the
     step's distance d from s = 1; Cauchy's 2 max |g| on the unit disc for
@@ -283,7 +286,7 @@ def _zeta2_bound(z0, z1):
     lg, _, _, b, lb, kap = _em_plan(*_ZETA, _EM_N)[:6]
     b, lb, t0, t1 = b[0, 0], lb[0, 0], z0.imag, z1.imag
     sig = np.minimum(z0.real, z1.real)
-    d = np.hypot(1 - np.maximum(z0.real, z1.real),
+    d = np.hypot((1 - np.maximum(z0.real, z1.real)).clip(sig - 1).clip(0),
                  np.where(t0 * t1 > 0, np.minimum(abs(t0), abs(t1)), 0))
     poch = np.cumprod(np.maximum(abs(z0), abs(z1))[..., None] + 1
                       + np.arange(2 * _EM_M), axis=-1)  # |(w)_k| <= poch_k-1
@@ -303,15 +306,19 @@ def _track(polygons):
     the two halves): zeta stays in the disc |w - zeta(z_k)| < |zeta(z_k)|,
     so Arg zeta(z_j)/zeta(z_i) is the step's exact change of arg.  A step
     that fails is split into ceil(_PAST h / reach) pieces, 2 to _SPLIT,
-    reach the larger of its ends' certified reaches over their halves.
-    Returns the points z, zeta there and the accepted steps as rows
-    (i, j, k, p), i -> j in polygon p's contour order."""
+    reach the larger of its ends' certified reaches over their halves; a
+    round past _ROUND_CAP points raises CapabilityError.  Returns the points
+    z, zeta there and the accepted steps as rows (i, j, k, p), i -> j in
+    polygon p's contour order."""
     z = np.array(polygons, complex)
     a, per = np.arange(z.size), z.shape[1]
     z, b, p = z.ravel(), a - a % per + (a + 1) % per, a // per
     n = np.ceil(abs(z[b] - z[a]) / _SEED).astype(int)
     done, (val, room, slope) = [], np.empty((3, 0))
     while len(a):
+        if n.sum() > _ROUND_CAP:
+            raise CapabilityError(f"contour tracking needs {n.sum()} points "
+                                  f"in one round, past its cap {_ROUND_CAP}")
         j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
         a, b, p, n = (np.repeat(x, n) for x in (a, b, p, n))
         inner, za = j > 0, z[a]
@@ -364,7 +371,7 @@ def _census():
     try:
         wind = _windings([_corners(*_BOX, 0.0, _TAU_CAP)] + [
             _corners(*_LINE, a, b) for a, b in zip(lo, hi)])
-    except PreconditionError:
+    except (PreconditionError, CapabilityError):
         return None
     apart = np.diff([0.0, *np.ravel([lo, hi], "F"), _TAU_CAP]) > 0
     proven = wind == [len(ks)] + [1] * len(ks) and apart.all()

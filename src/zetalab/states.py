@@ -459,9 +459,10 @@ def gram_diagonal_log_moment(rho) -> QuadResult:
 class _GramRow:
     """What gram needs of (rho_row, tol) alone, keyed on their three
     float64 parts: the zero checks, U, the W series, the inner
-    CumulativeIntegral, 80 |w0| and, in held, its query at each outer
-    node array, keyed on the nodes' 80-bit payloads (the 6 padding bytes
-    of each vary).  A build that raises is not kept."""
+    CumulativeIntegral, 80 |w0|, in held, its query at each outer node
+    array, keyed on the nodes' 80-bit payloads (the 6 padding bytes of
+    each vary), and, in cols, each column's entry at f = g = 1, keyed on
+    rho_col's two float64 parts.  A build that raises is not kept."""
 
     def __init__(self, key: bytes):
         rr, ri, tol = struct.unpack("3d", key)
@@ -482,7 +483,7 @@ class _GramRow:
         # tol/2 clears the inner's 80-bit floor.
         self.cum = CumulativeIntegral(f_dlnv, 0.0, self.ln_u, tol / 2.0)
         self.anchor = 80.0 * abs(gamma(1 - rs) * eta(1 - rs))
-        self.held = {}
+        self.held, self.cols = {}, {}
 
 
 _gram_row = lru_cache(maxsize=16)(_GramRow)  # rows kept at once
@@ -520,17 +521,32 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
 
     Per row (_gram_row keeps the 16 last (rho_row, tol)): the checks of
     rho_row and 1 - rho_row*, U, the W series, the inner build, 80 |w0|,
-    and W - W(1) with e_in at each outer node array met so far: every
-    outer run starts on the same 8 panels of [0, ln U], so an entry
-    queries only where its run refines.  Per entry: any other rho_col's
-    check, S and the outer run.  A warm entry equals a cold one bit for
-    bit (a queried point does not depend on its batch); evals counts the
-    outer run's and the row's inner build's integrand evaluations.
+    W - W(1) with e_in at each outer node array met so far (every outer
+    run starts on the same 8 panels of [0, ln U], so a column queries
+    only where its run refines), and each column's entry at f = g = 1:
+    any other rho_col's check, S and the outer run.  Per entry: that
+    entry times conj(g) f (abs_err times its modulus) and the finiteness
+    check.  A warm entry equals a cold one bit for bit (a queried point
+    does not depend on its batch); evals counts the outer run's and the
+    row's inner build's integrand evaluations.
     """
     rho_row, rho_col = complex(rho_row), complex(rho_col)
     if not 0 < tol < 1:
         raise DomainError(f"gram requires 0 < tol < 1, got {tol}")
     row = _gram_row(struct.pack("3d", rho_row.real, rho_row.imag, tol))
+    key = struct.pack("2d", rho_col.real, rho_col.imag)
+    if (col := row.cols.get(key)) is None:
+        col = row.cols[key] = _gram_column(row, rho_row, rho_col, tol)
+    gf = complex(g_const).conjugate() * complex(f_const)
+    value, abs_err = gf * col[0], abs(gf) * col[1]
+    if not (math.isfinite(abs_err) and cmath.isfinite(value)):
+        raise DomainError("gram requires finite value and error")
+    return QuadResult(value, abs_err, col[2])
+
+
+def _gram_column(row, rho_row, rho_col, tol):
+    """gram's (value, abs_err, evals) at f = g = 1 on a built row: the
+    check of rho_col, S and the outer run."""
     rs, cum, w1, d1 = rho_row.conjugate(), row.cum, row.w1, row.d1
     if rho_col not in (rho_row, 1 - rs):
         _require_zero(rho_col, "rho_col")
@@ -546,19 +562,15 @@ def gram(rho_row, rho_col, f_const: complex = 1.0, g_const: complex = 1.0,
         return np.stack([c * (w1 + w), np.abs(c) * (e_in + d1)])
 
     res = integrate_finite(c_w_and_bound, 0.0, row.ln_u, tol)
-    gf = complex(g_const).conjugate() * complex(f_const)
-    value = gf * complex(s_terms.sum() + res.value[0])
-    abs_err = abs(gf) * (
-        2.0 * res.abs_err + float(res.value[1].real)
-        + 16 * _EPS_LD * float(np.abs(s_terms).sum())
-        + math.exp(-(row.upper * row.upper)) + row.anchor)
-    if not (math.isfinite(abs_err) and cmath.isfinite(value)):
-        raise DomainError("gram requires finite value and error")
-    return QuadResult(value, abs_err, res.evals + cum.evals)
+    return (complex(s_terms.sum() + res.value[0]),
+            2.0 * res.abs_err + float(res.value[1].real)
+            + 16 * _EPS_LD * float(np.abs(s_terms).sum())
+            + math.exp(-(row.upper * row.upper)) + row.anchor,
+            res.evals + cum.evals)
 
 
 def gram_matrix(rhos, tol: float = 1e-18):
     """All pairings of the given zeros at f = g = 1, row-major
-    deterministic order: each row's inner integral is built once (none
-    for a row still held from an earlier call) and serves every column."""
+    deterministic order: each row's inner integral is built once and
+    serves every column; a held row keeps its columns' outer runs."""
     return [[gram(r, c, tol=tol) for c in rhos] for r in rhos]

@@ -76,8 +76,9 @@ def _fresh_series_plans():
 @pytest.fixture(autouse=True)
 def _fresh_gram_rows():
     # A row holds its zero checks, its inner CumulativeIntegral, the
-    # queries made of it and gamma(1 - rho*) eta(1 - rho*), so a test
-    # that monkeypatches states.zeta, CumulativeIntegral (or its _query),
+    # queries made of it, gamma(1 - rho*) eta(1 - rho*) and each column's
+    # entry at f = g = 1 (its outer run), so a test that monkeypatches
+    # states.zeta, CumulativeIntegral (or its _query), integrate_finite,
     # gamma or eta sees a cold build.
     states._gram_row.cache_clear()
     yield

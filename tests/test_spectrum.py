@@ -447,7 +447,10 @@ def test_second_derivative_bound_holds_against_mpmath():
     # _zeta2_bound bounds |zeta''| on a step: at 300 seeded points on
     # seeded axis-parallel steps in 0 < sigma < 1, |tau| <= 60, one in
     # five within 0.1 of s = 1 (where the pole term takes over), it is
-    # at least mpmath's |zeta''|.
+    # at least mpmath's |zeta''|.  So it is on 0.9+0.05i -> 1.1+0.05i,
+    # where the pole distance taken as hypot(1 - max sigma, tau) read
+    # M2 = 2,917 against a true 16,000, and at 100 seeded points on steps
+    # across sigma = 1 clear of the pole, or right of it.
     rng = random.Random(20261020)
     z0, z1, points = [], [], []
     for k in range(300):
@@ -457,6 +460,24 @@ def test_second_derivative_bound_holds_against_mpmath():
         h = rng.choice((-1, 1)) * rng.uniform(0, 0.1 if near else 2.0)
         t = (complex(min(max(s.real + h, 1e-3), 0.999), s.imag)
              if k % 2 else complex(s.real, min(max(s.imag + h, -60), 60)))
+        z0.append(s)
+        z1.append(t)
+        points.append(s + (t - s) * rng.random())
+    z0.append(0.9 + 0.05j)
+    z1.append(1.1 + 0.05j)
+    points.append(1 + 0.05j)
+    for k in range(100):
+        tau = (rng.choice((-1, 1)) * rng.uniform(0.02, 0.3) if k % 2
+               else rng.uniform(-60, 60))
+        if k % 3:  # along sigma, ending right of 1
+            lo = rng.uniform(0.8, 1.2)
+            hi = max(lo, 1) + rng.uniform(0.01, 0.3)
+            s, t = complex(lo, tau), complex(hi, tau)
+        else:  # along tau, right of 1 (across tau = 0 near the pole)
+            sigma = rng.uniform(1.01, 1.2)
+            s, t = (complex(sigma, tau),
+                    complex(sigma, tau + rng.uniform(-0.5, 0.5)))
+        s, t = (s, t) if rng.random() < 0.5 else (t, s)
         z0.append(s)
         z1.append(t)
         points.append(s + (t - s) * rng.random())
@@ -524,6 +545,30 @@ def test_track_runs_several_polygons_in_one_set_of_rounds(monkeypatch):
     assert together == max(rounds)
     assert alone == [1, 0]
     assert spectrum._windings([_corners(r) for r in rects]) == alone
+
+
+def test_track_refuses_a_round_past_its_cap(monkeypatch):
+    # With M2 so large that no step is accepted, every step splits into
+    # _SPLIT pieces a round.  The round that would pass _ROUND_CAP points
+    # is refused by name before any point of it is built: the engine never
+    # sees more than the cap.  The census takes that refusal as unproven,
+    # and count_zeros' tracker refuses the same way.
+    hurwitz = spectrum._hurwitz
+
+    def capped(s, *args, **kwargs):
+        assert len(s) <= spectrum._ROUND_CAP
+        return hurwitz(s, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_hurwitz", capped)
+    monkeypatch.setattr(spectrum, "_zeta2_bound", lambda z0, z1: np.full(
+        np.broadcast(z0, z1).shape, 1e300))
+    rect = StripRectangle(0.2, 0.8, 42.0, 47.0)
+    cap = f"past its cap {spectrum._ROUND_CAP}"
+    with pytest.raises(CapabilityError, match=cap):
+        _tracked(rect)
+    assert spectrum._census() is None
+    with pytest.raises(CapabilityError, match=cap):
+        count_zeros(rect)
 
 
 def test_count_zeros_answers_next_to_zeros():

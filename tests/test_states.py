@@ -549,8 +549,9 @@ def test_gram_checks_each_distinct_point_once(monkeypatch):
     # On the line 1 - conj(rho_row) is rho_row bit for bit, and on the
     # diagonal so is rho_col: a cold diagonal checks one point, a cold
     # off-diagonal two.  A warm row's points were checked at its build,
-    # so (rho1, rho2) after (rho1, rho1) checks rho2 alone.  Off the line
-    # each label is kept.
+    # and a held column's at its own: a warm (rho1, rho2) checks nothing,
+    # and a new column rho3 checks itself once, whatever f and g.  Off
+    # the line each label is kept.
     import zetalab.states as states
 
     calls = []
@@ -568,7 +569,10 @@ def test_gram_checks_each_distinct_point_once(monkeypatch):
     gram(RHO1, RHO1, tol=1e-6)
     calls.clear()
     gram(RHO1, RHO2, tol=1e-6)
-    assert calls == [RHO2]
+    assert calls == []
+    gram(RHO1, RHO3, tol=1e-6)
+    gram(RHO1, RHO3, f_const=2, g_const=3j, tol=1e-6)
+    assert calls == [RHO3]
     with pytest.raises(PreconditionError, match="rho_row"):
         gram(0.6 + 3j, RHO1)
 
@@ -654,6 +658,79 @@ def test_gram_builds_one_inner_integral_per_row(monkeypatch):
     assert len(builds) == 5
 
 
+def _held_row(rho, tol=1e-18):
+    return states._gram_row(struct.pack("3d", rho.real, rho.imag, tol))
+
+
+def test_gram_held_columns_scale_to_cold_entries():
+    # A row holds each column's entry at f = g = 1 and scales it by
+    # conj(g) f.  On seeded draws over rho1..rho4, three tols and
+    # constants of modulus 1, of other moduli, 0 and about 1e300, an
+    # entry read from a column built at f = g = 1 has the bits of one
+    # made on an empty cache.  Where conj(g) f overflows, both refuse.
+    rng = random.Random(4301)
+    rhos = [complex(0.5, t) for t in oracles.ZERO_TAUS[:4]]
+
+    def const():
+        phase = complex(math.cos(2 * math.pi * rng.random()),
+                        math.sin(2 * math.pi * rng.random()))
+        return rng.choice((phase, phase * rng.uniform(1e-3, 1e3), 0,
+                           phase * 1e300))
+
+    def outcome(*args, **kwargs):
+        try:
+            return _gram_bits(gram(*args, **kwargs))
+        except DomainError as exc:
+            assert "finite" in str(exc)
+            return "refused"
+
+    refused = 0
+    for _ in range(40):
+        r, c, tol = rng.choice(rhos), rng.choice(rhos), rng.choice(
+            (1e-6, 1e-12, 1e-18))
+        fg = {"f_const": const(), "g_const": const(), "tol": tol}
+        states._gram_row.cache_clear()
+        cold = outcome(r, c, **fg)
+        states._gram_row.cache_clear()
+        gram(r, c, tol=tol)
+        assert len(_held_row(r, tol).cols) == 1
+        warm = outcome(r, c, **fg)
+        assert warm == cold, (r, c, fg)
+        refused += cold == "refused"
+    assert 0 < refused < 40
+
+
+def test_gram_warm_column_runs_nothing(monkeypatch):
+    # A held column answers new f and g with no outer run, no zero check
+    # and no inner query.
+    gram(RHO1, RHO2, tol=1e-12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm column ran this")
+
+    calls = _counting_queries(monkeypatch)
+    monkeypatch.setattr(states, "integrate_finite", refuse)
+    monkeypatch.setattr(states, "zeta", refuse)
+    e = gram(RHO1, RHO2, f_const=2, g_const=3, tol=1e-12)
+    assert e.value != 0 and calls == []
+
+
+def test_gram_refused_entries_are_not_held():
+    # A row past the inner integral's rounding floor and a column that is
+    # not a zero each refuse twice with the same message: neither build
+    # is kept, so the second call runs it again.
+    for call, exc in ((lambda: gram(RHO1, RHO2, tol=1e-25), ConvergenceError),
+                      (lambda: gram(RHO1, 0.6 + 3j), PreconditionError)):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(exc) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+    assert states._gram_row.cache_info().currsize == 1
+    assert _held_row(RHO1).cols == {}
+
+
 def _counting_queries(monkeypatch):
     from zetalab.quad import CumulativeIntegral
 
@@ -672,13 +749,15 @@ def test_gram_warm_entries_query_no_inner_integral(monkeypatch):
     # far.  Every outer run of a row starts on the same 8 panels, so only
     # the row's first entry queries them (4 arrays of 92 nodes).  A
     # column that refines past them, rho4 at tol 1e-18, queries its new
-    # arrays once.
+    # arrays once.  The row's held columns are dropped before each
+    # repeated column, so its outer run does run again.
     calls = _counting_queries(monkeypatch)
     for tol in (1e-12, 1e-18):
         calls.clear()
         gram(RHO2, RHO2, tol=tol)
         assert calls == [92] * 4
         calls.clear()
+        _held_row(RHO2, tol).cols.clear()
         for rho_col in (RHO1, RHO3, RHO2):
             gram(RHO2, rho_col, tol=tol)
         assert calls == []
@@ -686,6 +765,7 @@ def test_gram_warm_entries_query_no_inner_integral(monkeypatch):
     gram(RHO2, rho4)
     assert calls
     calls.clear()
+    _held_row(RHO2).cols.clear()
     gram(RHO2, rho4)
     assert calls == []
 
@@ -704,7 +784,8 @@ def test_gram_rows_hold_few_node_arrays():
 def test_gram_held_nodes_ignore_padding_bytes(monkeypatch):
     # A long double keeps its value in 10 of its 16 bytes; the other 6
     # vary from run to run.  Node arrays that differ in those bytes alone
-    # read the same held values, and the entry keeps its bits.
+    # read the same held values, and the entry keeps its bits.  The held
+    # column is dropped before the repeat, so the outer run runs again.
     from zetalab.quad import integrate_finite
 
     def padded(fill):
@@ -721,6 +802,7 @@ def test_gram_held_nodes_ignore_padding_bytes(monkeypatch):
     cold = gram(RHO1, RHO2)
     assert len(calls) == 4
     monkeypatch.setattr(states, "integrate_finite", padded(0xA5))
+    _held_row(RHO1).cols.clear()
     assert _gram_bits(gram(RHO1, RHO2)) == _gram_bits(cold)
     assert len(calls) == 4
 
