@@ -12,6 +12,7 @@ and a rectangle clear of its boxes is counted from it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -240,19 +241,24 @@ def _refine(t, v, ks, tol):
 
 @lru_cache(maxsize=1)
 def _zero_table(tol):
-    """_refine on every bracket of the grid to _TAU_CAP, once per tol."""
+    """Every bracket [t_k, t_k+1] of the grid to _TAU_CAP, refined once per
+    tol: ks, the ascending k as a list, and a tuple of their ZeroRecords."""
     t, v, sign = (a.copy() for a in _grid_scan())
-    return _refine(t, v, _settle(t, v, sign), tol)
+    ks = _settle(t, v, sign).tolist()
+    found = _refine(t, v, ks, tol)
+    return ks, tuple(
+        ZeroRecord(i + 1, *found[k], (float(t[k]), float(t[k + 1])))
+        for i, k in enumerate(ks))
 
 
 def find_zeros(tau_max: float, tol: float = 1e-10):
-    """All on-line zeros with 0 < tau <= tau_max: the exact signs of the
-    grid k _SCAN_STEP from _grid_scan's table, grid points moved to tau_max
-    evaluated exactly, each bracket's zero from _zero_table, and a bracket
-    clipped at tau_max refined by _refine.  A row of a call equals the
-    one-point call bit for bit, so brackets and roots are an all-exact
-    scan's and each root has `brentq`'s bits.  tol must stay below
-    _SCAN_STEP, or bare bracket ends pass as roots."""
+    """All on-line zeros with 0 < tau <= tau_max: _zero_table's records
+    below tau_max, by bisection on its brackets.  Between grid points, a
+    step where _grid_scan lent its cell's sign (NaN v) holds no zero; in a
+    cell that holds one, tau_max alone is evaluated, [t_k, tau_max] settled
+    from t_k and a bracket there refined by _refine.  Rows equal the
+    one-point call bit for bit: brackets and roots are an all-exact scan's,
+    and roots `brentq`'s.  tol < _SCAN_STEP, or bracket ends pass as roots."""
     if math.isnan(tau_max):
         raise DomainError("find_zeros requires a tau_max that is a number")
     if tau_max > _TAU_CAP:
@@ -263,15 +269,19 @@ def find_zeros(tau_max: float, tol: float = 1e-10):
     last = int(math.ceil(max(tau_max, 0) / _SCAN_STEP))
     if last == 0:
         return []
-    grid, grid_v, grid_sign = (a[:last + 1] for a in _grid_scan())
-    t = np.minimum(grid, tau_max)
-    on = t == grid
-    v = np.where(on, grid_v, np.nan)
-    ks = _settle(t, v, np.where(on, grid_sign, 0.0))
-    found = {**_zero_table(tol),
-             **_refine(t, v, [k for k in ks if not on[k + 1]], tol)}
-    return [ZeroRecord(i + 1, *found[k], (float(t[k]), float(t[k + 1])))
-            for i, k in enumerate(ks)]
+    grid, grid_v, grid_sign = _grid_scan()
+    ks, records = _zero_table(tol)
+    if grid[last] <= tau_max:
+        return list(records[:bisect_left(ks, last)])
+    k = last - 1
+    out = list(records[:bisect_left(ks, k)])
+    if math.isnan(grid_v[k] + grid_v[k + 1]):
+        return out
+    t, v = np.array([grid[k], tau_max]), np.array([grid_v[k], np.nan])
+    if len(_settle(t, v, np.array([grid_sign[k], 0.0]))):
+        out.append(ZeroRecord(len(out) + 1, *_refine(t, v, [0], tol)[0],
+                              (float(t[0]), float(t[1]))))
+    return out
 
 
 def _zeta2_bound(z0, z1):
@@ -383,10 +393,10 @@ def count_zeros(rect: StripRectangle) -> int:
     census box, where each thin box of _census lies inside the rectangle
     or outside it, the number inside; else round(sum Arg / 2 pi) over
     _track's steps counterclockwise around it (Ying & Katz, Numer. Math.
-    53, 1988).  Refuses only where a sample's |zeta| does not exceed its
-    bound (a zero on the contour or within about 1e-12 of it), with
-    PreconditionError naming the point; beyond |tau| = 60 with
-    CapabilityError."""
+    53, 1988).  Refuses where a sample's |zeta| does not exceed its bound
+    (a zero on the contour or within about 1e-12 of it), with
+    PreconditionError naming the point; beyond |tau| = 60, and where a
+    tracking round would pass _ROUND_CAP points, with CapabilityError."""
     sl, sh, tl, th = rect.sigma_lo, rect.sigma_hi, rect.tau_lo, rect.tau_hi
     if max(abs(tl), abs(th)) > _TAU_CAP:
         raise CapabilityError(f"count_zeros supports |tau| <= {_TAU_CAP}")

@@ -49,9 +49,10 @@ def pytest_collection_modifyitems(items):
 def _fresh_scan_table(request):
     # A test that monkeypatches (say, spectrum.critical_line_real_form or
     # spectrum._hurwitz) starts and ends with empty find_zeros tables (the
-    # grid's signs and its refined zeros) and an empty count_zeros census,
-    # which reads the grid and _hurwitz, so the patched function neither
-    # reads another test's tables nor leaves its own.
+    # grid's signs, and its brackets with their finished zero records) and
+    # an empty count_zeros census, which reads the grid and _hurwitz, so
+    # the patched function neither reads another test's tables nor leaves
+    # its own.
     if "monkeypatch" not in request.fixturenames:
         yield
         return

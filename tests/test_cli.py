@@ -13,7 +13,7 @@ import pytest
 import oracles
 import zetalab
 from zetalab.cli import main
-from zetalab.reporting import check, dumps
+from zetalab.reporting import INFORMATIONAL, check, dumps
 
 RHO1_ARG = "0.5+14.134725141734693i"
 
@@ -82,6 +82,58 @@ def test_verify_all_runs_every_suite(capsys):
     moved = _golden_moves(lines[:-1], golden)
     assert not moved, ("report lines differ from the golden stream:\n"
                        + "\n".join(moved))
+
+
+# The report lines that each per-process CPU-dispatch variable is known to
+# move off the golden stream (ROADMAP item 6 for the OpenBLAS kernel, item
+# 25 for numpy's SIMD loops).  Each set shrinks as its item lands.
+_NUMPY_LEVELS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+_CPU_DISPATCH_MOVES = {
+    ("OPENBLAS_CORETYPE", "Sandybridge"): {
+        "spectrum-k64-orthogonality", "spectrum-k64-reconstruction",
+        "weight-function-in-disc", "residual-growth-register"},
+    ("NPY_DISABLE_CPU_FEATURES", " ".join(_NUMPY_LEVELS)): {
+        "xi-vanishes-at-zero", "boundary-vanishing-near-origin",
+        "boundary-vanishes-at-zeros", "reflection-input-is-zero",
+        "residual-growth-register"},
+}
+
+
+@pytest.mark.parametrize("variable", list(_CPU_DISPATCH_MOVES),
+                         ids=["openblas-sandybridge", "numpy-no-wide-simd"])
+def test_verify_all_moves_only_known_lines_under_other_cpu_dispatch(
+        variable):
+    # The golden stream is taken under the machine's default OpenBLAS
+    # kernel and numpy dispatch.  Under an older kernel, or without
+    # numpy's wide SIMD loops, verify still exits 0, every gated line
+    # passes, and only the lines listed above move: a new CPU-dependent
+    # line fails here.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas["name"]:
+        pytest.skip(f"numpy runs on {blas['name']}, not OpenBLAS")
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    if not set(_NUMPY_LEVELS) <= set(__cpu_dispatch__):
+        pytest.skip(f"numpy dispatches {__cpu_dispatch__}")
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("OPENBLAS_CORETYPE", None)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    env[variable[0]] = variable[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "zetalab.cli", "verify", "--suite", "all"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()[:-1]
+    with open(GOLDEN_VERIFY_ALL) as fh:
+        golden = fh.read().splitlines()
+    assert len(lines) == len(golden)
+    reports = [json.loads(ln) for ln in lines]
+    assert all(r["pass"] for r in reports if r["tol"] < INFORMATIONAL)
+    moved = {r["name"] for r, ln, want in zip(reports, lines, golden)
+             if ln != want}
+    assert moved <= _CPU_DISPATCH_MOVES[variable], "\n".join(
+        _golden_moves(lines, golden))
 
 
 def _golden_moves(lines, golden):

@@ -336,6 +336,92 @@ def test_warm_find_zeros_equals_a_cold_call(tol):
     assert all(held[1::3]) and all(held[2::3])
 
 
+def _prefix_path(tau_max, tol, found):
+    """find_zeros as it ran before its records were held: the grid table
+    sliced to tau_max, grid points moved to tau_max settled exactly, each
+    bracket's zero from found (_refine on every bracket of the grid) and
+    a bracket clipped at tau_max refined anew."""
+    last = int(math.ceil(max(tau_max, 0) / spectrum._SCAN_STEP))
+    if last == 0:
+        return []
+    grid, grid_v, grid_sign = (a[:last + 1] for a in spectrum._grid_scan())
+    t = np.minimum(grid, tau_max)
+    on = t == grid
+    v = np.where(on, grid_v, np.nan)
+    ks = spectrum._settle(t, v, np.where(on, grid_sign, 0.0))
+    found = {**found, **spectrum._refine(
+        t, v, [k for k in ks if not on[k + 1]], tol)}
+    return [spectrum.ZeroRecord(i + 1, *found[k],
+                                (float(t[k]), float(t[k + 1])))
+            for i, k in enumerate(ks)]
+
+
+def _record_bits(records):
+    """Every field of each record, floats as their hex strings."""
+    return [(r.index, r.tau.hex(), r.rho.real.hex(), r.rho.imag.hex(),
+             r.residual.hex(), r.bracket[0].hex(), r.bracket[1].hex())
+            for r in records]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 0.0])
+def test_held_records_equal_the_prefix_path(tol):
+    # find_zeros answers from the held records by bisection and settles
+    # only a last step clipped at tau_max.  On seeded tau_max draws it
+    # equals the full-prefix path bit for bit: two-decimal values (about
+    # one in seven is not k * 0.01 bit for bit), uniform ones, each zero
+    # +- 1e-9 and +- 1e-3, every bracket end and the edges of the range.
+    t, v, sign = (a.copy() for a in spectrum._grid_scan())
+    ks = spectrum._settle(t, v, sign)
+    found = spectrum._refine(t, v, ks, tol)
+    rng = random.Random(20261020)
+    draws = [round(rng.uniform(0.0, 60.0), 2) for _ in range(150)]
+    draws += [rng.uniform(0.0, 60.0) for _ in range(80)]
+    draws += [root + d for root, _, _ in found.values()
+              for d in (-1e-3, -1e-9, 1e-9, 1e-3)]
+    draws += [float(t[j]) for k in ks for j in (k, k + 1)]
+    draws += [0.0, 0.005, 0.01, 59.995, 60.0, -1.0]
+    assert len(draws) >= 300
+    off = sum(x != t[round(x * 100)] for x in draws[:150])
+    assert 10 <= off <= 40
+    for tau_max in draws:
+        want = _record_bits(_prefix_path(tau_max, tol, found))
+        assert _record_bits(find_zeros(tau_max, tol)) == want, tau_max
+
+
+def test_returned_zero_lists_are_the_callers_own():
+    # Each call returns a new list: what a caller does to it leaves the
+    # held records, and so the next call's result, as they were.
+    for tau_max in (60.0, 30.005, 30.305):
+        want = _record_bits(find_zeros(tau_max))
+        for mutate in (list.pop, lambda z: z.append(None), list.clear):
+            mutate(find_zeros(tau_max))
+            assert _record_bits(find_zeros(tau_max)) == want
+
+
+def test_warm_find_zeros_cost_guard(monkeypatch):
+    # A warm call on the grid, or off it in a cell that holds no zero,
+    # reads its records and evaluates nothing: no _settle, no line
+    # evaluation and no Brent round.  Off the grid in a cell that holds a
+    # zero, clear of its bracket, it evaluates tau_max alone and runs no
+    # round.
+    find_zeros(60.0)
+    calls = {"_settle": [], "critical_line_real_form": [], "_lockstep": []}
+
+    def recording(name):
+        fn, seen = getattr(spectrum, name), calls[name]
+        return lambda *a: seen.append(np.size(a[0])) or fn(*a)
+
+    for name in calls:
+        monkeypatch.setattr(spectrum, name, recording(name))
+    for tau_max in (60.0, 45.5, 14.13, 0.01, 30.005, 45.505, 59.995):
+        assert len(find_zeros(tau_max)) == sum(
+            t <= tau_max for t in oracles.ZERO_TAUS)
+    assert calls == {name: [] for name in calls}
+    assert len(find_zeros(30.305)) == 3
+    assert calls["critical_line_real_form"] == [1]
+    assert calls["_settle"] == [2] and calls["_lockstep"] == []
+
+
 def test_scan_table_is_read_only():
     # find_zeros copies what it changes; the process-wide table refuses
     # writes, so no caller can corrupt a later scan.
