@@ -15,6 +15,9 @@ Report and table lines are byte-deterministic for a fixed command line;
 the final manifest line of `verify`/`selftest`/`norm-check` carries
 wall-clock timings and is exempt from that guarantee.  Library failures
 surface as a single JSON error object and exit code 1; bad flags exit 2.
+A check suite prints each line as its check finishes; one that raises
+ends in a failed `<suite>-raised` line carrying the same payload, and
+the next suite still runs.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, PoleError, ZetalabError
-from .reporting import RunManifest, dumps
+from .reporting import dumps, flag
 from .special import _EM_TAU_CAP
 
 
@@ -125,8 +128,8 @@ def _emit(records, fmt="json", header=None) -> int:
     return 0
 
 
-def _emit_error(exc: Exception) -> int:
-    """One JSON error object; a budget failure carries its best
+def _error_payload(exc: Exception) -> dict:
+    """The error's name and message; a budget failure adds its best
     estimate (a list for a stacked quadrature) and a pole its location."""
     from .quad import QuadResult
 
@@ -138,30 +141,51 @@ def _emit_error(exc: Exception) -> int:
             "abs_err": best.abs_err, "evals": best.evals}
     if isinstance(exc, PoleError):
         payload["location"] = complex(exc.location)
-    _emit([payload])
+    return payload
+
+
+def _emit_error(exc: Exception) -> int:
+    """The error's payload as one JSON error object."""
+    _emit([_error_payload(exc)])
     return 1
 
 
 def _run_suites(chosen, tol_scale, command) -> int:
-    """Run each (name, fn) suite, re-gate its reports at tol * tol_scale,
-    print every report line, then the manifest; exit 1 if any check
-    failed."""
-    manifest = RunManifest(__version__, command, tol_scale)
-    lines = []
-    any_fail = False
+    """Run each (name, fn) suite, fn() an iterable of CheckReport, and
+    print each report, re-gated at tol * tol_scale, as it arrives; then
+    the manifest.  A suite that raises skips its remaining checks and
+    prints one failed `<name>-raised` flag whose inputs hold the error's
+    payload (each non-string value as dumps writes it) and `after`, the
+    last check it printed; the next suite still runs.  Exit 1 if any
+    check failed."""
+    suites = []
     for name, fn in chosen:
         t0 = time.perf_counter()
-        reports = [r.scaled(tol_scale) for r in fn()]
-        wall = time.perf_counter() - t0
-        npass = sum(1 for r in reports if r.ok)
-        nfail = len(reports) - npass
-        any_fail = any_fail or nfail > 0
-        manifest.add(name, wall, npass, nfail)
-        lines.extend(r.to_line() for r in reports)
-    for line in lines:
-        sys.stdout.write(line + "\n")
-    sys.stdout.write(manifest.to_line() + "\n")
-    return 1 if any_fail else 0
+        npass = nfail = 0
+        last = None
+        try:
+            for report in fn():
+                report = report.scaled(tol_scale)
+                sys.stdout.write(report.to_line() + "\n")
+                npass += report.ok
+                nfail += not report.ok
+                last = report.name
+        except Exception as exc:
+            payload = dict(_error_payload(exc), after=last)
+            inputs = {k: v if isinstance(v, str) else dumps(v)
+                      for k, v in payload.items()}
+            sys.stdout.write(flag(f"{name}-raised", False, "trivial",
+                                  inputs).to_line() + "\n")
+            nfail += 1
+        suites.append({"suite": name, "wall_s": time.perf_counter() - t0,
+                       "passed": npass, "failed": nfail})
+    passed = sum(s["passed"] for s in suites)
+    failed = sum(s["failed"] for s in suites)
+    sys.stdout.write(dumps({"manifest": {
+        "version": __version__, "command": command, "tol_scale": tol_scale,
+        "suites": suites, "passed": passed, "failed": failed,
+        "total": passed + failed}}) + "\n")
+    return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:
@@ -209,7 +233,10 @@ def cmd_gram(args) -> int:
 def cmd_norm_check(args) -> int:
     from .selftests import norm_checks
 
-    return _run_suites([("norm-check", lambda: norm_checks(args.c))], 1.0,
+    # Checked before the runner, so a refused --c prints its own error
+    # object rather than a norm-check-raised line.
+    reports = norm_checks(args.c)
+    return _run_suites([("norm-check", lambda: reports)], 1.0,
                        " ".join(args.argv))
 
 

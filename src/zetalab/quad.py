@@ -37,7 +37,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint
@@ -92,7 +91,6 @@ def _legendre_pn(n: int, x):
     return p_cur, dp
 
 
-@lru_cache(maxsize=64)
 def _gauss_rule_longdouble(n: int):
     """Nodes/weights on [-1, 1] in extended precision.
 

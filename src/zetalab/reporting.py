@@ -1,11 +1,11 @@
-"""The one encoder of printed lines, check reports and run manifests.
+"""The one encoder of printed lines, and the check reports it writes.
 
 Every line zetalab prints is a JSON value written by dumps, or a csv
 row of the values dumps writes: one rule for an int, a float (17
 significant digits), a complex number, a null and a list, so identical
-command lines produce byte-identical output.  The final manifest line
-of a check run carries wall-clock timings and is therefore the one line
-excluded from byte-for-byte comparisons.
+command lines produce byte-identical output.  The manifest line that
+the CLI's check runner writes last carries wall-clock timings and is
+therefore the one line excluded from byte-for-byte comparisons.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Checks with tol >= INFORMATIONAL never gate the exit code; they exist
 # to put a measured number on the record.
@@ -108,31 +108,3 @@ def flag(name, ok, provenance, inputs=None) -> CheckReport:
     """Boolean check (property held / expected error raised)."""
     return check(name, 1.0 if ok else 0.0, 1.0, 0.0, provenance,
                  mode="abs", inputs=inputs)
-
-
-@dataclass
-class RunManifest:
-    version: str
-    command: str
-    tol_scale: float
-    suites: list = field(default_factory=list)  # (name, wall_s, npass, nfail)
-
-    def add(self, name, wall_s, npass, nfail):
-        self.suites.append((name, wall_s, npass, nfail))
-
-    @property
-    def passed(self) -> int:
-        return sum(s[2] for s in self.suites)
-
-    @property
-    def failed(self) -> int:
-        return sum(s[3] for s in self.suites)
-
-    def to_line(self) -> str:
-        return dumps({"manifest": {
-            "version": self.version, "command": self.command,
-            "tol_scale": self.tol_scale,
-            "suites": [{"suite": n, "wall_s": w, "passed": p, "failed": f}
-                       for n, w, p, f in self.suites],
-            "passed": self.passed, "failed": self.failed,
-            "total": self.passed + self.failed}})

@@ -230,6 +230,83 @@ def test_run_suites_regates_at_tol_scale(capsys):
                                  "trivial").to_line()
 
 
+def test_verify_keeps_every_other_line_when_a_suite_raises(capsys,
+                                                           monkeypatch):
+    # A check that raises ends its suite in one failed states-raised line
+    # carrying the error's payload; every line before it and every later
+    # suite's line still equal the golden stream, and the manifest prints.
+    from zetalab import states
+    from zetalab.errors import ConvergenceError
+    from zetalab.quad import QuadResult
+
+    best = QuadResult(0.1 + 2j, 3e-9, 480)
+
+    def stalled(rho):
+        raise ConvergenceError("log moment stalled", best=best)
+
+    monkeypatch.setattr(states, "gram_diagonal_log_moment", stalled)
+    code, lines = run(capsys, "verify", "--suite", "all")
+    assert code == 1
+    with open(GOLDEN_VERIFY_ALL) as fh:
+        golden = fh.read().splitlines()
+    names = [json.loads(ln)["name"] for ln in golden]
+    k = names.index("gram-by-parts-route") + 1
+    ops = len(names) - names.index("ladder-number-diagonal")
+    assert lines[:k] == golden[:k]
+    assert lines[-1 - ops:-1] == golden[-ops:]
+    raised = [ln for ln in lines if json.loads(ln).get("name", "").endswith(
+        "-raised")]
+    assert raised == [lines[k]] and len(lines) == k + 1 + ops + 1
+    rep = json.loads(lines[k])
+    assert rep["name"] == "states-raised" and not rep["pass"]
+    assert rep["inputs"] == {
+        "error": "ConvergenceError", "message": "log moment stalled",
+        "best": dumps({"value": 0.1 + 2j, "abs_err": 3e-9, "evals": 480}),
+        "after": "gram-by-parts-route", "mode": "abs"}
+    assert "0.10000000000000001" in rep["inputs"]["best"]
+    assert dumps(_strict_json(lines[k])) == lines[k]
+    manifest = json.loads(lines[-1])["manifest"]
+    by_suite = {s["suite"]: s for s in manifest["suites"]}
+    assert list(by_suite) == ["special", "quad", "spectrum", "states",
+                              "operators"]
+    assert by_suite["states"]["failed"] == 1
+    assert manifest["failed"] == 1 and manifest["total"] == len(lines) - 1
+
+
+def test_run_suites_runs_on_past_a_raising_generator(capsys):
+    # A generator suite prints each check as it yields it; when it raises,
+    # one failed line carries the pole's location and the last check
+    # printed, and the next suite still runs.
+    from zetalab.cli import _run_suites
+    from zetalab.errors import PoleError
+    from zetalab.reporting import flag
+
+    def raising():
+        yield check("first", 1.0, 1.0, 1e-12, "trivial")
+        yield flag("second", True, "trivial")
+        raise PoleError("zeta pole at s = 1", location=1 + 0.5j)
+
+    def after():
+        yield flag("next", True, "trivial")
+
+    assert _run_suites([("pole", raising), ("after", after)], 1.0,
+                       "test") == 1
+    lines = capsys.readouterr().out.splitlines()
+    reps = [json.loads(ln) for ln in lines[:-1]]
+    assert [r["name"] for r in reps] == ["first", "second", "pole-raised",
+                                         "next"]
+    assert [r["pass"] for r in reps] == [True, True, False, True]
+    assert reps[2]["inputs"] == {
+        "error": "PoleError", "message": "zeta pole at s = 1",
+        "location": dumps(1 + 0.5j), "after": "second", "mode": "abs"}
+    assert dumps(_strict_json(lines[2])) == lines[2]
+    manifest = json.loads(lines[-1])["manifest"]
+    assert [(s["suite"], s["passed"], s["failed"])
+            for s in manifest["suites"]] == [("pole", 2, 1), ("after", 1, 0)]
+    assert (manifest["passed"], manifest["failed"], manifest["total"]) == (
+        3, 1, 4)
+
+
 def test_zeros_csv_matches_reference(capsys):
     code, lines = run(capsys, "zeros", "--tau-max", "30")
     assert code == 0
